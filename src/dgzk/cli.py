@@ -13,7 +13,8 @@ configuration are byte-identical.
 
 Exit codes:
     0  success
-    2  configuration problem (parse error, unknown key, domain violation)
+    2  a config value that a check rejects (parse error, unknown key,
+       domain violation)
     3  invalid initial data
     4  solver divergence
     5  insufficient data for a requested fit or check
@@ -27,7 +28,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from .errors import (
     InvalidInitialDataError,
 )
 from .estimates import kernel_decay_scan, strichartz_scan, vandercorput_check, weyl_scan
+from .estimates._shellscan import parallel_map
 from .fieldio import save_field
 from .grid import Grid
 from .presets import initial_data, random_band_field
@@ -61,34 +62,6 @@ EXIT_DIVERGENCE = 4
 EXIT_INSUFFICIENT = 5
 EXIT_IO = 6
 EXIT_INTERNAL = 7
-
-_SCAN_PRESETS = {
-    "strichartz-scan": {
-        "alpha1-small": {"symbol.alpha": 1, "symbol.beta": 1.0,
-                         "scan.j_min": 3, "scan.j_max": 5,
-                         "scan.k_min": 1, "scan.k_max": 3, "scan.trials": 5},
-        "alpha1-full": {"symbol.alpha": 1, "symbol.beta": 1.0,
-                        "scan.j_min": 3, "scan.j_max": 7,
-                        "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20},
-        "alpha2-full": {"symbol.alpha": 2, "symbol.beta": 1.0,
-                        "scan.j_min": 3, "scan.j_max": 7,
-                        "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20},
-        "alpha3-full": {"symbol.alpha": 3, "symbol.beta": 1.0,
-                        "scan.j_min": 3, "scan.j_max": 7,
-                        "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20},
-    },
-    "kernel-scan": {
-        "alpha1-small": {"symbol.alpha": 1, "symbol.beta": 1.0,
-                         "scan.j_min": 4, "scan.j_max": 6,
-                         "scan.k_min": 4, "scan.k_max": 6,
-                         "scan.samples_per_cell": 4},
-        "alpha1-full": {"symbol.alpha": 1, "symbol.beta": 1.0,
-                        "scan.j_min": 4, "scan.j_max": 8,
-                        "scan.k_min": 4, "scan.k_max": 8,
-                        "scan.samples_per_cell": 8},
-    },
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -124,56 +97,31 @@ def _resolve(args) -> dict:
         overrides.append(f"seed={args.seed}")
     if args.workers is not None:
         overrides.append(f"workers={args.workers}")
-
-    # named scan presets sit between schema defaults and the file contents
-    extra = None
-    presets = _SCAN_PRESETS.get(args.command)
-    if presets is not None:
-        probe = resolve_config(args.command, pairs, overrides, source=source)
-        name = probe.get("scan.preset", "")
-        if name:
-            if name not in presets:
-                raise ConfigError(
-                    f"unknown scan.preset {name!r}; choose one of {', '.join(sorted(presets))}")
-            extra = presets[name]
-    return resolve_config(args.command, pairs, overrides, source=source, extra_defaults=extra)
+    return resolve_config(args.command, pairs, overrides, source=source)
 
 
 def _symbol_from(cfg: dict, mu: float = 0.0) -> DispersionSymbol:
-    try:
-        return DispersionSymbol(alpha=cfg["symbol.alpha"], beta=cfg["symbol.beta"],
-                                sign=cfg["symbol.sign"], mu=mu)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return DispersionSymbol(alpha=cfg["symbol.alpha"], beta=cfg["symbol.beta"],
+                            sign=cfg["symbol.sign"], mu=mu)
 
 
 def _grid_from(cfg: dict) -> Grid:
-    try:
-        return Grid(nx=cfg["grid.nx"], ny=cfg["grid.ny"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return Grid(nx=cfg["grid.nx"], ny=cfg["grid.ny"])
 
 
 def _initial_from(cfg: dict, grid: Grid):
     band = cfg["initial.band"] or None
-    try:
-        return initial_data(grid, cfg["initial.preset"], amplitude=cfg["initial.amplitude"],
-                            seed=cfg["seed"], m=cfg["initial.m"], n=cfg["initial.n"],
-                            width=cfg["initial.width"], band=band)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return initial_data(grid, cfg["initial.preset"], amplitude=cfg["initial.amplitude"],
+                        seed=cfg["seed"], m=cfg["initial.m"], n=cfg["initial.n"],
+                        width=cfg["initial.width"], band=band)
 
 
 def _sim_config_from(cfg: dict, grid: Grid, symbol: DispersionSymbol) -> SimulationConfig:
-    try:
-        return SimulationConfig(grid=grid, symbol=symbol, dt=cfg["solver.dt"],
-                                t_end=cfg["solver.t_end"],
-                                integrator=cfg["solver.integrator"],
-                                dealias=cfg["solver.dealias"],
-                                record_every=cfg["solver.record_every"],
-                                h_s=tuple(cfg["solver.h_s"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return SimulationConfig(grid=grid, symbol=symbol, dt=cfg["solver.dt"],
+                            t_end=cfg["solver.t_end"],
+                            integrator=cfg["solver.integrator"],
+                            record_every=cfg["solver.record_every"],
+                            h_s=tuple(cfg["solver.h_s"]))
 
 
 def _rel_drift(series) -> float:
@@ -218,11 +166,7 @@ def _run_regularized_family(cfg: dict, out: Path) -> None:
     symbol = _symbol_from(cfg, mu=0.0)
     sim = _sim_config_from(cfg, grid, symbol)
     phi = _initial_from(cfg, grid)
-    mu_list = list(cfg["family.mu_list"])
-    if any(mu <= 0 for mu in mu_list) or any(
-            mu_list[i] <= mu_list[i + 1] for i in range(len(mu_list) - 1)):
-        raise ConfigError("family.mu_list must be strictly decreasing positive values")
-    family = solve_regularized_family(sim, phi, mu_list)
+    family = solve_regularized_family(sim, phi, cfg["family.mu_list"])
     rows = [(mu, gap, res) for mu, gap, res in
             zip(family.mus, family.l2_gaps, family.identity_residuals)]
     write_csv(out / "family.csv", ["mu", "l2_gap_vs_mu0", "identity_residual"], rows)
@@ -237,25 +181,12 @@ def _run_regularized_family(cfg: dict, out: Path) -> None:
     })
 
 
-def _run_strichartz_scan(cfg: dict, out: Path) -> None:
-    symbol = _symbol_from(cfg)
-    try:
-        report = strichartz_scan(
-            symbol,
-            range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
-            range(cfg["scan.k_min"], cfg["scan.k_max"] + 1),
-            trials=cfg["scan.trials"], seed=cfg["seed"],
-            n_times=cfg["scan.n_times"], refine=cfg["scan.refine"],
-            eps=cfg["scan.eps"], workers=cfg["workers"])
-    except InsufficientDataError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _write_shell_scan(out: Path, report, **settings) -> None:
+    """cells.csv and report.json of a shell scan; settings are the scan's own."""
     write_csv(out / "cells.csv", ["j", "k", "measured", "bound", "ratio"], report.cells)
     write_json(out / "report.json", {
         "alpha": report.alpha, "beta": report.beta, "sign": report.sign,
-        "eps": report.eps, "seed": report.seed, "trials": report.trials,
-        "n_times": report.n_times, "refine": report.refine,
+        "eps": report.eps, "seed": report.seed, **settings,
         "slope_j": report.slope_j,
         "slope_k": None if math.isnan(report.slope_k) else report.slope_k,
         "intercept": report.intercept, "max_ratio": report.max_ratio,
@@ -263,37 +194,32 @@ def _run_strichartz_scan(cfg: dict, out: Path) -> None:
     })
 
 
+def _run_strichartz_scan(cfg: dict, out: Path) -> None:
+    report = strichartz_scan(
+        _symbol_from(cfg),
+        range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
+        range(cfg["scan.k_min"], cfg["scan.k_max"] + 1),
+        trials=cfg["scan.trials"], seed=cfg["seed"],
+        n_times=cfg["scan.n_times"], refine=cfg["scan.refine"],
+        eps=cfg["scan.eps"], workers=cfg["workers"])
+    _write_shell_scan(out, report, trials=report.trials, n_times=report.n_times,
+                      refine=report.refine)
+
+
 def _run_kernel_scan(cfg: dict, out: Path) -> None:
-    symbol = _symbol_from(cfg)
-    try:
-        report = kernel_decay_scan(
-            symbol,
-            range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
-            range(cfg["scan.k_min"], cfg["scan.k_max"] + 1),
-            samples_per_cell=cfg["scan.samples_per_cell"], seed=cfg["seed"],
-            eps=cfg["scan.eps"], workers=cfg["workers"])
-    except InsufficientDataError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    write_csv(out / "cells.csv", ["j", "k", "measured", "bound", "ratio"], report.cells)
-    write_json(out / "report.json", {
-        "alpha": report.alpha, "beta": report.beta, "sign": report.sign,
-        "eps": report.eps, "seed": report.seed,
-        "samples_per_cell": report.samples_per_cell,
-        "slope_j": report.slope_j, "slope_k": report.slope_k,
-        "intercept": report.intercept, "max_ratio": report.max_ratio,
-        "cells": len(report.cells),
-    })
+    report = kernel_decay_scan(
+        _symbol_from(cfg),
+        range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
+        range(cfg["scan.k_min"], cfg["scan.k_max"] + 1),
+        samples_per_cell=cfg["scan.samples_per_cell"], seed=cfg["seed"],
+        eps=cfg["scan.eps"], workers=cfg["workers"])
+    _write_shell_scan(out, report, samples_per_cell=report.samples_per_cell)
 
 
 def _run_weyl_scan(cfg: dict, out: Path) -> None:
-    try:
-        report = weyl_scan(cfg["weyl.degree"], list(cfg["weyl.n_values"]),
-                           trials=cfg["weyl.trials"], delta=cfg["weyl.delta"],
-                           seed=cfg["seed"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    report = weyl_scan(cfg["weyl.degree"], list(cfg["weyl.n_values"]),
+                       trials=cfg["weyl.trials"], delta=cfg["weyl.delta"],
+                       seed=cfg["seed"])
     write_csv(out / "rows.csv", ["n_terms", "trial", "q", "abs_sum", "bound", "ratio"],
               report.rows)
     write_json(out / "report.json", {
@@ -305,8 +231,6 @@ def _run_weyl_scan(cfg: dict, out: Path) -> None:
 
 def _run_vdc_scan(cfg: dict, out: Path) -> None:
     p = cfg["vdc.p"]
-    if p < 2:
-        raise ConfigError(f"vdc.p must be >= 2, got {p}")
     i_min, i_max = cfg["vdc.i_min"], cfg["vdc.i_max"]
     if i_max < i_min:
         raise ConfigError("vdc.i_max must be >= vdc.i_min")
@@ -341,11 +265,8 @@ def _run_convergence(cfg: dict, out: Path) -> None:
     if mode in ("temporal", "both"):
         phi = _initial_from(cfg, grid)
         dts = [cfg["conv.dt0"] / 2 ** i for i in range(cfg["conv.halvings"])]
-        try:
-            temporal = temporal_order_study(grid, symbol, phi, cfg["conv.t_end"], dts,
-                                            integrator=cfg["conv.integrator"])
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        temporal = temporal_order_study(grid, symbol, phi, cfg["conv.t_end"], dts,
+                                        integrator=cfg["conv.integrator"])
         rows = [(dt, err, order) for dt, err, order in
                 zip(temporal.dts, temporal.errors,
                     [""] + [repr(o) for o in temporal.pairwise_orders])]
@@ -353,12 +274,8 @@ def _run_convergence(cfg: dict, out: Path) -> None:
         report["temporal_fitted_order"] = temporal.fitted_order
     if mode in ("spatial", "both"):
         profile = lambda g: _initial_from(cfg, g)
-        try:
-            spatial = spatial_convergence_study(symbol, profile,
-                                                list(cfg["conv.n_values"]),
-                                                cfg["conv.t_end"], cfg["conv.dt"])
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        spatial = spatial_convergence_study(symbol, profile, list(cfg["conv.n_values"]),
+                                            cfg["conv.t_end"], cfg["conv.dt"])
         rows = [(n, err, dec) for n, err, dec in
                 zip(spatial.n_values, spatial.errors,
                     [""] + [repr(d) for d in spatial.decades_per_doubling])]
@@ -375,8 +292,6 @@ def _run_commutator_scan(cfg: dict, out: Path) -> None:
     if pairs < 1:
         raise ConfigError(f"comm.pairs must be >= 1, got {pairs}")
     s_values = list(cfg["comm.s_values"])
-    if any(s < 1 for s in s_values):
-        raise ConfigError("comm.s_values must all be >= 1")
     seed = cfg["seed"]
 
     def one(task):
@@ -388,12 +303,7 @@ def _run_commutator_scan(cfg: dict, out: Path) -> None:
         return (s_values[si], trial, lhs, rhs, lhs / rhs if rhs else 0.0)
 
     tasks = [(si, trial) for si in range(len(s_values)) for trial in range(pairs)]
-    workers = cfg["workers"]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(t) for t in tasks]
+    rows = parallel_map(one, tasks, cfg["workers"])
     write_csv(out / "rows.csv", ["s", "pair", "lhs", "rhs", "ratio"], rows)
     write_json(out / "report.json", {
         "pairs": pairs, "s_values": s_values, "band": band, "seed": seed,
@@ -412,12 +322,14 @@ _RUNNERS = {
     "commutator-scan": _run_commutator_scan,
 }
 
+# first match wins: the ValueError subclasses with codes of their own come
+# before ValueError, which covers every config value a check rejects
 _EXIT_BY_ERROR = (
-    (ConfigError, EXIT_CONFIG),
     (InvalidInitialDataError, EXIT_INITIAL_DATA),
     (DivergenceError, EXIT_DIVERGENCE),
     (InsufficientDataError, EXIT_INSUFFICIENT),
     (OSError, EXIT_IO),
+    (ValueError, EXIT_CONFIG),
 )
 
 

@@ -8,7 +8,8 @@ directory.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import ConfigError
 
@@ -28,20 +29,10 @@ def _int(raw: str) -> int:
 
 
 def _float(raw: str) -> float:
-    return float(raw)
-
-
-def _str(raw: str) -> str:
-    return raw
-
-
-def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _sign(raw: str) -> int:
@@ -56,7 +47,7 @@ def _sign(raw: str) -> int:
 def _choice(*allowed: str) -> Callable[[str], str]:
     def cast(raw: str) -> str:
         if raw not in allowed:
-            raise ValueError(f"expected one of {', '.join(allowed)}; got {raw!r}")
+            raise ValueError(f"expected one of {', '.join(map(repr, allowed))}; got {raw!r}")
         return raw
     cast.allowed = allowed
     return cast
@@ -66,7 +57,7 @@ def _float_list(raw: str) -> Tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
+    return tuple(_float(p) for p in parts)
 
 
 def _int_list(raw: str) -> Tuple[int, ...]:
@@ -102,7 +93,6 @@ _SOLVER = (
     Option("solver.dt", _float, 1e-3),
     Option("solver.t_end", _float, 0.1),
     Option("solver.integrator", _choice("etdrk4", "ifrk4"), "etdrk4"),
-    Option("solver.dealias", _bool, True),
     Option("solver.record_every", _int, 10),
     Option("solver.h_s", _float_list, (1.0,), "Sobolev exponents tracked in diagnostics"),
 )
@@ -111,6 +101,35 @@ _COMMON = (
     Option("workers", _int, 1),
 )
 
+# named scan.preset settings, already typed; resolve_config puts them
+# between the schema defaults and the file contents
+_SCAN_PRESETS: Dict[str, Dict[str, Dict[str, object]]] = {
+    "strichartz-scan": {
+        "alpha1-small": {"symbol.alpha": 1, "symbol.beta": 1.0,
+                         "scan.j_min": 3, "scan.j_max": 5,
+                         "scan.k_min": 1, "scan.k_max": 3, "scan.trials": 5},
+        "alpha1-full": {"symbol.alpha": 1, "symbol.beta": 1.0,
+                        "scan.j_min": 3, "scan.j_max": 7,
+                        "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20},
+        "alpha2-full": {"symbol.alpha": 2, "symbol.beta": 1.0,
+                        "scan.j_min": 3, "scan.j_max": 7,
+                        "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20},
+        "alpha3-full": {"symbol.alpha": 3, "symbol.beta": 1.0,
+                        "scan.j_min": 3, "scan.j_max": 7,
+                        "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20},
+    },
+    "kernel-scan": {
+        "alpha1-small": {"symbol.alpha": 1, "symbol.beta": 1.0,
+                         "scan.j_min": 4, "scan.j_max": 6,
+                         "scan.k_min": 4, "scan.k_max": 6,
+                         "scan.samples_per_cell": 4},
+        "alpha1-full": {"symbol.alpha": 1, "symbol.beta": 1.0,
+                        "scan.j_min": 4, "scan.j_max": 8,
+                        "scan.k_min": 4, "scan.k_max": 8,
+                        "scan.samples_per_cell": 8},
+    },
+}
+
 SCHEMAS: Dict[str, Dict[str, Option]] = {
     "simulate": _opts(*_COMMON, *_GRID, *_SYMBOL, *_INITIAL, *_SOLVER,
                       Option("symbol.mu", _float, 0.0),
@@ -118,7 +137,8 @@ SCHEMAS: Dict[str, Dict[str, Option]] = {
     "regularized-family": _opts(*_COMMON, *_GRID, *_SYMBOL, *_INITIAL, *_SOLVER,
                                 Option("family.mu_list", _float_list, (1e-2, 1e-3))),
     "strichartz-scan": _opts(*_COMMON, *_SYMBOL,
-                             Option("scan.preset", _str, ""),
+                             Option("scan.preset",
+                                    _choice("", *_SCAN_PRESETS["strichartz-scan"]), ""),
                              Option("scan.j_min", _int, 3), Option("scan.j_max", _int, 5),
                              Option("scan.k_min", _int, 1), Option("scan.k_max", _int, 3),
                              Option("scan.trials", _int, 5),
@@ -126,7 +146,7 @@ SCHEMAS: Dict[str, Dict[str, Option]] = {
                              Option("scan.refine", _int, 4),
                              Option("scan.eps", _float, 0.05)),
     "kernel-scan": _opts(*_COMMON, *_SYMBOL,
-                         Option("scan.preset", _str, ""),
+                         Option("scan.preset", _choice("", *_SCAN_PRESETS["kernel-scan"]), ""),
                          Option("scan.j_min", _int, 4), Option("scan.j_max", _int, 6),
                          Option("scan.k_min", _int, 4), Option("scan.k_max", _int, 6),
                          Option("scan.samples_per_cell", _int, 8),
@@ -183,25 +203,16 @@ def parse_config_text(text: str, source: str = "<config>") -> List[Tuple[int, st
 
 
 def resolve_config(command: str, file_pairs: Sequence[Tuple[int, str, str]] = (),
-                   overrides: Sequence[str] = (), source: str = "<config>",
-                   extra_defaults: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    """Defaults, then file pairs, then --set overrides; reject unknown keys.
-
-    extra_defaults (already typed, e.g. from a named scan preset) sit between
-    the schema defaults and the file contents.
-    """
+                   overrides: Sequence[str] = (), source: str = "<config>") -> Dict[str, object]:
+    """Defaults, then the named scan.preset, then file pairs, then --set
+    overrides; reject unknown keys."""
     schema = schema_for(command)
-    resolved = {key: opt.default for key, opt in schema.items()}
-    if extra_defaults:
-        for key, value in extra_defaults.items():
-            if key not in schema:
-                raise ConfigError(f"preset: unknown key {key!r} for command {command!r}")
-            resolved[key] = value
+    explicit = {}
     for lineno, key, raw in file_pairs:
         if key not in schema:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} for command {command!r}")
         try:
-            resolved[key] = schema[key].cast(raw)
+            explicit[key] = schema[key].cast(raw)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}")
     for item in overrides:
@@ -213,7 +224,10 @@ def resolve_config(command: str, file_pairs: Sequence[Tuple[int, str, str]] = ()
         if key not in schema:
             raise ConfigError(f"override: unknown key {key!r} for command {command!r}")
         try:
-            resolved[key] = schema[key].cast(raw)
+            explicit[key] = schema[key].cast(raw)
         except ValueError as exc:
             raise ConfigError(f"override: bad value for {key!r}: {exc}")
+    resolved = {key: opt.default for key, opt in schema.items()}
+    resolved.update(_SCAN_PRESETS.get(command, {}).get(explicit.get("scan.preset", ""), {}))
+    resolved.update(explicit)
     return resolved

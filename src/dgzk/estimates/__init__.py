@@ -1,5 +1,5 @@
 """Numerical laboratory for the oscillatory-sum estimates behind the model."""
-from .bump import psi1, psi1_eval
+from .bump import psi1
 from .expsums import (
     RationalApprox,
     WeylInstance,
@@ -21,7 +21,6 @@ from .strichartz import StrichartzScanReport, shell_field, strichartz_norm, stri
 
 __all__ = [
     "psi1",
-    "psi1_eval",
     "WeylInstance",
     "RationalApprox",
     "WeylScanReport",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["psi1", "psi1_eval"]
+__all__ = ["psi1"]
 
 _TINY = 1e-300
 
@@ -37,7 +37,3 @@ def psi1(r):
     fall = _ramp((4.0 - arr) / 2.0)
     out = rise * fall
     return out if out.ndim else float(out)
-
-
-# scalar-evaluation alias kept for interface stability
-psi1_eval = psi1

@@ -23,7 +23,6 @@ __all__ = [
     "WeylInstance",
     "RationalApprox",
     "WeylScanReport",
-    "kahan_sum",
     "weyl_sum",
     "dirichlet_approx",
     "weyl_bound",
@@ -49,27 +48,13 @@ class WeylInstance:
         return len(self.coeffs) - 1
 
 
-def kahan_sum(values: np.ndarray, chunk: int = 64) -> complex:
-    """Compensated accumulation: pairwise-summed chunks combined by Kahan."""
-    values = np.asarray(values).ravel()
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for start in range(0, len(values), chunk):
-        part = complex(values[start:start + chunk].sum())
-        y = part - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def weyl_sum(instance: WeylInstance) -> complex:
     """S = sum_{m=1}^{N} e^{2 pi i h(m)}."""
     m = np.arange(1, instance.n_terms + 1, dtype=float)
     # Horner evaluation, highest coefficient first
     h = np.polyval(list(reversed(instance.coeffs)), m)
     terms = np.exp(2j * np.pi * np.mod(h, 1.0))
-    return kahan_sum(terms)
+    return complex(np.sum(terms))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ of max |K| * 2^{-l} in j and k.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from ..errors import InsufficientDataError
 from ..propagator import DispersionSymbol
+from ._shellscan import shell_scan
 from .bump import psi1
 
 __all__ = [
@@ -179,30 +179,12 @@ def kernel_decay_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     if 2 ** worst > 2 ** 6 * MAX_LATTICE_COST:
         raise ValueError(f"lattice cost 2^{worst} exceeds the feasibility guard")
 
-    pairs = [(j, k) for j in j_list for k in k_list]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            measured = list(pool.map(
-                lambda jk: _cell_measurement(symbol, jk[0], jk[1], samples_per_cell, seed),
-                pairs))
-    else:
-        measured = [_cell_measurement(symbol, j, k, samples_per_cell, seed)
-                    for j, k in pairs]
-
     s_j = -1.0 / 2.0 ** (symbol.alpha + 1) + 2.0 * eps
     s_k = -symbol.beta / 2.0 + 2.0 * eps
-    cells = []
-    max_ratio = 0.0
-    for (j, k), value in zip(pairs, measured):
-        bound = 2.0 ** (s_j * j + s_k * k)
-        ratio = value / bound
-        max_ratio = max(max_ratio, ratio)
-        cells.append((j, k, value, bound, ratio))
-
-    design = np.array([[1.0, j, k] for j, k in pairs])
-    logs = np.log2([max(v, 1e-300) for v in measured])
-    coeff, *_ = np.linalg.lstsq(design, logs, rcond=None)
+    measure = lambda j, k: _cell_measurement(symbol, j, k, samples_per_cell, seed)
+    cells, max_ratio, slope_j, slope_k, intercept = shell_scan(
+        measure, j_list, k_list, s_j, s_k, workers)
     return KernelScanReport(alpha=symbol.alpha, beta=symbol.beta, sign=symbol.sign,
                             eps=eps, seed=seed, samples_per_cell=samples_per_cell,
-                            cells=cells, slope_j=float(coeff[1]), slope_k=float(coeff[2]),
-                            intercept=float(coeff[0]), max_ratio=float(max_ratio))
+                            cells=cells, slope_j=slope_j, slope_k=slope_k,
+                            intercept=intercept, max_ratio=max_ratio)

@@ -7,7 +7,6 @@ case over random trials, and fits the observed decay exponents in j and k.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +15,9 @@ import numpy as np
 from ..errors import InsufficientDataError
 from ..grid import Grid
 from ..propagator import DispersionSymbol, _symbol_tables
-from ..spectral import HERMITIAN_TOL, SpectralField, hermitian_defect, shell_indices
+from ..spectral import (HERMITIAN_TOL, SpectralField, _conj_reflect, hermitian_defect,
+                        shell_indices)
+from ._shellscan import shell_scan
 
 __all__ = [
     "StrichartzScanReport",
@@ -53,9 +54,7 @@ def shell_field(grid: Grid, j: int, k: int, rng) -> SpectralField:
     z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     z = np.where(mask, z, 0.0)
     # Hermitian-symmetrize; the mask is invariant under index negation
-    neg_x = (-np.arange(grid.nx)) % grid.nx
-    neg_y = (-np.arange(grid.ny)) % grid.ny
-    z = 0.5 * (z + np.conj(z[np.ix_(neg_x, neg_y)]))
+    z = 0.5 * (z + _conj_reflect(z))
     norm = 2.0 * np.pi * np.sqrt(np.sum(np.abs(z) ** 2))
     if norm == 0.0:
         raise ValueError("degenerate draw: all shell coefficients vanished")
@@ -154,34 +153,12 @@ def strichartz_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     if 2 ** (max(j_list) + max(k_list)) > 2 ** 20:
         raise ValueError("lattice cost exceeds the feasibility guard")
 
-    pairs = [(j, k) for j in j_list for k in k_list]
-    work = lambda jk: _cell_measurement(symbol, jk[0], jk[1], trials, seed, n_times, refine)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            measured = list(pool.map(work, pairs))
-    else:
-        measured = [work(jk) for jk in pairs]
-
     s_j = -1.0 / 2.0 ** (symbol.alpha + 2) + eps
     s_k = -symbol.beta / 4.0 + eps
-    cells = []
-    max_ratio = 0.0
-    for (j, k), value in zip(pairs, measured):
-        bound = 2.0 ** (s_j * j + s_k * k)
-        ratio = value / bound
-        max_ratio = max(max_ratio, ratio)
-        cells.append((j, k, value, bound, ratio))
-
-    fit_k = len(k_list) >= 2
-    if fit_k:
-        design = np.array([[1.0, j, k] for j, k in pairs])
-    else:
-        design = np.array([[1.0, j] for j, _ in pairs])
-    logs = np.log2([max(v, 1e-300) for v in measured])
-    coeff, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    slope_k = float(coeff[2]) if fit_k else float("nan")
+    measure = lambda j, k: _cell_measurement(symbol, j, k, trials, seed, n_times, refine)
+    cells, max_ratio, slope_j, slope_k, intercept = shell_scan(
+        measure, j_list, k_list, s_j, s_k, workers)
     return StrichartzScanReport(alpha=symbol.alpha, beta=symbol.beta, sign=symbol.sign,
                                 eps=eps, seed=seed, trials=trials, n_times=n_times,
-                                refine=refine, cells=cells, slope_j=float(coeff[1]),
-                                slope_k=slope_k, intercept=float(coeff[0]),
-                                max_ratio=float(max_ratio))
+                                refine=refine, cells=cells, slope_j=slope_j,
+                                slope_k=slope_k, intercept=intercept, max_ratio=max_ratio)

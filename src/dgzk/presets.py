@@ -11,6 +11,7 @@ import numpy as np
 from .grid import Grid
 from .spectral import (
     SpectralField,
+    _conj_reflect,
     field_from_modes,
     forward_transform,
     project_mean_zero_x,
@@ -48,10 +49,17 @@ def random_band_field(grid: Grid, band: int, rng, mean_zero_x: bool = True) -> S
     if mean_zero_x:
         keep &= np.abs(grid.kx2d) >= 1
     z = np.where(keep, z, 0.0)
-    neg_x = (-np.arange(grid.nx)) % grid.nx
-    neg_y = (-np.arange(grid.ny)) % grid.ny
-    z = 0.5 * (z + np.conj(z[np.ix_(neg_x, neg_y)]))
+    z = 0.5 * (z + _conj_reflect(z))
     return SpectralField(grid=grid, coeffs=z)
+
+
+def _scale_to_peak(field: SpectralField, amplitude: float) -> SpectralField:
+    """Rescale so the grid maximum of |u| is amplitude; zero stays zero."""
+    grid = field.grid
+    peak = np.max(np.abs(np.fft.ifft2(field.coeffs).real)) * grid.nx * grid.ny
+    if peak == 0.0:
+        return field
+    return SpectralField(grid=grid, coeffs=field.coeffs * (amplitude / peak))
 
 
 def initial_data(grid: Grid, name: str, amplitude: float = 1.0, seed: int = 0,
@@ -78,16 +86,10 @@ def initial_data(grid: Grid, name: str, amplitude: float = 1.0, seed: int = 0,
         return field_from_modes(grid, {(1, 0): 0.5 * amplitude, (-1, 0): 0.5 * amplitude})
     if name == "gaussian-bell":
         field = project_mean_zero_x(forward_transform(grid, _gaussian_bell(grid, width)))
-        peak = np.max(np.abs(np.fft.ifft2(field.coeffs).real)) * grid.nx * grid.ny
-        if peak == 0.0:
-            return field
-        return SpectralField(grid=grid, coeffs=field.coeffs * (amplitude / peak))
+        return _scale_to_peak(field, amplitude)
     if name == "random-band":
         if band is None:
             band = max(1, grid.nx // 8)
         field = random_band_field(grid, band, np.random.default_rng(seed))
-        peak = np.max(np.abs(np.fft.ifft2(field.coeffs).real)) * grid.nx * grid.ny
-        if peak == 0.0:
-            return field
-        return SpectralField(grid=grid, coeffs=field.coeffs * (amplitude / peak))
+        return _scale_to_peak(field, amplitude)
     raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")

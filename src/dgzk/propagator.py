@@ -63,6 +63,10 @@ def damping_rate(m, n, symbol: DispersionSymbol):
 @functools.lru_cache(maxsize=32)
 def _symbol_tables(grid: Grid, symbol: DispersionSymbol):
     omega = dispersion_relation(grid.kx2d, grid.ky2d, symbol)
+    # On the unpaired x-Nyquist row omega is even in n, so no phase there can
+    # map the conjugate pair (nx/2, n), (nx/2, -n) consistently; a zero phase
+    # keeps real fields real and the group unitary.
+    omega[grid.nx // 2, :] = 0.0
     gamma = damping_rate(grid.kx2d, grid.ky2d, symbol) if symbol.mu > 0 else None
     return omega, gamma
 

@@ -13,6 +13,7 @@ default) and a classical Runge-Kutta scheme in integrating-factor variables
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Optional, Sequence
@@ -62,15 +63,14 @@ class SimulationConfig:
     dt: float
     t_end: float
     integrator: str = "etdrk4"
-    dealias: bool = True
     record_every: int = 1
     h_s: tuple = (1.0,)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.record_every < 1 or int(self.record_every) != self.record_every:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
         if self.integrator not in ("etdrk4", "ifrk4"):
@@ -102,42 +102,34 @@ class Trajectory:
         return self.states[-1]
 
 
-def _nonlinear_core(grid: Grid, dealias_mask, deriv_x):
-    """Return a coefficient-array map c -> coefficients of -0.5 d/dx(u^2)."""
+def _build_nonlinear(grid: Grid):
+    """Return a coefficient-array map c -> dealiased coefficients of -0.5 d/dx(u^2)."""
     n = grid.nx * grid.ny
+    mask = (np.abs(grid.kx2d) <= grid.nx / 3.0) & (np.abs(grid.ky2d) <= grid.ny / 3.0)
+    deriv_x = -0.5j * grid.kx2d
 
     def apply(c: np.ndarray) -> np.ndarray:
         u = np.fft.ifft2(c * n).real
         sq = np.fft.fft2(u * u) / n
-        out = deriv_x * sq
-        if dealias_mask is not None:
-            out = out * dealias_mask
-        return out
+        return deriv_x * sq * mask
 
     return apply
 
 
-def _build_nonlinear(grid: Grid, use_dealias: bool):
-    mask = None
-    if use_dealias:
-        mask = (np.abs(grid.kx2d) <= grid.nx / 3.0) & (np.abs(grid.ky2d) <= grid.ny / 3.0)
-    deriv = -0.5j * grid.kx2d
-    return _nonlinear_core(grid, mask, deriv)
-
-
-def nonlinear_term(field: SpectralField, use_dealias: bool = True) -> SpectralField:
+def nonlinear_term(field: SpectralField) -> SpectralField:
     """-0.5 * d/dx (u^2), evaluated pseudo-spectrally and dealiased."""
-    apply = _build_nonlinear(field.grid, use_dealias)
+    apply = _build_nonlinear(field.grid)
     return SpectralField(field.grid, apply(field.coeffs))
 
 
 def _etdrk4_phi(z: np.ndarray):
     """E, E2 and the four quadrature weights of the scheme, per eigenvalue.
 
-    Direct formulas suffer cancellation near z = 0, so for |z| < 1/2 each
-    value is replaced by the average over a unit circle of 32 points
+    Direct formulas suffer cancellation near z = 0, so for 0 < |z| < 1/2
+    each value is replaced by the average over a unit circle of 32 points
     centered at z (the integrand is analytic, so the contour mean equals
-    the value at the center).
+    the value at the center).  At z = 0 the weights take their exact
+    limits q = 1/2, f1 = f2 = f3 = 1/6.
     """
     E = np.exp(z)
     E2 = np.exp(z / 2.0)
@@ -147,7 +139,10 @@ def _etdrk4_phi(z: np.ndarray):
         f1 = (-4.0 - z + E * (4.0 - 3.0 * z + z2)) / z3
         f2 = (2.0 + z + E * (z - 2.0)) / z3
         f3 = (-4.0 - 3.0 * z - z2 + E * (4.0 - z)) / z3
-    small = np.abs(z) < CONTOUR_SWITCH
+    zero = z == 0
+    q[zero] = 0.5
+    f1[zero] = f2[zero] = f3[zero] = 1.0 / 6.0
+    small = (np.abs(z) < CONTOUR_SWITCH) & ~zero
     if np.any(small):
         pts = np.exp(2j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
         zs = z[small][:, None] + pts[None, :]
@@ -172,7 +167,6 @@ class Etdrk4Stepper:
     """Fourth-order exponential time differencing with fixed step."""
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float,
-                 use_dealias: bool = True,
                  nonlinear: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.grid = grid
         self.symbol = symbol
@@ -182,7 +176,7 @@ class Etdrk4Stepper:
         self.E, self.E2 = E, E2
         self.Q = dt * q
         self.F1, self.F2, self.F3 = dt * f1, dt * f2, dt * f3
-        self.nonlinear = nonlinear if nonlinear is not None else _build_nonlinear(grid, use_dealias)
+        self.nonlinear = nonlinear if nonlinear is not None else _build_nonlinear(grid)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         n1 = self.nonlinear(c)
@@ -199,7 +193,6 @@ class Ifrk4Stepper:
     """Classical RK4 in integrating-factor variables; cross-check scheme."""
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float,
-                 use_dealias: bool = True,
                  nonlinear: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.grid = grid
         self.symbol = symbol
@@ -207,7 +200,7 @@ class Ifrk4Stepper:
         lam = _linear_eigenvalues(grid, symbol)
         self.E = np.exp(dt * lam)
         self.E2 = np.exp(0.5 * dt * lam)
-        self.nonlinear = nonlinear if nonlinear is not None else _build_nonlinear(grid, use_dealias)
+        self.nonlinear = nonlinear if nonlinear is not None else _build_nonlinear(grid)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         h = self.dt
@@ -221,15 +214,13 @@ class Ifrk4Stepper:
 _STEPPERS = {"etdrk4": Etdrk4Stepper, "ifrk4": Ifrk4Stepper}
 
 
-def step_etdrk4(field: SpectralField, dt: float, symbol: DispersionSymbol,
-                use_dealias: bool = True) -> SpectralField:
-    stepper = Etdrk4Stepper(field.grid, symbol, dt, use_dealias)
+def step_etdrk4(field: SpectralField, dt: float, symbol: DispersionSymbol) -> SpectralField:
+    stepper = Etdrk4Stepper(field.grid, symbol, dt)
     return SpectralField(field.grid, stepper.step(field.coeffs))
 
 
-def step_ifrk4(field: SpectralField, dt: float, symbol: DispersionSymbol,
-               use_dealias: bool = True) -> SpectralField:
-    stepper = Ifrk4Stepper(field.grid, symbol, dt, use_dealias)
+def step_ifrk4(field: SpectralField, dt: float, symbol: DispersionSymbol) -> SpectralField:
+    stepper = Ifrk4Stepper(field.grid, symbol, dt)
     return SpectralField(field.grid, stepper.step(field.coeffs))
 
 
@@ -237,15 +228,14 @@ def _laplacian_sq_weight(grid: Grid) -> np.ndarray:
     return (grid.kx2d**2 + grid.ky2d**2) ** 2
 
 
-def _check_guards(config: SimulationConfig, c: np.ndarray, warned: dict):
-    grid = config.grid
+def _check_guards(grid: Grid, dt: float, c: np.ndarray, warned: dict):
     if not warned.get("cfl"):
         n = grid.nx * grid.ny
         umax = float(np.max(np.abs(np.fft.ifft2(c * n).real)))
-        if config.dt * umax * (grid.nx / 2.0) > CFL_LIMIT:
+        if dt * umax * (grid.nx / 2.0) > CFL_LIMIT:
             warnings.warn(
                 f"nonlinear CFL guard: dt * max|u| * max|m| = "
-                f"{config.dt * umax * (grid.nx / 2.0):.3g} exceeds {CFL_LIMIT}",
+                f"{dt * umax * (grid.nx / 2.0):.3g} exceeds {CFL_LIMIT}",
                 RuntimeWarning,
             )
             warned["cfl"] = True
@@ -254,8 +244,10 @@ def _check_guards(config: SimulationConfig, c: np.ndarray, warned: dict):
 def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     """March the initial state to t_end, recording strided snapshots.
 
-    Initial data must be mean-zero in x: a relative defect up to 1e-12 is
-    projected away silently, anything larger is rejected.
+    The run takes n = max(1, round(t_end / dt)) steps of t_end / n, so it
+    ends at t_end exactly.  Initial data must be mean-zero in x: a relative
+    defect up to 1e-12 is projected away silently, anything larger is
+    rejected.
     """
     grid = config.grid
     if phi.grid != grid:
@@ -266,16 +258,9 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             f"initial data carries relative weight {defect:.3e} on the m = 0 modes; "
             f"the model requires zero mean in x (tolerance {MEAN_ZERO_TOL:.0e})"
         )
-    phi = project_mean_zero_x(phi)
-    if config.dealias:
-        phi = dealias(phi)
-
-    dt = config.dt
-    if dt > config.t_end:
-        dt = config.t_end
-        n_steps = 1
-    else:
-        n_steps = max(1, int(round(config.t_end / dt)))
+    phi = dealias(project_mean_zero_x(phi))
+    n_steps = max(1, int(round(config.t_end / config.dt)))
+    dt = config.t_end / n_steps
 
     lam = _linear_eigenvalues(grid, config.symbol)
     max_phase = float(np.max(np.abs(lam.imag))) * dt
@@ -286,7 +271,7 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             RuntimeWarning,
         )
 
-    stepper = _STEPPERS[config.integrator](grid, config.symbol, dt, config.dealias)
+    stepper = _STEPPERS[config.integrator](grid, config.symbol, dt)
 
     mu = config.symbol.mu
     lap_w = _laplacian_sq_weight(grid) if mu > 0 else None
@@ -297,9 +282,9 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
 
     c = phi.coeffs.copy()
     warned: dict = {}
-    _check_guards(config, c, warned)
+    _check_guards(grid, dt, c, warned)
 
-    rec_steps = [0]
+    rec_times = [0.0]
     rec_states = [SpectralField(grid, c.copy())]
     rec_diss = [0.0]
     diss_accum = 0.0
@@ -314,12 +299,12 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             diss_accum += 0.5 * dt * (prev_lap + cur)
             prev_lap = cur
         if i % config.record_every == 0 or i == n_steps:
-            rec_steps.append(i)
+            rec_times.append(config.t_end if i == n_steps else i * dt)
             rec_states.append(SpectralField(grid, c.copy()))
             rec_diss.append(diss_accum)
-            _check_guards(config, c, warned)
+            _check_guards(grid, dt, c, warned)
 
-    times = np.array([i * dt for i in rec_steps])
+    times = np.array(rec_times)
     records = _diag.build_records(times, rec_states, config.symbol, config.h_s)
     dissipation = 2.0 * mu * np.array(rec_diss) if mu > 0 else None
     return Trajectory(times=times, states=rec_states, diagnostics=records,

@@ -110,12 +110,16 @@ def transform_values(grid: Grid, values: np.ndarray) -> SpectralField:
     return SpectralField(grid, np.fft.fft2(values) / (grid.nx * grid.ny))
 
 
+def _conj_reflect(c: np.ndarray) -> np.ndarray:
+    """conj(c[-m, -n]) for a coefficient array in FFT layout."""
+    nx, ny = c.shape
+    return np.conj(c[np.ix_((-np.arange(nx)) % nx, (-np.arange(ny)) % ny)])
+
+
 def hermitian_defect(field: SpectralField) -> float:
     """Relative departure from f_hat(-m, -n) = conj(f_hat(m, n))."""
     c = field.coeffs
-    negx = (-np.arange(field.grid.nx)) % field.grid.nx
-    negy = (-np.arange(field.grid.ny)) % field.grid.ny
-    defect = np.max(np.abs(c - np.conj(c[np.ix_(negx, negy)])))
+    defect = np.max(np.abs(c - _conj_reflect(c)))
     scale = np.max(np.abs(c))
     return 0.0 if scale == 0.0 else float(defect / scale)
 

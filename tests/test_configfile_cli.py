@@ -1,8 +1,12 @@
 """Config parsing, resolution precedence, and the command-line front end."""
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgzk.cli import main
 from dgzk.configfile import parse_config_text, resolve_config
@@ -45,11 +49,11 @@ def test_unknown_keys_fail_loudly():
 def test_value_casting():
     cfg = resolve_config("simulate", [
         (1, "symbol.sign", "minus"),
-        (2, "solver.dealias", "off"),
+        (2, "solver.integrator", "ifrk4"),
         (3, "solver.h_s", "1, 1.5, 2"),
     ])
     assert cfg["symbol.sign"] == -1
-    assert cfg["solver.dealias"] is False
+    assert cfg["solver.integrator"] == "ifrk4"
     assert cfg["solver.h_s"] == (1.0, 1.5, 2.0)
     cfg = resolve_config("simulate", [], overrides=["symbol.sign=+1"])
     assert cfg["symbol.sign"] == 1
@@ -92,7 +96,7 @@ def test_resolved_config_echoes_overrides(tmp_path):
     assert text.splitlines()[0] == "command = simulate"
     assert "grid.nx = 16" in text
     assert "initial.preset = zero" in text
-    assert "solver.dealias = true" in text
+    assert "solver.integrator = etdrk4" in text
 
 
 def test_config_file_feeds_the_run(tmp_path):
@@ -167,6 +171,38 @@ def test_output_path_collision_exits_6(tmp_path, capsys):
     assert rc == 6
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["exit_code"] == 6
+
+
+def test_summary_reports_the_requested_t_end(tmp_path):
+    # 0.03 does not divide 0.1: the run takes 3 steps of 0.1/3
+    out = tmp_path / "run"
+    assert main(_simulate_args(out, "initial.preset=cos-x",
+                               "solver.dt=0.03", "solver.t_end=0.1")) == 0
+    assert json.loads((out / "summary.json").read_text())["t_end"] == 0.1
+
+
+_NONFINITE = ("nan", "inf", "-inf", "1e400")
+_BAD_TOKEN = st.sampled_from(_NONFINITE + ("0", "-1", "-0.5", "abc", ""))
+# bounded finite draws: dt >= 1e-3 and t_end <= 0.05 keep every run <= 50 steps
+_FUZZ = {
+    "solver.dt": st.floats(1e-3, 1.0),
+    "solver.t_end": st.floats(1e-6, 0.05),
+    "initial.amplitude": st.floats(-1e3, 1e3),
+    "symbol.beta": st.floats(-2.0, 2.0),
+    "symbol.mu": st.floats(-1.0, 10.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({key: st.one_of(st.none(), _BAD_TOKEN, draw.map(repr))
+                              for key, draw in _FUZZ.items()}))
+def test_fuzzed_values_map_to_documented_exit_codes(values):
+    chosen = [f"{key}={raw}" for key, raw in values.items() if raw is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = main(_simulate_args(Path(tmp) / "run", "initial.preset=cos-x", *chosen))
+    assert rc in (0, 2, 3, 4, 5, 6)
+    if any(raw in _NONFINITE for raw in values.values()):
+        assert rc == 2
 
 
 def test_snapshot_output_round_trips(tmp_path):

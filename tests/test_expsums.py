@@ -12,7 +12,6 @@ from dgzk.estimates.expsums import (
     RationalApprox,
     WeylInstance,
     dirichlet_approx,
-    kahan_sum,
     weyl_bound,
     weyl_scan,
     weyl_sum,
@@ -102,15 +101,6 @@ def test_modulus_never_exceeds_term_count():
         n = int(rng.integers(1, 400))
         coeffs = tuple(rng.uniform(0.0, 1.0, size=d + 1))
         assert abs(weyl_sum(WeylInstance(coeffs, n))) <= n + 1e-9
-
-
-def test_kahan_sum_matches_fsum():
-    rng = np.random.default_rng(5)
-    vals = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-    s = kahan_sum(vals, chunk=64)
-    assert abs(s.real - math.fsum(vals.real)) <= 1e-12
-    assert abs(s.imag - math.fsum(vals.imag)) <= 1e-12
-    assert kahan_sum(np.array([])) == 0j
 
 
 def test_instance_validation():

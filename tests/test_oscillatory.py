@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dgzk.errors import CertificateViolationError
-from dgzk.estimates.bump import psi1, psi1_eval
+from dgzk.estimates.bump import psi1
 from dgzk.estimates.oscillatory import (
     complex_oscillatory_quad,
     oscillatory_integral,
@@ -30,7 +30,6 @@ def test_cutoff_is_even_and_bounded():
     vals = psi1(r)
     assert np.array_equal(vals, psi1(-r))
     assert np.all((vals >= 0.0) & (vals <= 1.0))
-    assert psi1_eval is psi1
 
 
 def test_cutoff_divided_differences_stay_bounded():

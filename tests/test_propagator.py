@@ -5,16 +5,19 @@ import pytest
 from dgzk import (
     DispersionSymbol,
     Grid,
+    SpectralField,
     damping_rate,
     dispersion_relation,
     dyadic_project,
     field_from_modes,
+    hermitian_defect,
     l2_norm,
     project_mean_zero_x,
     propagate,
 )
 from dgzk.diagnostics import energy
 from dgzk.errors import BackwardHeatError
+from dgzk.solver import Etdrk4Stepper, Ifrk4Stepper
 
 from fieldgen import real_field
 
@@ -151,3 +154,19 @@ def test_unitarity_survives_huge_phases(rng):
     f = real_field(g, rng)
     out = propagate(f, 1e13, sym)
     assert abs(l2_norm(out) - l2_norm(f)) <= 1e-12 * l2_norm(f)
+
+
+def test_real_fields_stay_real_under_group_and_steppers():
+    # real_field data carries weight on the x-Nyquist row, where omega is
+    # even in n; the symbol tables must not rotate that row
+    g = Grid(16, 16)
+    rng = np.random.default_rng(7)
+    for alpha in (1, 2, 3):
+        for beta in (0.25, 0.5, 1.0):
+            for sign in (1, -1):
+                sym = DispersionSymbol(alpha, beta, sign=sign)
+                f = real_field(g, rng)
+                assert hermitian_defect(propagate(f, 0.37, sym)) <= 1e-12
+                for cls in (Etdrk4Stepper, Ifrk4Stepper):
+                    stepped = SpectralField(g, cls(g, sym, 1e-3).step(f.coeffs))
+                    assert hermitian_defect(stepped) <= 1e-12

@@ -105,6 +105,20 @@ def test_simulate_single_step_when_dt_exceeds_t_end():
     assert list(traj.times) == [0.0, 0.2]
 
 
+@pytest.mark.parametrize("dt,t_end,steps", [(0.03, 0.1, 3), (0.001, 0.35, 350)])
+def test_simulate_ends_at_requested_t_end(dt, t_end, steps):
+    # dt does not divide t_end: the run takes round(t_end/dt) equal steps of
+    # t_end/n; for (0.001, 0.35) n * (t_end/n) rounds away from t_end
+    g = Grid(16, 16)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=dt, t_end=t_end, record_every=10**9)
+    traj = simulate(cfg, initial_data(g, "cos-x", amplitude=0.1))
+    assert list(traj.times) == [0.0, t_end]
+    ref = SimulationConfig(grid=g, symbol=SYM, dt=t_end / steps, t_end=t_end,
+                           record_every=10**9)
+    same = simulate(ref, initial_data(g, "cos-x", amplitude=0.1))
+    assert np.array_equal(traj.final_state.coeffs, same.final_state.coeffs)
+
+
 def test_mean_zero_gate():
     g = Grid(16, 16)
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=0.01, t_end=0.05)
@@ -205,6 +219,11 @@ def test_config_validation():
         SimulationConfig(grid=g, symbol=SYM, dt=0.1, t_end=1.0, record_every=0)
     with pytest.raises(ValueError):
         SimulationConfig(grid=g, symbol=SYM, dt=0.1, t_end=1.0, integrator="euler")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SimulationConfig(grid=g, symbol=SYM, dt=bad, t_end=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            SimulationConfig(grid=g, symbol=SYM, dt=0.1, t_end=bad)
 
 
 def test_regularized_family_monotone():
