@@ -49,8 +49,6 @@ from .solver import (
     simulate,
     solve_regularized_family,
     spatial_convergence_study,
-    step_etdrk4,
-    step_ifrk4,
     temporal_order_study,
 )
 from .diagnostics import (
@@ -118,8 +116,6 @@ __all__ = [
     "sobolev_norm_dyadic",
     "solve_regularized_family",
     "spatial_convergence_study",
-    "step_etdrk4",
-    "step_ifrk4",
     "sup_norm_diagnostics",
     "temporal_order_study",
     "transform_values",

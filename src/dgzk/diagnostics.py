@@ -122,10 +122,6 @@ def diagnostics_csv(trajectory) -> Tuple[list, list]:
     return header, rows
 
 
-def _product_field(a_vals: np.ndarray, b_vals: np.ndarray, grid: Grid) -> SpectralField:
-    return transform_values(grid, a_vals * b_vals)
-
-
 def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[float, float]:
     """Left and right side of the commutator estimate for J^s = (1 - lap)^{s/2}.
 
@@ -147,20 +143,20 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     )
 
     big = Grid(2 * grid.nx, 2 * grid.ny)
-    f_vals = grid_values(embed_in_grid(f, big))
-    g_vals = grid_values(embed_in_grid(g, big))
+    f_vals = resample_values(f, 2)
+    g_vals = resample_values(g, 2)
 
     if constant_f:
         # multipliers commute with constants identically
         lhs = 0.0
     else:
-        js_fg = bessel_potential(_product_field(f_vals, g_vals, big), s)
+        js_fg = bessel_potential(transform_values(big, f_vals * g_vals), s)
         jsg_vals = grid_values(bessel_potential(embed_in_grid(g, big), s))
-        f_jsg = _product_field(f_vals, jsg_vals, big)
+        f_jsg = transform_values(big, f_vals * jsg_vals)
         lhs = l2_norm(SpectralField(big, js_fg.coeffs - f_jsg.coeffs))
 
-    fx_vals = grid_values(embed_in_grid(derivative(f, "x"), big))
-    fy_vals = grid_values(embed_in_grid(derivative(f, "y"), big))
+    fx_vals = resample_values(derivative(f, "x"), 2)
+    fy_vals = resample_values(derivative(f, "y"), 2)
     grad_inf = float(np.max(np.sqrt(np.abs(fx_vals) ** 2 + np.abs(fy_vals) ** 2)))
     rhs = (
         l2_norm(bessel_potential(f, s)) * float(np.max(np.abs(g_vals)))
@@ -215,7 +211,7 @@ def l1t_linf_estimate_check(trajectory, s1: float, s2: float) -> L1tLinfReport:
     for state in trajectory.states:
         mixed = bessel_potential(bessel_potential(state, s1, mode="x"), s2, mode="y")
         mixed_max = max(mixed_max, l2_norm(mixed))
-        vals = grid_values(embed_in_grid(state, big))
+        vals = resample_values(state, 2)
         f_field = transform_values(big, 0.5 * vals * vals)
         source_norms.append(l2_norm(bessel_potential(f_field, s1, mode="x")))
     source_l1 = float(np.trapezoid(np.array(source_norms), times))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,22 +147,20 @@ class WeylScanReport:
 
 
 def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 0.01,
-              lambda_rule: Callable[[int], int] = None, seed: int = 0) -> WeylScanReport:
+              seed: int = 0) -> WeylScanReport:
     """Random instances per N; records |S| against the bound.
 
-    lambda_rule maps N to the denominator cap Lambda used for the rational
-    approximation of the leading coefficient (default: Lambda = N, which
-    keeps |omega_d - a/q| <= 1/(Nq) <= 1/q^2 as the bound requires).
+    The leading coefficient is approximated by a/q with denominator cap
+    Lambda = N, which keeps |omega_d - a/q| <= 1/(Nq) <= 1/q^2 as the bound
+    requires.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if lambda_rule is None:
-        lambda_rule = lambda n: n
     rows = []
     max_ratio = 0.0
     dirichlet_ok = True
     for n in n_values:
-        lam = int(lambda_rule(int(n)))
+        lam = int(n)
         for trial in range(trials):
             # keyed per (N, trial) so results do not depend on loop order
             rng = np.random.default_rng([seed, int(n), trial])

@@ -15,8 +15,8 @@ import numpy as np
 from ..errors import InsufficientDataError
 from ..grid import Grid
 from ..propagator import DispersionSymbol, _symbol_tables
-from ..spectral import (HERMITIAN_TOL, SpectralField, _conj_reflect, hermitian_defect,
-                        shell_indices)
+from ..spectral import (HERMITIAN_TOL, SpectralField, _conj_reflect, _half, _real_values,
+                        _values, hermitian_defect, shell_indices)
 from ._shellscan import shell_scan
 
 __all__ = [
@@ -81,22 +81,16 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
         raise ValueError("decay scan uses the undamped group (mu = 0)")
     times = np.linspace(0.0, t_max, n_times)
     dt = times[1] - times[0]
-    nx, ny = phi.grid.shape
-    scale = nx * ny
-    sups = np.empty(n_times)
+    cur = phi.coeffs
+    values = _values
     if hermitian_defect(phi) <= HERMITIAN_TOL:
-        half = ny // 2 + 1
-        cur = phi.coeffs[:, :half].copy()
-        step = np.exp(1j * omega[:, :half] * dt)
-        for i in range(n_times):
-            sups[i] = np.abs(np.fft.irfft2(cur, s=(nx, ny))).max() * scale
-            cur = cur * step
-    else:
-        cur = phi.coeffs.copy()
-        step = np.exp(1j * omega * dt)
-        for i in range(n_times):
-            sups[i] = np.abs(np.fft.ifft2(cur)).max() * scale
-            cur = cur * step
+        cur, omega = _half(cur), _half(omega)
+        values = lambda half: _real_values(half, phi.grid.ny)
+    step = np.exp(1j * omega * dt)
+    sups = np.empty(n_times)
+    for i in range(n_times):
+        sups[i] = np.abs(values(cur)).max()
+        cur = cur * step
     return float(np.sqrt(np.trapezoid(sups ** 2, times)))
 
 

@@ -14,6 +14,7 @@ from .spectral import (
     _conj_reflect,
     field_from_modes,
     forward_transform,
+    grid_values,
     project_mean_zero_x,
     zero_field,
 )
@@ -44,6 +45,8 @@ def random_band_field(grid: Grid, band: int, rng, mean_zero_x: bool = True) -> S
     field is real.  With mean_zero_x the m = 0 column is dropped, which the
     evolution's hypothesis requires.
     """
+    if band < 1:
+        raise ValueError(f"band must be >= 1, got {band}")
     z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     keep = (np.abs(grid.kx2d) <= band) & (np.abs(grid.ky2d) <= band)
     if mean_zero_x:
@@ -55,11 +58,10 @@ def random_band_field(grid: Grid, band: int, rng, mean_zero_x: bool = True) -> S
 
 def _scale_to_peak(field: SpectralField, amplitude: float) -> SpectralField:
     """Rescale so the grid maximum of |u| is amplitude; zero stays zero."""
-    grid = field.grid
-    peak = np.max(np.abs(np.fft.ifft2(field.coeffs).real)) * grid.nx * grid.ny
+    peak = np.max(np.abs(grid_values(field).real))
     if peak == 0.0:
         return field
-    return SpectralField(grid=grid, coeffs=field.coeffs * (amplitude / peak))
+    return SpectralField(grid=field.grid, coeffs=field.coeffs * (amplitude / peak))
 
 
 def initial_data(grid: Grid, name: str, amplitude: float = 1.0, seed: int = 0,
@@ -85,6 +87,8 @@ def initial_data(grid: Grid, name: str, amplitude: float = 1.0, seed: int = 0,
     if name == "cos-x":
         return field_from_modes(grid, {(1, 0): 0.5 * amplitude, (-1, 0): 0.5 * amplitude})
     if name == "gaussian-bell":
+        if width <= 0:
+            raise ValueError(f"gaussian-bell width must be positive, got {width}")
         field = project_mean_zero_x(forward_transform(grid, _gaussian_bell(grid, width)))
         return _scale_to_peak(field, amplitude)
     if name == "random-band":

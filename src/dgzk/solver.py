@@ -20,11 +20,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInitialDataError
+from .errors import DivergenceError, InsufficientDataError, InvalidInitialDataError
 from .grid import Grid
 from .propagator import DispersionSymbol, _symbol_tables
 from .spectral import (
     SpectralField,
+    _coeffs,
+    _values,
     dealias,
     l2_norm,
     mean_zero_x_defect,
@@ -39,8 +41,6 @@ __all__ = [
     "nonlinear_term",
     "Etdrk4Stepper",
     "Ifrk4Stepper",
-    "step_etdrk4",
-    "step_ifrk4",
     "simulate",
     "solve_regularized_family",
     "temporal_order_study",
@@ -104,14 +104,12 @@ class Trajectory:
 
 def _build_nonlinear(grid: Grid):
     """Return a coefficient-array map c -> dealiased coefficients of -0.5 d/dx(u^2)."""
-    n = grid.nx * grid.ny
     mask = (np.abs(grid.kx2d) <= grid.nx / 3.0) & (np.abs(grid.ky2d) <= grid.ny / 3.0)
     deriv_x = -0.5j * grid.kx2d
 
     def apply(c: np.ndarray) -> np.ndarray:
-        u = np.fft.ifft2(c * n).real
-        sq = np.fft.fft2(u * u) / n
-        return deriv_x * sq * mask
+        u = _values(c).real
+        return deriv_x * _coeffs(u * u) * mask
 
     return apply
 
@@ -214,24 +212,13 @@ class Ifrk4Stepper:
 _STEPPERS = {"etdrk4": Etdrk4Stepper, "ifrk4": Ifrk4Stepper}
 
 
-def step_etdrk4(field: SpectralField, dt: float, symbol: DispersionSymbol) -> SpectralField:
-    stepper = Etdrk4Stepper(field.grid, symbol, dt)
-    return SpectralField(field.grid, stepper.step(field.coeffs))
-
-
-def step_ifrk4(field: SpectralField, dt: float, symbol: DispersionSymbol) -> SpectralField:
-    stepper = Ifrk4Stepper(field.grid, symbol, dt)
-    return SpectralField(field.grid, stepper.step(field.coeffs))
-
-
 def _laplacian_sq_weight(grid: Grid) -> np.ndarray:
     return (grid.kx2d**2 + grid.ky2d**2) ** 2
 
 
 def _check_guards(grid: Grid, dt: float, c: np.ndarray, warned: dict):
     if not warned.get("cfl"):
-        n = grid.nx * grid.ny
-        umax = float(np.max(np.abs(np.fft.ifft2(c * n).real)))
+        umax = float(np.max(np.abs(_values(c).real)))
         if dt * umax * (grid.nx / 2.0) > CFL_LIMIT:
             warnings.warn(
                 f"nonlinear CFL guard: dt * max|u| * max|m| = "
@@ -384,8 +371,11 @@ class TemporalOrderReport:
 def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralField,
                          t_end: float, dts: Sequence[float], integrator: str = "etdrk4",
                          ref_refine: int = 8) -> TemporalOrderReport:
-    """Error against a refined reference run for each dt; fitted slope."""
+    """Error against a refined reference run for each of >= 2 distinct dts; fitted slope."""
     dts = np.asarray(sorted(dts, reverse=True), dtype=float)
+    if len(np.unique(dts)) < 2:
+        raise InsufficientDataError(
+            f"need at least two distinct dts to fit an order, got {dts.tolist()}")
     phi = dealias(project_mean_zero_x(phi))
     cls = _STEPPERS[integrator]
     ref_dt = dts.min() / ref_refine

@@ -7,7 +7,9 @@ e^{i(mx + ny)} is
 
 so the transform of a constant c has f_hat(0, 0) = c, and the L2 norm on the
 square satisfies ||f||^2 = (2*pi)^2 * sum |f_hat|^2.  Discretely this is
-fft2(samples) / (nx * ny).
+numpy's fft2(samples, norm="forward"), and its inverse is
+ifft2(f_hat, norm="forward").  This module is the only one in the package
+that calls numpy.fft: every other module goes through the functions here.
 
 Sobolev norms below follow the sequence-space convention without the surface
 factor: sobolev_norm(f, s) = (sum (1 + m^2 + n^2)^s |f_hat|^2)^{1/2}.
@@ -86,20 +88,36 @@ def field_from_modes(grid: Grid, modes: dict, hermitian: bool = False) -> Spectr
     return f
 
 
+def _values(c: np.ndarray) -> np.ndarray:
+    """Complex point values of a coefficient array in FFT layout."""
+    return np.fft.ifft2(c, norm="forward")
+
+
+def _coeffs(v: np.ndarray) -> np.ndarray:
+    """Coefficient array of point values, in FFT layout."""
+    return np.fft.fft2(v, norm="forward")
+
+
+def _half(c: np.ndarray) -> np.ndarray:
+    """Columns n = 0 .. ny/2 of an array in FFT layout: the half spectrum
+    that determines a real field, as the real transforms lay it out."""
+    return c[:, : c.shape[1] // 2 + 1]
+
+
+def _real_values(half: np.ndarray, ny: int) -> np.ndarray:
+    """Real point values of a real field from its half spectrum (see _half)."""
+    return np.fft.irfft2(half, s=(half.shape[0], ny), norm="forward")
+
+
 def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralField:
-    samples = np.asarray(samples)
-    if samples.shape != grid.shape:
-        raise ValueError(f"sample shape {samples.shape} does not match grid {grid.shape}")
     if np.iscomplexobj(samples):
         raise ValueError("forward_transform expects real samples")
-    coeffs = np.fft.fft2(samples) / (grid.nx * grid.ny)
-    return SpectralField(grid, coeffs)
+    return transform_values(grid, samples)
 
 
 def grid_values(field: SpectralField) -> np.ndarray:
     """Complex point values; no symmetry requirement on the coefficients."""
-    n = field.grid.nx * field.grid.ny
-    return np.fft.ifft2(field.coeffs * n)
+    return _values(field.coeffs)
 
 
 def transform_values(grid: Grid, values: np.ndarray) -> SpectralField:
@@ -107,7 +125,7 @@ def transform_values(grid: Grid, values: np.ndarray) -> SpectralField:
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValueError(f"sample shape {values.shape} does not match grid {grid.shape}")
-    return SpectralField(grid, np.fft.fft2(values) / (grid.nx * grid.ny))
+    return SpectralField(grid, _coeffs(values))
 
 
 def _conj_reflect(c: np.ndarray) -> np.ndarray:

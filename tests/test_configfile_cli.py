@@ -164,6 +164,24 @@ def test_underresolved_scan_exits_5(tmp_path):
     assert record["error"]["type"] == "InsufficientDataError"
 
 
+@pytest.mark.parametrize("command, settings, exit_code, error_type", [
+    ("convergence", ["conv.mode=temporal", "conv.halvings=1"], 5, "InsufficientDataError"),
+    ("convergence", ["conv.mode=temporal", "conv.halvings=0"], 5, "InsufficientDataError"),
+    ("simulate", ["initial.preset=random-band", "initial.band=-3"], 2, "ValueError"),
+    ("commutator-scan", ["comm.band=-2", "comm.pairs=1"], 2, "ValueError"),
+    ("simulate", ["initial.preset=gaussian-bell", "initial.width=0"], 2, "ValueError"),
+], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width"])
+def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
+                                                   exit_code, error_type):
+    out = tmp_path / "run"
+    args = [command, "--out", str(out), "--set", "grid.nx=16", "--set", "grid.ny=16"]
+    for kv in settings:
+        args += ["--set", kv]
+    assert main(args) == exit_code
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["type"] == error_type
+
+
 def test_output_path_collision_exits_6(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("occupied\n")

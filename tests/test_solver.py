@@ -18,13 +18,11 @@ from dgzk import (
     simulate,
     solve_regularized_family,
     spatial_convergence_study,
-    step_etdrk4,
-    step_ifrk4,
     temporal_order_study,
     zero_field,
 )
 from dgzk.solver import Etdrk4Stepper, Ifrk4Stepper, l2_identity_residual
-from dgzk.errors import DivergenceError, InvalidInitialDataError
+from dgzk.errors import DivergenceError, InsufficientDataError, InvalidInitialDataError
 
 from fieldgen import band_field, real_field
 
@@ -77,8 +75,8 @@ def test_linear_limit_matches_propagator(rng, cls, tol):
 def test_step_functions_on_zero_field():
     g = Grid(16, 16)
     z = zero_field(g)
-    assert np.max(np.abs(step_etdrk4(z, 0.01, SYM).coeffs)) == 0.0
-    assert np.max(np.abs(step_ifrk4(z, 0.01, SYM).coeffs)) == 0.0
+    assert np.max(np.abs(Etdrk4Stepper(g, SYM, 0.01).step(z.coeffs))) == 0.0
+    assert np.max(np.abs(Ifrk4Stepper(g, SYM, 0.01).step(z.coeffs))) == 0.0
 
 
 def test_simulate_zero_data_stays_zero():
@@ -197,6 +195,9 @@ def test_temporal_order():
                                dts=[4e-3, 2e-3, 1e-3], ref_refine=8)
     assert rep.fitted_order >= 3.5
     assert rep.errors[0] > rep.errors[-1]
+    for dts in ([4e-3], [4e-3, 4e-3], []):
+        with pytest.raises(InsufficientDataError, match="two distinct dts"):
+            temporal_order_study(g, SYM, phi, t_end=0.1, dts=dts)
 
 
 def test_trajectory_validation():

@@ -4,9 +4,13 @@ The direct-summation DFT oracle here restates the normalization from
 scratch so the fast path is checked against an independent definition,
 not against itself.
 """
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dgzk
 from dgzk import (
     Grid,
     SpectralField,
@@ -302,3 +306,13 @@ def test_resample_values_interpolates_band_limited():
     fine = Grid(64, 64)
     want = np.cos(fine.x)[:, None] * np.ones(64)[None, :]
     assert np.max(np.abs(vals - want)) <= 1e-12
+
+
+def test_spectral_is_the_only_module_calling_numpy_fft():
+    """The normalization and layout live in one transform layer; a second
+    caller of numpy.fft would have to repeat them."""
+    package = Path(dgzk.__file__).parent
+    pattern = re.compile(r"\b(np|numpy)\.fft\b|from\s+numpy\s+import\s[^\n]*\bfft\b")
+    callers = sorted(str(p.relative_to(package)) for p in package.rglob("*.py")
+                     if pattern.search(p.read_text(encoding="utf-8")))
+    assert callers == ["spectral.py"]
