@@ -207,26 +207,25 @@ def resolve_config(command: str, file_pairs: Sequence[Tuple[int, str, str]] = ()
     """Defaults, then the named scan.preset, then file pairs, then --set
     overrides; reject unknown keys."""
     schema = schema_for(command)
+
+    def assignments():
+        """(location, key, raw) for each file pair, then each override, in order."""
+        for lineno, key, raw in file_pairs:
+            yield f"{source}:{lineno}", key, raw
+        for item in overrides:
+            if "=" not in item:
+                raise ConfigError(f"override {item!r} is not of the form key=value")
+            key, _, raw = item.partition("=")
+            yield "override", key.strip(), raw.strip()
+
     explicit = {}
-    for lineno, key, raw in file_pairs:
+    for where, key, raw in assignments():
         if key not in schema:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} for command {command!r}")
+            raise ConfigError(f"{where}: unknown key {key!r} for command {command!r}")
         try:
             explicit[key] = schema[key].cast(raw)
         except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}")
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in schema:
-            raise ConfigError(f"override: unknown key {key!r} for command {command!r}")
-        try:
-            explicit[key] = schema[key].cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"override: bad value for {key!r}: {exc}")
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}")
     resolved = {key: opt.default for key, opt in schema.items()}
     resolved.update(_SCAN_PRESETS.get(command, {}).get(explicit.get("scan.preset", ""), {}))
     resolved.update(explicit)

@@ -20,8 +20,6 @@ from .spectral import (
     SpectralField,
     bessel_potential,
     derivative,
-    embed_in_grid,
-    grid_values,
     l2_norm,
     resample_values,
     sobolev_norm,
@@ -151,7 +149,7 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
         lhs = 0.0
     else:
         js_fg = bessel_potential(transform_values(big, f_vals * g_vals), s)
-        jsg_vals = grid_values(bessel_potential(embed_in_grid(g, big), s))
+        jsg_vals = resample_values(bessel_potential(g, s), 2)
         f_jsg = transform_values(big, f_vals * jsg_vals)
         lhs = l2_norm(SpectralField(big, js_fg.coeffs - f_jsg.coeffs))
 

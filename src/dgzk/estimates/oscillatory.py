@@ -57,6 +57,24 @@ def complex_oscillatory_quad(f: Callable[[np.ndarray], np.ndarray],
     return complex(np.sum(half[:, None] * (_GL_WEIGHTS[None, :] * vals)))
 
 
+def _doubling_quad(evaluate: Callable[[int], complex], n: int,
+                   tol: float) -> Tuple[complex, bool, int]:
+    """Evaluate with n, 2n, 4n, ... nodes until two successive values agree
+    to tol (relative, floored at 1) or n exceeds MAX_QUADRATURE_NODES.
+
+    Returns (last value, whether it converged, node count at exit).
+    """
+    prev = None
+    value = 0.0 + 0.0j
+    while n <= MAX_QUADRATURE_NODES:
+        value = evaluate(n)
+        if prev is not None and abs(value - prev) <= tol * max(1.0, abs(value)):
+            return value, True, n
+        prev = value
+        n *= 2
+    return value, False, n
+
+
 @dataclass(frozen=True)
 class OscillatoryIntegralResult:
     value: complex
@@ -90,18 +108,10 @@ def oscillatory_integral(y_prime: float, t: float, m: int, beta: float, k: int,
         return w * w * np.exp(1j * (y_prime * eta + coef * np.abs(eta) ** (1.0 + beta)))
 
     lo, hi = scale / 4.0, scale * 4.0
-    n = int(quadrature_n)
-    prev = None
-    value = 0.0 + 0.0j
-    converged = False
-    while n <= MAX_QUADRATURE_NODES:
-        value = (complex_oscillatory_quad(integrand, -hi, -lo, n // 2)
-                 + complex_oscillatory_quad(integrand, lo, hi, n // 2))
-        if prev is not None and abs(value - prev) <= tol * max(1.0, abs(value)):
-            converged = True
-            break
-        prev = value
-        n *= 2
+    value, converged, n = _doubling_quad(
+        lambda n: (complex_oscillatory_quad(integrand, -hi, -lo, n // 2)
+                   + complex_oscillatory_quad(integrand, lo, hi, n // 2)),
+        int(quadrature_n), tol)
     nodes_used = min(n, MAX_QUADRATURE_NODES)
 
     product = float(m) * float(t)
@@ -166,15 +176,8 @@ def vandercorput_check(phase: Callable, phase_deriv_p: Callable,
     def integrand(x):
         return np.asarray(amplitude(x), dtype=complex) * np.exp(1j * np.asarray(phase(x), dtype=float))
 
-    n = int(quadrature_n)
-    prev = None
-    value = 0.0 + 0.0j
-    while n <= MAX_QUADRATURE_NODES:
-        value = complex_oscillatory_quad(integrand, a, b, n)
-        if prev is not None and abs(value - prev) <= tol * max(1.0, abs(value)):
-            break
-        prev = value
-        n *= 2
+    value, _, n = _doubling_quad(lambda n: complex_oscillatory_quad(integrand, a, b, n),
+                                 int(quadrature_n), tol)
     lhs = abs(value)
 
     dense = np.linspace(a, b, 4097)

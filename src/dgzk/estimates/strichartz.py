@@ -14,9 +14,10 @@ import numpy as np
 
 from ..errors import InsufficientDataError
 from ..grid import Grid
+from ..presets import _random_real
 from ..propagator import DispersionSymbol, _symbol_tables
-from ..spectral import (HERMITIAN_TOL, SpectralField, _conj_reflect, _half, _real_values,
-                        _values, hermitian_defect, shell_indices)
+from ..spectral import (HERMITIAN_TOL, SpectralField, _half, _real_values, _values,
+                        hermitian_defect, l2_norm, shell_indices)
 from ._shellscan import shell_scan
 
 __all__ = [
@@ -50,15 +51,11 @@ def shell_field(grid: Grid, j: int, k: int, rng) -> SpectralField:
     mask = (sx[:, None] == j) & (sy[None, :] == k)
     if not mask.any():
         raise ValueError(f"grid {grid.nx}x{grid.ny} does not contain shell ({j}, {k})")
-
-    z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    z = np.where(mask, z, 0.0)
-    # Hermitian-symmetrize; the mask is invariant under index negation
-    z = 0.5 * (z + _conj_reflect(z))
-    norm = 2.0 * np.pi * np.sqrt(np.sum(np.abs(z) ** 2))
+    field = _random_real(grid, mask, rng)
+    norm = l2_norm(field)
     if norm == 0.0:
         raise ValueError("degenerate draw: all shell coefficients vanished")
-    return SpectralField(grid=grid, coeffs=z / norm)
+    return SpectralField(grid=grid, coeffs=field.coeffs / norm)
 
 
 def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,

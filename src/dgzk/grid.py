@@ -72,10 +72,6 @@ class Grid:
             return self.ny
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
-    def wavenumbers_along(self, axis: str) -> np.ndarray:
-        self.size_along(axis)
-        return self.kx if axis == "x" else self.ky
-
     def index_of(self, wavenumber: int, axis: str) -> int:
         """Array index holding the given wavenumber along an axis."""
         n = self.size_along(axis)

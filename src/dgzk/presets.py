@@ -38,22 +38,31 @@ def _gaussian_bell(grid: Grid, width: float) -> np.ndarray:
     return vals
 
 
+def _random_real(grid: Grid, mask: np.ndarray, rng) -> SpectralField:
+    """Random real-valued field supported on mask, which must be closed under
+    (m, n) -> (-m, -n): iid complex Gaussians, Hermitian-symmetrized."""
+    z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    z = np.where(mask, z, 0.0)
+    return SpectralField(grid=grid, coeffs=0.5 * (z + _conj_reflect(z)))
+
+
 def random_band_field(grid: Grid, band: int, rng, mean_zero_x: bool = True) -> SpectralField:
-    """Random real-valued field with |m|, |n| <= band.
+    """Random real-valued field with |m|, |n| <= band, for band in [1, max(nx, ny)/2].
 
     Coefficients are iid complex Gaussians, Hermitian-symmetrized so the
     field is real.  With mean_zero_x the m = 0 column is dropped, which the
-    evolution's hypothesis requires.
+    evolution's hypothesis requires.  A band past the shorter axis keeps
+    every mode of that axis; a band past both axes names modes the grid
+    cannot hold, so it is rejected.
     """
-    if band < 1:
-        raise ValueError(f"band must be >= 1, got {band}")
-    z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    if not 1 <= band <= max(grid.nx, grid.ny) // 2:
+        raise ValueError(
+            f"band must lie in [1, {max(grid.nx, grid.ny) // 2}] on a "
+            f"{grid.nx}x{grid.ny} grid, got {band}")
     keep = (np.abs(grid.kx2d) <= band) & (np.abs(grid.ky2d) <= band)
     if mean_zero_x:
         keep &= np.abs(grid.kx2d) >= 1
-    z = np.where(keep, z, 0.0)
-    z = 0.5 * (z + _conj_reflect(z))
-    return SpectralField(grid=grid, coeffs=z)
+    return _random_real(grid, keep, rng)
 
 
 def _scale_to_peak(field: SpectralField, amplitude: float) -> SpectralField:
@@ -74,8 +83,8 @@ def initial_data(grid: Grid, name: str, amplitude: float = 1.0, seed: int = 0,
     cos-x         amplitude * cos(x)
     gaussian-bell periodized Gaussian bump of the given width, x-mean removed,
                   scaled so the grid maximum is the requested amplitude
-    random-band   seeded random field band-limited to |wavenumber| <= band
-                  (default nx/8), scaled likewise
+    random-band   seeded random field band-limited to |wavenumber| <= band,
+                  band in [1, max(nx, ny)/2] (default nx/8), scaled likewise
     """
     if name == "zero":
         return zero_field(grid)

@@ -26,11 +26,13 @@ from .propagator import DispersionSymbol, _symbol_tables
 from .spectral import (
     SpectralField,
     _coeffs,
+    _dealias_mask,
     _values,
     dealias,
     l2_norm,
     mean_zero_x_defect,
     project_mean_zero_x,
+    truncate_to_grid,
 )
 from . import diagnostics as _diag
 
@@ -104,7 +106,7 @@ class Trajectory:
 
 def _build_nonlinear(grid: Grid):
     """Return a coefficient-array map c -> dealiased coefficients of -0.5 d/dx(u^2)."""
-    mask = (np.abs(grid.kx2d) <= grid.nx / 3.0) & (np.abs(grid.ky2d) <= grid.ny / 3.0)
+    mask = _dealias_mask(grid)
     deriv_x = -0.5j * grid.kx2d
 
     def apply(c: np.ndarray) -> np.ndarray:
@@ -129,27 +131,25 @@ def _etdrk4_phi(z: np.ndarray):
     the value at the center).  At z = 0 the weights take their exact
     limits q = 1/2, f1 = f2 = f3 = 1/6.
     """
-    E = np.exp(z)
-    E2 = np.exp(z / 2.0)
+    def direct(w):
+        Ew, E2w = np.exp(w), np.exp(w / 2.0)
+        w2, w3 = w * w, w * w * w
+        return (Ew, E2w, (E2w - 1.0) / w,
+                (-4.0 - w + Ew * (4.0 - 3.0 * w + w2)) / w3,
+                (2.0 + w + Ew * (w - 2.0)) / w3,
+                (-4.0 - 3.0 * w - w2 + Ew * (4.0 - w)) / w3)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        z2, z3 = z * z, z * z * z
-        q = (E2 - 1.0) / z
-        f1 = (-4.0 - z + E * (4.0 - 3.0 * z + z2)) / z3
-        f2 = (2.0 + z + E * (z - 2.0)) / z3
-        f3 = (-4.0 - 3.0 * z - z2 + E * (4.0 - z)) / z3
+        E, E2, q, f1, f2, f3 = direct(z)
     zero = z == 0
     q[zero] = 0.5
     f1[zero] = f2[zero] = f3[zero] = 1.0 / 6.0
     small = (np.abs(z) < CONTOUR_SWITCH) & ~zero
     if np.any(small):
         pts = np.exp(2j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
-        zs = z[small][:, None] + pts[None, :]
-        Es = np.exp(zs)
-        zs2, zs3 = zs * zs, zs * zs * zs
-        q[small] = ((np.exp(zs / 2.0) - 1.0) / zs).mean(axis=1)
-        f1[small] = ((-4.0 - zs + Es * (4.0 - 3.0 * zs + zs2)) / zs3).mean(axis=1)
-        f2[small] = ((2.0 + zs + Es * (zs - 2.0)) / zs3).mean(axis=1)
-        f3[small] = ((-4.0 - 3.0 * zs - zs2 + Es * (4.0 - zs)) / zs3).mean(axis=1)
+        on_contour = direct(z[small][:, None] + pts[None, :])[2:]
+        for weight, contour_values in zip((q, f1, f2, f3), on_contour):
+            weight[small] = contour_values.mean(axis=1)
     return E, E2, q, f1, f2, f3
 
 
@@ -228,6 +228,11 @@ def _check_guards(grid: Grid, dt: float, c: np.ndarray, warned: dict):
             warned["cfl"] = True
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """Steps simulate takes to reach t_end: the nearest count to t_end/dt, at least 1."""
+    return max(1, int(round(t_end / dt)))
+
+
 def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     """March the initial state to t_end, recording strided snapshots.
 
@@ -246,11 +251,11 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             f"the model requires zero mean in x (tolerance {MEAN_ZERO_TOL:.0e})"
         )
     phi = dealias(project_mean_zero_x(phi))
-    n_steps = max(1, int(round(config.t_end / config.dt)))
+    n_steps = _step_count(config.t_end, config.dt)
     dt = config.t_end / n_steps
 
-    lam = _linear_eigenvalues(grid, config.symbol)
-    max_phase = float(np.max(np.abs(lam.imag))) * dt
+    omega, _ = _symbol_tables(grid, config.symbol)
+    max_phase = float(np.max(np.abs(omega))) * dt
     if max_phase > PHASE_PER_STEP_LIMIT:
         warnings.warn(
             f"linear phase per step is {max_phase:.3g} radians; "
@@ -351,13 +356,12 @@ def solve_regularized_family(config: SimulationConfig, phi: SpectralField,
     )
 
 
-def _integrate_raw(stepper, c0: np.ndarray, n_steps: int) -> np.ndarray:
-    c = c0.copy()
-    for i in range(n_steps):
-        c = stepper.step(c)
-        if not np.all(np.isfinite(c)):
-            raise DivergenceError(step=i + 1, t=(i + 1) * stepper.dt)
-    return c
+def _final_state(grid: Grid, symbol: DispersionSymbol, phi: SpectralField, t_end: float,
+                 dt: float, integrator: str = "etdrk4") -> SpectralField:
+    """State at t_end of a simulate run that records only its first and last step."""
+    config = SimulationConfig(grid=grid, symbol=symbol, dt=dt, t_end=t_end,
+                              integrator=integrator, record_every=10**9)
+    return simulate(config, phi).final_state
 
 
 @dataclass
@@ -371,22 +375,21 @@ class TemporalOrderReport:
 def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralField,
                          t_end: float, dts: Sequence[float], integrator: str = "etdrk4",
                          ref_refine: int = 8) -> TemporalOrderReport:
-    """Error against a refined reference run for each of >= 2 distinct dts; fitted slope."""
+    """Error against a reference run at dt / ref_refine; pairwise and fitted orders.
+
+    Every run, the reference included, is a `simulate` run, so the study
+    shares its step rule (n = max(1, round(t_end / dt)) steps of t_end / n),
+    its divergence check and its CFL and phase guards.  The dts must give at
+    least two distinct step counts.
+    """
     dts = np.asarray(sorted(dts, reverse=True), dtype=float)
-    if len(np.unique(dts)) < 2:
+    if len({_step_count(t_end, dt) for dt in dts}) < 2:
         raise InsufficientDataError(
-            f"need at least two distinct dts to fit an order, got {dts.tolist()}")
-    phi = dealias(project_mean_zero_x(phi))
-    cls = _STEPPERS[integrator]
-    ref_dt = dts.min() / ref_refine
-    n_ref = int(round(t_end / ref_dt))
-    ref = _integrate_raw(cls(grid, symbol, t_end / n_ref), phi.coeffs, n_ref)
-    errors = []
-    for dt in dts:
-        n = int(round(t_end / dt))
-        final = _integrate_raw(cls(grid, symbol, t_end / n), phi.coeffs, n)
-        errors.append(l2_norm(SpectralField(grid, final - ref)))
-    errors = np.array(errors)
+            f"need at least two distinct dts to fit an order (dts giving the same "
+            f"step count over t_end = {t_end} count once), got {dts.tolist()}")
+    run = lambda dt: _final_state(grid, symbol, phi, t_end, dt, integrator).coeffs
+    ref = run(dts.min() / ref_refine)
+    errors = np.array([l2_norm(SpectralField(grid, run(dt) - ref)) for dt in dts])
     with np.errstate(divide="ignore"):
         pairwise = np.log2(errors[:-1] / errors[1:]) / np.log2(dts[:-1] / dts[1:])
     A = np.vstack([np.ones_like(dts), np.log(dts)]).T
@@ -410,21 +413,20 @@ def spatial_convergence_study(symbol: DispersionSymbol, profile, n_values: Seque
 
     profile(grid) must return the same analytic initial field sampled on the
     given grid.  All runs share dt so the comparison isolates the spatial
-    truncation; errors are measured on the common coefficient band.
+    truncation; errors are measured on the common coefficient band.  Every
+    run is a `simulate` run, so the study shares its step rule, divergence
+    check and guards.  At least two distinct resolutions are required.
     """
-    from .spectral import truncate_to_grid
-
     n_values = sorted(int(n) for n in n_values)
+    if len(set(n_values)) < 2:
+        raise InsufficientDataError(
+            f"need at least two distinct n_values to fit a rate, got {n_values}")
     ref_grid = Grid(2 * n_values[-1], 2 * n_values[-1])
-    ref_cfg = SimulationConfig(grid=ref_grid, symbol=symbol, dt=dt, t_end=t_end,
-                               record_every=10**9)
-    ref = simulate(ref_cfg, profile(ref_grid)).final_state
+    ref = _final_state(ref_grid, symbol, profile(ref_grid), t_end, dt)
     errors = []
     for n in n_values:
         grid = Grid(n, n)
-        cfg = SimulationConfig(grid=grid, symbol=symbol, dt=dt, t_end=t_end,
-                               record_every=10**9)
-        final = simulate(cfg, profile(grid)).final_state
+        final = _final_state(grid, symbol, profile(grid), t_end, dt)
         diff = final.coeffs - truncate_to_grid(ref, grid).coeffs
         errors.append(l2_norm(SpectralField(grid, diff)))
     errors = np.array(errors, dtype=float)

@@ -158,20 +158,20 @@ def l2_norm(field: SpectralField) -> float:
     return float(2.0 * np.pi * np.sqrt(np.sum(np.abs(field.coeffs) ** 2)))
 
 
+def _axis_wavenumbers(grid: Grid, axis: str) -> np.ndarray:
+    """kx2d for axis 'x', ky2d for axis 'y'; any other name is rejected."""
+    grid.size_along(axis)
+    return grid.kx2d if axis == "x" else grid.ky2d
+
+
 def fractional_derivative(field: SpectralField, axis: str, a: float) -> SpectralField:
     """|wavenumber|^a multiplier along one axis; a = 0 is the identity."""
     if a < 0:
         raise ValueError(f"fractional order must be >= 0, got {a}")
     if a == 0:
         return field.copy()
-    g = field.grid
-    if axis == "x":
-        mult = np.abs(g.kx2d) ** a
-    elif axis == "y":
-        mult = np.abs(g.ky2d) ** a
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return SpectralField(g, field.coeffs * mult)
+    mult = np.abs(_axis_wavenumbers(field.grid, axis)) ** a
+    return SpectralField(field.grid, field.coeffs * mult)
 
 
 def derivative(field: SpectralField, axis: str) -> SpectralField:
@@ -181,14 +181,8 @@ def derivative(field: SpectralField, axis: str) -> SpectralField:
     odd multiplier i*k, so that single mode is zeroed.
     """
     g = field.grid
-    if axis == "x":
-        k = g.kx2d.copy()
-        k[g.nx // 2, :] = 0.0
-    elif axis == "y":
-        k = g.ky2d.copy()
-        k[:, g.ny // 2] = 0.0
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    k = _axis_wavenumbers(g, axis)
+    k = np.where(k == g.size_along(axis) // 2, 0.0, k)
     return SpectralField(g, field.coeffs * (1j * k))
 
 
@@ -197,10 +191,8 @@ def bessel_potential(field: SpectralField, s: float, mode: str = "full") -> Spec
     g = field.grid
     if mode == "full":
         base = 1.0 + g.kx2d**2 + g.ky2d**2
-    elif mode == "x":
-        base = 1.0 + g.kx2d**2 + 0.0 * g.ky2d
-    elif mode == "y":
-        base = 1.0 + g.ky2d**2 + 0.0 * g.kx2d
+    elif mode in ("x", "y"):
+        base = 1.0 + _axis_wavenumbers(g, mode) ** 2
     else:
         raise ValueError(f"mode must be 'full', 'x' or 'y', got {mode!r}")
     return SpectralField(g, field.coeffs * base ** (s / 2.0))
@@ -219,12 +211,8 @@ def shell_count(grid: Grid, axis: str) -> int:
 def dyadic_project(field: SpectralField, axis: str, shell: int) -> SpectralField:
     if shell < 0 or int(shell) != shell:
         raise ValueError(f"shell index must be a nonnegative integer, got {shell!r}")
-    g = field.grid
-    k = g.kx2d if axis == "x" else g.ky2d if axis == "y" else None
-    if k is None:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    mask = shell_indices(k) == shell
-    return SpectralField(g, field.coeffs * mask)
+    mask = shell_indices(_axis_wavenumbers(field.grid, axis)) == shell
+    return SpectralField(field.grid, field.coeffs * mask)
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float:
@@ -261,11 +249,14 @@ def mean_zero_x_defect(field: SpectralField) -> float:
     return float(np.sqrt(np.sum(np.abs(field.coeffs[0, :]) ** 2)) / total)
 
 
+def _dealias_mask(grid: Grid) -> np.ndarray:
+    """True where |m| <= nx/3 and |n| <= ny/3: the modes the two-thirds rule keeps."""
+    return (np.abs(grid.kx2d) <= grid.nx / 3.0) & (np.abs(grid.ky2d) <= grid.ny / 3.0)
+
+
 def dealias(field: SpectralField) -> SpectralField:
     """Two-thirds rule: zero coefficients with |m| > nx/3 or |n| > ny/3."""
-    g = field.grid
-    mask = (np.abs(g.kx2d) <= g.nx / 3.0) & (np.abs(g.ky2d) <= g.ny / 3.0)
-    return SpectralField(g, field.coeffs * mask)
+    return SpectralField(field.grid, field.coeffs * _dealias_mask(field.grid))
 
 
 def _embed_axis_parts(n_small: int, n_big: int):

@@ -170,7 +170,14 @@ def test_underresolved_scan_exits_5(tmp_path):
     ("simulate", ["initial.preset=random-band", "initial.band=-3"], 2, "ValueError"),
     ("commutator-scan", ["comm.band=-2", "comm.pairs=1"], 2, "ValueError"),
     ("simulate", ["initial.preset=gaussian-bell", "initial.width=0"], 2, "ValueError"),
-], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width"])
+    # every dt above 2 * t_end rounds to the same single step
+    ("convergence", ["conv.mode=temporal", "conv.dt0=0.3", "conv.halvings=3"], 5,
+     "InsufficientDataError"),
+    ("convergence", ["conv.mode=spatial", "conv.n_values=16"], 5, "InsufficientDataError"),
+    ("commutator-scan", ["comm.band=1000", "comm.pairs=1"], 2, "ValueError"),
+    ("simulate", ["initial.preset=random-band", "initial.band=1000"], 2, "ValueError"),
+], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width",
+        "one-step-count", "one-resolution", "comm-band-beyond-grid", "band-beyond-grid"])
 def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
                                                    exit_code, error_type):
     out = tmp_path / "run"
@@ -180,6 +187,20 @@ def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
     assert main(args) == exit_code
     record = json.loads((out / "error.json").read_text())
     assert record["error"]["type"] == error_type
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("simulate", ["grid.nx=64", "grid.ny=8", "initial.preset=random-band",
+                  "solver.t_end=0.01"]),
+    ("commutator-scan", ["grid.nx=32", "grid.ny=8", "comm.pairs=1"]),
+])
+def test_default_band_runs_on_an_elongated_grid(tmp_path, command, settings):
+    # the default bands, nx/8 and nx/4, reach past ny/2 here: the draw keeps
+    # every y mode, and only a band past both axes is rejected
+    args = [command, "--out", str(tmp_path / "run")]
+    for kv in settings:
+        args += ["--set", kv]
+    assert main(args) == 0
 
 
 def test_output_path_collision_exits_6(tmp_path, capsys):

@@ -54,5 +54,3 @@ def test_axis_name_validation():
     g = Grid(8, 8)
     with pytest.raises(ValueError):
         g.size_along("z")
-    with pytest.raises(ValueError):
-        g.wavenumbers_along("t")

@@ -1,9 +1,12 @@
 """Stepper correctness, conservation, regularized family, convergence studies."""
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgzk
 from dgzk import (
     DispersionSymbol,
     Grid,
@@ -280,3 +283,19 @@ def test_spatial_spectral_convergence():
     # analytic data: each doubling gains orders of magnitude until roundoff
     assert e32 <= max(1e-3 * e16, 10 * rep.floor)
     assert e64 <= max(1e-3 * e32, 10 * rep.floor)
+    with pytest.raises(InsufficientDataError, match="two distinct n_values"):
+        spatial_convergence_study(SYM, profile, [16], t_end=0.05, dt=5e-3)
+
+
+def test_simulate_is_the_only_caller_of_a_stepper_step():
+    """simulate owns the marching loop with its step rule, divergence check
+    and guards; a second loop over .step( would have to repeat them."""
+    package = Path(dgzk.__file__).parent
+    callers = []
+    for path in sorted(package.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers += [(str(path.relative_to(package)), getattr(top, "name", None))
+                        for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "step"]
+    assert callers == [("solver.py", "simulate")]
