@@ -377,16 +377,18 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
                          ref_refine: int = 8) -> TemporalOrderReport:
     """Error against a reference run at dt / ref_refine; pairwise and fitted orders.
 
-    Every run, the reference included, is a `simulate` run, so the study
-    shares its step rule (n = max(1, round(t_end / dt)) steps of t_end / n),
-    its divergence check and its CFL and phase guards.  The dts must give at
-    least two distinct step counts.
+    Every run, the reference included, is a `simulate` run, sharing its step
+    rule (n = max(1, round(t_end / dt)) steps of t_end / n), divergence check,
+    CFL and phase guards and mean-zero-in-x check (InvalidInitialDataError
+    above a 1e-12 defect).  There must be at least two dts, with distinct step
+    counts: two dts with one step count would fit one run as two step sizes.
     """
     dts = np.asarray(sorted(dts, reverse=True), dtype=float)
-    if len({_step_count(t_end, dt) for dt in dts}) < 2:
+    counts = [_step_count(t_end, dt) for dt in dts]
+    if len(counts) < 2 or len(set(counts)) < len(counts):
         raise InsufficientDataError(
-            f"need at least two distinct dts to fit an order (dts giving the same "
-            f"step count over t_end = {t_end} count once), got {dts.tolist()}")
+            f"need at least two distinct dts, with distinct step counts over t_end = "
+            f"{t_end}, to fit an order; got {dts.tolist()}, step counts {counts}")
     run = lambda dt: _final_state(grid, symbol, phi, t_end, dt, integrator).coeffs
     ref = run(dts.min() / ref_refine)
     errors = np.array([l2_norm(SpectralField(grid, run(dt) - ref)) for dt in dts])
@@ -414,8 +416,9 @@ def spatial_convergence_study(symbol: DispersionSymbol, profile, n_values: Seque
     profile(grid) must return the same analytic initial field sampled on the
     given grid.  All runs share dt so the comparison isolates the spatial
     truncation; errors are measured on the common coefficient band.  Every
-    run is a `simulate` run, so the study shares its step rule, divergence
-    check and guards.  At least two distinct resolutions are required.
+    run is a `simulate` run, sharing its step rule, divergence check, guards
+    and mean-zero-in-x check (InvalidInitialDataError above a 1e-12 defect).
+    At least two distinct resolutions are required.
     """
     n_values = sorted(int(n) for n in n_values)
     if len(set(n_values)) < 2:

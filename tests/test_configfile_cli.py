@@ -173,11 +173,15 @@ def test_underresolved_scan_exits_5(tmp_path):
     # every dt above 2 * t_end rounds to the same single step
     ("convergence", ["conv.mode=temporal", "conv.dt0=0.3", "conv.halvings=3"], 5,
      "InsufficientDataError"),
+    # step counts 1, 1, 1, 3: three dts would enter the fit with one identical run
+    ("convergence", ["conv.mode=temporal", "conv.dt0=0.3", "conv.halvings=4"], 5,
+     "InsufficientDataError"),
     ("convergence", ["conv.mode=spatial", "conv.n_values=16"], 5, "InsufficientDataError"),
     ("commutator-scan", ["comm.band=1000", "comm.pairs=1"], 2, "ValueError"),
     ("simulate", ["initial.preset=random-band", "initial.band=1000"], 2, "ValueError"),
 ], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width",
-        "one-step-count", "one-resolution", "comm-band-beyond-grid", "band-beyond-grid"])
+        "one-step-count", "shared-step-count", "one-resolution", "comm-band-beyond-grid",
+        "band-beyond-grid"])
 def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
                                                    exit_code, error_type):
     out = tmp_path / "run"

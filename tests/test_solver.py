@@ -198,7 +198,8 @@ def test_temporal_order():
                                dts=[4e-3, 2e-3, 1e-3], ref_refine=8)
     assert rep.fitted_order >= 3.5
     assert rep.errors[0] > rep.errors[-1]
-    for dts in ([4e-3], [4e-3, 4e-3], []):
+    # 4e-3 and 3.99e-3 both take 25 steps over t_end = 0.1
+    for dts in ([4e-3], [4e-3, 4e-3], [], [4e-3, 3.99e-3, 2e-3]):
         with pytest.raises(InsufficientDataError, match="two distinct dts"):
             temporal_order_study(g, SYM, phi, t_end=0.1, dts=dts)
 
