@@ -6,6 +6,11 @@
 Commands: simulate, regularized-family, strichartz-scan, weyl-scan,
 kernel-scan, vdc-scan, convergence, commutator-scan.
 
+--workers N is the `workers` key of the three parallel commands
+(strichartz-scan, kernel-scan, commutator-scan); --seed S is the `seed` key
+of every command except vdc-scan, which draws nothing at random.  On any
+other command either flag is an unknown key and exits 2.
+
 Every run writes resolved-config.txt into the output directory; successful
 runs add CSV tables and a report.json (or summary.json); failures write an
 error.json and print the same record to stderr.  Reruns with identical
@@ -267,18 +272,14 @@ def _run_convergence(cfg: dict, out: Path) -> None:
         dts = [cfg["conv.dt0"] / 2 ** i for i in range(cfg["conv.halvings"])]
         temporal = temporal_order_study(grid, symbol, phi, cfg["conv.t_end"], dts,
                                         integrator=cfg["conv.integrator"])
-        rows = [(dt, err, order) for dt, err, order in
-                zip(temporal.dts, temporal.errors,
-                    [""] + [repr(o) for o in temporal.pairwise_orders])]
+        rows = zip(temporal.dts, temporal.errors, ["", *temporal.pairwise_orders])
         write_csv(out / "temporal.csv", ["dt", "error", "pairwise_order"], rows)
         report["temporal_fitted_order"] = temporal.fitted_order
     if mode in ("spatial", "both"):
         profile = lambda g: _initial_from(cfg, g)
         spatial = spatial_convergence_study(symbol, profile, list(cfg["conv.n_values"]),
                                             cfg["conv.t_end"], cfg["conv.dt"])
-        rows = [(n, err, dec) for n, err, dec in
-                zip(spatial.n_values, spatial.errors,
-                    [""] + [repr(d) for d in spatial.decades_per_doubling])]
+        rows = zip(spatial.n_values, spatial.errors, ["", *spatial.decades_per_doubling])
         write_csv(out / "spatial.csv", ["n", "error", "decades_per_doubling"], rows)
         report["spatial_errors"] = list(spatial.errors)
         report["spatial_decades_per_doubling"] = list(spatial.decades_per_doubling)

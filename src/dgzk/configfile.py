@@ -12,16 +12,17 @@ import math
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import ConfigError
+from .presets import PRESET_NAMES
+from .solver import _STEPPERS
 
 __all__ = ["Option", "parse_config_text", "resolve_config", "schema_for", "COMMANDS"]
 
 
 class Option:
-    def __init__(self, key: str, cast: Callable[[str], object], default, help: str = ""):
+    def __init__(self, key: str, cast: Callable[[str], object], default):
         self.key = key
         self.cast = cast
         self.default = default
-        self.help = help
 
 
 def _int(raw: str) -> int:
@@ -49,7 +50,6 @@ def _choice(*allowed: str) -> Callable[[str], str]:
         if raw not in allowed:
             raise ValueError(f"expected one of {', '.join(map(repr, allowed))}; got {raw!r}")
         return raw
-    cast.allowed = allowed
     return cast
 
 
@@ -72,34 +72,31 @@ def _opts(*options: Option) -> Dict[str, Option]:
 
 
 _SYMBOL = (
-    Option("symbol.alpha", _int, 1, "x-dispersion order, one of 1, 2, 3"),
-    Option("symbol.beta", _float, 1.0, "y-dispersion fractional order in (0, 1]"),
-    Option("symbol.sign", _sign, 1, "relative sign between the two dispersive terms"),
+    Option("symbol.alpha", _int, 1),
+    Option("symbol.beta", _float, 1.0),
+    Option("symbol.sign", _sign, 1),
 )
 _GRID = (
     Option("grid.nx", _int, 64),
     Option("grid.ny", _int, 64),
 )
 _INITIAL = (
-    Option("initial.preset", _choice("zero", "single-mode", "cos-x", "gaussian-bell",
-                                     "random-band"), "cos-x"),
+    Option("initial.preset", _choice(*PRESET_NAMES), "cos-x"),
     Option("initial.amplitude", _float, 1.0),
     Option("initial.m", _int, 1),
     Option("initial.n", _int, 1),
     Option("initial.width", _float, 0.5),
-    Option("initial.band", _int, 0, "0 means the preset default"),
+    Option("initial.band", _int, 0),    # 0 means the preset default
 )
 _SOLVER = (
     Option("solver.dt", _float, 1e-3),
     Option("solver.t_end", _float, 0.1),
-    Option("solver.integrator", _choice("etdrk4", "ifrk4"), "etdrk4"),
+    Option("solver.integrator", _choice(*_STEPPERS), "etdrk4"),
     Option("solver.record_every", _int, 10),
-    Option("solver.h_s", _float_list, (1.0,), "Sobolev exponents tracked in diagnostics"),
+    Option("solver.h_s", _float_list, (1.0,)),
 )
-_COMMON = (
-    Option("seed", _int, 0),
-    Option("workers", _int, 1),
-)
+_SEED = Option("seed", _int, 0)
+_WORKERS = Option("workers", _int, 1)
 
 # named scan.preset settings, already typed; resolve_config puts them
 # between the schema defaults and the file contents
@@ -131,12 +128,12 @@ _SCAN_PRESETS: Dict[str, Dict[str, Dict[str, object]]] = {
 }
 
 SCHEMAS: Dict[str, Dict[str, Option]] = {
-    "simulate": _opts(*_COMMON, *_GRID, *_SYMBOL, *_INITIAL, *_SOLVER,
+    "simulate": _opts(_SEED, *_GRID, *_SYMBOL, *_INITIAL, *_SOLVER,
                       Option("symbol.mu", _float, 0.0),
                       Option("output.snapshots", _choice("none", "json", "binary"), "none")),
-    "regularized-family": _opts(*_COMMON, *_GRID, *_SYMBOL, *_INITIAL, *_SOLVER,
+    "regularized-family": _opts(_SEED, *_GRID, *_SYMBOL, *_INITIAL, *_SOLVER,
                                 Option("family.mu_list", _float_list, (1e-2, 1e-3))),
-    "strichartz-scan": _opts(*_COMMON, *_SYMBOL,
+    "strichartz-scan": _opts(_SEED, _WORKERS, *_SYMBOL,
                              Option("scan.preset",
                                     _choice("", *_SCAN_PRESETS["strichartz-scan"]), ""),
                              Option("scan.j_min", _int, 3), Option("scan.j_max", _int, 5),
@@ -145,33 +142,32 @@ SCHEMAS: Dict[str, Dict[str, Option]] = {
                              Option("scan.n_times", _int, 64),
                              Option("scan.refine", _int, 4),
                              Option("scan.eps", _float, 0.05)),
-    "kernel-scan": _opts(*_COMMON, *_SYMBOL,
+    "kernel-scan": _opts(_SEED, _WORKERS, *_SYMBOL,
                          Option("scan.preset", _choice("", *_SCAN_PRESETS["kernel-scan"]), ""),
                          Option("scan.j_min", _int, 4), Option("scan.j_max", _int, 6),
                          Option("scan.k_min", _int, 4), Option("scan.k_max", _int, 6),
                          Option("scan.samples_per_cell", _int, 8),
                          Option("scan.eps", _float, 0.05)),
-    "weyl-scan": _opts(*_COMMON,
+    "weyl-scan": _opts(_SEED,
                        Option("weyl.degree", _int, 3),
                        Option("weyl.n_values", _int_list, (64, 256, 1024)),
                        Option("weyl.trials", _int, 100),
                        Option("weyl.delta", _float, 0.01)),
-    "vdc-scan": _opts(*_COMMON,
-                      Option("vdc.p", _int, 2),
+    "vdc-scan": _opts(Option("vdc.p", _int, 2),
                       Option("vdc.i_min", _int, 0),
                       Option("vdc.i_max", _int, 10)),
-    "convergence": _opts(*_COMMON, *_GRID, *_SYMBOL, *_INITIAL,
+    "convergence": _opts(_SEED, *_GRID, *_SYMBOL, *_INITIAL,
                          Option("conv.mode", _choice("temporal", "spatial", "both"), "both"),
                          Option("conv.dt0", _float, 4e-3),
                          Option("conv.halvings", _int, 4),
                          Option("conv.t_end", _float, 0.1),
                          Option("conv.n_values", _int_list, (16, 32, 64)),
                          Option("conv.dt", _float, 1e-3),
-                         Option("conv.integrator", _choice("etdrk4", "ifrk4"), "etdrk4")),
-    "commutator-scan": _opts(*_COMMON, *_GRID,
+                         Option("conv.integrator", _choice(*_STEPPERS), "etdrk4")),
+    "commutator-scan": _opts(_SEED, _WORKERS, *_GRID,
                              Option("comm.pairs", _int, 200),
                              Option("comm.s_values", _float_list, (1.0, 1.5, 2.0)),
-                             Option("comm.band", _int, 0, "0 means nx/4")),
+                             Option("comm.band", _int, 0)),    # 0 means nx/4
 }
 
 COMMANDS = tuple(sorted(SCHEMAS))

@@ -156,6 +156,8 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
     rows = []
     max_ratio = 0.0
     dirichlet_ok = True

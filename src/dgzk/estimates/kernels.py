@@ -13,7 +13,6 @@ of max |K| * 2^{-l} in j and k.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -89,9 +88,6 @@ def kernel_sum(query: KernelQuery) -> complex:
 
     m_half = _shell_support(j)
     n_half = _shell_support(k)
-    if m_half.size == 0 or n_half.size == 0:
-        warnings.warn(f"empty cutoff support for shells (j={j}, k={k})")
-        return 0.0 + 0.0j
     m = np.concatenate([-m_half[::-1], m_half]).astype(float)
     n = np.concatenate([-n_half[::-1], n_half]).astype(float)
 

@@ -16,8 +16,8 @@ from ..errors import InsufficientDataError
 from ..grid import Grid
 from ..presets import _random_real
 from ..propagator import DispersionSymbol, _symbol_tables
-from ..spectral import (HERMITIAN_TOL, SpectralField, _half, _real_values, _values,
-                        hermitian_defect, l2_norm, shell_indices)
+from ..spectral import (SpectralField, _half, _real_values, _require_real, l2_norm,
+                        shell_indices)
 from ._shellscan import shell_scan
 
 __all__ = [
@@ -65,9 +65,9 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     Time samples are equispaced, so the group multiplier advances by a
     single per-step factor instead of a fresh exponential per sample; the
     accumulated phase roundoff over <= a few hundred steps is ~1e-14 and
-    irrelevant next to the fitted slopes.  Real (Hermitian) fields go
-    through the half-spectrum real transform, non-Hermitian fields through
-    the full complex one.
+    irrelevant next to the fitted slopes.  phi must be a real field
+    (SymmetryViolationError otherwise), so the time loop runs on its half
+    spectrum through the real transform.
     """
     if n_times < 64:
         raise ValueError(f"need at least 64 time samples, got {n_times}")
@@ -76,17 +76,14 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     omega, gamma = _symbol_tables(phi.grid, symbol)
     if gamma is not None:
         raise ValueError("decay scan uses the undamped group (mu = 0)")
+    _require_real(phi)
     times = np.linspace(0.0, t_max, n_times)
     dt = times[1] - times[0]
-    cur = phi.coeffs
-    values = _values
-    if hermitian_defect(phi) <= HERMITIAN_TOL:
-        cur, omega = _half(cur), _half(omega)
-        values = lambda half: _real_values(half, phi.grid.ny)
-    step = np.exp(1j * omega * dt)
+    cur = _half(phi.coeffs)
+    step = np.exp(1j * _half(omega) * dt)
     sups = np.empty(n_times)
     for i in range(n_times):
-        sups[i] = np.abs(values(cur)).max()
+        sups[i] = np.abs(_real_values(cur, phi.grid.ny)).max()
         cur = cur * step
     return float(np.sqrt(np.trapezoid(sups ** 2, times)))
 
@@ -135,12 +132,12 @@ def strichartz_scan(symbol: DispersionSymbol, j_range: Sequence[int],
         raise InsufficientDataError(f"trials must be >= 1, got {trials}")
     j_list = sorted(set(int(j) for j in j_range))
     k_list = sorted(set(int(k) for k in k_range))
+    if len(j_list) < 2 or not k_list:
+        raise InsufficientDataError("need at least two distinct j and one k to fit a slope")
     if min(j_list) < 1:
         raise ValueError("x-shell indices must be >= 1 (the m = 0 band is excluded)")
     if min(k_list) < 0:
         raise ValueError("y-shell indices must be >= 0")
-    if len(j_list) < 2:
-        raise InsufficientDataError("need at least two distinct j to fit a slope")
     if 2 ** (max(j_list) + max(k_list)) > 2 ** 20:
         raise ValueError("lattice cost exceeds the feasibility guard")
 

@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON artifact writers.
 
-Identical inputs must produce byte-identical files across reruns: floats are
-rendered with repr (shortest round-trip form), JSON keys are sorted, and CSV
-rows are written in the order given by the (deterministic) caller.
+Identical inputs must produce byte-identical files across reruns: floats,
+numpy scalars included, are rendered as the repr of a Python float (shortest
+round-trip form), JSON keys are sorted, and CSV rows are written in the order
+given by the (deterministic) caller.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ def format_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     if isinstance(value, (list, tuple)):
         return ",".join(format_scalar(v) for v in value)
     return str(value)
@@ -38,8 +39,6 @@ def _json_ready(obj):
         return [_json_ready(v) for v in obj]
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):  # numpy scalar
         return _json_ready(obj.item())
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
 
 

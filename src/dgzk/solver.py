@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +56,9 @@ CFL_LIMIT = 0.5
 PHASE_PER_STEP_LIMIT = 1e6
 CONTOUR_POINTS = 32
 CONTOUR_SWITCH = 0.5
+# spatial_convergence_study clips its errors to this roundoff level before
+# taking rates, so two errors at roundoff give 0 decades, not noise
+SPATIAL_ERROR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,9 @@ class SimulationConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.record_every < 1 or int(self.record_every) != self.record_every:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
-        if self.integrator not in ("etdrk4", "ifrk4"):
-            raise ValueError(f"integrator must be 'etdrk4' or 'ifrk4', got {self.integrator!r}")
+        if self.integrator not in _STEPPERS:
+            raise ValueError(f"integrator must be {' or '.join(map(repr, _STEPPERS))}, "
+                             f"got {self.integrator!r}")
 
 
 @dataclass
@@ -164,8 +168,7 @@ def _linear_eigenvalues(grid: Grid, symbol: DispersionSymbol) -> np.ndarray:
 class Etdrk4Stepper:
     """Fourth-order exponential time differencing with fixed step."""
 
-    def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float,
-                 nonlinear: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+    def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
         self.grid = grid
         self.symbol = symbol
         self.dt = dt
@@ -174,7 +177,7 @@ class Etdrk4Stepper:
         self.E, self.E2 = E, E2
         self.Q = dt * q
         self.F1, self.F2, self.F3 = dt * f1, dt * f2, dt * f3
-        self.nonlinear = nonlinear if nonlinear is not None else _build_nonlinear(grid)
+        self.nonlinear = _build_nonlinear(grid)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         n1 = self.nonlinear(c)
@@ -190,15 +193,14 @@ class Etdrk4Stepper:
 class Ifrk4Stepper:
     """Classical RK4 in integrating-factor variables; cross-check scheme."""
 
-    def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float,
-                 nonlinear: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+    def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
         self.grid = grid
         self.symbol = symbol
         self.dt = dt
         lam = _linear_eigenvalues(grid, symbol)
         self.E = np.exp(dt * lam)
         self.E2 = np.exp(0.5 * dt * lam)
-        self.nonlinear = nonlinear if nonlinear is not None else _build_nonlinear(grid)
+        self.nonlinear = _build_nonlinear(grid)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         h = self.dt
@@ -305,11 +307,9 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
 
 @dataclass
 class RegularizedFamily:
-    """Runs of the damped equation for a decreasing list of mu values."""
+    """Damped runs for a decreasing list of mu values, against the mu = 0 run."""
 
     mus: list
-    reference: Trajectory                  # mu = 0 run
-    trajectories: list                     # aligned with mus
     l2_gaps: np.ndarray                    # ||u_mu(T) - u_0(T)||_{L2}
     identity_residuals: np.ndarray         # max_t relative defect of the L2 balance
 
@@ -334,23 +334,18 @@ def solve_regularized_family(config: SimulationConfig, phi: SpectralField,
         raise ValueError("mu_list must be strictly decreasing")
 
     ref_config = replace(config, symbol=replace(config.symbol, mu=0.0))
-    reference = simulate(ref_config, phi)
-    ref_final = reference.final_state.coeffs
+    ref_final = simulate(ref_config, phi).final_state.coeffs
 
-    trajectories = []
     gaps = []
     residuals = []
     for mu in mus:
         cfg = replace(config, symbol=replace(config.symbol, mu=mu))
         traj = simulate(cfg, phi)
-        trajectories.append(traj)
         diff = SpectralField(config.grid, traj.final_state.coeffs - ref_final)
         gaps.append(l2_norm(diff))
         residuals.append(l2_identity_residual(traj))
     return RegularizedFamily(
         mus=mus,
-        reference=reference,
-        trajectories=trajectories,
         l2_gaps=np.array(gaps),
         identity_residuals=np.array(residuals),
     )
@@ -373,9 +368,9 @@ class TemporalOrderReport:
 
 
 def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralField,
-                         t_end: float, dts: Sequence[float], integrator: str = "etdrk4",
-                         ref_refine: int = 8) -> TemporalOrderReport:
-    """Error against a reference run at dt / ref_refine; pairwise and fitted orders.
+                         t_end: float, dts: Sequence[float],
+                         integrator: str = "etdrk4") -> TemporalOrderReport:
+    """Error against a reference run at min(dts) / 8; pairwise and fitted orders.
 
     Every run, the reference included, is a `simulate` run, sharing its step
     rule (n = max(1, round(t_end / dt)) steps of t_end / n), divergence check,
@@ -383,6 +378,8 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
     above a 1e-12 defect).  There must be at least two dts, with distinct step
     counts: two dts with one step count would fit one run as two step sizes.
     """
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     dts = np.asarray(sorted(dts, reverse=True), dtype=float)
     counts = [_step_count(t_end, dt) for dt in dts]
     if len(counts) < 2 or len(set(counts)) < len(counts):
@@ -390,7 +387,7 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
             f"need at least two distinct dts, with distinct step counts over t_end = "
             f"{t_end}, to fit an order; got {dts.tolist()}, step counts {counts}")
     run = lambda dt: _final_state(grid, symbol, phi, t_end, dt, integrator).coeffs
-    ref = run(dts.min() / ref_refine)
+    ref = run(dts.min() / 8)
     errors = np.array([l2_norm(SpectralField(grid, run(dt) - ref)) for dt in dts])
     with np.errstate(divide="ignore"):
         pairwise = np.log2(errors[:-1] / errors[1:]) / np.log2(dts[:-1] / dts[1:])
@@ -405,17 +402,16 @@ class SpatialConvergenceReport:
     n_values: np.ndarray
     errors: np.ndarray
     decades_per_doubling: np.ndarray
-    floor: float
 
 
 def spatial_convergence_study(symbol: DispersionSymbol, profile, n_values: Sequence[int],
-                              t_end: float, dt: float,
-                              floor: float = 1e-12) -> SpatialConvergenceReport:
+                              t_end: float, dt: float) -> SpatialConvergenceReport:
     """Error of each resolution against a doubled reference resolution.
 
     profile(grid) must return the same analytic initial field sampled on the
     given grid.  All runs share dt so the comparison isolates the spatial
-    truncation; errors are measured on the common coefficient band.  Every
+    truncation; errors are measured on the common coefficient band, and
+    rates are taken from errors clipped to SPATIAL_ERROR_FLOOR.  Every
     run is a `simulate` run, sharing its step rule, divergence check, guards
     and mean-zero-in-x check (InvalidInitialDataError above a 1e-12 defect).
     At least two distinct resolutions are required.
@@ -433,9 +429,7 @@ def spatial_convergence_study(symbol: DispersionSymbol, profile, n_values: Seque
         diff = final.coeffs - truncate_to_grid(ref, grid).coeffs
         errors.append(l2_norm(SpectralField(grid, diff)))
     errors = np.array(errors, dtype=float)
-    clipped = np.maximum(errors, floor)
+    clipped = np.maximum(errors, SPATIAL_ERROR_FLOOR)
     decades = np.log10(clipped[:-1] / clipped[1:])
-    return SpatialConvergenceReport(
-        n_values=np.array(n_values), errors=errors,
-        decades_per_doubling=decades, floor=floor,
-    )
+    return SpatialConvergenceReport(n_values=np.array(n_values), errors=errors,
+                                    decades_per_doubling=decades)

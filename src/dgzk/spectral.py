@@ -142,14 +142,19 @@ def hermitian_defect(field: SpectralField) -> float:
     return 0.0 if scale == 0.0 else float(defect / scale)
 
 
-def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Real point values; rejects coefficients of a non-real field."""
+def _require_real(field: SpectralField) -> None:
+    """Raise SymmetryViolationError unless field holds the coefficients of a real function."""
     defect = hermitian_defect(field)
     if defect > HERMITIAN_TOL:
         raise SymmetryViolationError(
             f"conjugate-symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}; "
             "field does not represent a real function"
         )
+
+
+def inverse_transform(field: SpectralField) -> np.ndarray:
+    """Real point values; rejects coefficients of a non-real field."""
+    _require_real(field)
     return grid_values(field).real
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgzk.cli import main
-from dgzk.configfile import parse_config_text, resolve_config
+from dgzk.cli import _RUNNERS, main
+from dgzk.configfile import SCHEMAS, parse_config_text, resolve_config
 from dgzk.errors import ConfigError
 from dgzk.fieldio import load_field
 
@@ -44,6 +44,56 @@ def test_unknown_keys_fail_loudly():
         resolve_config("simulate", [], overrides=["nope=1"])
     with pytest.raises(ConfigError, match="unknown command"):
         resolve_config("explode", [])
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--workers", "2"], "workers"),
+    (["vdc-scan", "--seed", "1"], "seed"),
+])
+def test_flags_without_their_key_exit_2(tmp_path, capsys, argv, key):
+    # only commands that read a key accept it, so the flag cannot be ignored
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == f"override: unknown key {key!r} for command {argv[0]!r}"
+
+
+class _ReadLog(dict):
+    """A resolved config that records every key a runner reads."""
+
+    def __init__(self, resolved):
+        super().__init__(resolved)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# small settings that reach every branch that reads a key of the command
+_SMALL_RUNS = {
+    "simulate": ["grid.nx=16", "grid.ny=16", "solver.dt=5e-3", "solver.t_end=0.01"],
+    "regularized-family": ["grid.nx=16", "grid.ny=16", "solver.dt=5e-3",
+                           "solver.t_end=0.01"],
+    "strichartz-scan": ["scan.j_min=1", "scan.j_max=2", "scan.k_min=1", "scan.k_max=1",
+                        "scan.trials=1"],
+    "kernel-scan": ["scan.j_min=1", "scan.j_max=2", "scan.k_min=1", "scan.k_max=2",
+                    "scan.samples_per_cell=1"],
+    "weyl-scan": ["weyl.n_values=8,16", "weyl.trials=1"],
+    "vdc-scan": ["vdc.i_max=1"],
+    "convergence": ["grid.nx=8", "grid.ny=8", "conv.dt0=5e-3", "conv.halvings=2",
+                    "conv.t_end=0.01", "conv.n_values=8,16", "conv.dt=5e-3"],
+    "commutator-scan": ["grid.nx=16", "grid.ny=16", "comm.pairs=1", "comm.s_values=1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_every_config_key_is_read(tmp_path, command):
+    # a key no runner reads is a setting that silently does nothing;
+    # resolve_config reads scan.preset itself
+    cfg = _ReadLog(resolve_config(command, overrides=_SMALL_RUNS[command]))
+    _RUNNERS[command](cfg, tmp_path)
+    assert sorted(set(cfg) - cfg.read - {"scan.preset"}) == []
 
 
 def test_value_casting():
@@ -164,6 +214,20 @@ def test_underresolved_scan_exits_5(tmp_path):
     assert record["error"]["type"] == "InsufficientDataError"
 
 
+@pytest.mark.parametrize("settings", [["scan.j_min=5", "scan.j_max=3"],
+                                      ["scan.k_min=3", "scan.k_max=1"]],
+                         ids=["no-j", "no-k"])
+def test_empty_shell_range_exits_5(tmp_path, settings):
+    out = tmp_path / "run"
+    args = ["strichartz-scan", "--out", str(out)]
+    for kv in settings:
+        args += ["--set", kv]
+    assert main(args) == 5
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["type"] == "InsufficientDataError"
+    assert "two distinct j" in record["error"]["message"]
+
+
 @pytest.mark.parametrize("command, settings, exit_code, error_type", [
     ("convergence", ["conv.mode=temporal", "conv.halvings=1"], 5, "InsufficientDataError"),
     ("convergence", ["conv.mode=temporal", "conv.halvings=0"], 5, "InsufficientDataError"),
@@ -179,9 +243,10 @@ def test_underresolved_scan_exits_5(tmp_path):
     ("convergence", ["conv.mode=spatial", "conv.n_values=16"], 5, "InsufficientDataError"),
     ("commutator-scan", ["comm.band=1000", "comm.pairs=1"], 2, "ValueError"),
     ("simulate", ["initial.preset=random-band", "initial.band=1000"], 2, "ValueError"),
+    ("convergence", ["conv.mode=temporal", "conv.t_end=-0.1"], 2, "ValueError"),
 ], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width",
         "one-step-count", "shared-step-count", "one-resolution", "comm-band-beyond-grid",
-        "band-beyond-grid"])
+        "band-beyond-grid", "negative-temporal-t-end"])
 def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
                                                    exit_code, error_type):
     out = tmp_path / "run"
@@ -214,6 +279,21 @@ def test_output_path_collision_exits_6(tmp_path, capsys):
     assert rc == 6
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["exit_code"] == 6
+
+
+def test_csv_cells_are_plain_numbers(tmp_path):
+    # numpy scalars must not reach a cell as their repr, np.float64(...)
+    sim, conv = tmp_path / "sim", tmp_path / "conv"
+    assert main(_simulate_args(sim, "initial.preset=random-band",
+                               "solver.record_every=1")) == 0
+    assert main(["convergence", "--out", str(conv), "--set", "grid.nx=16",
+                 "--set", "grid.ny=16", "--set", "conv.halvings=2",
+                 "--set", "conv.t_end=0.01", "--set", "conv.n_values=8,16"]) == 0
+    for path in (sim / "diagnostics.csv", conv / "temporal.csv", conv / "spatial.csv"):
+        for row in path.read_text().splitlines()[1:]:
+            for cell in row.split(","):
+                if cell:
+                    float(cell)
 
 
 def test_summary_reports_the_requested_t_end(tmp_path):
@@ -287,6 +367,15 @@ def test_weyl_scan_run(tmp_path):
     assert 0.0 < report["max_ratio"] <= 10.0
     header = (out / "rows.csv").read_text().splitlines()[0]
     assert header == "n_terms,trial,q,abs_sum,bound,ratio"
+
+
+def test_weyl_degree_below_one_exits_2(tmp_path):
+    # weyl-scan has no grid.* keys, so this cannot share the grid-keyed table
+    out = tmp_path / "run"
+    assert main(["weyl-scan", "--out", str(out), "--set", "weyl.degree=-1"]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["type"] == "ValueError"
+    assert "degree must be >= 1" in record["error"]["message"]
 
 
 def test_vdc_scan_run(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dgzk.errors import InsufficientDataError
+from dgzk.errors import InsufficientDataError, SymmetryViolationError
 from dgzk.grid import Grid
 from dgzk.propagator import DispersionSymbol, propagate
 from dgzk.spectral import field_from_modes, grid_values, hermitian_defect, l2_norm, shell_indices
@@ -13,14 +13,11 @@ from dgzk.estimates.strichartz import shell_field, strichartz_norm, strichartz_s
 SYM = DispersionSymbol(alpha=1, beta=0.5, sign=1, mu=0.0)
 
 
-def test_single_exponential_closed_form():
-    # one complex exponential has constant modulus |c| everywhere, so the
-    # space sup is flat in time and the norm is exactly |c| sqrt(t_max)
-    g = Grid(16, 16)
-    phi = field_from_modes(g, {(2, 2): 0.7}, hermitian=False)
-    t_max = 2.0 ** -4
-    got = strichartz_norm(phi, SYM, t_max)
-    assert got == pytest.approx(0.7 * math.sqrt(t_max), rel=1e-12)
+def test_non_real_field_is_rejected():
+    # the time loop runs on the half spectrum, which holds real fields only
+    phi = field_from_modes(Grid(16, 16), {(2, 2): 0.7}, hermitian=False)
+    with pytest.raises(SymmetryViolationError, match="real function"):
+        strichartz_norm(phi, SYM, 2.0 ** -4)
 
 
 def test_norm_matches_direct_propagation(rng):
