@@ -239,6 +239,9 @@ def _run_vdc_scan(cfg: dict, out: Path) -> None:
     i_min, i_max = cfg["vdc.i_min"], cfg["vdc.i_max"]
     if i_max < i_min:
         raise ConfigError("vdc.i_max must be >= vdc.i_min")
+    if p > 170:
+        raise ConfigError(f"vdc.p must be <= 170, the largest p whose factorial is a "
+                          f"finite float; got {p}")
     fact = math.factorial(p)
     rows = []
     max_ratio = 0.0

@@ -59,6 +59,11 @@ CONTOUR_SWITCH = 0.5
 # spatial_convergence_study clips its errors to this roundoff level before
 # taking rates, so two errors at roundoff give 0 decades, not noise
 SPATIAL_ERROR_FLOOR = 1e-12
+# temporal_order_study refuses a study whose runs, the reference included,
+# would take more than this many grid-point steps (sum of steps * nx * ny).
+# The default `convergence` study takes 1975 steps at 64^2 (8.1e6), a
+# second or so; at the ceiling a study runs for minutes.
+MAX_STUDY_WORK = 1e9
 
 
 @dataclass(frozen=True)
@@ -359,6 +364,16 @@ def _final_state(grid: Grid, symbol: DispersionSymbol, phi: SpectralField, t_end
     return simulate(config, phi).final_state
 
 
+def _check_study_work(grid: Grid, counts: Sequence[int]) -> None:
+    """Raise ValueError when runs of these step counts on grid exceed MAX_STUDY_WORK."""
+    work = sum(counts) * grid.nx * grid.ny
+    if work > MAX_STUDY_WORK:
+        raise ValueError(
+            f"the study would take {sum(counts)} steps at {grid.nx}x{grid.ny}, "
+            f"{work:.3g} grid-point steps, above the ceiling MAX_STUDY_WORK = "
+            f"{MAX_STUDY_WORK:.0e}; use fewer halvings or a larger dt")
+
+
 @dataclass
 class TemporalOrderReport:
     dts: np.ndarray
@@ -377,6 +392,8 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
     CFL and phase guards and mean-zero-in-x check (InvalidInitialDataError
     above a 1e-12 defect).  There must be at least two dts, with distinct step
     counts: two dts with one step count would fit one run as two step sizes.
+    A study whose predicted work exceeds MAX_STUDY_WORK raises ValueError
+    before any run starts.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -386,6 +403,7 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
         raise InsufficientDataError(
             f"need at least two distinct dts, with distinct step counts over t_end = "
             f"{t_end}, to fit an order; got {dts.tolist()}, step counts {counts}")
+    _check_study_work(grid, counts + [_step_count(t_end, dts.min() / 8)])
     run = lambda dt: _final_state(grid, symbol, phi, t_end, dt, integrator).coeffs
     ref = run(dts.min() / 8)
     errors = np.array([l2_norm(SpectralField(grid, run(dt) - ref)) for dt in dts])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SymmetryViolationError
-from .grid import Grid, _wavenumbers
+from .grid import Grid
 
 __all__ = [
     "SpectralField",
@@ -185,10 +185,14 @@ def derivative(field: SpectralField, axis: str) -> SpectralField:
     The unpaired Nyquist label +n/2 would break conjugate symmetry under the
     odd multiplier i*k, so that single mode is zeroed.
     """
-    g = field.grid
-    k = _axis_wavenumbers(g, axis)
-    k = np.where(k == g.size_along(axis) // 2, 0.0, k)
-    return SpectralField(g, field.coeffs * (1j * k))
+    return SpectralField(field.grid, field.coeffs * _derivative_multiplier(field.grid, axis))
+
+
+def _derivative_multiplier(grid: Grid, axis: str) -> np.ndarray:
+    """i*k along one axis, with the Nyquist label zeroed (see derivative)."""
+    k = _axis_wavenumbers(grid, axis)
+    k = np.where(k == grid.size_along(axis) // 2, 0.0, k)
+    return 1j * k
 
 
 def bessel_potential(field: SpectralField, s: float, mode: str = "full") -> SpectralField:
@@ -220,10 +224,18 @@ def dyadic_project(field: SpectralField, axis: str, shell: int) -> SpectralField
     return SpectralField(field.grid, field.coeffs * mask)
 
 
+def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
+    """(1 + m^2 + n^2)^s, the weight of |f_hat|^2 in sobolev_norm squared."""
+    return (1.0 + grid.kx2d**2 + grid.ky2d**2) ** s
+
+
+def _weighted_norm(weight: np.ndarray, sq: np.ndarray) -> float:
+    """(sum weight * sq)^{1/2}, for sq = |f_hat|^2."""
+    return float(np.sqrt(np.sum(weight * sq)))
+
+
 def sobolev_norm(field: SpectralField, s: float) -> float:
-    g = field.grid
-    w = (1.0 + g.kx2d**2 + g.ky2d**2) ** s
-    return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2)))
+    return _weighted_norm(_sobolev_weight(field.grid, s), np.abs(field.coeffs) ** 2)
 
 
 def sobolev_norm_dyadic(field: SpectralField, s: float) -> float:
@@ -264,22 +276,40 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.coeffs * _dealias_mask(field.grid))
 
 
-def _embed_axis_parts(n_small: int, n_big: int):
-    """(source indices, destination indices, weight) triples for zero-padding.
+def _embed_plan(n_small: int, n_big: int):
+    """(source slice, destination slice, weight) triples for zero-padding one axis.
 
     The Nyquist coefficient +n/2 is split evenly between the labels +n/2 and
     -n/2 of the larger grid so refined samples of a real field remain real.
+    The destinations are disjoint; read backwards (destination to source)
+    the two Nyquist parts fold onto one label, which is truncation.
     """
     if n_big == n_small:
-        idx = np.arange(n_small)
-        return [(idx, idx, 1.0)]
-    k = _wavenumbers(n_small)
-    regular = np.nonzero(k != n_small // 2)[0]
-    parts = [(regular, k[regular] % n_big, 1.0)]
-    nyq = np.array([n_small // 2])
-    parts.append((nyq, np.array([(n_small // 2) % n_big]), 0.5))
-    parts.append((nyq, np.array([(-(n_small // 2)) % n_big]), 0.5))
+        return [(slice(0, n_small), slice(0, n_small), 1.0)]
+    h = n_small // 2
+    return [(slice(0, h), slice(0, h), 1.0),
+            (slice(h + 1, n_small), slice(n_big - h + 1, n_big), 1.0),
+            (slice(h, h + 1), slice(h, h + 1), 0.5),
+            (slice(h, h + 1), slice(n_big - h, n_big - h + 1), 0.5)]
+
+
+def _clip_plan(plan, stop: int):
+    """The parts of a plan whose destinations lie below index stop, cut there."""
+    parts = []
+    for src, dst, w in plan:
+        end = min(dst.stop, stop)
+        if dst.start < end:
+            parts.append((slice(src.start, src.start + end - dst.start),
+                          slice(dst.start, end), w))
     return parts
+
+
+def _pad_into(out: np.ndarray, c: np.ndarray, plan_x, plan_y) -> None:
+    """Write the zero-padding of c into out along the two plans; entries of
+    out outside the plans' destinations are left as they are."""
+    for sx, dx, wx in plan_x:
+        for sy, dy, wy in plan_y:
+            out[dx, dy] = (wx * wy) * c[sx, sy]
 
 
 def embed_in_grid(field: SpectralField, big: Grid) -> SpectralField:
@@ -288,9 +318,7 @@ def embed_in_grid(field: SpectralField, big: Grid) -> SpectralField:
     if big.nx < g.nx or big.ny < g.ny:
         raise ValueError("target grid must be at least as fine on both axes")
     out = np.zeros(big.shape, dtype=np.complex128)
-    for sx, dx, wx in _embed_axis_parts(g.nx, big.nx):
-        for sy, dy, wy in _embed_axis_parts(g.ny, big.ny):
-            out[np.ix_(dx, dy)] += (wx * wy) * field.coeffs[np.ix_(sx, sy)]
+    _pad_into(out, field.coeffs, _embed_plan(g.nx, big.nx), _embed_plan(g.ny, big.ny))
     return SpectralField(big, out)
 
 
@@ -304,18 +332,48 @@ def truncate_to_grid(field: SpectralField, small: Grid) -> SpectralField:
     if small.nx > g.nx or small.ny > g.ny:
         raise ValueError("target grid must be at least as coarse on both axes")
     out = np.zeros(small.shape, dtype=np.complex128)
-    for dx, sx, _ in _embed_axis_parts(small.nx, g.nx):
-        for dy, sy, _ in _embed_axis_parts(small.ny, g.ny):
-            out[np.ix_(dx, dy)] += field.coeffs[np.ix_(sx, sy)]
+    for dx, sx, _ in _embed_plan(small.nx, g.nx):
+        for dy, sy, _ in _embed_plan(small.ny, g.ny):
+            out[dx, dy] += field.coeffs[sx, sy]
     return SpectralField(small, out)
+
+
+def _check_factor(factor) -> None:
+    if factor < 1 or int(factor) != factor:
+        raise ValueError(f"refinement factor must be a positive integer, got {factor!r}")
 
 
 def resample_values(field: SpectralField, factor: int = 2) -> np.ndarray:
     """Complex point values on a factor-refined grid (trigonometric interpolation)."""
-    if factor < 1 or int(factor) != factor:
-        raise ValueError(f"refinement factor must be a positive integer, got {factor!r}")
+    _check_factor(factor)
     if factor == 1:
         return grid_values(field)
     g = field.grid
     big = Grid(g.nx * factor, g.ny * factor)
     return grid_values(embed_in_grid(field, big))
+
+
+def _refined_planes(field: SpectralField, factor: int = 2):
+    """Point values of u, then u_x, then u_y on the factor-refined grid,
+    one plane per step of the iteration (derivatives as `derivative` takes them).
+
+    A real field is padded by slices into one preallocated half spectrum of
+    the refined grid, reused for all three planes, and each plane comes from
+    the real inverse transform; these planes are real arrays.  A field whose
+    hermitian_defect exceeds HERMITIAN_TOL is padded in full and goes
+    through the complex transform (resample_values); its planes are complex.
+    """
+    _check_factor(factor)
+    g = field.grid
+    multipliers = (1.0, _derivative_multiplier(g, "x"), _derivative_multiplier(g, "y"))
+    if hermitian_defect(field) > HERMITIAN_TOL:
+        for mult in multipliers:
+            yield resample_values(SpectralField(g, field.coeffs * mult), factor)
+        return
+    nx, ny = factor * g.nx, factor * g.ny
+    plan_x = _embed_plan(g.nx, nx)
+    plan_y = _clip_plan(_embed_plan(g.ny, ny), ny // 2 + 1)
+    half = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
+    for mult in multipliers:
+        _pad_into(half, field.coeffs * mult, plan_x, plan_y)
+        yield _real_values(half, ny)

@@ -244,18 +244,29 @@ def test_empty_shell_range_exits_5(tmp_path, settings):
     ("commutator-scan", ["comm.band=1000", "comm.pairs=1"], 2, "ValueError"),
     ("simulate", ["initial.preset=random-band", "initial.band=1000"], 2, "ValueError"),
     ("convergence", ["conv.mode=temporal", "conv.t_end=-0.1"], 2, "ValueError"),
+    # 171! is not a finite float
+    ("vdc-scan", ["vdc.p=171"], 2, "ConfigError"),
+    ("vdc-scan", ["vdc.p=200"], 2, "ConfigError"),
+    # dts down to 4e-3 / 2^39: about 1e14 steps, far past MAX_STUDY_WORK
+    ("convergence", ["conv.mode=temporal", "conv.halvings=40"], 2, "ValueError"),
 ], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width",
         "one-step-count", "shared-step-count", "one-resolution", "comm-band-beyond-grid",
-        "band-beyond-grid", "negative-temporal-t-end"])
+        "band-beyond-grid", "negative-temporal-t-end", "vdc-p-171", "vdc-p-200",
+        "unbounded-temporal-work"])
 def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
                                                    exit_code, error_type):
     out = tmp_path / "run"
-    args = [command, "--out", str(out), "--set", "grid.nx=16", "--set", "grid.ny=16"]
+    args = [command, "--out", str(out)]
+    if "grid.nx" in SCHEMAS[command]:
+        args += ["--set", "grid.nx=16", "--set", "grid.ny=16"]
     for kv in settings:
         args += ["--set", kv]
     assert main(args) == exit_code
     record = json.loads((out / "error.json").read_text())
     assert record["error"]["type"] == error_type
+    if error_type == "ConfigError":
+        # the offending key is named, not some key the command lacks
+        assert settings[-1].split("=")[0] in record["error"]["message"]
 
 
 @pytest.mark.parametrize("command, settings", [

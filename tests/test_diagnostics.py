@@ -1,6 +1,8 @@
 """Conserved functionals, sup norms, commutator and smoothing-estimate checks."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgzk import (
     DispersionSymbol,
@@ -20,8 +22,9 @@ from dgzk import (
     sup_norm_diagnostics,
     zero_field,
 )
-from dgzk.diagnostics import build_records, L1tLinfReport
+from dgzk.diagnostics import FOUR_PI_SQ, build_records, L1tLinfReport
 from dgzk.errors import InsufficientDataError
+from dgzk.spectral import derivative, embed_in_grid, grid_values
 
 from fieldgen import band_field, real_field
 
@@ -89,6 +92,78 @@ def test_sup_norm_refinement_stability():
     fine = sup_norm_diagnostics(f, refine=4)
     assert all(abs(a - b) <= 1e-6 for a, b in zip(base, fine))
     assert np.isclose(base[0], 2.0, atol=1e-12)
+
+
+def _oracle_sups(f, refine):
+    """Sups through the full complex padding and the complex inverse transform."""
+    big = Grid(refine * f.grid.nx, refine * f.grid.ny)
+    return [float(np.max(np.abs(grid_values(embed_in_grid(h, big)))))
+            for h in (f, derivative(f, "x"), derivative(f, "y"))]
+
+
+def _oracle_energy(f, symbol):
+    big = Grid(2 * f.grid.nx, 2 * f.grid.ny)
+    vals = grid_values(embed_in_grid(f, big)).real
+    w = (np.abs(f.grid.kx2d) ** (1 + symbol.alpha)
+         + symbol.sign * np.abs(f.grid.ky2d) ** (1.0 + symbol.beta))
+    quad = 0.5 * FOUR_PI_SQ * float(np.sum(w * np.abs(f.coeffs) ** 2))
+    return quad - FOUR_PI_SQ * float(np.mean(vals**3)) / 6.0
+
+
+_EVEN = st.integers(4, 32).map(lambda k: 2 * k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=_EVEN, ny=_EVEN, seed=st.integers(0, 2**32 - 1))
+def test_records_of_real_fields_match_the_complex_padded_oracle(nx, ny, seed):
+    # real_field fills the Nyquist row and column, so the even split of
+    # those modes over the padded half spectrum is exercised too
+    rng = np.random.default_rng(seed)
+    g = Grid(nx, ny)
+    times = np.array([0.0, 0.1, 0.25])
+    states = [real_field(g, rng) for _ in times]
+    records = build_records(times, states, SYM)
+    close = lambda got, want: abs(got - want) <= 1e-13 * abs(want)
+    g_accum, prev = 0.0, None
+    for i, (f, r) in enumerate(zip(states, records)):
+        sups = _oracle_sups(f, 2)
+        assert close(r.sup_u, sups[0]) and close(r.sup_ux, sups[1]) and close(r.sup_uy, sups[2])
+        assert close(r.energy, _oracle_energy(f, SYM))
+        if i > 0:
+            g_accum += 0.5 * (times[i] - times[i - 1]) * (sum(sups) + sum(prev))
+        prev = sups
+        assert abs(r.g_accum - g_accum) <= 1e-13 * max(g_accum, 1e-300)
+    f = states[-1]
+    assert all(close(a, b) for a, b in zip(sup_norm_diagnostics(f, refine=4),
+                                           _oracle_sups(f, 4)))
+
+
+def test_non_real_single_mode_takes_the_complex_path():
+    g = Grid(16, 16)
+    f = field_from_modes(g, {(1, 1): 1.0})  # e^{i(x+y)}, |f| = 1 everywhere
+    assert abs(sup_norm_diagnostics(f)[0] - 1.0) <= 1e-14
+    record = build_records(np.array([0.0]), [f], SYM)[0]
+    assert abs(record.sup_u - 1.0) <= 1e-14
+
+
+_FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+def test_a_record_takes_three_real_transforms_on_the_doubled_grid(monkeypatch):
+    g = Grid(32, 32)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=5e-3, t_end=0.01, record_every=1)
+    traj = simulate(cfg, initial_data(g, "random-band", seed=3))
+    assert len(traj.states) == 3
+    calls = []
+    for name in _FFT_ENTRY_POINTS:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            out = _fn(*args, **kwargs)
+            calls.append((_name, out.shape))
+            return out
+        monkeypatch.setattr(np.fft, name, counted)
+    build_records(traj.times, traj.states, SYM)
+    assert calls == [("irfft2", (64, 64))] * (3 * len(traj.states))
 
 
 def test_commutator_two_mode_closed_form():

@@ -24,7 +24,8 @@ from dgzk import (
     temporal_order_study,
     zero_field,
 )
-from dgzk.solver import SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper, l2_identity_residual
+from dgzk.solver import (MAX_STUDY_WORK, SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper,
+                         _step_count, l2_identity_residual)
 from dgzk.errors import DivergenceError, InsufficientDataError, InvalidInitialDataError
 
 from fieldgen import band_field, real_field
@@ -202,6 +203,23 @@ def test_temporal_order():
     for dts in ([4e-3], [4e-3, 4e-3], [], [4e-3, 3.99e-3, 2e-3]):
         with pytest.raises(InsufficientDataError, match="two distinct dts"):
             temporal_order_study(g, SYM, phi, t_end=0.1, dts=dts)
+
+
+def _study_work(n, t_end, dts):
+    counts = [_step_count(t_end, dt) for dt in dts] + [_step_count(t_end, min(dts) / 8)]
+    return sum(counts) * n * n
+
+
+def test_temporal_study_work_ceiling():
+    # the default `convergence` study (1975 steps at 64^2) and acceptance
+    # criterion 05's (975 steps at 32^2) stay 100x below the ceiling
+    assert _study_work(64, 0.1, [4e-3 / 2**i for i in range(4)]) == 1975 * 64 * 64
+    assert _study_work(32, 0.1, [4e-3, 2e-3, 1e-3]) == 975 * 32 * 32
+    assert 100 * 1975 * 64 * 64 <= MAX_STUDY_WORK
+    g = Grid(16, 16)
+    dts = [4e-3 / 2**i for i in range(40)]
+    with pytest.raises(ValueError, match=r"grid-point steps, above the ceiling"):
+        temporal_order_study(g, SYM, initial_data(g, "cos-x"), t_end=0.1, dts=dts)
 
 
 def test_trajectory_validation():
