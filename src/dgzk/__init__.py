@@ -33,10 +33,8 @@ from .spectral import (
     mean_zero_x_defect,
     project_mean_zero_x,
     resample_values,
-    shell_count,
     shell_indices,
     sobolev_norm,
-    sobolev_norm_dyadic,
     transform_values,
     truncate_to_grid,
     zero_field,
@@ -109,11 +107,9 @@ __all__ = [
     "random_band_field",
     "resample_values",
     "save_field",
-    "shell_count",
     "shell_indices",
     "simulate",
     "sobolev_norm",
-    "sobolev_norm_dyadic",
     "solve_regularized_family",
     "spatial_convergence_study",
     "sup_norm_diagnostics",

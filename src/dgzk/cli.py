@@ -242,6 +242,9 @@ def _run_vdc_scan(cfg: dict, out: Path) -> None:
     if p > 170:
         raise ConfigError(f"vdc.p must be <= 170, the largest p whose factorial is a "
                           f"finite float; got {p}")
+    if i_max > 1023:
+        raise ConfigError(f"vdc.i_max must be <= 1023, the largest i for which 2^i is a "
+                          f"finite float; got {i_max}")
     fact = math.factorial(p)
     rows = []
     max_ratio = 0.0

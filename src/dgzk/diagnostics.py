@@ -81,7 +81,7 @@ def _cubic(values: np.ndarray) -> float:
 
 def cubic_integral(field: SpectralField) -> float:
     """integral of u^3, via 2x zero-padded quadrature (exact when band-limited)."""
-    return _cubic(next(_refined_planes(field, 2)))
+    return _cubic(next(_refined_planes(field)))
 
 
 def _energy_weight(grid: Grid, symbol: DispersionSymbol) -> np.ndarray:
@@ -94,15 +94,13 @@ def _quadratic_energy(weight: np.ndarray, sq: np.ndarray) -> float:
     return 0.5 * FOUR_PI_SQ * float(np.sum(weight * sq))
 
 
-def energy(field: SpectralField, symbol: DispersionSymbol, include_cubic: bool = True) -> float:
+def energy(field: SpectralField, symbol: DispersionSymbol) -> float:
     """Hamiltonian: half the symbol-weighted quadratic form minus the cubic term.
 
     E = 0.5 * (2*pi)^2 * sum (|m|^{1+alpha} + sign * |n|^{1+beta}) |u_hat|^2
         - (1/6) * integral of u^3.
     """
     quad = _quadratic_energy(_energy_weight(field.grid, symbol), np.abs(field.coeffs) ** 2)
-    if not include_cubic:
-        return quad
     return quad - cubic_integral(field) / 6.0
 
 
@@ -110,9 +108,10 @@ def _sup(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
-def sup_norm_diagnostics(field: SpectralField, refine: int = 2) -> Tuple[float, float, float]:
-    """(max|u|, max|u_x|, max|u_y|) on a refine-x interpolated grid."""
-    return tuple(map(_sup, _refined_planes(field, refine)))
+def sup_norm_diagnostics(field: SpectralField) -> Tuple[float, float, float]:
+    """(max|u|, max|u_x|, max|u_y|) on the 2x interpolated grid, the
+    refinement every diagnostics record uses."""
+    return tuple(map(_sup, _refined_planes(field)))
 
 
 def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
@@ -127,7 +126,7 @@ def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
     records = []
     g = 0.0
     for i, (t, state) in enumerate(zip(times, states)):
-        planes = _refined_planes(state, 2)
+        planes = _refined_planes(state)
         u = next(planes)
         su, cubic = _sup(u), _cubic(u)
         del u  # one plane alive at a time

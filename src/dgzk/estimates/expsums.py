@@ -67,60 +67,26 @@ class RationalApprox:
         return self.a / self.q
 
 
-def _convergents(r: float, q_cap: int):
-    """Continued-fraction convergents p/q of r with q <= q_cap."""
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = int(math.floor(r)), 1
-    yield p_cur, q_cur
-    x = r - math.floor(r)
-    for _ in range(64):
-        if x <= 0:
-            return
-        x = 1.0 / x
-        if not math.isfinite(x):
-            # r was within a denormal of a rational; the last convergent is it
-            return
-        a = int(math.floor(x))
-        x -= a
-        p_next = a * p_cur + p_prev
-        q_next = a * q_cur + q_prev
-        if q_next > q_cap:
-            return
-        yield p_next, q_next
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_next, q_next
-
-
 def dirichlet_approx(r: float, lam: int) -> RationalApprox:
     """Reduced a/q with 1 <= q <= lam and |r - a/q| <= 1/(lam*q).
 
-    Continued-fraction convergents provide the pair; an exhaustive scan
-    over q is kept as a fallback against floating-point corner cases.
+    A float is an exact binary fraction, so its continued fraction is run
+    in integer arithmetic; the answer is the last convergent a/q with
+    q <= lam.  Convergents are reduced, and when the next one has
+    q' > lam, |r - a/q| < 1/(q*q') < 1/(lam*q).
     """
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r}")
     if lam < 1 or int(lam) != lam:
         raise ValueError(f"lam must be a positive integer, got {lam!r}")
-    lam = int(lam)
-
-    best = None
-    for p, q in _convergents(r, lam):
-        if abs(r - p / q) <= 1.0 / (lam * q):
-            best = (p, q)
-    if best is None:
-        # fall back to the direct search guaranteed by the pigeonhole bound
-        for q in range(1, lam + 1):
-            a = round(r * q)
-            if abs(r - a / q) <= 1.0 / (lam * q):
-                g = math.gcd(abs(int(a)), q)
-                best = (int(a) // g, q // g)
-                break
-    if best is None:
-        raise ValueError(f"no admissible approximation found for r={r}, lam={lam}")
-    a, q = best
-    g = math.gcd(abs(a), q)
-    if g > 1:
-        a, q = a // g, q // g
-    return RationalApprox(a=a, q=q)
+    num, den = float(r).as_integer_ratio()
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    while den:
+        a, num, den = num // den, den, num % den
+        if a * q + q_prev > lam:
+            break
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+    return RationalApprox(a=p, q=q)
 
 
 def weyl_bound(n_terms: int, q: int, degree: int, delta: float) -> float:

@@ -37,6 +37,12 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 MAX_QUADRATURE_NODES = 2 ** 21
+# starting node counts and tolerances of _doubling_quad for each caller
+INTEGRAL_START_NODES = 2048
+INTEGRAL_TOL = 1e-8
+VDC_START_NODES = 4096
+VDC_TOL = 1e-9
+VDC_CERTIFICATE_NODES = 256
 
 
 def complex_oscillatory_quad(f: Callable[[np.ndarray], np.ndarray],
@@ -84,17 +90,15 @@ class OscillatoryIntegralResult:
 
 
 def oscillatory_integral(y_prime: float, t: float, m: int, beta: float, k: int,
-                         sign: int = 1, quadrature_n: int = 2048,
-                         tol: float = 1e-8) -> OscillatoryIntegralResult:
+                         sign: int = 1) -> OscillatoryIntegralResult:
     """Shell-localized oscillatory integral with its reference decay value.
 
-    Node counts double until two successive evaluations agree to tol
-    (relative, floored at 1), or the budget MAX_QUADRATURE_NODES is hit.
+    Node counts double from INTEGRAL_START_NODES until two successive
+    evaluations agree to INTEGRAL_TOL (relative, floored at 1), or the
+    budget MAX_QUADRATURE_NODES is hit.
     """
     if k < 1:
         raise ValueError(f"shell index k must be >= 1, got {k}")
-    if quadrature_n < 1024:
-        raise ValueError(f"quadrature_n must be >= 1024, got {quadrature_n}")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if sign not in (1, -1):
@@ -111,7 +115,7 @@ def oscillatory_integral(y_prime: float, t: float, m: int, beta: float, k: int,
     value, converged, n = _doubling_quad(
         lambda n: (complex_oscillatory_quad(integrand, -hi, -lo, n // 2)
                    + complex_oscillatory_quad(integrand, lo, hi, n // 2)),
-        int(quadrature_n), tol)
+        INTEGRAL_START_NODES, INTEGRAL_TOL)
     nodes_used = min(n, MAX_QUADRATURE_NODES)
 
     product = float(m) * float(t)
@@ -140,15 +144,15 @@ class VanDerCorputReport:
 
 def vandercorput_check(phase: Callable, phase_deriv_p: Callable,
                        interval: Tuple[float, float], lam: float, p: int,
-                       amplitude: Callable = None, amplitude_deriv: Callable = None,
-                       n_check: int = 256, quadrature_n: int = 4096,
-                       tol: float = 1e-9) -> VanDerCorputReport:
+                       amplitude: Callable = None,
+                       amplitude_deriv: Callable = None) -> VanDerCorputReport:
     """Compare |integral of amplitude*e^{i phase}| with the derivative bound.
 
     The caller certifies |phase_deriv_p| >= lam on the interval; the claim is
-    spot-checked on n_check equispaced nodes and a violation is an error, not
-    a silent degradation.  amplitude defaults to 1 (then amplitude_deriv
-    defaults to 0).
+    spot-checked on VDC_CERTIFICATE_NODES equispaced nodes and a violation is
+    an error, not a silent degradation.  The integral doubles its nodes from
+    VDC_START_NODES until two evaluations agree to VDC_TOL.  amplitude
+    defaults to 1 (then amplitude_deriv defaults to 0).
     """
     if p < 2:
         raise ValueError(f"derivative order p must be >= 2, got {p}")
@@ -164,7 +168,7 @@ def vandercorput_check(phase: Callable, phase_deriv_p: Callable,
     if amplitude_deriv is None:
         raise ValueError("amplitude_deriv is required when amplitude is given")
 
-    nodes = np.linspace(a, b, int(n_check))
+    nodes = np.linspace(a, b, VDC_CERTIFICATE_NODES)
     certificate = np.abs(np.asarray(phase_deriv_p(nodes), dtype=float))
     bad = np.nonzero(certificate < lam)[0]
     if bad.size:
@@ -177,7 +181,7 @@ def vandercorput_check(phase: Callable, phase_deriv_p: Callable,
         return np.asarray(amplitude(x), dtype=complex) * np.exp(1j * np.asarray(phase(x), dtype=float))
 
     value, _, n = _doubling_quad(lambda n: complex_oscillatory_quad(integrand, a, b, n),
-                                 int(quadrature_n), tol)
+                                 VDC_START_NODES, VDC_TOL)
     lhs = abs(value)
 
     dense = np.linspace(a, b, 4097)

@@ -80,8 +80,3 @@ class Grid:
             raise ValueError(f"wavenumber {wavenumber} outside [{lo}, {hi}] for axis {axis!r}")
         return wavenumber % n
 
-    def wavenumber_of(self, index: int, axis: str) -> int:
-        n = self.size_along(axis)
-        if not 0 <= index < n:
-            raise ValueError(f"index {index} outside [0, {n}) for axis {axis!r}")
-        return index if index <= n // 2 else index - n

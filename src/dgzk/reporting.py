@@ -16,8 +16,6 @@ __all__ = ["format_scalar", "write_csv", "write_json", "write_resolved_config",
 
 
 def format_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))
     if isinstance(value, (list, tuple)):

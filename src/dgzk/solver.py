@@ -174,9 +174,6 @@ class Etdrk4Stepper:
     """Fourth-order exponential time differencing with fixed step."""
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
-        self.grid = grid
-        self.symbol = symbol
-        self.dt = dt
         lam = _linear_eigenvalues(grid, symbol)
         E, E2, q, f1, f2, f3 = _etdrk4_phi(dt * lam)
         self.E, self.E2 = E, E2
@@ -199,8 +196,6 @@ class Ifrk4Stepper:
     """Classical RK4 in integrating-factor variables; cross-check scheme."""
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
-        self.grid = grid
-        self.symbol = symbol
         self.dt = dt
         lam = _linear_eigenvalues(grid, symbol)
         self.E = np.exp(dt * lam)

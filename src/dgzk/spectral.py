@@ -34,10 +34,8 @@ __all__ = [
     "derivative",
     "bessel_potential",
     "dyadic_project",
-    "shell_count",
     "shell_indices",
     "sobolev_norm",
-    "sobolev_norm_dyadic",
     "project_mean_zero_x",
     "mean_zero_x_defect",
     "dealias",
@@ -74,17 +72,15 @@ def zero_field(grid: Grid) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
-def field_from_modes(grid: Grid, modes: dict, hermitian: bool = False) -> SpectralField:
+def field_from_modes(grid: Grid, modes: dict) -> SpectralField:
     """Build a field from {(m, n): coefficient}.
 
-    With hermitian=True the conjugate coefficient is also written at
-    (-m, -n); do not list both members of a pair in that case.
+    Only the listed modes are written: a real field lists both members of
+    each pair, (m, n) and (-m, -n), with conjugate coefficients.
     """
     f = zero_field(grid)
     for (m, n), c in modes.items():
         f.coeffs[grid.index_of(m, "x"), grid.index_of(n, "y")] = c
-        if hermitian and (m, n) != (0, 0):
-            f.coeffs[grid.index_of(-m, "x"), grid.index_of(-n, "y")] = np.conj(c)
     return f
 
 
@@ -130,8 +126,7 @@ def transform_values(grid: Grid, values: np.ndarray) -> SpectralField:
 
 def _conj_reflect(c: np.ndarray) -> np.ndarray:
     """conj(c[-m, -n]) for a coefficient array in FFT layout."""
-    nx, ny = c.shape
-    return np.conj(c[np.ix_((-np.arange(nx)) % nx, (-np.arange(ny)) % ny)])
+    return np.conj(np.roll(np.flip(c), 1, axis=(0, 1)))
 
 
 def hermitian_defect(field: SpectralField) -> float:
@@ -212,11 +207,6 @@ def shell_indices(wavenumbers: np.ndarray) -> np.ndarray:
     return np.frexp(np.abs(np.asarray(wavenumbers, dtype=float)))[1]
 
 
-def shell_count(grid: Grid, axis: str) -> int:
-    """Number of shells needed to cover the axis (indices 0 .. count-1)."""
-    return int(shell_indices(np.array([grid.size_along(axis) // 2]))[0]) + 1
-
-
 def dyadic_project(field: SpectralField, axis: str, shell: int) -> SpectralField:
     if shell < 0 or int(shell) != shell:
         raise ValueError(f"shell index must be a nonnegative integer, got {shell!r}")
@@ -236,20 +226,6 @@ def _weighted_norm(weight: np.ndarray, sq: np.ndarray) -> float:
 
 def sobolev_norm(field: SpectralField, s: float) -> float:
     return _weighted_norm(_sobolev_weight(field.grid, s), np.abs(field.coeffs) ** 2)
-
-
-def sobolev_norm_dyadic(field: SpectralField, s: float) -> float:
-    """Dyadic-shell form of the Sobolev norm (equivalent, not equal).
-
-    Each mode is weighted 1 + 4^{s*jx}[jx>=1] + 4^{s*jy}[jy>=1] with jx, jy
-    its shell indices.  For s <= 2 the ratio to sobolev_norm stays inside
-    [1/8, 8].
-    """
-    g = field.grid
-    shx = shell_indices(g.kx2d)
-    shy = shell_indices(g.ky2d)
-    w = 1.0 + (shx >= 1) * 4.0 ** (s * shx) + (shy >= 1) * 4.0 ** (s * shy)
-    return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2)))
 
 
 def project_mean_zero_x(field: SpectralField) -> SpectralField:
@@ -338,39 +314,32 @@ def truncate_to_grid(field: SpectralField, small: Grid) -> SpectralField:
     return SpectralField(small, out)
 
 
-def _check_factor(factor) -> None:
+def resample_values(field: SpectralField, factor: int) -> np.ndarray:
+    """Complex point values on a factor-refined grid (trigonometric interpolation)."""
     if factor < 1 or int(factor) != factor:
         raise ValueError(f"refinement factor must be a positive integer, got {factor!r}")
-
-
-def resample_values(field: SpectralField, factor: int = 2) -> np.ndarray:
-    """Complex point values on a factor-refined grid (trigonometric interpolation)."""
-    _check_factor(factor)
-    if factor == 1:
-        return grid_values(field)
     g = field.grid
     big = Grid(g.nx * factor, g.ny * factor)
     return grid_values(embed_in_grid(field, big))
 
 
-def _refined_planes(field: SpectralField, factor: int = 2):
-    """Point values of u, then u_x, then u_y on the factor-refined grid,
-    one plane per step of the iteration (derivatives as `derivative` takes them).
+def _refined_planes(field: SpectralField):
+    """Point values of u, then u_x, then u_y on the 2x grid, one plane per
+    step of the iteration (derivatives as `derivative` takes them).
 
     A real field is padded by slices into one preallocated half spectrum of
-    the refined grid, reused for all three planes, and each plane comes from
+    the 2x grid, reused for all three planes, and each plane comes from
     the real inverse transform; these planes are real arrays.  A field whose
     hermitian_defect exceeds HERMITIAN_TOL is padded in full and goes
     through the complex transform (resample_values); its planes are complex.
     """
-    _check_factor(factor)
     g = field.grid
     multipliers = (1.0, _derivative_multiplier(g, "x"), _derivative_multiplier(g, "y"))
     if hermitian_defect(field) > HERMITIAN_TOL:
         for mult in multipliers:
-            yield resample_values(SpectralField(g, field.coeffs * mult), factor)
+            yield resample_values(SpectralField(g, field.coeffs * mult), 2)
         return
-    nx, ny = factor * g.nx, factor * g.ny
+    nx, ny = 2 * g.nx, 2 * g.ny
     plan_x = _embed_plan(g.nx, nx)
     plan_y = _clip_plan(_embed_plan(g.ny, ny), ny // 2 + 1)
     half = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)

@@ -247,12 +247,14 @@ def test_empty_shell_range_exits_5(tmp_path, settings):
     # 171! is not a finite float
     ("vdc-scan", ["vdc.p=171"], 2, "ConfigError"),
     ("vdc-scan", ["vdc.p=200"], 2, "ConfigError"),
+    # 2.0 ** 1024 overflows
+    ("vdc-scan", ["vdc.i_min=1024", "vdc.i_max=1024"], 2, "ConfigError"),
     # dts down to 4e-3 / 2^39: about 1e14 steps, far past MAX_STUDY_WORK
     ("convergence", ["conv.mode=temporal", "conv.halvings=40"], 2, "ValueError"),
 ], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width",
         "one-step-count", "shared-step-count", "one-resolution", "comm-band-beyond-grid",
         "band-beyond-grid", "negative-temporal-t-end", "vdc-p-171", "vdc-p-200",
-        "unbounded-temporal-work"])
+        "vdc-i-max-1024", "unbounded-temporal-work"])
 def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
                                                    exit_code, error_type):
     out = tmp_path / "run"

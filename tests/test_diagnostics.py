@@ -34,7 +34,7 @@ SYM = DispersionSymbol(1, 1.0)
 def test_mass_closed_forms():
     g = Grid(16, 16)
     assert mass(zero_field(g)) == 0.0
-    c = field_from_modes(g, {(1, 0): 0.5}, hermitian=True)
+    c = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5})
     assert np.isclose(mass(c), 2 * np.pi**2, rtol=1e-13)
 
 
@@ -51,16 +51,16 @@ def test_mass_matches_grid_quadrature(rng):
 def test_energy_closed_form():
     g = Grid(16, 16)
     assert energy(zero_field(g), SYM) == 0.0
-    c = field_from_modes(g, {(1, 0): 0.5}, hermitian=True)
+    c = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5})
     assert abs(energy(c, SYM) - np.pi**2) <= 1e-10
     # opposite sign symbol cancels the quadratic weight on the diagonal mode
-    diag = field_from_modes(g, {(1, 1): 0.5}, hermitian=True)
-    assert energy(diag, DispersionSymbol(1, 1.0, sign=-1), include_cubic=False) == 0.0
+    diag = field_from_modes(g, {(1, 1): 0.5, (-1, -1): 0.5})
+    assert energy(diag, DispersionSymbol(1, 1.0, sign=-1)) + cubic_integral(diag) / 6.0 == 0.0
 
 
 def test_cubic_integral_closed_form():
     g = Grid(32, 32)
-    u = field_from_modes(g, {(1, 0): 0.5, (2, 0): 0.5}, hermitian=True)
+    u = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5, (2, 0): 0.5, (-2, 0): 0.5})
     assert abs(cubic_integral(u) - 3 * np.pi**2) <= 1e-9
 
 
@@ -77,7 +77,7 @@ def test_cubic_integral_refinement_oracle(rng):
 
 def test_sup_norm_closed_forms():
     g = Grid(32, 32)
-    c = field_from_modes(g, {(1, 0): 0.5}, hermitian=True)
+    c = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5})
     su, sx, sy = sup_norm_diagnostics(c)
     assert np.isclose(su, 1.0, atol=1e-12)
     assert np.isclose(sx, 1.0, atol=1e-12)
@@ -87,9 +87,10 @@ def test_sup_norm_closed_forms():
 
 def test_sup_norm_refinement_stability():
     g = Grid(32, 32)
-    f = field_from_modes(g, {(1, 0): 0.5, (0, 1): 0.5}, hermitian=True)  # cos x + cos y
-    base = sup_norm_diagnostics(f, refine=2)
-    fine = sup_norm_diagnostics(f, refine=4)
+    # cos x + cos y
+    f = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5})
+    base = sup_norm_diagnostics(f)
+    fine = _oracle_sups(f, 4)
     assert all(abs(a - b) <= 1e-6 for a, b in zip(base, fine))
     assert np.isclose(base[0], 2.0, atol=1e-12)
 
@@ -133,9 +134,6 @@ def test_records_of_real_fields_match_the_complex_padded_oracle(nx, ny, seed):
             g_accum += 0.5 * (times[i] - times[i - 1]) * (sum(sups) + sum(prev))
         prev = sups
         assert abs(r.g_accum - g_accum) <= 1e-13 * max(g_accum, 1e-300)
-    f = states[-1]
-    assert all(close(a, b) for a, b in zip(sup_norm_diagnostics(f, refine=4),
-                                           _oracle_sups(f, 4)))
 
 
 def test_non_real_single_mode_takes_the_complex_path():

@@ -2,6 +2,7 @@
 rational approximation step, and the bound scan."""
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +119,9 @@ def test_dirichlet_examples():
     assert dirichlet_approx(0.5, 2) == RationalApprox(1, 2)
     assert dirichlet_approx(math.sqrt(2.0), 5) == RationalApprox(7, 5)
     assert dirichlet_approx(0.0, 7) == RationalApprox(0, 1)
+    # near-rational r: the answer is the convergent 3/19, not some other
+    # admissible pair such as 4/25
+    assert dirichlet_approx(7 / 44, 41) == RationalApprox(3, 19)
 
 
 def test_dirichlet_validation():
@@ -128,11 +132,12 @@ def test_dirichlet_validation():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(-10.0, 10.0, allow_nan=False), st.integers(1, 1000))
+@given(st.floats(-10.0, 10.0, allow_nan=False), st.integers(1, 2**60))
 def test_dirichlet_guarantee(r, lam):
     approx = dirichlet_approx(r, lam)
     assert 1 <= approx.q <= lam
-    assert abs(r - approx.a / approx.q) <= 1.0 / (lam * approx.q)
+    # exact: at lam near 2^60 the bound is far below the spacing of floats
+    assert abs(Fraction(r) - Fraction(approx.a, approx.q)) <= Fraction(1, lam * approx.q)
     if approx.a == 0:
         assert approx.q == 1
     else:

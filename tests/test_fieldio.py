@@ -44,7 +44,7 @@ def test_json_layout_is_wavenumber_ascending(tmp_path):
     # cos x has coefficients 1/2 at m = +-1, n = 0; on an 8x8 grid the
     # canonical order runs m = -3..4 outer, n = -3..4 inner, interleaved re/im
     g = Grid(8, 8)
-    f = field_from_modes(g, {(1, 0): 0.5}, hermitian=True)
+    f = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5})
     p = tmp_path / "snap.json"
     save_field(f, p)
     record = json.loads(p.read_text())

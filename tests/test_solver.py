@@ -35,10 +35,10 @@ SYM = DispersionSymbol(1, 1.0)
 
 def test_nonlinear_term_closed_form():
     g = Grid(32, 32)
-    u = field_from_modes(g, {(1, 0): 0.5}, hermitian=True)  # cos x
+    u = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5})  # cos x
     out = nonlinear_term(u)
     # -0.5 d/dx(cos^2 x) = 0.5 sin 2x
-    want = field_from_modes(g, {(2, 0): -0.25j}, hermitian=True)
+    want = field_from_modes(g, {(2, 0): -0.25j, (-2, 0): 0.25j})
     assert np.max(np.abs(out.coeffs - want.coeffs)) <= 1e-14
 
 
@@ -124,11 +124,11 @@ def test_simulate_ends_at_requested_t_end(dt, t_end, steps):
 def test_mean_zero_gate():
     g = Grid(16, 16)
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=0.01, t_end=0.05)
-    bad = field_from_modes(g, {(0, 1): 0.5}, hermitian=True)  # cos y
+    bad = field_from_modes(g, {(0, 1): 0.5, (0, -1): 0.5})  # cos y
     with pytest.raises(InvalidInitialDataError):
         simulate(cfg, bad)
 
-    almost = field_from_modes(g, {(1, 0): 0.5, (0, 1): 1e-14}, hermitian=True)
+    almost = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 1e-14, (0, -1): 1e-14})
     traj = simulate(cfg, almost)  # below tolerance: projected silently
     assert np.max(np.abs(traj.final_state.coeffs[0, :])) == 0.0
 

@@ -15,7 +15,7 @@ SYM = DispersionSymbol(alpha=1, beta=0.5, sign=1, mu=0.0)
 
 def test_non_real_field_is_rejected():
     # the time loop runs on the half spectrum, which holds real fields only
-    phi = field_from_modes(Grid(16, 16), {(2, 2): 0.7}, hermitian=False)
+    phi = field_from_modes(Grid(16, 16), {(2, 2): 0.7})
     with pytest.raises(SymmetryViolationError, match="real function"):
         strichartz_norm(phi, SYM, 2.0 ** -4)
 
