@@ -247,8 +247,6 @@ def _run_vdc_scan(cfg: dict, out: Path) -> None:
                           f"finite float; got {i_max}")
     fact = math.factorial(p)
     rows = []
-    max_ratio = 0.0
-    max_scaled = 0.0
     for i in range(i_min, i_max + 1):
         lam = 2.0 ** i
         # monomial phase: the p-th derivative is exactly lam everywhere
@@ -258,13 +256,15 @@ def _run_vdc_scan(cfg: dict, out: Path) -> None:
             interval=(0.0, 1.0), lam=lam, p=p,
             amplitude=lambda x: np.sin(np.pi * np.asarray(x)) ** 2,
             amplitude_deriv=lambda x: np.pi * np.sin(2.0 * np.pi * np.asarray(x)))
-        rows.append((lam, rep.lhs, rep.rhs, rep.rhs_alternate, rep.ratio))
-        max_ratio = max(max_ratio, rep.ratio)
-        max_scaled = max(max_scaled, rep.lhs * lam ** (1.0 / p))
-    write_csv(out / "rows.csv", ["lam", "lhs", "rhs", "rhs_alternate", "ratio"], rows)
+        rows.append((lam, rep.lhs, rep.rhs, rep.rhs_alternate, rep.ratio, int(rep.converged)))
+    # an unconverged lhs is quadrature noise: its row is listed, not maximized over
+    good = [row for row in rows if row[-1]]
+    write_csv(out / "rows.csv", ["lam", "lhs", "rhs", "rhs_alternate", "ratio", "converged"],
+              rows)
     write_json(out / "report.json", {
-        "p": p, "rows": len(rows), "max_ratio": max_ratio,
-        "max_lhs_scaled": max_scaled,
+        "p": p, "rows": len(rows), "unconverged": len(rows) - len(good),
+        "max_ratio": max((row[4] for row in good), default=0.0),
+        "max_lhs_scaled": max((row[1] * row[0] ** (1.0 / p) for row in good), default=0.0),
     })
 
 

@@ -134,7 +134,9 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
             rng = np.random.default_rng([seed, int(n), trial])
             coeffs = tuple(rng.uniform(0.0, 1.0, size=degree + 1))
             approx = dirichlet_approx(coeffs[-1], lam)
-            if abs(coeffs[-1] - approx.value) > 1.0 / (lam * approx.q):
+            # |r - a/q| <= 1/(lam q) in exact arithmetic; floats misjudge it from lam ~ 2^25
+            num, den = float(coeffs[-1]).as_integer_ratio()
+            if abs(num * approx.q - approx.a * den) * lam > den:
                 dirichlet_ok = False
             s = abs(weyl_sum(WeylInstance(coeffs=coeffs, n_terms=int(n))))
             bound = weyl_bound(int(n), approx.q, degree, delta)

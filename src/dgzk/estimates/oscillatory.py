@@ -134,6 +134,7 @@ class VanDerCorputReport:
     rhs_alternate: float   # same with exponent +1/p, reported for comparison
     lam: float
     p: int
+    converged: bool        # False: lhs is the last unconverged quadrature value
 
     @property
     def ratio(self) -> float:
@@ -151,8 +152,9 @@ def vandercorput_check(phase: Callable, phase_deriv_p: Callable,
     The caller certifies |phase_deriv_p| >= lam on the interval; the claim is
     spot-checked on VDC_CERTIFICATE_NODES equispaced nodes and a violation is
     an error, not a silent degradation.  The integral doubles its nodes from
-    VDC_START_NODES until two evaluations agree to VDC_TOL.  amplitude
-    defaults to 1 (then amplitude_deriv defaults to 0).
+    VDC_START_NODES until two evaluations agree to VDC_TOL, or reports
+    converged=False (lhs is then noise) past MAX_QUADRATURE_NODES.
+    amplitude defaults to 1 (then amplitude_deriv defaults to 0).
     """
     if p < 2:
         raise ValueError(f"derivative order p must be >= 2, got {p}")
@@ -180,8 +182,8 @@ def vandercorput_check(phase: Callable, phase_deriv_p: Callable,
     def integrand(x):
         return np.asarray(amplitude(x), dtype=complex) * np.exp(1j * np.asarray(phase(x), dtype=float))
 
-    value, _, n = _doubling_quad(lambda n: complex_oscillatory_quad(integrand, a, b, n),
-                                 VDC_START_NODES, VDC_TOL)
+    value, converged, n = _doubling_quad(
+        lambda n: complex_oscillatory_quad(integrand, a, b, n), VDC_START_NODES, VDC_TOL)
     lhs = abs(value)
 
     dense = np.linspace(a, b, 4097)
@@ -193,4 +195,4 @@ def vandercorput_check(phase: Callable, phase_deriv_p: Callable,
     return VanDerCorputReport(lhs=lhs,
                               rhs=lam ** (-1.0 / p) * variation,
                               rhs_alternate=lam ** (1.0 / p) * variation,
-                              lam=float(lam), p=int(p))
+                              lam=float(lam), p=int(p), converged=converged)

@@ -25,9 +25,12 @@ from .grid import Grid
 from .propagator import DispersionSymbol, _symbol_tables
 from .spectral import (
     SpectralField,
-    _coeffs,
     _dealias_mask,
-    _values,
+    _full_spectrum,
+    _half,
+    _real_coeffs,
+    _real_values,
+    _require_real,
     dealias,
     l2_norm,
     mean_zero_x_defect,
@@ -114,21 +117,22 @@ class Trajectory:
 
 
 def _build_nonlinear(grid: Grid):
-    """Return a coefficient-array map c -> dealiased coefficients of -0.5 d/dx(u^2)."""
-    mask = _dealias_mask(grid)
+    """Return a half-spectrum map c -> dealiased half spectrum of -0.5 d/dx(u^2)."""
+    mask = _half(_dealias_mask(grid))
     deriv_x = -0.5j * grid.kx2d
 
     def apply(c: np.ndarray) -> np.ndarray:
-        u = _values(c).real
-        return deriv_x * _coeffs(u * u) * mask
+        u = _real_values(c, grid.ny)
+        return deriv_x * _real_coeffs(u * u) * mask
 
     return apply
 
 
 def nonlinear_term(field: SpectralField) -> SpectralField:
-    """-0.5 * d/dx (u^2), evaluated pseudo-spectrally and dealiased."""
-    apply = _build_nonlinear(field.grid)
-    return SpectralField(field.grid, apply(field.coeffs))
+    """-0.5 * d/dx (u^2) of a real field, evaluated pseudo-spectrally and dealiased."""
+    _require_real(field)
+    g = field.grid
+    return SpectralField(g, _full_spectrum(_build_nonlinear(g)(_half(field.coeffs)), g.ny))
 
 
 def _etdrk4_phi(z: np.ndarray):
@@ -174,22 +178,26 @@ class Etdrk4Stepper:
     """Fourth-order exponential time differencing with fixed step."""
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
-        lam = _linear_eigenvalues(grid, symbol)
-        E, E2, q, f1, f2, f3 = _etdrk4_phi(dt * lam)
-        self.E, self.E2 = E, E2
+        lam = _half(_linear_eigenvalues(grid, symbol))
+        self.E, self.E2, q, f1, f2, f3 = _etdrk4_phi(dt * lam)
         self.Q = dt * q
         self.F1, self.F2, self.F3 = dt * f1, dt * f2, dt * f3
+        self.ny = grid.ny
         self.nonlinear = _build_nonlinear(grid)
 
     def step(self, c: np.ndarray) -> np.ndarray:
+        """Advance a real state in FFT layout; only its half spectrum is read."""
+        c = _half(c)
         n1 = self.nonlinear(c)
-        a = self.E2 * c + self.Q * n1
+        e2c = self.E2 * c
+        a = e2c + self.Q * n1
         n2 = self.nonlinear(a)
-        b = self.E2 * c + self.Q * n2
+        b = e2c + self.Q * n2
         n3 = self.nonlinear(b)
         d = self.E2 * a + self.Q * (2.0 * n3 - n1)
         n4 = self.nonlinear(d)
-        return self.E * c + self.F1 * n1 + 2.0 * self.F2 * (n2 + n3) + self.F3 * n4
+        out = self.E * c + self.F1 * n1 + 2.0 * self.F2 * (n2 + n3) + self.F3 * n4
+        return _full_spectrum(out, self.ny)
 
 
 class Ifrk4Stepper:
@@ -197,18 +205,22 @@ class Ifrk4Stepper:
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
         self.dt = dt
-        lam = _linear_eigenvalues(grid, symbol)
+        lam = _half(_linear_eigenvalues(grid, symbol))
         self.E = np.exp(dt * lam)
         self.E2 = np.exp(0.5 * dt * lam)
+        self.ny = grid.ny
         self.nonlinear = _build_nonlinear(grid)
 
     def step(self, c: np.ndarray) -> np.ndarray:
+        """Advance a real state in FFT layout; only its half spectrum is read."""
         h = self.dt
+        c = _half(c)
         k1 = self.nonlinear(c)
         k2 = self.nonlinear(self.E2 * (c + 0.5 * h * k1))
         k3 = self.nonlinear(self.E2 * c + 0.5 * h * k2)
         k4 = self.nonlinear(self.E * c + h * self.E2 * k3)
-        return self.E * c + (h / 6.0) * (self.E * k1 + 2.0 * self.E2 * (k2 + k3) + k4)
+        out = self.E * c + (h / 6.0) * (self.E * k1 + 2.0 * self.E2 * (k2 + k3) + k4)
+        return _full_spectrum(out, self.ny)
 
 
 _STEPPERS = {"etdrk4": Etdrk4Stepper, "ifrk4": Ifrk4Stepper}
@@ -220,7 +232,7 @@ def _laplacian_sq_weight(grid: Grid) -> np.ndarray:
 
 def _check_guards(grid: Grid, dt: float, c: np.ndarray, warned: dict):
     if not warned.get("cfl"):
-        umax = float(np.max(np.abs(_values(c).real)))
+        umax = float(np.max(np.abs(_real_values(_half(c), grid.ny))))
         if dt * umax * (grid.nx / 2.0) > CFL_LIMIT:
             warnings.warn(
                 f"nonlinear CFL guard: dt * max|u| * max|m| = "
@@ -239,13 +251,14 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     """March the initial state to t_end, recording strided snapshots.
 
     The run takes n = max(1, round(t_end / dt)) steps of t_end / n, so it
-    ends at t_end exactly.  Initial data must be mean-zero in x: a relative
-    defect up to 1e-12 is projected away silently, anything larger is
-    rejected.
+    ends at t_end exactly.  Initial data must be real and mean-zero in x
+    (InvalidInitialDataError otherwise); a relative mean defect up to 1e-12
+    is projected away silently.
     """
     grid = config.grid
     if phi.grid != grid:
         raise ValueError("initial data grid does not match configuration grid")
+    _require_real(phi, InvalidInitialDataError)
     defect = mean_zero_x_defect(phi)
     if defect > MEAN_ZERO_TOL:
         raise InvalidInitialDataError(

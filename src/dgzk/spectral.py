@@ -105,6 +105,18 @@ def _real_values(half: np.ndarray, ny: int) -> np.ndarray:
     return np.fft.irfft2(half, s=(half.shape[0], ny), norm="forward")
 
 
+def _real_coeffs(v: np.ndarray) -> np.ndarray:
+    """Half spectrum (see _half) of real point values."""
+    return np.fft.rfft2(v, norm="forward")
+
+
+def _full_spectrum(half: np.ndarray, ny: int) -> np.ndarray:
+    """Inverse of _half for a real field: column n > ny/2 is conj(c[-m, -n])."""
+    nx, h = half.shape
+    tail = np.conj(half[-np.arange(nx) % nx, ny - h:0:-1])
+    return np.concatenate([half, tail], axis=1)
+
+
 def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralField:
     if np.iscomplexobj(samples):
         raise ValueError("forward_transform expects real samples")
@@ -137,11 +149,11 @@ def hermitian_defect(field: SpectralField) -> float:
     return 0.0 if scale == 0.0 else float(defect / scale)
 
 
-def _require_real(field: SpectralField) -> None:
-    """Raise SymmetryViolationError unless field holds the coefficients of a real function."""
+def _require_real(field: SpectralField, error=SymmetryViolationError) -> None:
+    """Raise error unless field holds the coefficients of a real function."""
     defect = hermitian_defect(field)
     if defect > HERMITIAN_TOL:
-        raise SymmetryViolationError(
+        raise error(
             f"conjugate-symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}; "
             "field does not represent a real function"
         )

@@ -400,6 +400,20 @@ def test_vdc_scan_run(tmp_path):
     assert report["max_lhs_scaled"] <= 10.0
 
 
+def test_vdc_scan_takes_ratios_from_converged_rows_only(tmp_path):
+    # from lam = 2^22 the quadrature passes MAX_QUADRATURE_NODES unconverged,
+    # and its noise once read as a ratio of 73 at lam = 2^37
+    out = tmp_path / "run"
+    assert main(["vdc-scan", "--out", str(out), "--set", "vdc.i_min=10",
+                 "--set", "vdc.i_max=39"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    rows = [line.split(",") for line in (out / "rows.csv").read_text().splitlines()[1:]]
+    converged = {float(row[0]): row[-1] == "1" for row in rows}
+    assert converged[2.0 ** 10] and not converged[2.0 ** 37]
+    assert report["unconverged"] == sum(not ok for ok in converged.values())
+    assert report["max_ratio"] < 1.0
+
+
 def test_commutator_scan_run(tmp_path):
     out = tmp_path / "run"
     rc = main(["commutator-scan", "--out", str(out),

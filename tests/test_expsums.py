@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgzk.estimates import expsums
 from dgzk.estimates.expsums import (
     RationalApprox,
     WeylInstance,
@@ -200,6 +201,20 @@ def test_scan_small_cubic_run():
         assert 1 <= q <= n
         assert s <= n + 1e-9
         assert ratio == pytest.approx(s / bound, rel=1e-12)
+
+
+def test_scan_decides_the_dirichlet_bound_exactly(monkeypatch):
+    # seed 0 draws at N = 2^28, trial 87, an r whose approximation meets
+    # |r - a/q| <= 1/(N q) in exact arithmetic while the float comparison
+    # says it fails; the sums are stubbed, since 2^28 terms play no part in
+    # the approximation
+    n, trial = 2**28, 87
+    r = np.random.default_rng([0, n, trial]).uniform(0.0, 1.0, size=4)[-1]
+    approx = dirichlet_approx(r, n)
+    assert abs(Fraction(r) - Fraction(approx.a, approx.q)) <= Fraction(1, n * approx.q)
+    assert abs(r - approx.value) > 1.0 / (n * approx.q)
+    monkeypatch.setattr(expsums, "weyl_sum", lambda instance: 0.0)
+    assert weyl_scan(3, [n], trials=trial + 1, seed=0).dirichlet_ok
 
 
 def test_scan_validation():

@@ -140,6 +140,7 @@ def test_quadratic_phase_scaling():
             lambda x, l=lam: 0.5 * l * x ** 2,
             lambda x, l=lam: np.full_like(np.asarray(x, float), l),
             (-1.0, 1.0), lam, 2)
+        assert rep.converged
         scaled = rep.lhs * math.sqrt(lam)
         assert 1.0 <= scaled <= 4.0
         assert rep.ratio <= 4.0

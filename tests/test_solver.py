@@ -26,7 +26,9 @@ from dgzk import (
 )
 from dgzk.solver import (MAX_STUDY_WORK, SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper,
                          _step_count, l2_identity_residual)
-from dgzk.errors import DivergenceError, InsufficientDataError, InvalidInitialDataError
+from dgzk.errors import (DivergenceError, InsufficientDataError, InvalidInitialDataError,
+                         SymmetryViolationError)
+from dgzk.spectral import _half
 
 from fieldgen import band_field, real_field
 
@@ -40,6 +42,14 @@ def test_nonlinear_term_closed_form():
     # -0.5 d/dx(cos^2 x) = 0.5 sin 2x
     want = field_from_modes(g, {(2, 0): -0.25j, (-2, 0): 0.25j})
     assert np.max(np.abs(out.coeffs - want.coeffs)) <= 1e-14
+
+
+def test_nonlinear_term_rejects_a_non_real_field():
+    # the term reads only the half spectrum, so e^{i(x+y)} alone would be
+    # taken for cos(x+y) without this check
+    g = Grid(16, 16)
+    with pytest.raises(SymmetryViolationError):
+        nonlinear_term(field_from_modes(g, {(1, 1): 0.5}))
 
 
 def test_nonlinear_term_zero():
@@ -71,8 +81,8 @@ def test_linear_limit_matches_propagator(rng, cls, tol):
     g = Grid(32, 32)
     f = project_mean_zero_x(real_field(g, rng))
     dt = 0.05
-    got = cls(g, SYM, dt).E * f.coeffs
-    want = propagate(f, dt, SYM).coeffs
+    got = cls(g, SYM, dt).E * _half(f.coeffs)
+    want = _half(propagate(f, dt, SYM).coeffs)
     assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
 
 
@@ -131,6 +141,13 @@ def test_mean_zero_gate():
     almost = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 1e-14, (0, -1): 1e-14})
     traj = simulate(cfg, almost)  # below tolerance: projected silently
     assert np.max(np.abs(traj.final_state.coeffs[0, :])) == 0.0
+
+
+def test_simulate_rejects_non_real_initial_data():
+    g = Grid(16, 16)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=0.01, t_end=0.05)
+    with pytest.raises(InvalidInitialDataError, match="conjugate-symmetry"):
+        simulate(cfg, field_from_modes(g, {(1, 1): 0.5}))
 
 
 def test_simulate_grid_mismatch():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dgzk
 from dgzk import (
@@ -36,6 +38,7 @@ from dgzk import (
     zero_field,
 )
 from dgzk.errors import SymmetryViolationError
+from dgzk.spectral import _coeffs, _full_spectrum, _half, _real_coeffs, _real_values, _values
 
 from fieldgen import band_field, cos_x, real_field
 
@@ -303,3 +306,20 @@ def test_spectral_is_the_only_module_calling_numpy_fft():
     callers = sorted(str(p.relative_to(package)) for p in package.rglob("*.py")
                      if pattern.search(p.read_text(encoding="utf-8")))
     assert callers == ["spectral.py"]
+
+
+even_sizes = st.integers(4, 32).map(lambda k: 2 * k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1))
+def test_half_spectrum_helpers_agree_with_the_full_transforms(nx, ny, seed):
+    """The real transforms and the half/full layout maps reproduce the
+    complex transforms of real samples."""
+    v = np.random.default_rng(seed).standard_normal((nx, ny))
+    c = _coeffs(v)
+    h = _real_coeffs(v)
+    assert np.max(np.abs(_full_spectrum(h, ny) - c)) <= 1e-14 * np.max(np.abs(c))
+    vals = _real_values(_half(c), ny)
+    assert np.max(np.abs(vals - _values(c).real)) <= 1e-14 * np.max(np.abs(v))
+    assert np.array_equal(_half(_full_spectrum(h, ny)), h)
