@@ -175,10 +175,7 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
         raise ValueError("fields must share a grid")
     grid = f.grid
 
-    nonzero = np.nonzero(f.coeffs)
-    constant_f = len(nonzero[0]) == 0 or (
-        len(nonzero[0]) == 1 and nonzero[0][0] == 0 and nonzero[1][0] == 0
-    )
+    constant_f = not np.any(f.coeffs.flat[1:])  # f_hat vanishes off (0, 0)
 
     big = Grid(2 * grid.nx, 2 * grid.ny)
     f_vals = resample_values(f, 2)

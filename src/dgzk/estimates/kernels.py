@@ -6,8 +6,10 @@ The kernel attached to the shell pair (j, k) is the lattice sum
         sum_{m,n} psi1(m/2^j)^2 psi1(n/2^k)^2
                   e^{i [m x + n y + omega(m,n) (t - t')]}
 
-with chi_j,k the indicator of |t| <= 2^{-(j+k)}.  The windowed variant
-restricts to |t - t'| in (2^{-l}, 2 * 2^{-l}] for an integer l >= j + k;
+with chi_j,k the indicator of |t| <= 2^{-(j+k)}.  It is real (imaginary
+part exactly 0): psi1 is even and the phase odd under (m, n) -> (-m, -n),
+so kernel_sum sums the quarter m, n > 0.  The windowed variant restricts
+to |t - t'| in (2^{-l}, 2 * 2^{-l}] for an integer l >= j + k;
 kernel_decay_scan samples admissible windows and fits the observed decay
 of max |K| * 2^{-l} in j and k.
 """
@@ -32,7 +34,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# cost guard: the double sum has about 2^{j+k+6} terms
+# cost guard: the full double sum has about 2^{j+k+6} terms
 MAX_LATTICE_COST = 2 ** 20
 
 # widening of the sampled l-window above its admissible floor j+k.  The
@@ -80,35 +82,29 @@ def _shell_support(shell: int) -> np.ndarray:
 
 
 def kernel_sum(query: KernelQuery) -> complex:
-    """Direct evaluation of the kernel lattice sum at one space-time point."""
+    """Direct evaluation of the kernel lattice sum at one space-time point:
+    n and -n pair into 2 cos(n y), then (m, n) and (-m, -n) into 2 Re."""
     j, k, symbol = query.j, query.k, query.symbol
-    box = 2.0 ** (-(j + k))
-    if abs(query.t) > box or abs(query.t_prime) > box:
+    if max(abs(query.t), abs(query.t_prime)) > 2.0 ** (-(j + k)):
         return 0.0 + 0.0j
 
-    m_half = _shell_support(j)
-    n_half = _shell_support(k)
-    m = np.concatenate([-m_half[::-1], m_half]).astype(float)
-    n = np.concatenate([-n_half[::-1], n_half]).astype(float)
-
-    wm = psi1(m / 2.0 ** j) ** 2
-    wn = psi1(n / 2.0 ** k) ** 2
+    m = _shell_support(j).astype(float)
+    n = _shell_support(k).astype(float)
     delta = query.t - query.t_prime
-    sigma = float(symbol.sign)
-    npow = np.abs(n) ** (1.0 + symbol.beta)
-    mpow = m * np.abs(m) ** (1.0 + symbol.alpha)
+    npow = n ** (1.0 + symbol.beta)
+    mpow = m * m ** (1.0 + symbol.alpha)
 
-    vec_m = wm * np.exp(1j * (m * query.x + mpow * delta))
-    vec_n = wn * np.exp(1j * n * query.y)
+    vec_m = psi1(m / 2.0 ** j) ** 2 * np.exp(1j * (m * query.x + mpow * delta))
+    vec_n = 2.0 * psi1(n / 2.0 ** k) ** 2 * np.cos(n * query.y)
 
     total = 0.0 + 0.0j
     # chunk the m-rows so the (m, n) phase matrix stays modest
     chunk = max(1, MAX_LATTICE_COST // max(1, n.size))
     for start in range(0, m.size, chunk):
         sl = slice(start, start + chunk)
-        inner = np.exp(1j * (sigma * delta) * np.outer(m[sl], npow)) @ vec_n
+        inner = np.exp(1j * (symbol.sign * delta) * np.outer(m[sl], npow)) @ vec_n
         total += vec_m[sl] @ inner
-    return complex(total)
+    return complex(2.0 * total.real)
 
 
 @dataclass

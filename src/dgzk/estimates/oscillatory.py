@@ -190,7 +190,7 @@ def vandercorput_check(phase: Callable, phase_deriv_p: Callable,
     sup_amp = float(np.max(np.abs(np.asarray(amplitude(dense), dtype=float))))
     l1_deriv = float(abs(complex_oscillatory_quad(
         lambda x: np.abs(np.asarray(amplitude_deriv(x), dtype=float)) + 0.0j,
-        a, b, max(n, 4096))))
+        a, b, VDC_START_NODES)))
     variation = sup_amp + l1_deriv
     return VanDerCorputReport(lhs=lhs,
                               rhs=lam ** (-1.0 / p) * variation,

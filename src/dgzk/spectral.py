@@ -105,6 +105,15 @@ def _real_values(half: np.ndarray, ny: int) -> np.ndarray:
     return np.fft.irfft2(half, s=(half.shape[0], ny), norm="forward")
 
 
+def _real_values_on_columns(data: np.ndarray, cols: np.ndarray, buf: np.ndarray,
+                            out: np.ndarray) -> np.ndarray:
+    """_real_values, into out (nx, ny), of a half spectrum that is data on
+    columns cols and zero elsewhere, with the same bits: the x pass runs on
+    cols only, into buf, a reusable half spectrum kept zero off cols."""
+    buf[:, cols] = np.fft.ifft(data, axis=0, norm="forward")
+    return np.fft.irfft(buf, n=out.shape[1], axis=1, norm="forward", out=out)
+
+
 def _real_coeffs(v: np.ndarray) -> np.ndarray:
     """Half spectrum (see _half) of real point values."""
     return np.fft.rfft2(v, norm="forward")

@@ -12,28 +12,33 @@ from dgzk.propagator import DispersionSymbol
 SYM = DispersionSymbol(alpha=1, beta=0.5, sign=1, mu=0.0)
 
 
-def test_sum_matches_direct_enumeration():
-    # pure-python double loop over the lattice; the cutoff vanishes exactly
-    # outside its support, so a generous integer range is safe
-    q = KernelQuery(j=1, k=1, symbol=SYM, t=0.1, t_prime=-0.08, x=1.2, y=5.3)
+@pytest.mark.parametrize("j, k", [(1, 1), (3, 2), (2, 4)])
+@pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sum_matches_direct_enumeration(sign, alpha, beta, j, k):
+    # pure-python double loop over the full lattice; the cutoff vanishes
+    # exactly outside its support, so a generous integer range is safe
+    sym = DispersionSymbol(alpha=alpha, beta=beta, sign=sign, mu=0.0)
+    box = 2.0 ** (-(j + k))
+    q = KernelQuery(j=j, k=k, symbol=sym, t=0.4 * box, t_prime=-0.32 * box, x=1.2, y=5.3)
     got = kernel_sum(q)
     delta = q.t - q.t_prime
     total = 0j
-    for m in range(-8, 9):
-        if m == 0:
-            continue
-        wm = psi1(m / 2.0) ** 2
+    mass = 0.0
+    for m in range(-(2 ** (j + 2)), 2 ** (j + 2) + 1):
+        wm = psi1(m / 2.0 ** j) ** 2
         if wm == 0.0:
             continue
-        for n in range(-8, 9):
-            if n == 0:
-                continue
-            wn = psi1(n / 2.0) ** 2
+        for n in range(-(2 ** (k + 2)), 2 ** (k + 2) + 1):
+            wn = psi1(n / 2.0 ** k) ** 2
             if wn == 0.0:
                 continue
-            omega = m * abs(m) ** 2.0 + m * abs(n) ** 1.5
+            omega = m * abs(m) ** (1.0 + alpha) + sign * m * abs(n) ** (1.0 + beta)
             total += wm * wn * cmath.exp(1j * (m * q.x + n * q.y + omega * delta))
-    assert abs(got - total) <= 1e-12 * abs(total)
+            mass += wm * wn
+    assert got.imag == 0.0
+    assert abs(got - total) <= 1e-12 * mass
 
 
 def test_coincident_times_give_cutoff_mass_product():

@@ -38,7 +38,8 @@ from dgzk import (
     zero_field,
 )
 from dgzk.errors import SymmetryViolationError
-from dgzk.spectral import _coeffs, _full_spectrum, _half, _real_coeffs, _real_values, _values
+from dgzk.spectral import (_coeffs, _full_spectrum, _half, _real_coeffs, _real_values,
+                           _real_values_on_columns, _values)
 
 from fieldgen import band_field, cos_x, real_field
 
@@ -323,3 +324,24 @@ def test_half_spectrum_helpers_agree_with_the_full_transforms(nx, ny, seed):
     vals = _real_values(_half(c), ny)
     assert np.max(np.abs(vals - _values(c).real)) <= 1e-14 * np.max(np.abs(v))
     assert np.array_equal(_half(_full_spectrum(h, ny)), h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_column_pruned_real_values_equal_the_full_real_transform(nx, ny, seed, data):
+    """The x pass over the nonzero columns alone gives the bits of irfft2,
+    also when both buffers are reused for a second spectrum on the same
+    columns (as strichartz_norm reuses them over its time samples)."""
+    h = ny // 2 + 1
+    cols = np.array(sorted(data.draw(st.sets(st.integers(0, h - 1)), label="cols")),
+                    dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    # half spectra of real samples fill column 0 and the x-Nyquist row
+    buf = np.zeros((nx, h), dtype=np.complex128)
+    out = np.empty((nx, ny))
+    for _ in range(2):
+        half = _real_coeffs(rng.standard_normal((nx, ny)))
+        half[:, np.setdiff1d(np.arange(h), cols)] = 0.0
+        got = _real_values_on_columns(half[:, cols], cols, buf, out)
+        assert got is out
+        assert np.array_equal(out, _real_values(half, ny))

@@ -6,9 +6,9 @@ import pytest
 
 from dgzk.errors import InsufficientDataError, SymmetryViolationError
 from dgzk.grid import Grid
-from dgzk.propagator import DispersionSymbol, propagate
+from dgzk.propagator import DispersionSymbol, _symbol_tables, propagate
 from dgzk.spectral import field_from_modes, grid_values, hermitian_defect, l2_norm, shell_indices
-from dgzk.estimates.strichartz import shell_field, strichartz_norm, strichartz_scan
+from dgzk.estimates.strichartz import _shell_grid, shell_field, strichartz_norm, strichartz_scan
 
 SYM = DispersionSymbol(alpha=1, beta=0.5, sign=1, mu=0.0)
 
@@ -28,6 +28,56 @@ def test_norm_matches_direct_propagation(rng):
     sups = np.array([np.abs(grid_values(propagate(phi, t, SYM))).max() for t in times])
     manual = float(np.sqrt(np.trapezoid(sups ** 2, times)))
     assert strichartz_norm(phi, SYM, t_max) == pytest.approx(manual, rel=1e-12)
+
+
+def _unpruned_norm(phi, symbol, t_max, n_times=64):
+    """strichartz_norm with a full irfft2 and a phase step on every
+    half-spectrum entry at each time sample."""
+    nx, ny = phi.grid.shape
+    omega, _ = _symbol_tables(phi.grid, symbol)
+    times = np.linspace(0.0, t_max, n_times)
+    cur = phi.coeffs[:, : ny // 2 + 1]
+    step = np.exp(1j * omega[:, : ny // 2 + 1] * (times[1] - times[0]))
+    sups = np.empty(n_times)
+    for i in range(n_times):
+        sups[i] = np.abs(np.fft.irfft2(cur, s=(nx, ny), norm="forward")).max()
+        cur = cur * step
+    return float(np.sqrt(np.trapezoid(sups ** 2, times)))
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("j, k", [(1, 0), (3, 0), (1, 1), (2, 3), (4, 2)])
+def test_pruned_norm_equals_the_unpruned_loop(alpha, j, k):
+    sym = DispersionSymbol(alpha=alpha, beta=1.0, sign=1, mu=0.0)
+    t_max = 2.0 ** (-(j + k))
+    for trial in range(3):
+        phi = shell_field(_shell_grid(j, k, 4), j, k, np.random.default_rng([5, j, k, trial]))
+        assert strichartz_norm(phi, sym, t_max) == _unpruned_norm(phi, sym, t_max)
+
+
+_FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+# entry points whose transform runs along x over every column of its input:
+# the 1-D complex ones (the y pass is irfft) and every n-dimensional one
+_X_PASS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn",
+           "irfftn")
+
+
+def test_x_pass_transforms_only_the_support_columns(monkeypatch):
+    j, k, n_times = 5, 3, 64
+    grid = _shell_grid(j, k, 4)
+    phi = shell_field(grid, j, k, np.random.default_rng(9))
+    support = int(np.count_nonzero(np.any(phi.coeffs[:, : grid.ny // 2 + 1] != 0, axis=0)))
+    assert 0 < support < grid.ny // 2 + 1
+    points = {}
+    for name in _FFT_ENTRY_POINTS:
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            points[_name] = points.get(_name, 0) + np.asarray(a).size
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    strichartz_norm(phi, SYM, 2.0 ** (-(j + k)), n_times)
+    x_points = sum(points.get(name, 0) for name in _X_PASS)
+    assert 0 < x_points <= support * grid.nx * n_times
 
 
 def test_shell_field_is_unit_real_and_localized(rng):
