@@ -35,7 +35,6 @@ from .spectral import (
     resample_values,
     shell_indices,
     sobolev_norm,
-    transform_values,
     truncate_to_grid,
     zero_field,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "spatial_convergence_study",
     "sup_norm_diagnostics",
     "temporal_order_study",
-    "transform_values",
     "truncate_to_grid",
     "zero_field",
 ]

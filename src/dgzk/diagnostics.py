@@ -6,16 +6,17 @@ produces (u^3 of a field with |m| <= nx/3 has modes up to nx, resolvable on
 the doubled grid).  Sup norms are grid maxima on a spectrally interpolated
 refinement of the sample grid.
 
-A real field (conjugate-symmetry defect at most HERMITIAN_TOL) is evaluated
-on the refined grid through its half spectrum and the real inverse
-transform, one plane each for u, u_x and u_y; any other field goes through
-the complex transform of the same padding.  build_records takes each record
-from those three planes on the 2x grid and from one |u_hat|^2, so a record
-reads the state once.  Record values agree with a complex evaluation of
-every field to about 4e-16 relative.
+Fields are real (conjugate-symmetry defect at most HERMITIAN_TOL; any
+other field raises SymmetryViolationError) and are evaluated on the refined
+grid through their half spectrum and the real inverse transform, one plane
+each for u, u_x and u_y; products go back through the real forward
+transform.  build_records takes each record from those three planes on the
+2x grid and from one |u_hat|^2, so a record reads the state once.  Record
+values agree with a complex evaluation to about 4e-16 relative.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -30,10 +31,8 @@ from .spectral import (
     _sobolev_weight,
     _weighted_norm,
     bessel_potential,
-    derivative,
+    forward_transform,
     l2_norm,
-    resample_values,
-    transform_values,
 )
 
 __all__ = [
@@ -167,10 +166,10 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     rhs = ||J^s f|| * ||g||_inf + (||f||_inf + ||grad f||_inf) * ||J^{s-1} g||
 
     Products are formed on a doubled grid, exact for band-limited inputs.
-    Fields may be complex valued.
+    Fields must be real (SymmetryViolationError otherwise).
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    if not (math.isfinite(s) and s >= 1):
+        raise ValueError(f"s must be finite and >= 1, got {s}")
     if f.grid != g.grid:
         raise ValueError("fields must share a grid")
     grid = f.grid
@@ -178,21 +177,19 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     constant_f = not np.any(f.coeffs.flat[1:])  # f_hat vanishes off (0, 0)
 
     big = Grid(2 * grid.nx, 2 * grid.ny)
-    f_vals = resample_values(f, 2)
-    g_vals = resample_values(g, 2)
+    f_vals, fx_vals, fy_vals = _refined_planes(f)
+    g_vals = next(_refined_planes(g))
 
     if constant_f:
         # multipliers commute with constants identically
         lhs = 0.0
     else:
-        js_fg = bessel_potential(transform_values(big, f_vals * g_vals), s)
-        jsg_vals = resample_values(bessel_potential(g, s), 2)
-        f_jsg = transform_values(big, f_vals * jsg_vals)
+        js_fg = bessel_potential(forward_transform(big, f_vals * g_vals), s)
+        jsg_vals = next(_refined_planes(bessel_potential(g, s)))
+        f_jsg = forward_transform(big, f_vals * jsg_vals)
         lhs = l2_norm(SpectralField(big, js_fg.coeffs - f_jsg.coeffs))
 
-    fx_vals = resample_values(derivative(f, "x"), 2)
-    fy_vals = resample_values(derivative(f, "y"), 2)
-    grad_inf = float(np.max(np.sqrt(np.abs(fx_vals) ** 2 + np.abs(fy_vals) ** 2)))
+    grad_inf = float(np.max(np.hypot(fx_vals, fy_vals)))
     rhs = (
         l2_norm(bessel_potential(f, s)) * float(np.max(np.abs(g_vals)))
         + (float(np.max(np.abs(f_vals))) + grad_inf) * l2_norm(bessel_potential(g, s - 1.0))
@@ -229,10 +226,10 @@ def l1t_linf_estimate_check(trajectory, s1: float, s2: float) -> L1tLinfReport:
         raise ValueError("estimate applies to the undamped flow; got mu > 0")
     s1_min = 0.5 - 0.5 ** (symbol.alpha + 2)
     s2_min = 0.5 - symbol.beta / 4.0
-    if s1 <= s1_min:
-        raise ValueError(f"s1 must exceed 1/2 - 1/2^(alpha+2) = {s1_min}, got {s1}")
-    if s2 <= s2_min:
-        raise ValueError(f"s2 must exceed 1/2 - beta/4 = {s2_min}, got {s2}")
+    if not (math.isfinite(s1) and s1 > s1_min):
+        raise ValueError(f"s1 must be finite and exceed 1/2 - 1/2^(alpha+2) = {s1_min}, got {s1}")
+    if not (math.isfinite(s2) and s2 > s2_min):
+        raise ValueError(f"s2 must be finite and exceed 1/2 - beta/4 = {s2_min}, got {s2}")
 
     times = trajectory.times
     t_end = float(times[-1])
@@ -246,8 +243,8 @@ def l1t_linf_estimate_check(trajectory, s1: float, s2: float) -> L1tLinfReport:
     for state in trajectory.states:
         mixed = bessel_potential(bessel_potential(state, s1, mode="x"), s2, mode="y")
         mixed_max = max(mixed_max, l2_norm(mixed))
-        vals = resample_values(state, 2)
-        f_field = transform_values(big, 0.5 * vals * vals)
+        vals = next(_refined_planes(state))
+        f_field = forward_transform(big, 0.5 * vals * vals)
         source_norms.append(l2_norm(bessel_potential(f_field, s1, mode="x")))
     source_l1 = float(np.trapezoid(np.array(source_norms), times))
 

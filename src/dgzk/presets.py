@@ -14,7 +14,7 @@ from .spectral import (
     _conj_reflect,
     field_from_modes,
     forward_transform,
-    grid_values,
+    inverse_transform,
     project_mean_zero_x,
     zero_field,
 )
@@ -67,7 +67,7 @@ def random_band_field(grid: Grid, band: int, rng, mean_zero_x: bool = True) -> S
 
 def _scale_to_peak(field: SpectralField, amplitude: float) -> SpectralField:
     """Rescale so the grid maximum of |u| is amplitude; zero stays zero."""
-    peak = np.max(np.abs(grid_values(field).real))
+    peak = np.max(np.abs(inverse_transform(field)))
     if peak == 0.0:
         return field
     return SpectralField(grid=field.grid, coeffs=field.coeffs * (amplitude / peak))

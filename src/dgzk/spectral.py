@@ -8,8 +8,12 @@ e^{i(mx + ny)} is
 so the transform of a constant c has f_hat(0, 0) = c, and the L2 norm on the
 square satisfies ||f||^2 = (2*pi)^2 * sum |f_hat|^2.  Discretely this is
 numpy's fft2(samples, norm="forward"), and its inverse is
-ifft2(f_hat, norm="forward").  This module is the only one in the package
-that calls numpy.fft: every other module goes through the functions here.
+ifft2(f_hat, norm="forward").  Real fields, which are all the program
+makes, go through the real transforms rfft2/irfft2 on the half spectrum
+n = 0 .. ny/2 (see _half); only grid_values and resample_values evaluate
+coefficients with no symmetry through the complex ifft2.  This module is
+the only one in the package that calls numpy.fft: every other module goes
+through the functions here.
 
 Sobolev norms below follow the sequence-space convention without the surface
 factor: sobolev_norm(f, s) = (sum (1 + m^2 + n^2)^s |f_hat|^2)^{1/2}.
@@ -28,7 +32,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "grid_values",
-    "transform_values",
     "hermitian_defect",
     "fractional_derivative",
     "derivative",
@@ -89,11 +92,6 @@ def _values(c: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(c, norm="forward")
 
 
-def _coeffs(v: np.ndarray) -> np.ndarray:
-    """Coefficient array of point values, in FFT layout."""
-    return np.fft.fft2(v, norm="forward")
-
-
 def _half(c: np.ndarray) -> np.ndarray:
     """Columns n = 0 .. ny/2 of an array in FFT layout: the half spectrum
     that determines a real field, as the real transforms lay it out."""
@@ -127,22 +125,17 @@ def _full_spectrum(half: np.ndarray, ny: int) -> np.ndarray:
 
 
 def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralField:
+    """Coefficients of real point values, through the real transform."""
     if np.iscomplexobj(samples):
         raise ValueError("forward_transform expects real samples")
-    return transform_values(grid, samples)
+    if np.shape(samples) != grid.shape:
+        raise ValueError(f"sample shape {np.shape(samples)} does not match grid {grid.shape}")
+    return SpectralField(grid, _full_spectrum(_real_coeffs(samples), grid.ny))
 
 
 def grid_values(field: SpectralField) -> np.ndarray:
     """Complex point values; no symmetry requirement on the coefficients."""
     return _values(field.coeffs)
-
-
-def transform_values(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Forward transform of complex point values (no realness requirement)."""
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise ValueError(f"sample shape {values.shape} does not match grid {grid.shape}")
-    return SpectralField(grid, _coeffs(values))
 
 
 def _conj_reflect(c: np.ndarray) -> np.ndarray:
@@ -171,7 +164,7 @@ def _require_real(field: SpectralField, error=SymmetryViolationError) -> None:
 def inverse_transform(field: SpectralField) -> np.ndarray:
     """Real point values; rejects coefficients of a non-real field."""
     _require_real(field)
-    return grid_values(field).real
+    return _real_values(_half(field.coeffs), field.grid.ny)
 
 
 def l2_norm(field: SpectralField) -> float:
@@ -345,21 +338,16 @@ def resample_values(field: SpectralField, factor: int) -> np.ndarray:
 
 
 def _refined_planes(field: SpectralField):
-    """Point values of u, then u_x, then u_y on the 2x grid, one plane per
-    step of the iteration (derivatives as `derivative` takes them).
+    """Real point values of u, then u_x, then u_y on the 2x grid, one plane
+    per step of the iteration (derivatives as `derivative` takes them).
 
-    A real field is padded by slices into one preallocated half spectrum of
-    the 2x grid, reused for all three planes, and each plane comes from
-    the real inverse transform; these planes are real arrays.  A field whose
-    hermitian_defect exceeds HERMITIAN_TOL is padded in full and goes
-    through the complex transform (resample_values); its planes are complex.
+    The field must be real (SymmetryViolationError otherwise).  It is padded
+    by slices into one preallocated half spectrum of the 2x grid, reused for
+    all three planes, and each plane comes from the real inverse transform.
     """
+    _require_real(field)
     g = field.grid
     multipliers = (1.0, _derivative_multiplier(g, "x"), _derivative_multiplier(g, "y"))
-    if hermitian_defect(field) > HERMITIAN_TOL:
-        for mult in multipliers:
-            yield resample_values(SpectralField(g, field.coeffs * mult), 2)
-        return
     nx, ny = 2 * g.nx, 2 * g.ny
     plan_x = _embed_plan(g.nx, nx)
     plan_y = _clip_plan(_embed_plan(g.ny, ny), ny // 2 + 1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dgzk import (
     DispersionSymbol,
     Grid,
+    SymmetryViolationError,
     SimulationConfig,
     Trajectory,
     commutator_check,
@@ -14,7 +15,9 @@ from dgzk import (
     diagnostics_csv,
     energy,
     field_from_modes,
+    forward_transform,
     initial_data,
+    inverse_transform,
     l1t_linf_estimate_check,
     mass,
     propagate,
@@ -136,23 +139,25 @@ def test_records_of_real_fields_match_the_complex_padded_oracle(nx, ny, seed):
         assert abs(r.g_accum - g_accum) <= 1e-13 * max(g_accum, 1e-300)
 
 
-def test_non_real_single_mode_takes_the_complex_path():
+def test_non_real_fields_raise_symmetry_violation():
     g = Grid(16, 16)
-    f = field_from_modes(g, {(1, 1): 1.0})  # e^{i(x+y)}, |f| = 1 everywhere
-    assert abs(sup_norm_diagnostics(f)[0] - 1.0) <= 1e-14
-    record = build_records(np.array([0.0]), [f], SYM)[0]
-    assert abs(record.sup_u - 1.0) <= 1e-14
+    f = field_from_modes(g, {(1, 1): 1.0})  # e^{i(x+y)}, not a real function
+    with pytest.raises(SymmetryViolationError):
+        sup_norm_diagnostics(f)
+    with pytest.raises(SymmetryViolationError):
+        cubic_integral(f)
+    with pytest.raises(SymmetryViolationError):
+        build_records(np.array([0.0]), [f], SYM)
+    with pytest.raises(SymmetryViolationError):
+        commutator_check(f, f, 2.0)
 
 
 _FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
                      "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
 
-def test_a_record_takes_three_real_transforms_on_the_doubled_grid(monkeypatch):
-    g = Grid(32, 32)
-    cfg = SimulationConfig(grid=g, symbol=SYM, dt=5e-3, t_end=0.01, record_every=1)
-    traj = simulate(cfg, initial_data(g, "random-band", seed=3))
-    assert len(traj.states) == 3
+def _record_fft_calls(monkeypatch):
+    """(entry point, output shape) of every numpy.fft call from here on."""
     calls = []
     for name in _FFT_ENTRY_POINTS:
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
@@ -160,15 +165,38 @@ def test_a_record_takes_three_real_transforms_on_the_doubled_grid(monkeypatch):
             calls.append((_name, out.shape))
             return out
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_a_record_takes_three_real_transforms_on_the_doubled_grid(monkeypatch):
+    g = Grid(32, 32)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=5e-3, t_end=0.01, record_every=1)
+    traj = simulate(cfg, initial_data(g, "random-band", seed=3))
+    assert len(traj.states) == 3
+    calls = _record_fft_calls(monkeypatch)
     build_records(traj.times, traj.states, SYM)
     assert calls == [("irfft2", (64, 64))] * (3 * len(traj.states))
 
 
+def test_real_fields_take_only_real_transforms(monkeypatch, rng):
+    g = Grid(32, 32)
+    f = band_field(g, 8, rng, mean_zero_x=False)
+    h = band_field(g, 8, rng, mean_zero_x=False)
+    calls = _record_fft_calls(monkeypatch)
+    commutator_check(f, h, 1.5)
+    # u, u_x, u_y of f, then g and J^s g; the products fg and f J^s g
+    assert sorted(calls) == [("irfft2", (64, 64))] * 5 + [("rfft2", (64, 33))] * 2
+    calls.clear()
+    forward_transform(g, inverse_transform(f))
+    assert calls == [("irfft2", (32, 32)), ("rfft2", (32, 17))]
+
+
 def test_commutator_two_mode_closed_form():
     g = Grid(16, 16)
-    f = field_from_modes(g, {(1, 0): 1.0})  # e^{ix}, complex on purpose
+    f = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5})  # cos x
     lhs, rhs = commutator_check(f, f, 2.0)
-    assert abs(lhs - 6 * np.pi) <= 1e-10
+    # J^2(cos^2 x) - cos x J^2 cos x = -1/2 + (3/2) cos 2x
+    assert abs(lhs - np.pi * np.sqrt(11 / 2)) <= 1e-10
     assert rhs > 0
 
 
@@ -187,6 +215,9 @@ def test_commutator_validation(rng):
         commutator_check(f, f, 0.5)
     with pytest.raises(ValueError):
         commutator_check(f, real_field(Grid(32, 32), rng), 1.0)
+    for s in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            commutator_check(f, f, s)
 
 
 def test_commutator_envelope_quick(rng):
@@ -222,7 +253,7 @@ def test_diagnostics_csv_shape():
 
 
 def _manual_trajectory(g, symbol, t_end, n_records):
-    phi = field_from_modes(g, {(1, 1): 1.0})
+    phi = field_from_modes(g, {(1, 1): 0.5, (-1, -1): 0.5})  # cos(x + y)
     times = np.linspace(0.0, t_end, n_records)
     states = [propagate(phi, float(t), symbol) for t in times]
     cfg = SimulationConfig(grid=g, symbol=symbol, dt=times[1], t_end=t_end)
@@ -231,17 +262,17 @@ def _manual_trajectory(g, symbol, t_end, n_records):
 
 
 def test_l1t_linf_linear_single_mode_closed_form():
-    """|W(t) e^{i(x+y)}| is identically 1, so the left side is exactly T."""
+    """omega(1, 1) = 0 under sign -1, so cos(x + y) stays put, its sup is 1
+    and the left side is exactly T."""
     g = Grid(16, 16)
     T = 0.75
-    traj = _manual_trajectory(g, SYM, T, 6)
+    traj = _manual_trajectory(g, DispersionSymbol(1, 1.0, sign=-1), T, 6)
     rep = l1t_linf_estimate_check(traj, 1.0, 1.0)
     assert abs(rep.lhs - T) <= 1e-10
 
-    # right side in closed form: the state is a single mode at (1, 1) and
-    # the source u^2/2 a single mode at (2, 2) with coefficient 1/2
-    mixed = 2.0 * 2 * np.pi  # (1+1)^{1/2} twice, times ||e^{i(x+y)}|| = 2 pi
-    src = T * np.sqrt(5.0) * np.pi
+    # right side in closed form: the source u^2/2 = 1/4 + cos(2x + 2y)/4
+    mixed = 2.0 * np.sqrt(2) * np.pi  # (1+1)^{1/2} twice, times ||cos(x+y)|| = sqrt(2) pi
+    src = T * np.pi * np.sqrt(14) / 4  # Jx lifts the (2, 2) mode by sqrt(5)
     assert abs(rep.rhs - np.sqrt(T) * (mixed + src)) <= 1e-8
     assert rep.ratio == pytest.approx(rep.lhs / rep.rhs)
 
@@ -275,3 +306,8 @@ def test_l1t_linf_validation():
         l1t_linf_estimate_check(traj, 0.3, 1.0)  # below 1/2 - 1/2^{alpha+2}
     with pytest.raises(ValueError):
         l1t_linf_estimate_check(traj, 1.0, 0.2)  # below 1/2 - beta/4
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            l1t_linf_estimate_check(traj, bad, 1.0)
+        with pytest.raises(ValueError):
+            l1t_linf_estimate_check(traj, 1.0, bad)

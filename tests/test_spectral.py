@@ -33,12 +33,11 @@ from dgzk import (
     resample_values,
     shell_indices,
     sobolev_norm,
-    transform_values,
     truncate_to_grid,
     zero_field,
 )
 from dgzk.errors import SymmetryViolationError
-from dgzk.spectral import (_coeffs, _full_spectrum, _half, _real_coeffs, _real_values,
+from dgzk.spectral import (_full_spectrum, _half, _real_coeffs, _real_values,
                            _real_values_on_columns, _values)
 
 from fieldgen import band_field, cos_x, real_field
@@ -69,13 +68,6 @@ def test_round_trip_identity(rng, n):
     samples = rng.standard_normal(g.shape)
     back = inverse_transform(forward_transform(g, samples))
     assert np.max(np.abs(back - samples)) <= 1e-12
-
-
-def test_complex_round_trip(rng):
-    g = Grid(16, 16)
-    vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    back = grid_values(transform_values(g, vals))
-    assert np.max(np.abs(back - vals)) <= 1e-12
 
 
 def test_forward_transform_input_validation(rng):
@@ -309,6 +301,15 @@ def test_spectral_is_the_only_module_calling_numpy_fft():
     assert callers == ["spectral.py"]
 
 
+def test_spectral_calls_no_complex_forward_transform():
+    """Real fields go forward through rfft2 only; the complex entry points
+    serve the inverse of coefficients with no symmetry (grid_values) and the
+    x pass of the column-pruned real inverse."""
+    source = (Path(dgzk.__file__).parent / "spectral.py").read_text(encoding="utf-8")
+    called = set(re.findall(r"\bnp\.fft\.(\w+)", source))
+    assert called == {"ifft", "ifft2", "irfft", "irfft2", "rfft2"}
+
+
 even_sizes = st.integers(4, 32).map(lambda k: 2 * k)
 
 
@@ -318,12 +319,26 @@ def test_half_spectrum_helpers_agree_with_the_full_transforms(nx, ny, seed):
     """The real transforms and the half/full layout maps reproduce the
     complex transforms of real samples."""
     v = np.random.default_rng(seed).standard_normal((nx, ny))
-    c = _coeffs(v)
+    c = np.fft.fft2(v, norm="forward")
     h = _real_coeffs(v)
     assert np.max(np.abs(_full_spectrum(h, ny) - c)) <= 1e-14 * np.max(np.abs(c))
     vals = _real_values(_half(c), ny)
     assert np.max(np.abs(vals - _values(c).real)) <= 1e-14 * np.max(np.abs(v))
     assert np.array_equal(_half(_full_spectrum(h, ny)), h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1))
+def test_public_transforms_on_rectangular_grids(nx, ny, seed):
+    """forward_transform is numpy's fft2 of real samples on any even grid,
+    its coefficients are conjugate symmetric and inverse_transform undoes it."""
+    g = Grid(nx, ny)
+    v = np.random.default_rng(seed).standard_normal(g.shape)
+    f = forward_transform(g, v)
+    want = np.fft.fft2(v, norm="forward")
+    assert np.max(np.abs(f.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(inverse_transform(f) - v)) <= 1e-13
+    assert hermitian_defect(f) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)
