@@ -9,7 +9,9 @@ time integrator alone.
 
 Two steppers are provided: exponential time differencing (ETDRK4, the
 default) and a classical Runge-Kutta scheme in integrating-factor variables
-(IFRK4) used as an independent cross-check.
+(IFRK4) used as an independent cross-check.  Every mode outside the
+Galerkin block (spectral._block) stays exactly zero, so both march the block,
+and `simulate` builds a full SpectralField only for the states it records.
 """
 from __future__ import annotations
 
@@ -25,11 +27,13 @@ from .grid import Grid
 from .propagator import DispersionSymbol, _symbol_tables
 from .spectral import (
     SpectralField,
-    _dealias_mask,
-    _full_spectrum,
+    _block,
+    _block_coeffs,
+    _block_dims,
+    _full_from_block,
     _half,
-    _real_coeffs,
     _real_values,
+    _real_values_of_block,
     _require_real,
     dealias,
     l2_norm,
@@ -116,23 +120,38 @@ class Trajectory:
         return self.states[-1]
 
 
+def _quadratic_term(grid: Grid):
+    """Return u -> Galerkin block (see spectral._block) of -0.5 d/dx(u^2), for
+    real point values u; the block holds exactly the modes the two-thirds
+    rule keeps, so taking it is the dealiasing."""
+    K, kc = _block_dims(grid)
+    deriv_x = -0.5j * _block(grid.kx2d, K, 1)
+    return lambda u: deriv_x * _block_coeffs(u * u, K, kc)
+
+
 def _build_nonlinear(grid: Grid):
-    """Return a half-spectrum map c -> dealiased half spectrum of -0.5 d/dx(u^2)."""
-    mask = _half(_dealias_mask(grid))
-    deriv_x = -0.5j * grid.kx2d
+    """Return the real point values of a Galerkin block, through the pruned
+    inverse with buffers of its own (valid until the next call), and the map
+    of a block to the block of -0.5 d/dx(u^2) that takes u from them."""
+    K, kc = _block_dims(grid)
+    buf = np.zeros((grid.nx, kc), dtype=np.complex128)
+    half = np.zeros((grid.nx, grid.ny // 2 + 1), dtype=np.complex128)
+    out = np.empty(grid.shape)
+    quadratic = _quadratic_term(grid)
 
-    def apply(c: np.ndarray) -> np.ndarray:
-        u = _real_values(c, grid.ny)
-        return deriv_x * _real_coeffs(u * u) * mask
+    def values(c: np.ndarray) -> np.ndarray:
+        return _real_values_of_block(c, buf, half, out)
 
-    return apply
+    return values, lambda c: quadratic(values(c))
 
 
 def nonlinear_term(field: SpectralField) -> SpectralField:
-    """-0.5 * d/dx (u^2) of a real field, evaluated pseudo-spectrally and dealiased."""
+    """-0.5 * d/dx (u^2) of a real field, evaluated pseudo-spectrally and
+    dealiased; u is read from the whole half spectrum."""
     _require_real(field)
     g = field.grid
-    return SpectralField(g, _full_spectrum(_build_nonlinear(g)(_half(field.coeffs)), g.ny))
+    u = _real_values(_half(field.coeffs), g.ny)
+    return SpectralField(g, _full_from_block(_quadratic_term(g)(u), g))
 
 
 def _etdrk4_phi(z: np.ndarray):
@@ -178,16 +197,17 @@ class Etdrk4Stepper:
     """Fourth-order exponential time differencing with fixed step."""
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
-        lam = _half(_linear_eigenvalues(grid, symbol))
+        self.dims = _block_dims(grid)
+        lam = _block(_linear_eigenvalues(grid, symbol), *self.dims)
         self.E, self.E2, q, f1, f2, f3 = _etdrk4_phi(dt * lam)
         self.Q = dt * q
         self.F1, self.F2, self.F3 = dt * f1, dt * f2, dt * f3
-        self.ny = grid.ny
-        self.nonlinear = _build_nonlinear(grid)
+        self.values, self.nonlinear = _build_nonlinear(grid)
 
     def step(self, c: np.ndarray) -> np.ndarray:
-        """Advance a real state in FFT layout; only its half spectrum is read."""
-        c = _half(c)
+        """Advance a real state: read its Galerkin block (see spectral._block)
+        from a full, half or block array in FFT layout; return a block."""
+        c = _block(c, *self.dims)
         n1 = self.nonlinear(c)
         e2c = self.E2 * c
         a = e2c + self.Q * n1
@@ -196,8 +216,7 @@ class Etdrk4Stepper:
         n3 = self.nonlinear(b)
         d = self.E2 * a + self.Q * (2.0 * n3 - n1)
         n4 = self.nonlinear(d)
-        out = self.E * c + self.F1 * n1 + 2.0 * self.F2 * (n2 + n3) + self.F3 * n4
-        return _full_spectrum(out, self.ny)
+        return self.E * c + self.F1 * n1 + 2.0 * self.F2 * (n2 + n3) + self.F3 * n4
 
 
 class Ifrk4Stepper:
@@ -205,22 +224,22 @@ class Ifrk4Stepper:
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
         self.dt = dt
-        lam = _half(_linear_eigenvalues(grid, symbol))
+        self.dims = _block_dims(grid)
+        lam = _block(_linear_eigenvalues(grid, symbol), *self.dims)
         self.E = np.exp(dt * lam)
         self.E2 = np.exp(0.5 * dt * lam)
-        self.ny = grid.ny
-        self.nonlinear = _build_nonlinear(grid)
+        self.values, self.nonlinear = _build_nonlinear(grid)
 
     def step(self, c: np.ndarray) -> np.ndarray:
-        """Advance a real state in FFT layout; only its half spectrum is read."""
+        """Advance a real state: read its Galerkin block (see spectral._block)
+        from a full, half or block array in FFT layout; return a block."""
         h = self.dt
-        c = _half(c)
+        c = _block(c, *self.dims)
         k1 = self.nonlinear(c)
         k2 = self.nonlinear(self.E2 * (c + 0.5 * h * k1))
         k3 = self.nonlinear(self.E2 * c + 0.5 * h * k2)
         k4 = self.nonlinear(self.E * c + h * self.E2 * k3)
-        out = self.E * c + (h / 6.0) * (self.E * k1 + 2.0 * self.E2 * (k2 + k3) + k4)
-        return _full_spectrum(out, self.ny)
+        return self.E * c + (h / 6.0) * (self.E * k1 + 2.0 * self.E2 * (k2 + k3) + k4)
 
 
 _STEPPERS = {"etdrk4": Etdrk4Stepper, "ifrk4": Ifrk4Stepper}
@@ -230,16 +249,20 @@ def _laplacian_sq_weight(grid: Grid) -> np.ndarray:
     return (grid.kx2d**2 + grid.ky2d**2) ** 2
 
 
-def _check_guards(grid: Grid, dt: float, c: np.ndarray, warned: dict):
-    if not warned.get("cfl"):
-        umax = float(np.max(np.abs(_real_values(_half(c), grid.ny))))
-        if dt * umax * (grid.nx / 2.0) > CFL_LIMIT:
-            warnings.warn(
-                f"nonlinear CFL guard: dt * max|u| * max|m| = "
-                f"{dt * umax * (grid.nx / 2.0):.3g} exceeds {CFL_LIMIT}",
-                RuntimeWarning,
-            )
-            warned["cfl"] = True
+def _check_guards(grid: Grid, dt: float, c: np.ndarray, values, warned: dict):
+    """Warn once when the CFL number of the Galerkin block c, whose point
+    values `values` gives, passes CFL_LIMIT; return max|u|, or None if warned."""
+    if warned.get("cfl"):
+        return None
+    umax = float(np.max(np.abs(values(c))))
+    if dt * umax * (grid.nx / 2.0) > CFL_LIMIT:
+        warnings.warn(
+            f"nonlinear CFL guard: dt * max|u| * max|m| = "
+            f"{dt * umax * (grid.nx / 2.0):.3g} exceeds {CFL_LIMIT}",
+            RuntimeWarning,
+        )
+        warned["cfl"] = True
+    return umax
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -279,20 +302,24 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
         )
 
     stepper = _STEPPERS[config.integrator](grid, config.symbol, dt)
+    dims = _block_dims(grid)
 
     mu = config.symbol.mu
-    lap_w = _laplacian_sq_weight(grid) if mu > 0 else None
+    if mu > 0:
+        lap_w = _block(_laplacian_sq_weight(grid), *dims)
+        lap_w[:, 1:] *= 2.0       # columns n >= 1 stand for their conjugates at -n too
     four_pi_sq = (2.0 * np.pi) ** 2
 
     def lap_sq_norm(cc):
         return four_pi_sq * float(np.sum(lap_w * np.abs(cc) ** 2))
 
-    c = phi.coeffs.copy()
+    # the state is the Galerkin block: every other mode stays exactly zero
+    c = _block(phi.coeffs, *dims)
     warned: dict = {}
-    _check_guards(grid, dt, c, warned)
+    _check_guards(grid, dt, c, stepper.values, warned)
 
     rec_times = [0.0]
-    rec_states = [SpectralField(grid, c.copy())]
+    rec_states = [phi]
     rec_diss = [0.0]
     diss_accum = 0.0
     prev_lap = lap_sq_norm(c) if mu > 0 else 0.0
@@ -307,9 +334,9 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             prev_lap = cur
         if i % config.record_every == 0 or i == n_steps:
             rec_times.append(config.t_end if i == n_steps else i * dt)
-            rec_states.append(SpectralField(grid, c.copy()))
+            rec_states.append(SpectralField(grid, _full_from_block(c, grid)))
             rec_diss.append(diss_accum)
-            _check_guards(grid, dt, c, warned)
+            _check_guards(grid, dt, c, stepper.values, warned)
 
     times = np.array(rec_times)
     records = _diag.build_records(times, rec_states, config.symbol, config.h_s)

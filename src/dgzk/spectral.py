@@ -11,9 +11,13 @@ numpy's fft2(samples, norm="forward"), and its inverse is
 ifft2(f_hat, norm="forward").  Real fields, which are all the program
 makes, go through the real transforms rfft2/irfft2 on the half spectrum
 n = 0 .. ny/2 (see _half); only grid_values and resample_values evaluate
-coefficients with no symmetry through the complex ifft2.  This module is
-the only one in the package that calls numpy.fft: every other module goes
-through the functions here.
+coefficients with no symmetry through the complex ifft2.  The solver's
+state is the Galerkin block of the half spectrum, the modes the two-thirds
+rule keeps (see _block).  Its pruned transforms _real_values_of_block and
+_block_coeffs run the passes of irfft2 and rfft2 with the x pass on the
+block's columns only, so they give the same bits.  This module is the only
+one in the package that calls numpy.fft: every other module goes through
+the functions here.
 
 Sobolev norms below follow the sequence-space convention without the surface
 factor: sobolev_norm(f, s) = (sum (1 + m^2 + n^2)^s |f_hat|^2)^{1/2}.
@@ -112,9 +116,56 @@ def _real_values_on_columns(data: np.ndarray, cols: np.ndarray, buf: np.ndarray,
     return np.fft.irfft(buf, n=out.shape[1], axis=1, norm="forward", out=out)
 
 
+def _block_dims(grid: Grid) -> tuple[int, int]:
+    """(K, kc) of the Galerkin block: the two-thirds rule keeps |m| <= K = nx//3
+    and n = 0 .. kc - 1 = ny//3 of the half spectrum."""
+    return grid.nx // 3, grid.ny // 3 + 1
+
+
+def _block(c: np.ndarray, K: int, kc: int) -> np.ndarray:
+    """The Galerkin block of an array in FFT layout, shape (2K + 1, kc): rows
+    m = 0 .. K, then m = -K .. -1, of the columns n = 0 .. kc - 1.  The slices
+    give the same block from a full, a half or a block array."""
+    return np.concatenate((c[:K + 1, :kc], c[-K:, :kc]))
+
+
+def _scatter_block(block: np.ndarray, out: np.ndarray) -> None:
+    """Write a Galerkin block into the rows m = 0 .. K and -K .. -1 of out,
+    whose columns are the block's; the rows between are left as they are."""
+    K = block.shape[0] // 2
+    out[:K + 1] = block[:K + 1]
+    out[-K:] = block[K + 1:]
+
+
+def _full_from_block(block: np.ndarray, grid: Grid) -> np.ndarray:
+    """Full FFT-layout coefficients of the real field whose half spectrum is
+    the block and zero elsewhere."""
+    half = np.zeros((grid.nx, grid.ny // 2 + 1), dtype=np.complex128)
+    _scatter_block(block, half[:, : block.shape[1]])
+    return _full_spectrum(half, grid.ny)
+
+
+def _real_values_of_block(block: np.ndarray, buf: np.ndarray, half: np.ndarray,
+                          out: np.ndarray) -> np.ndarray:
+    """_real_values, into out (nx, ny), of a Galerkin block, with the same bits:
+    the block is scattered into buf (nx, kc), kept zero off the block rows,
+    and the x pass runs on the kc columns only, into half, a reusable half
+    spectrum kept zero off them."""
+    _scatter_block(block, buf)
+    return _real_values_on_columns(buf, slice(0, block.shape[1]), half, out)
+
+
 def _real_coeffs(v: np.ndarray) -> np.ndarray:
     """Half spectrum (see _half) of real point values."""
     return np.fft.rfft2(v, norm="forward")
+
+
+def _block_coeffs(v: np.ndarray, K: int, kc: int) -> np.ndarray:
+    """The Galerkin block (see _block) of _real_coeffs(v), with the same bits:
+    rfft along y, then the x pass on the kc kept columns only, as rfft2 runs
+    its passes."""
+    cols = np.fft.rfft(v, axis=1, norm="forward")[:, :kc]
+    return _block(np.fft.fft(cols, axis=0, norm="forward"), K, kc)
 
 
 def _full_spectrum(half: np.ndarray, ny: int) -> np.ndarray:

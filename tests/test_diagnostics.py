@@ -29,7 +29,7 @@ from dgzk.diagnostics import FOUR_PI_SQ, build_records, L1tLinfReport
 from dgzk.errors import InsufficientDataError
 from dgzk.spectral import derivative, embed_in_grid, grid_values
 
-from fieldgen import band_field, real_field
+from fieldgen import _record_fft_calls, band_field, real_field
 
 SYM = DispersionSymbol(1, 1.0)
 
@@ -150,22 +150,6 @@ def test_non_real_fields_raise_symmetry_violation():
         build_records(np.array([0.0]), [f], SYM)
     with pytest.raises(SymmetryViolationError):
         commutator_check(f, f, 2.0)
-
-
-_FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
-
-
-def _record_fft_calls(monkeypatch):
-    """(entry point, output shape) of every numpy.fft call from here on."""
-    calls = []
-    for name in _FFT_ENTRY_POINTS:
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            out = _fn(*args, **kwargs)
-            calls.append((_name, out.shape))
-            return out
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
 
 
 def test_a_record_takes_three_real_transforms_on_the_doubled_grid(monkeypatch):

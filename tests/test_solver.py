@@ -5,13 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dgzk
 from dgzk import (
     DispersionSymbol,
     Grid,
     SimulationConfig,
+    SpectralField,
     Trajectory,
+    dealias,
     field_from_modes,
     initial_data,
     l2_norm,
@@ -25,12 +29,14 @@ from dgzk import (
     zero_field,
 )
 from dgzk.solver import (MAX_STUDY_WORK, SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper,
+                         _check_guards, _etdrk4_phi, _linear_eigenvalues,
                          _step_count, l2_identity_residual)
 from dgzk.errors import (DivergenceError, InsufficientDataError, InvalidInitialDataError,
                          SymmetryViolationError)
-from dgzk.spectral import _half
+from dgzk.spectral import (_block, _block_dims, _dealias_mask, _full_from_block, _half,
+                           inverse_transform)
 
-from fieldgen import band_field, real_field
+from fieldgen import _record_fft_calls, band_field, real_field
 
 SYM = DispersionSymbol(1, 1.0)
 
@@ -50,6 +56,23 @@ def test_nonlinear_term_rejects_a_non_real_field():
     g = Grid(16, 16)
     with pytest.raises(SymmetryViolationError):
         nonlinear_term(field_from_modes(g, {(1, 1): 0.5}))
+
+
+def test_nonlinear_term_keeps_its_contract_outside_the_block():
+    """u comes from the whole half spectrum, the x-Nyquist row and the modes
+    the two-thirds rule drops included, and only the result is dealiased:
+    the bits of an irfft2/rfft2 evaluation."""
+    g = Grid(16, 16)
+    f = real_field(g, np.random.default_rng(11))
+    K, kc = _block_dims(g)
+    assert np.all(f.coeffs[g.nx // 2] != 0) and np.all(f.coeffs[K + 1:-K] != 0)
+    assert np.all(f.coeffs[:, kc:] != 0)
+    u = np.fft.irfft2(_half(f.coeffs), s=g.shape, norm="forward")
+    want = (-0.5j * g.kx2d * np.fft.rfft2(u * u, norm="forward")) * _half(_dealias_mask(g))
+    got = nonlinear_term(f).coeffs
+    assert np.array_equal(_half(got), want)
+    m, n = -np.arange(g.nx) % g.nx, np.arange(g.ny // 2 + 1, g.ny)
+    assert np.array_equal(got[:, n], np.conj(want[m][:, g.ny - n]))
 
 
 def test_nonlinear_term_zero():
@@ -81,16 +104,113 @@ def test_linear_limit_matches_propagator(rng, cls, tol):
     g = Grid(32, 32)
     f = project_mean_zero_x(real_field(g, rng))
     dt = 0.05
-    got = cls(g, SYM, dt).E * _half(f.coeffs)
-    want = _half(propagate(f, dt, SYM).coeffs)
+    stepper = cls(g, SYM, dt)
+    got = stepper.E * _block(f.coeffs, *stepper.dims)
+    want = _block(propagate(f, dt, SYM).coeffs, *stepper.dims)
     assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
 
 
 def test_step_functions_on_zero_field():
     g = Grid(16, 16)
     z = zero_field(g)
-    assert np.max(np.abs(Etdrk4Stepper(g, SYM, 0.01).step(z.coeffs))) == 0.0
-    assert np.max(np.abs(Ifrk4Stepper(g, SYM, 0.01).step(z.coeffs))) == 0.0
+    K, kc = _block_dims(g)
+    for cls in (Etdrk4Stepper, Ifrk4Stepper):
+        assert np.array_equal(cls(g, SYM, 0.01).step(z.coeffs),
+                              np.zeros((2 * K + 1, kc), dtype=complex))
+
+
+@pytest.mark.parametrize("cls", [Etdrk4Stepper, Ifrk4Stepper])
+def test_step_reads_the_same_block_from_full_half_and_block_arrays(cls):
+    # the bench probe steps a full FFT-layout array; simulate steps blocks
+    g = Grid(32, 24)
+    c = dealias(project_mean_zero_x(band_field(g, 8, np.random.default_rng(5)))).coeffs
+    stepper = cls(g, SYM, 1e-3)
+    block = _block(c, *stepper.dims)
+    got = stepper.step(block)
+    assert got.shape == block.shape
+    assert np.array_equal(stepper.step(c), got)
+    assert np.array_equal(stepper.step(_half(c)), got)
+
+
+def _unpruned_reference(grid, symbol, dt, c, steps, integrator):
+    """steps of ETDRK4 or IFRK4 on the whole half spectrum, the quadratic
+    term through irfft2/rfft2 and masked by the two-thirds rule."""
+    lam = _half(_linear_eigenvalues(grid, symbol))
+    mask = _half(_dealias_mask(grid))
+
+    def nonlinear(h):
+        u = np.fft.irfft2(h, s=grid.shape, norm="forward")
+        return -0.5j * grid.kx2d * np.fft.rfft2(u * u, norm="forward") * mask
+
+    c = _half(c)
+    if integrator == "etdrk4":
+        E, E2, q, f1, f2, f3 = _etdrk4_phi(dt * lam)
+        for _ in range(steps):
+            n1 = nonlinear(c)
+            a = E2 * c + dt * q * n1
+            n2 = nonlinear(a)
+            b = E2 * c + dt * q * n2
+            n3 = nonlinear(b)
+            n4 = nonlinear(E2 * a + dt * q * (2.0 * n3 - n1))
+            c = E * c + dt * (f1 * n1 + 2.0 * f2 * (n2 + n3) + f3 * n4)
+    else:
+        E, E2 = np.exp(dt * lam), np.exp(0.5 * dt * lam)
+        for _ in range(steps):
+            k1 = nonlinear(c)
+            k2 = nonlinear(E2 * (c + 0.5 * dt * k1))
+            k3 = nonlinear(E2 * c + 0.5 * dt * k2)
+            k4 = nonlinear(E * c + dt * E2 * k3)
+            c = E * c + (dt / 6.0) * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
+    return c
+
+
+even_sizes = st.integers(4, 32).map(lambda k: 2 * k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1),
+       integrator=st.sampled_from(["etdrk4", "ifrk4"]))
+@example(nx=12, ny=18, seed=0, integrator="etdrk4").via("|m| = nx/3 is a kept row")
+@example(nx=48, ny=30, seed=1, integrator="ifrk4").via("|m| = nx/3 is a kept row")
+def test_block_steppers_match_the_unpruned_half_spectrum_schemes(nx, ny, seed, integrator):
+    g = Grid(nx, ny)
+    sym = DispersionSymbol(1, 1.0, mu=1e-3)
+    phi = dealias(project_mean_zero_x(real_field(g, np.random.default_rng(seed), 0.3)))
+    dt = 1e-3
+    stepper = {"etdrk4": Etdrk4Stepper, "ifrk4": Ifrk4Stepper}[integrator](g, sym, dt)
+    c = phi.coeffs
+    for _ in range(5):
+        c = stepper.step(c)
+    want = _block(_unpruned_reference(g, sym, dt, phi.coeffs, 5, integrator), *stepper.dims)
+    assert np.max(np.abs(c - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_step_transforms_only_the_block_columns(monkeypatch):
+    """Both x passes of every quadratic term cover the kc block columns
+    alone, the y passes run along the whole grid, and no array leaving the
+    step is wider than the block, also when it is given a full array."""
+    g = Grid(64, 64)
+    K, kc = _block_dims(g)
+    stepper = Etdrk4Stepper(g, SYM, 1e-3)
+    c = dealias(initial_data(g, "random-band", seed=2)).coeffs
+    calls = _record_fft_calls(monkeypatch)
+    out = stepper.step(c)
+    x_passes = [shape for name, shape in calls if name not in ("rfft", "irfft")]
+    assert x_passes and all(np.prod(shape) <= kc * g.nx for shape in x_passes)
+    assert sorted(calls) == sorted([("ifft", (64, kc)), ("irfft", (64, 64)),
+                                    ("rfft", (64, 33)), ("fft", (64, kc))] * 4)
+    assert out.shape == (2 * K + 1, kc)
+
+
+def test_cfl_guard_reads_the_sup_of_the_recorded_state():
+    g = Grid(32, 24)
+    state = dealias(project_mean_zero_x(band_field(g, 8, np.random.default_rng(3))))
+    c = _block(state.coeffs, *_block_dims(g))
+    values = Etdrk4Stepper(g, SYM, 1e-9).values
+    umax = _check_guards(g, 1e-9, c, values, {})
+    assert umax == np.max(np.abs(inverse_transform(state)))
+    assert umax == np.max(np.abs(inverse_transform(SpectralField(g, _full_from_block(c, g)))))
+    assert _check_guards(g, 1e-9, c, values, {"cfl": True}) is None
 
 
 def test_simulate_zero_data_stays_zero():

@@ -37,7 +37,8 @@ from dgzk import (
     zero_field,
 )
 from dgzk.errors import SymmetryViolationError
-from dgzk.spectral import (_full_spectrum, _half, _real_coeffs, _real_values,
+from dgzk.spectral import (_block, _block_coeffs, _block_dims, _full_from_block, _full_spectrum,
+                           _half, _real_coeffs, _real_values, _real_values_of_block,
                            _real_values_on_columns, _values)
 
 from fieldgen import band_field, cos_x, real_field
@@ -301,13 +302,15 @@ def test_spectral_is_the_only_module_calling_numpy_fft():
     assert callers == ["spectral.py"]
 
 
-def test_spectral_calls_no_complex_forward_transform():
-    """Real fields go forward through rfft2 only; the complex entry points
-    serve the inverse of coefficients with no symmetry (grid_values) and the
+def test_spectral_calls_complex_forward_transform_only_as_an_x_pass():
+    """Real fields go forward through rfft2, or through rfft along y and the
+    complex fft along x, the same two passes that rfft2 runs internally, with
+    the x pass pruned to the Galerkin block columns.  The complex inverse
+    entry points serve coefficients with no symmetry (grid_values) and the
     x pass of the column-pruned real inverse."""
     source = (Path(dgzk.__file__).parent / "spectral.py").read_text(encoding="utf-8")
     called = set(re.findall(r"\bnp\.fft\.(\w+)", source))
-    assert called == {"ifft", "ifft2", "irfft", "irfft2", "rfft2"}
+    assert called == {"fft", "ifft", "ifft2", "irfft", "irfft2", "rfft", "rfft2"}
 
 
 even_sizes = st.integers(4, 32).map(lambda k: 2 * k)
@@ -360,3 +363,35 @@ def test_column_pruned_real_values_equal_the_full_real_transform(nx, ny, seed, d
         got = _real_values_on_columns(half[:, cols], cols, buf, out)
         assert got is out
         assert np.array_equal(out, _real_values(half, ny))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1))
+def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
+    """On data carried by the Galerkin block, the pruned inverse gives the
+    bits of irfft2 and the pruned forward the block of rfft2, also when the
+    inverse's buffers are reused for a second spectrum (as a stepper reuses
+    them); the block -> full map keeps the block and zeros the rest."""
+    g = Grid(nx, ny)
+    K, kc = _block_dims(g)
+    h = ny // 2 + 1
+    rng = np.random.default_rng(seed)
+    buf = np.zeros((nx, kc), dtype=np.complex128)
+    half_buf = np.zeros((nx, h), dtype=np.complex128)
+    out = np.empty((nx, ny))
+    for _ in range(2):
+        half = _real_coeffs(rng.standard_normal((nx, ny)))
+        # the block rows of the first kc columns: x-Nyquist row and rows past K zeroed
+        half[K + 1:nx - K] = 0.0
+        half[:, kc:] = 0.0
+        block = _block(half, K, kc)
+        assert block.shape == (2 * K + 1, kc)
+        got = _real_values_of_block(block, buf, half_buf, out)
+        assert got is out
+        assert np.array_equal(out, np.fft.irfft2(half, s=(nx, ny), norm="forward"))
+        v = rng.standard_normal((nx, ny))
+        assert np.array_equal(_block_coeffs(v, K, kc),
+                              _block(np.fft.rfft2(v, norm="forward"), K, kc))
+        full = _full_from_block(block, g)
+        assert np.array_equal(_half(full), half)
+        assert np.array_equal(full, _full_spectrum(half, ny))

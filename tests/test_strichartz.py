@@ -10,6 +10,8 @@ from dgzk.propagator import DispersionSymbol, _symbol_tables, propagate
 from dgzk.spectral import field_from_modes, grid_values, hermitian_defect, l2_norm, shell_indices
 from dgzk.estimates.strichartz import _shell_grid, shell_field, strichartz_norm, strichartz_scan
 
+from fieldgen import _FFT_ENTRY_POINTS
+
 SYM = DispersionSymbol(alpha=1, beta=0.5, sign=1, mu=0.0)
 
 
@@ -55,8 +57,6 @@ def test_pruned_norm_equals_the_unpruned_loop(alpha, j, k):
         assert strichartz_norm(phi, sym, t_max) == _unpruned_norm(phi, sym, t_max)
 
 
-_FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 # entry points whose transform runs along x over every column of its input:
 # the 1-D complex ones (the y pass is irfft) and every n-dimensional one
 _X_PASS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn",
