@@ -8,11 +8,13 @@ refinement of the sample grid.
 
 Fields are real (conjugate-symmetry defect at most HERMITIAN_TOL; any
 other field raises SymmetryViolationError) and are evaluated on the refined
-grid through their half spectrum and the real inverse transform, one plane
-each for u, u_x and u_y; products go back through the real forward
-transform.  build_records takes each record from those three planes on the
-2x grid and from one |u_hat|^2, so a record reads the state once.  Record
-values agree with a complex evaluation to about 4e-16 relative.
+grid by one plane evaluator per call (spectral._RefinedPlanes), one plane
+each for u, u_x and u_y, with the x pass on the data columns only;
+products go back through the real forward transform.  build_records takes
+each record from those three planes on the 2x grid and from one
+|u_hat|^2, so a record reads the state once; the states of a run are read
+as the Galerkin blocks simulate keeps.  Record values agree with a complex
+evaluation to about 4e-16 relative.
 """
 from __future__ import annotations
 
@@ -26,8 +28,12 @@ from .errors import InsufficientDataError
 from .grid import Grid
 from .propagator import DispersionSymbol
 from .spectral import (
+    RecordedStates,
     SpectralField,
-    _refined_planes,
+    _RefinedPlanes,
+    _block,
+    _block_dims,
+    _block_sq,
     _sobolev_weight,
     _weighted_norm,
     bessel_potential,
@@ -80,7 +86,7 @@ def _cubic(values: np.ndarray) -> float:
 
 def cubic_integral(field: SpectralField) -> float:
     """integral of u^3, via 2x zero-padded quadrature (exact when band-limited)."""
-    return _cubic(next(_refined_planes(field)))
+    return _cubic(next(_RefinedPlanes(field.grid)(field)))
 
 
 def _energy_weight(grid: Grid, symbol: DispersionSymbol) -> np.ndarray:
@@ -110,36 +116,48 @@ def _sup(values: np.ndarray) -> float:
 def sup_norm_diagnostics(field: SpectralField) -> Tuple[float, float, float]:
     """(max|u|, max|u_x|, max|u_y|) on the 2x interpolated grid, the
     refinement every diagnostics record uses."""
-    return tuple(map(_sup, _refined_planes(field)))
+    return tuple(map(_sup, _RefinedPlanes(field.grid)(field)))
 
 
 def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
     """One record per state, each from the u, u_x and u_y planes on the 2x
     grid (sups and the cubic integral) and one |u_hat|^2 (mass, energy and
-    the H^s norms); g_accum is the trapezoid integral of the summed sups."""
+    the H^s norms); g_accum is the trapezoid integral of the summed sups.
+
+    states is a sequence of SpectralFields, or the RecordedStates of a run,
+    whose entries are read in the layout it keeps them: a Galerkin block
+    gives its planes and |u_hat|^2 from the block alone."""
     if not states:
         return []
     grid = states[0].grid
+    dims = _block_dims(grid)
+    planes = _RefinedPlanes(grid)
     energy_w = _energy_weight(grid, symbol)
     sobolev_w = {s: _sobolev_weight(grid, s) for s in h_s}
+    # the weights of |u_hat|^2 for a field and for a block (see _block_sq)
+    weights = {True: (energy_w, sobolev_w),
+               False: (_block(energy_w, *dims),
+                       {s: _block(w, *dims) for s, w in sobolev_w.items()})}
+    entries = states.entries if isinstance(states, RecordedStates) else states
     records = []
     g = 0.0
-    for i, (t, state) in enumerate(zip(times, states)):
-        planes = _refined_planes(state)
-        u = next(planes)
+    for i, (t, state) in enumerate(zip(times, entries)):
+        state_planes = planes(state)
+        u = next(state_planes)
         su, cubic = _sup(u), _cubic(u)
-        del u  # one plane alive at a time
-        sx, sy = map(_sup, planes)
+        sx, sy = map(_sup, state_planes)
         if i > 0:
             p = records[-1]
             g += 0.5 * (times[i] - times[i - 1]) * ((su + sx + sy)
                                                     + (p.sup_u + p.sup_ux + p.sup_uy))
-        sq = np.abs(state.coeffs) ** 2
+        field = isinstance(state, SpectralField)
+        sq = np.abs(state.coeffs) ** 2 if field else _block_sq(state)
+        ew, sw = weights[field]
         records.append(DiagnosticsRecord(
             t=float(t),
             mass=_mass(sq),
-            energy=_quadratic_energy(energy_w, sq) - cubic / 6.0,
-            h_s_norms={s: _weighted_norm(w, sq) for s, w in sobolev_w.items()},
+            energy=_quadratic_energy(ew, sq) - cubic / 6.0,
+            h_s_norms={s: _weighted_norm(w, sq) for s, w in sw.items()},
             sup_u=su, sup_ux=sx, sup_uy=sy,
             g_accum=g,
         ))
@@ -177,15 +195,17 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     constant_f = not np.any(f.coeffs.flat[1:])  # f_hat vanishes off (0, 0)
 
     big = Grid(2 * grid.nx, 2 * grid.ny)
-    f_vals, fx_vals, fy_vals = _refined_planes(f)
-    g_vals = next(_refined_planes(g))
+    planes = _RefinedPlanes(grid)
+    # each plane overwrites the last, so the ones kept are copied
+    f_vals, fx_vals, fy_vals = (p.copy() for p in planes(f))
+    g_vals = next(planes(g)).copy()
 
     if constant_f:
         # multipliers commute with constants identically
         lhs = 0.0
     else:
         js_fg = bessel_potential(forward_transform(big, f_vals * g_vals), s)
-        jsg_vals = next(_refined_planes(bessel_potential(g, s)))
+        jsg_vals = next(planes(bessel_potential(g, s)))
         f_jsg = forward_transform(big, f_vals * jsg_vals)
         lhs = l2_norm(SpectralField(big, js_fg.coeffs - f_jsg.coeffs))
 
@@ -238,12 +258,13 @@ def l1t_linf_estimate_check(trajectory, s1: float, s2: float) -> L1tLinfReport:
 
     grid = trajectory.config.grid
     big = Grid(2 * grid.nx, 2 * grid.ny)
+    planes = _RefinedPlanes(grid)
     mixed_max = 0.0
     source_norms = []
     for state in trajectory.states:
         mixed = bessel_potential(bessel_potential(state, s1, mode="x"), s2, mode="y")
         mixed_max = max(mixed_max, l2_norm(mixed))
-        vals = next(_refined_planes(state))
+        vals = next(planes(state))
         f_field = forward_transform(big, 0.5 * vals * vals)
         source_norms.append(l2_norm(bessel_potential(f_field, s1, mode="x")))
     source_l1 = float(np.trapezoid(np.array(source_norms), times))

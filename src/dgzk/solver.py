@@ -10,8 +10,10 @@ time integrator alone.
 Two steppers are provided: exponential time differencing (ETDRK4, the
 default) and a classical Runge-Kutta scheme in integrating-factor variables
 (IFRK4) used as an independent cross-check.  Every mode outside the
-Galerkin block (spectral._block) stays exactly zero, so both march the block,
-and `simulate` builds a full SpectralField only for the states it records.
+Galerkin block (spectral._block) stays exactly zero, so both march the block.
+`simulate` records each state as its block: Trajectory.states is a
+RecordedStates, which builds a full SpectralField only when an entry is
+read, and the records are taken from the blocks.
 """
 from __future__ import annotations
 
@@ -26,10 +28,12 @@ from .errors import DivergenceError, InsufficientDataError, InvalidInitialDataEr
 from .grid import Grid
 from .propagator import DispersionSymbol, _symbol_tables
 from .spectral import (
+    RecordedStates,
     SpectralField,
     _block,
     _block_coeffs,
     _block_dims,
+    _block_sq,
     _full_from_block,
     _half,
     _real_values,
@@ -100,7 +104,8 @@ class Trajectory:
     """Strided snapshots with diagnostics at the same recorded times."""
 
     times: np.ndarray
-    states: list
+    # a RecordedStates from simulate: Galerkin blocks read as full fields
+    states: Sequence
     diagnostics: list
     config: SimulationConfig
     # L2 deficit 2 * mu * integral of ||laplacian u||_{L2}^2, accumulated
@@ -292,8 +297,10 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     n_steps = _step_count(config.t_end, config.dt)
     dt = config.t_end / n_steps
 
+    dims = _block_dims(grid)
+    # the steppers turn the Galerkin block only, so its phases are the ones carried
     omega, _ = _symbol_tables(grid, config.symbol)
-    max_phase = float(np.max(np.abs(omega))) * dt
+    max_phase = float(np.max(np.abs(_block(omega, *dims)))) * dt
     if max_phase > PHASE_PER_STEP_LIMIT:
         warnings.warn(
             f"linear phase per step is {max_phase:.3g} radians; "
@@ -302,16 +309,14 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
         )
 
     stepper = _STEPPERS[config.integrator](grid, config.symbol, dt)
-    dims = _block_dims(grid)
 
     mu = config.symbol.mu
     if mu > 0:
         lap_w = _block(_laplacian_sq_weight(grid), *dims)
-        lap_w[:, 1:] *= 2.0       # columns n >= 1 stand for their conjugates at -n too
     four_pi_sq = (2.0 * np.pi) ** 2
 
     def lap_sq_norm(cc):
-        return four_pi_sq * float(np.sum(lap_w * np.abs(cc) ** 2))
+        return four_pi_sq * float(np.sum(lap_w * _block_sq(cc)))
 
     # the state is the Galerkin block: every other mode stays exactly zero
     c = _block(phi.coeffs, *dims)
@@ -319,7 +324,7 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     _check_guards(grid, dt, c, stepper.values, warned)
 
     rec_times = [0.0]
-    rec_states = [phi]
+    rec_blocks = []
     rec_diss = [0.0]
     diss_accum = 0.0
     prev_lap = lap_sq_norm(c) if mu > 0 else 0.0
@@ -334,14 +339,15 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             prev_lap = cur
         if i % config.record_every == 0 or i == n_steps:
             rec_times.append(config.t_end if i == n_steps else i * dt)
-            rec_states.append(SpectralField(grid, _full_from_block(c, grid)))
+            rec_blocks.append(c)
             rec_diss.append(diss_accum)
             _check_guards(grid, dt, c, stepper.values, warned)
 
     times = np.array(rec_times)
-    records = _diag.build_records(times, rec_states, config.symbol, config.h_s)
+    states = RecordedStates(phi, rec_blocks)
+    records = _diag.build_records(times, states, config.symbol, config.h_s)
     dissipation = 2.0 * mu * np.array(rec_diss) if mu > 0 else None
-    return Trajectory(times=times, states=rec_states, diagnostics=records,
+    return Trajectory(times=times, states=states, diagnostics=records,
                       config=config, dissipation=dissipation)
 
 

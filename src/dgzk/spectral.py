@@ -13,9 +13,11 @@ makes, go through the real transforms rfft2/irfft2 on the half spectrum
 n = 0 .. ny/2 (see _half); only grid_values and resample_values evaluate
 coefficients with no symmetry through the complex ifft2.  The solver's
 state is the Galerkin block of the half spectrum, the modes the two-thirds
-rule keeps (see _block).  Its pruned transforms _real_values_of_block and
+rule keeps (see _block), and a run keeps its recorded states as blocks
+(RecordedStates).  Its pruned transforms _real_values_of_block and
 _block_coeffs run the passes of irfft2 and rfft2 with the x pass on the
-block's columns only, so they give the same bits.  This module is the only
+block's columns only, so they give the same bits; the diagnostics planes
+(_RefinedPlanes) prune theirs the same way.  This module is the only
 one in the package that calls numpy.fft: every other module goes through
 the functions here.
 
@@ -24,6 +26,7 @@ factor: sobolev_norm(f, s) = (sum (1 + m^2 + n^2)^s |f_hat|^2)^{1/2}.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +148,38 @@ def _full_from_block(block: np.ndarray, grid: Grid) -> np.ndarray:
     return _full_spectrum(half, grid.ny)
 
 
+def _block_sq(block: np.ndarray) -> np.ndarray:
+    """|coefficient|^2 of a Galerkin block as terms of the full field's sums
+    of weights even in (m, n): columns n >= 1 count twice, once more for
+    their conjugates at -n."""
+    sq = np.abs(block) ** 2
+    sq[:, 1:] *= 2.0
+    return sq
+
+
+class RecordedStates(Sequence):
+    """Read-only sequence of a run's states, kept in the layout the solver
+    makes them: the first entry a SpectralField, each later one a Galerkin
+    block (see _block).  Reading an entry gives a SpectralField; for a block
+    its full field is built (_full_from_block) on every read.  `entries`
+    holds the stored entries themselves."""
+
+    def __init__(self, first: SpectralField, blocks: list):
+        self.grid = first.grid
+        self.entries = [first, *blocks]
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        entry = self.entries[i]
+        if isinstance(entry, SpectralField):
+            return entry
+        return SpectralField(self.grid, _full_from_block(entry, self.grid))
+
+
 def _real_values_of_block(block: np.ndarray, buf: np.ndarray, half: np.ndarray,
                           out: np.ndarray) -> np.ndarray:
     """_real_values, into out (nx, ny), of a Galerkin block, with the same bits:
@@ -194,17 +229,46 @@ def _conj_reflect(c: np.ndarray) -> np.ndarray:
     return np.conj(np.roll(np.flip(c), 1, axis=(0, 1)))
 
 
+def _hermitian_gap(c: np.ndarray) -> float:
+    """max |c[m, n] - conj(c[-m, -n])| over an array in FFT layout, read on
+    its half spectrum (see _half): the conjugate reflection is written by
+    slices into one buffer (columns 0, ny - 1 .. ny - h + 1 of rows 0,
+    nx - 1 .. 1), which then takes the difference.  The gap at (-m, -n) has
+    the modulus of the gap at (m, n), so the half gives the maximum over the
+    whole array."""
+    nx, ny = c.shape
+    h = ny // 2 + 1
+    gap = np.empty((nx, h), dtype=c.dtype)
+    for dst, src in ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(nx - 1, 0, -1))):
+        np.conjugate(c[src, :1], out=gap[dst, :1])
+        np.conjugate(c[src, ny - 1:ny - h:-1], out=gap[dst, 1:])
+    np.subtract(c[:, :h], gap, out=gap)
+    return float(np.max(np.abs(gap)))
+
+
+def _relative_gap(gap: float, c: np.ndarray) -> float:
+    scale = np.max(np.abs(c))
+    return 0.0 if scale == 0.0 else float(gap / scale)
+
+
 def hermitian_defect(field: SpectralField) -> float:
     """Relative departure from f_hat(-m, -n) = conj(f_hat(m, n))."""
-    c = field.coeffs
-    defect = np.max(np.abs(c - _conj_reflect(c)))
-    scale = np.max(np.abs(c))
-    return 0.0 if scale == 0.0 else float(defect / scale)
+    return _relative_gap(_hermitian_gap(field.coeffs), field.coeffs)
 
 
-def _require_real(field: SpectralField, error=SymmetryViolationError) -> None:
-    """Raise error unless field holds the coefficients of a real function."""
-    defect = hermitian_defect(field)
+def _block_hermitian_defect(block: np.ndarray) -> float:
+    """hermitian_defect of the full field of a Galerkin block (see
+    _full_from_block), read on the block: its columns n >= 1 get their
+    conjugates by construction, so only column 0 can break the symmetry,
+    and the block holds its rows m and -m at i and -i mod 2K + 1."""
+    return _relative_gap(_hermitian_gap(block[:, :1]), block)
+
+
+def _require_real(state, error=SymmetryViolationError) -> None:
+    """Raise error unless state, a SpectralField or a Galerkin block (see
+    _block), holds the coefficients of a real function."""
+    defect = (hermitian_defect(state) if isinstance(state, SpectralField)
+              else _block_hermitian_defect(state))
     if defect > HERMITIAN_TOL:
         raise error(
             f"conjugate-symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}; "
@@ -388,21 +452,52 @@ def resample_values(field: SpectralField, factor: int) -> np.ndarray:
     return grid_values(embed_in_grid(field, big))
 
 
-def _refined_planes(field: SpectralField):
-    """Real point values of u, then u_x, then u_y on the 2x grid, one plane
-    per step of the iteration (derivatives as `derivative` takes them).
+class _RefinedPlanes:
+    """Real point values of u, then u_x, then u_y on the 2x grid (derivatives
+    as `derivative` takes them), for real states of one grid: SpectralFields
+    and Galerkin blocks (see _block).  Calling it on a state checks that the
+    state is real (SymmetryViolationError otherwise) and iterates over the
+    three planes.
 
-    The field must be real (SymmetryViolationError otherwise).  It is padded
-    by slices into one preallocated half spectrum of the 2x grid, reused for
-    all three planes, and each plane comes from the real inverse transform.
+    The buffers are made once and reused for every state: the padded data
+    columns of the 2x grid, the padded half spectrum of the 2x grid and one
+    plane, which each plane overwrites.  A field is padded by slices from its
+    half spectrum, a block by its rows.  The x pass runs on the data columns
+    only (ny/2 + 1 of a field, the kc of a block) through
+    _real_values_on_columns, so each plane has the bits of irfft2 of the
+    padded half spectrum.
     """
-    _require_real(field)
-    g = field.grid
-    multipliers = (1.0, _derivative_multiplier(g, "x"), _derivative_multiplier(g, "y"))
-    nx, ny = 2 * g.nx, 2 * g.ny
-    plan_x = _embed_plan(g.nx, nx)
-    plan_y = _clip_plan(_embed_plan(g.ny, ny), ny // 2 + 1)
-    half = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
-    for mult in multipliers:
-        _pad_into(half, field.coeffs * mult, plan_x, plan_y)
-        yield _real_values(half, ny)
+
+    def __init__(self, grid: Grid):
+        nx, ny = 2 * grid.nx, 2 * grid.ny
+        h = grid.ny // 2 + 1
+        dx, dy = (_derivative_multiplier(grid, axis) for axis in "xy")
+        dims = _block_dims(grid)
+        self.field_mults = (1.0, dx, dy[:, :h])
+        self.block_mults = (1.0, *(_block(np.broadcast_to(d, grid.shape), *dims)
+                                   for d in (dx, dy)))
+        self.plan_x = _embed_plan(grid.nx, nx)
+        self.plan_y = _clip_plan(_embed_plan(grid.ny, ny), h)
+        self.cols = np.zeros((nx, h), dtype=np.complex128)
+        self.half = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
+        self.out = np.empty((nx, ny))
+        # data columns the buffers were last filled on; both are zero beyond them
+        self.width = 0
+
+    def __call__(self, state):
+        _require_real(state)
+        field = isinstance(state, SpectralField)
+        data = state.coeffs[:, :self.cols.shape[1]] if field else state
+        width = data.shape[1]
+        if width != self.width:
+            # rows and columns the other layout filled and this one does not
+            self.cols[:] = 0.0
+            self.half[:] = 0.0
+            self.width = width
+        cols = self.cols[:, :width]
+        for mult in self.field_mults if field else self.block_mults:
+            if field:
+                _pad_into(cols, data * mult, self.plan_x, self.plan_y)
+            else:
+                _scatter_block(data * mult, cols)
+            yield _real_values_on_columns(cols, slice(0, width), self.half, self.out)

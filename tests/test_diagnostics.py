@@ -27,9 +27,11 @@ from dgzk import (
 )
 from dgzk.diagnostics import FOUR_PI_SQ, build_records, L1tLinfReport
 from dgzk.errors import InsufficientDataError
-from dgzk.spectral import derivative, embed_in_grid, grid_values
+from dgzk.spectral import (RecordedStates, _RefinedPlanes, _block, _block_dims, _half,
+                           _real_values, dealias, derivative, embed_in_grid, grid_values,
+                           project_mean_zero_x)
 
-from fieldgen import _record_fft_calls, band_field, real_field
+from fieldgen import _record_fft_calls, band_field, cos_x, real_field
 
 SYM = DispersionSymbol(1, 1.0)
 
@@ -152,14 +154,23 @@ def test_non_real_fields_raise_symmetry_violation():
         commutator_check(f, f, 2.0)
 
 
-def test_a_record_takes_three_real_transforms_on_the_doubled_grid(monkeypatch):
+def test_a_record_runs_its_x_passes_on_the_data_columns_only(monkeypatch):
+    """Each plane of a record is one x pass (ifft) along the 2nx rows of the
+    2x grid on the state's data columns, ny/2 + 1 for the initial field and
+    kc for a recorded Galerkin block, then one irfft along y."""
     g = Grid(32, 32)
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=5e-3, t_end=0.01, record_every=1)
     traj = simulate(cfg, initial_data(g, "random-band", seed=3))
     assert len(traj.states) == 3
+    _, kc = _block_dims(g)
+    widths = [g.ny // 2 + 1] + [kc] * (len(traj.states) - 1)
     calls = _record_fft_calls(monkeypatch)
     build_records(traj.times, traj.states, SYM)
-    assert calls == [("irfft2", (64, 64))] * (3 * len(traj.states))
+    x_passes = [(name, shape) for name, shape in calls if name != "irfft"]
+    assert len(x_passes) == 3 * len(widths)
+    for (name, shape), width in zip(x_passes, np.repeat(widths, 3)):
+        assert name == "ifft" and np.prod(shape) <= width * 2 * g.nx
+    assert [c for c in calls if c[0] == "irfft"] == [("irfft", (64, 64))] * (3 * len(widths))
 
 
 def test_real_fields_take_only_real_transforms(monkeypatch, rng):
@@ -168,11 +179,60 @@ def test_real_fields_take_only_real_transforms(monkeypatch, rng):
     h = band_field(g, 8, rng, mean_zero_x=False)
     calls = _record_fft_calls(monkeypatch)
     commutator_check(f, h, 1.5)
-    # u, u_x, u_y of f, then g and J^s g; the products fg and f J^s g
-    assert sorted(calls) == [("irfft2", (64, 64))] * 5 + [("rfft2", (64, 33))] * 2
+    # u, u_x, u_y of f, then g and J^s g, each the two passes of irfft2 with
+    # the x pass on the 17 data columns; the products fg and f J^s g
+    assert sorted(calls) == sorted([("ifft", (64, 17)), ("irfft", (64, 64))] * 5
+                                   + [("rfft2", (64, 33))] * 2)
     calls.clear()
     forward_transform(g, inverse_transform(f))
     assert calls == [("irfft2", (32, 32)), ("rfft2", (32, 17))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=_EVEN, ny=_EVEN, seed=st.integers(0, 2**32 - 1))
+def test_refined_planes_have_the_bits_of_irfft2_in_either_layout(nx, ny, seed):
+    """One evaluator, fed a block, a field, then a block again (each switch
+    of layout leaves stale data in its buffers), gives every plane with the
+    bits of irfft2 of the padded half spectrum."""
+    rng = np.random.default_rng(seed)
+    g = Grid(nx, ny)
+    big = Grid(2 * nx, 2 * ny)
+    dims = _block_dims(g)
+    block_field = dealias(project_mean_zero_x(band_field(g, min(nx, ny) // 3, rng)))
+    block = _block(block_field.coeffs, *dims)
+    field = real_field(g, rng)
+    planes = _RefinedPlanes(g)
+    for state, f in ((block, block_field), (field, field), (block, block_field)):
+        want = [_real_values(_half(embed_in_grid(h, big).coeffs), big.ny)
+                for h in (f, derivative(f, "x"), derivative(f, "y"))]
+        got = [p.copy() for p in planes(state)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_block_records_match_records_of_their_full_fields():
+    """simulate records its states as Galerkin blocks; the records of the
+    same states read as plain SpectralFields agree: sups and g_accum
+    exactly, mass, energy and the H^s norms to 1e-15 relative."""
+    g = Grid(48, 40)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=2e-3, t_end=0.02, record_every=3,
+                           h_s=(1.0, 2.5))
+    traj = simulate(cfg, initial_data(g, "random-band", amplitude=0.5, seed=4))
+    plain = build_records(traj.times, list(traj.states), SYM, cfg.h_s)
+    close = lambda got, want: abs(got - want) <= 1e-15 * abs(want)
+    for got, want in zip(traj.diagnostics, plain):
+        assert (got.sup_u, got.sup_ux, got.sup_uy, got.g_accum) == (
+            want.sup_u, want.sup_ux, want.sup_uy, want.g_accum)
+        assert close(got.mass, want.mass) and close(got.energy, want.energy)
+        assert all(close(got.h_s_norms[s], want.h_s_norms[s]) for s in cfg.h_s)
+
+
+def test_a_block_record_keeps_the_realness_check():
+    g = Grid(16, 16)
+    block = _block(dealias(cos_x(g)).coeffs, *_block_dims(g))
+    block[1, 0] += 1e-6  # m = 1 no longer conjugate to m = -1 in column 0
+    states = RecordedStates(cos_x(g), [block])
+    with pytest.raises(SymmetryViolationError):
+        build_records(np.array([0.0, 0.1]), states, SYM)
 
 
 def test_commutator_two_mode_closed_form():

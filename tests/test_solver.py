@@ -1,5 +1,6 @@
 """Stepper correctness, conservation, regularized family, convergence studies."""
 import ast
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -312,11 +313,85 @@ def test_cfl_warning():
 
 
 def test_phase_magnitude_warning():
+    # the largest phase in the Galerkin block is 1.23e6 rad per step
     g = Grid(64, 64)
     sym = DispersionSymbol(3, 1.0)
-    cfg = SimulationConfig(grid=g, symbol=sym, dt=0.1, t_end=0.1)
+    cfg = SimulationConfig(grid=g, symbol=sym, dt=0.3, t_end=0.3)
     with pytest.warns(RuntimeWarning, match="phase per step"):
         simulate(cfg, zero_field(g))
+
+
+def test_phase_guard_reads_the_galerkin_block_only():
+    """The grid's largest phase is 2.87e6 rad per step, but no carried mode
+    turns more than 4.09e5, below PHASE_PER_STEP_LIMIT."""
+    g = Grid(64, 64)
+    cfg = SimulationConfig(grid=g, symbol=DispersionSymbol(3, 1.0), dt=0.1, t_end=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate(cfg, zero_field(g))
+
+
+def test_recorded_states_read_as_full_fields():
+    g = Grid(32, 24)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=5e-3, t_end=0.05, record_every=2)
+    phi = initial_data(g, "random-band", seed=5)
+    traj = simulate(cfg, phi)
+    states = traj.states
+    n = len(traj.times)
+    assert len(states) == n == 6
+    # the first entry is the dealiased input, every later one a Galerkin block
+    assert np.array_equal(states[0].coeffs, dealias(project_mean_zero_x(phi)).coeffs)
+    blocks = states.entries[1:]
+    assert all(b.shape == (2 * (g.nx // 3) + 1, g.ny // 3 + 1) for b in blocks)
+    fulls = [_full_from_block(b, g) for b in blocks]
+    listed = list(states)
+    assert len(listed) == n and all(s.grid == g for s in listed)
+    assert all(np.array_equal(s.coeffs, f) for s, f in zip(listed[1:], fulls))
+    for i in (-1, n - 1):
+        assert np.array_equal(states[i].coeffs, fulls[-1])
+    assert np.array_equal(traj.final_state.coeffs, fulls[-1])
+    assert np.array_equal(states[-n].coeffs, states[0].coeffs)
+    picked = states[1:5:2]
+    assert len(picked) == 2
+    assert all(np.array_equal(s.coeffs, f) for s, f in zip(picked, fulls[0:4:2]))
+    assert len(states[::-1]) == n
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            states[bad]
+
+
+def test_simulate_builds_records_once_with_every_state(monkeypatch):
+    """The bench tracer times records by wrapping diagnostics.build_records,
+    which simulate must call, through the module attribute, once per run."""
+    calls = []
+    original = dgzk.diagnostics.build_records
+
+    def counting(times, states, *args, **kwargs):
+        calls.append((len(times), len(states)))
+        return original(times, states, *args, **kwargs)
+
+    monkeypatch.setattr(dgzk.diagnostics, "build_records", counting)
+    g = Grid(16, 16)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=0.01, t_end=0.1, record_every=3)
+    traj = simulate(cfg, initial_data(g, "cos-x", amplitude=0.1))
+    assert calls == [(len(traj.times), len(traj.times))]
+
+
+def test_recorded_states_stay_block_sized():
+    """A 64^2 run of 200 records peaks below half of the 201 full states
+    it would take to keep them as SpectralFields."""
+    g = Grid(64, 64)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=1e-4, t_end=0.02, record_every=1)
+    phi = initial_data(g, "random-band", amplitude=0.5, seed=1)
+    full_states = 201 * g.nx * g.ny * 16
+    tracemalloc.start()
+    try:
+        traj = simulate(cfg, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 201
+    assert peak < full_states / 2
 
 
 def test_quick_conservation():

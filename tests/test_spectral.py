@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dgzk
@@ -37,8 +37,9 @@ from dgzk import (
     zero_field,
 )
 from dgzk.errors import SymmetryViolationError
-from dgzk.spectral import (_block, _block_coeffs, _block_dims, _full_from_block, _full_spectrum,
-                           _half, _real_coeffs, _real_values, _real_values_of_block,
+from dgzk.spectral import (_block, _block_coeffs, _block_dims, _block_hermitian_defect,
+                           _full_from_block, _full_spectrum, _half, _hermitian_gap,
+                           _real_coeffs, _real_values, _real_values_of_block,
                            _real_values_on_columns, _values)
 
 from fieldgen import band_field, cos_x, real_field
@@ -99,6 +100,52 @@ def test_constant_and_single_mode_coefficients():
     assert abs(c.coeffs[g.index_of(1, "x"), 0] - 0.5) <= 1e-14
     assert abs(c.coeffs[g.index_of(-1, "x"), 0] - 0.5) <= 1e-14
     assert np.isclose(l2_norm(c), np.sqrt(2 * np.pi**2), rtol=1e-12)
+
+
+def _roll_flip_gap(c):
+    """max |c - conj(c[-m, -n])| by the original formula: roll and flip of
+    the whole array."""
+    return np.max(np.abs(c - np.conj(np.roll(np.flip(c), 1, axis=(0, 1)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nx=st.integers(1, 40), ny=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       perturb=st.booleans())
+@example(nx=16, ny=24, seed=0, perturb=True)
+@example(nx=16, ny=24, seed=0, perturb=False)
+@example(nx=9, ny=15, seed=0, perturb=True)
+@example(nx=9, ny=15, seed=0, perturb=False)
+def test_hermitian_defect_equals_the_roll_flip_formula(nx, ny, seed, perturb):
+    """The half-spectrum gap is == the gap of the roll/flip formula, on even
+    and odd shapes, Hermitian or perturbed; so is the relative defect."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+    c = 0.5 * (z + np.conj(np.roll(np.flip(z), 1, axis=(0, 1))))
+    if perturb:
+        c[rng.integers(nx), rng.integers(ny)] += rng.standard_normal() * 10.0 ** rng.integers(-9, 1)
+    assert _hermitian_gap(c) == _roll_flip_gap(c)
+    if nx % 2 == ny % 2 == 0 and min(nx, ny) >= 8:
+        old = float(_roll_flip_gap(c) / np.max(np.abs(c)))
+        assert hermitian_defect(SpectralField(Grid(nx, ny), c)) == old
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(4, 24).map(lambda k: 2 * k), ny=st.integers(4, 24).map(lambda k: 2 * k),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_defect_is_the_defect_of_its_full_field(nx, ny, seed):
+    """Only column 0 of a Galerkin block can break the symmetry of its full
+    field, and the defect read on the block is == the full field's."""
+    rng = np.random.default_rng(seed)
+    g = Grid(nx, ny)
+    K, kc = _block_dims(g)
+    block = rng.standard_normal((2 * K + 1, kc)) + 1j * rng.standard_normal((2 * K + 1, kc))
+    block[0, 0] = block[0, 0].real
+    block[K + 1:, 0] = np.conj(block[K:0:-1, 0])    # column 0 Hermitian: m and -m
+    full = SpectralField(g, _full_from_block(block, g))
+    assert _block_hermitian_defect(block) == hermitian_defect(full) == 0.0
+    block[rng.integers(2 * K + 1), 0] += 1e-7 * rng.standard_normal()
+    full = SpectralField(g, _full_from_block(block, g))
+    assert _block_hermitian_defect(block) == hermitian_defect(full)
 
 
 def test_hermitian_defect_and_symmetry_gate(rng):
