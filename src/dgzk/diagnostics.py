@@ -34,7 +34,10 @@ from .spectral import (
     _block,
     _block_dims,
     _block_sq,
+    _half,
+    _real_coeffs,
     _sobolev_weight,
+    _sup,
     _weighted_norm,
     bessel_potential,
     forward_transform,
@@ -109,10 +112,6 @@ def energy(field: SpectralField, symbol: DispersionSymbol) -> float:
     return quad - cubic_integral(field) / 6.0
 
 
-def _sup(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values)))
-
-
 def sup_norm_diagnostics(field: SpectralField) -> Tuple[float, float, float]:
     """(max|u|, max|u_x|, max|u_y|) on the 2x interpolated grid, the
     refinement every diagnostics record uses."""
@@ -183,8 +182,10 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     lhs = ||J^s(fg) - f J^s g||_{L2}
     rhs = ||J^s f|| * ||g||_inf + (||f||_inf + ||grad f||_inf) * ||J^{s-1} g||
 
-    Products are formed on a doubled grid, exact for band-limited inputs.
-    Fields must be real (SymmetryViolationError otherwise).
+    Products are formed on a doubled grid, exact for band-limited inputs,
+    and the difference on its half spectrum, whose columns 1 .. ny - 1 count
+    twice in the norm (for their conjugates).  Fields must be real
+    (SymmetryViolationError otherwise).
     """
     if not (math.isfinite(s) and s >= 1):
         raise ValueError(f"s must be finite and >= 1, got {s}")
@@ -194,26 +195,33 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
 
     constant_f = not np.any(f.coeffs.flat[1:])  # f_hat vanishes off (0, 0)
 
-    big = Grid(2 * grid.nx, 2 * grid.ny)
     planes = _RefinedPlanes(grid)
-    # each plane overwrites the last, so the ones kept are copied
-    f_vals, fx_vals, fy_vals = (p.copy() for p in planes(f))
-    g_vals = next(planes(g)).copy()
+    # each plane overwrites the last, so f is copied for the products
+    f_planes = planes(f)
+    f_vals = next(f_planes).copy()
+    grad_sq = np.square(next(f_planes))
+    grad_sq += np.square(next(f_planes))
+    grad_inf = math.sqrt(float(grad_sq.max()))  # max |grad f|, no hypot per point
+    g_vals = next(planes(g))
+    sup_g = _sup(g_vals)
+    base = 1.0 + grid.kx2d**2 + grid.ky2d**2  # 1 + |k|^2, for J^s and J^{s-1}
+    js = base ** (s / 2.0)
 
     if constant_f:
         # multipliers commute with constants identically
         lhs = 0.0
     else:
-        js_fg = bessel_potential(forward_transform(big, f_vals * g_vals), s)
-        jsg_vals = next(planes(bessel_potential(g, s)))
-        f_jsg = forward_transform(big, f_vals * jsg_vals)
-        lhs = l2_norm(SpectralField(big, js_fg.coeffs - f_jsg.coeffs))
+        big = Grid(2 * grid.nx, 2 * grid.ny)
+        diff = _real_coeffs(f_vals * g_vals)
+        diff *= (1.0 + big.kx2d**2 + _half(big.ky2d)**2) ** (s / 2.0)
+        diff -= _real_coeffs(f_vals * next(planes(SpectralField(grid, g.coeffs * js))))
+        sq = np.abs(diff) ** 2
+        sq[:, 1:-1] *= 2.0
+        lhs = 2.0 * np.pi * math.sqrt(float(np.sum(sq)))
 
-    grad_inf = float(np.max(np.hypot(fx_vals, fy_vals)))
-    rhs = (
-        l2_norm(bessel_potential(f, s)) * float(np.max(np.abs(g_vals)))
-        + (float(np.max(np.abs(f_vals))) + grad_inf) * l2_norm(bessel_potential(g, s - 1.0))
-    )
+    rhs = (l2_norm(SpectralField(grid, f.coeffs * js)) * sup_g
+           + (_sup(f_vals) + grad_inf)
+           * l2_norm(SpectralField(grid, g.coeffs * base ** ((s - 1.0) / 2.0))))
     return lhs, rhs
 
 

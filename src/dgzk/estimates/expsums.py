@@ -10,6 +10,9 @@ is
 dirichlet_approx produces such approximations with denominator q <= Lambda
 and error at most 1/(Lambda q); weyl_scan draws random instances, pairs each
 with its approximation, and records the ratio |S| / bound.
+The scan takes the sums of one N for a chunk of trials in one array pass
+(_weyl_sums), with the bits of one weyl_sum per instance; its memory is set
+by the chunk, not by the trial count.
 """
 from __future__ import annotations
 
@@ -28,6 +31,11 @@ __all__ = [
     "weyl_bound",
     "weyl_scan",
 ]
+
+# weyl_scan refuses more terms than this, trials * sum(N), before any draw;
+# the default `weyl-scan` takes 1.3e5, and at the ceiling a scan takes minutes
+MAX_WEYL_WORK = 1e9
+_CHUNK_POINTS = 2 ** 16  # trials x N per array pass of weyl_scan
 
 
 @dataclass(frozen=True)
@@ -48,13 +56,23 @@ class WeylInstance:
         return len(self.coeffs) - 1
 
 
+def _weyl_sums(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
+    """S of each row of coeffs (B, d + 1), lowest coefficient first: Horner
+    in place in np.polyval's order, and h - floor(h), which is np.mod(h, 1.0)
+    for finite h."""
+    m = np.arange(1, n_terms + 1, dtype=float)
+    h = np.empty((coeffs.shape[0], n_terms))
+    h[:] = coeffs[:, -1:]
+    for c in coeffs[:, -2::-1].T:
+        h *= m
+        h += c[:, None]
+    h -= np.floor(h)
+    return np.sum(np.exp(2j * np.pi * h), axis=1)
+
+
 def weyl_sum(instance: WeylInstance) -> complex:
     """S = sum_{m=1}^{N} e^{2 pi i h(m)}."""
-    m = np.arange(1, instance.n_terms + 1, dtype=float)
-    # Horner evaluation, highest coefficient first
-    h = np.polyval(list(reversed(instance.coeffs)), m)
-    terms = np.exp(2j * np.pi * np.mod(h, 1.0))
-    return complex(np.sum(terms))
+    return complex(_weyl_sums(np.array([instance.coeffs], dtype=float), instance.n_terms)[0])
 
 
 @dataclass(frozen=True)
@@ -118,30 +136,41 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
 
     The leading coefficient is approximated by a/q with denominator cap
     Lambda = N, which keeps |omega_d - a/q| <= 1/(Nq) <= 1/q^2 as the bound
-    requires.
+    requires.  Above MAX_WEYL_WORK terms it raises ValueError.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
+    sizes = [int(n) for n in n_values]
+    if sizes and min(sizes) < 1:
+        raise ValueError(f"n_terms must be >= 1, got {min(sizes)}")
+    work = trials * sum(sizes)
+    if work > MAX_WEYL_WORK:
+        raise ValueError(
+            f"weyl scan of trials * sum(N) = {work:.3g} terms exceeds the ceiling "
+            f"MAX_WEYL_WORK = {MAX_WEYL_WORK:.0e}; use fewer trials or smaller N")
     rows = []
     max_ratio = 0.0
     dirichlet_ok = True
-    for n in n_values:
-        lam = int(n)
-        for trial in range(trials):
+    for n in sizes:
+        chunk = max(1, _CHUNK_POINTS // n)
+        for first in range(0, trials, chunk):
+            block = range(first, min(first + chunk, trials))
             # keyed per (N, trial) so results do not depend on loop order
-            rng = np.random.default_rng([seed, int(n), trial])
-            coeffs = tuple(rng.uniform(0.0, 1.0, size=degree + 1))
-            approx = dirichlet_approx(coeffs[-1], lam)
-            # |r - a/q| <= 1/(lam q) in exact arithmetic; floats misjudge it from lam ~ 2^25
-            num, den = float(coeffs[-1]).as_integer_ratio()
-            if abs(num * approx.q - approx.a * den) * lam > den:
-                dirichlet_ok = False
-            s = abs(weyl_sum(WeylInstance(coeffs=coeffs, n_terms=int(n))))
-            bound = weyl_bound(int(n), approx.q, degree, delta)
-            ratio = s / bound
-            max_ratio = max(max_ratio, ratio)
-            rows.append((int(n), trial, approx.q, s, bound, ratio))
+            coeffs = np.array([np.random.default_rng([seed, n, trial]).uniform(
+                0.0, 1.0, size=degree + 1) for trial in block])
+            sums = _weyl_sums(coeffs, n).tolist()
+            for trial, lead, total in zip(block, coeffs[:, -1].tolist(), sums):
+                approx = dirichlet_approx(lead, n)
+                # |r - a/q| <= 1/(N q) in exact arithmetic; floats misjudge it from N ~ 2^25
+                num, den = lead.as_integer_ratio()
+                if abs(num * approx.q - approx.a * den) * n > den:
+                    dirichlet_ok = False
+                s = abs(total)  # Python's abs: np.abs can differ in the last bit
+                bound = weyl_bound(n, approx.q, degree, delta)
+                ratio = s / bound
+                max_ratio = max(max_ratio, ratio)
+                rows.append((n, trial, approx.q, s, bound, ratio))
     return WeylScanReport(degree=degree, delta=delta, seed=seed, rows=rows,
                           max_ratio=max_ratio, dirichlet_ok=dirichlet_ok)

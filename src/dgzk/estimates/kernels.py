@@ -8,7 +8,11 @@ The kernel attached to the shell pair (j, k) is the lattice sum
 
 with chi_j,k the indicator of |t| <= 2^{-(j+k)}.  It is real (imaginary
 part exactly 0): psi1 is even and the phase odd under (m, n) -> (-m, -n),
-so kernel_sum sums the quarter m, n > 0.  The windowed variant restricts
+so kernel_sum sums the quarter m, n > 0.  Its m are consecutive, so the
+phase e^{i sd m p_n} (sd = sign (t - t'), p_n = n^{1+beta}) of row
+m = m0 + r factors into e^{i sd m0 p_n} e^{i sd r p_n}: in blocks of
+_ROW_BLOCK rows that takes (|m| / _ROW_BLOCK + _ROW_BLOCK) |n| exponentials
+instead of |m| |n|.  The windowed variant restricts
 to |t - t'| in (2^{-l}, 2 * 2^{-l}] for an integer l >= j + k;
 kernel_decay_scan samples admissible windows and fits the observed decay
 of max |K| * 2^{-l} in j and k.
@@ -36,6 +40,10 @@ TWO_PI = 2.0 * np.pi
 
 # cost guard: the full double sum has about 2^{j+k+6} terms
 MAX_LATTICE_COST = 2 ** 20
+
+_ROW_BLOCK = 16
+# block-start table entries per pass: a kernel_sum's temporaries stay ~1 MB
+_CHUNK_ENTRIES = 2 ** 14
 
 # widening of the sampled l-window above its admissible floor j+k.  The
 # decay estimate is sharp near l = j+k, where |t-t'| is comparable to the
@@ -83,7 +91,8 @@ def _shell_support(shell: int) -> np.ndarray:
 
 def kernel_sum(query: KernelQuery) -> complex:
     """Direct evaluation of the kernel lattice sum at one space-time point:
-    n and -n pair into 2 cos(n y), then (m, n) and (-m, -n) into 2 Re."""
+    n and -n pair into 2 cos(n y), then (m, n) and (-m, -n) into 2 Re, and
+    the phase factors over row blocks (see the module docstring)."""
     j, k, symbol = query.j, query.k, query.symbol
     if max(abs(query.t), abs(query.t_prime)) > 2.0 ** (-(j + k)):
         return 0.0 + 0.0j
@@ -97,13 +106,20 @@ def kernel_sum(query: KernelQuery) -> complex:
     vec_m = psi1(m / 2.0 ** j) ** 2 * np.exp(1j * (m * query.x + mpow * delta))
     vec_n = 2.0 * psi1(n / 2.0 ** k) ** 2 * np.cos(n * query.y)
 
+    # row m[0] + R b + r is row r of block b, R = _ROW_BLOCK
+    phase = 1j * (symbol.sign * delta)
+    n_blocks = -(-m.size // _ROW_BLOCK)
+    starts = m[0] + _ROW_BLOCK * np.arange(n_blocks, dtype=float)
+    offsets = np.exp(phase * np.outer(np.arange(_ROW_BLOCK, dtype=float), npow))
+    weights = np.pad(vec_m, (0, n_blocks * _ROW_BLOCK - m.size)).reshape(n_blocks, -1)
     total = 0.0 + 0.0j
-    # chunk the m-rows so the (m, n) phase matrix stays modest
-    chunk = max(1, MAX_LATTICE_COST // max(1, n.size))
-    for start in range(0, m.size, chunk):
-        sl = slice(start, start + chunk)
-        inner = np.exp(1j * (symbol.sign * delta) * np.outer(m[sl], npow)) @ vec_n
-        total += vec_m[sl] @ inner
+    chunk = max(1, _CHUNK_ENTRIES // n.size)
+    for first in range(0, n_blocks, chunk):
+        sl = slice(first, first + chunk)
+        heads = np.exp(phase * np.outer(starts[sl], npow))
+        heads *= vec_n
+        # entry (b, r) of the product: the sum over n of row r of block b
+        total += np.sum(weights[sl] * (heads @ offsets.T))
     return complex(2.0 * total.real)
 
 

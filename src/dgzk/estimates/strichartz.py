@@ -17,7 +17,7 @@ from ..grid import Grid
 from ..presets import _random_real
 from ..propagator import DispersionSymbol, _symbol_tables
 from ..spectral import (SpectralField, _half, _real_values_on_columns, _require_real,
-                        l2_norm, shell_indices)
+                        _sup, l2_norm, shell_indices)
 from ._shellscan import shell_scan
 
 __all__ = [
@@ -44,10 +44,11 @@ def shell_field(grid: Grid, j: int, k: int, rng) -> SpectralField:
         raise ValueError(f"x-shell index must be >= 1, got {j}")
     if k < 0:
         raise ValueError(f"y-shell index must be >= 0, got {k}")
-    mask = (shell_indices(grid.kx)[:, None] == j) & (shell_indices(grid.ky)[None, :] == k)
-    if not mask.any():
+    rows = np.flatnonzero(shell_indices(grid.kx) == j)
+    cols = np.flatnonzero(shell_indices(grid.ky) == k)
+    if not (rows.size and cols.size):
         raise ValueError(f"grid {grid.nx}x{grid.ny} does not contain shell ({j}, {k})")
-    field = _random_real(grid, mask, rng)
+    field = _random_real(grid, rows, cols, rng)
     norm = l2_norm(field)
     if norm == 0.0:
         raise ValueError("degenerate draw: all shell coefficients vanished")
@@ -84,7 +85,7 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     sups = np.empty(n_times)
     for i in range(n_times):
         _real_values_on_columns(cur, cols, buf, vals)
-        sups[i] = np.maximum(vals.max(), -vals.min())  # max |vals|, no |.| array
+        sups[i] = _sup(vals)
         cur = cur * step
     return float(np.sqrt(np.trapezoid(sups ** 2, times)))
 

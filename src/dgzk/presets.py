@@ -11,7 +11,6 @@ import numpy as np
 from .grid import Grid
 from .spectral import (
     SpectralField,
-    _conj_reflect,
     field_from_modes,
     forward_transform,
     inverse_transform,
@@ -38,12 +37,18 @@ def _gaussian_bell(grid: Grid, width: float) -> np.ndarray:
     return vals
 
 
-def _random_real(grid: Grid, mask: np.ndarray, rng) -> SpectralField:
-    """Random real-valued field supported on mask, which must be closed under
-    (m, n) -> (-m, -n): iid complex Gaussians, Hermitian-symmetrized."""
-    z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    z = np.where(mask, z, 0.0)
-    return SpectralField(grid=grid, coeffs=0.5 * (z + _conj_reflect(z)))
+def _random_real(grid: Grid, rows: np.ndarray, cols: np.ndarray, rng) -> SpectralField:
+    """Random real-valued field on the block rows x cols, index sets closed
+    under i -> -i: iid complex Gaussians, Hermitian-symmetrized on the block.
+    The draws cover the whole grid, so the stream does not depend on it."""
+    re = rng.standard_normal(grid.shape)
+    im = rng.standard_normal(grid.shape)
+    block = np.ix_(rows, cols)
+    mirror = np.ix_(-rows % grid.nx, -cols % grid.ny)
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    coeffs[block] = 0.5 * ((re[block] + 1j * im[block])
+                           + np.conj(re[mirror] + 1j * im[mirror]))
+    return SpectralField(grid=grid, coeffs=coeffs)
 
 
 def random_band_field(grid: Grid, band: int, rng, mean_zero_x: bool = True) -> SpectralField:
@@ -59,10 +64,10 @@ def random_band_field(grid: Grid, band: int, rng, mean_zero_x: bool = True) -> S
         raise ValueError(
             f"band must lie in [1, {max(grid.nx, grid.ny) // 2}] on a "
             f"{grid.nx}x{grid.ny} grid, got {band}")
-    keep = (np.abs(grid.kx2d) <= band) & (np.abs(grid.ky2d) <= band)
+    rows = np.abs(grid.kx) <= band
     if mean_zero_x:
-        keep &= np.abs(grid.kx2d) >= 1
-    return _random_real(grid, keep, rng)
+        rows &= grid.kx != 0
+    return _random_real(grid, np.flatnonzero(rows), np.flatnonzero(np.abs(grid.ky) <= band), rng)
 
 
 def _scale_to_peak(field: SpectralField, amplitude: float) -> SpectralField:

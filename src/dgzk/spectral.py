@@ -119,6 +119,11 @@ def _real_values_on_columns(data: np.ndarray, cols: np.ndarray, buf: np.ndarray,
     return np.fft.irfft(buf, n=out.shape[1], axis=1, norm="forward", out=out)
 
 
+def _sup(values: np.ndarray) -> float:
+    """max |values| of a real array, as max(max, -min): no |.| array."""
+    return float(np.maximum(values.max(), -values.min()))
+
+
 def _block_dims(grid: Grid) -> tuple[int, int]:
     """(K, kc) of the Galerkin block: the two-thirds rule keeps |m| <= K = nx//3
     and n = 0 .. kc - 1 = ny//3 of the half spectrum."""
@@ -222,11 +227,6 @@ def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralField:
 def grid_values(field: SpectralField) -> np.ndarray:
     """Complex point values; no symmetry requirement on the coefficients."""
     return _values(field.coeffs)
-
-
-def _conj_reflect(c: np.ndarray) -> np.ndarray:
-    """conj(c[-m, -n]) for a coefficient array in FFT layout."""
-    return np.conj(np.roll(np.flip(c), 1, axis=(0, 1)))
 
 
 def _hermitian_gap(c: np.ndarray) -> float:
@@ -463,9 +463,9 @@ class _RefinedPlanes:
     columns of the 2x grid, the padded half spectrum of the 2x grid and one
     plane, which each plane overwrites.  A field is padded by slices from its
     half spectrum, a block by its rows.  The x pass runs on the data columns
-    only (ny/2 + 1 of a field, the kc of a block) through
-    _real_values_on_columns, so each plane has the bits of irfft2 of the
-    padded half spectrum.
+    only (those of a field's half spectrum up to its last nonzero one, the kc
+    of a block) through _real_values_on_columns, so each plane has the bits
+    of irfft2 of the padded half spectrum.
     """
 
     def __init__(self, grid: Grid):
@@ -473,31 +473,39 @@ class _RefinedPlanes:
         h = grid.ny // 2 + 1
         dx, dy = (_derivative_multiplier(grid, axis) for axis in "xy")
         dims = _block_dims(grid)
-        self.field_mults = (1.0, dx, dy[:, :h])
+        self.dx, self.dy = dx, dy[:, :h]
         self.block_mults = (1.0, *(_block(np.broadcast_to(d, grid.shape), *dims)
                                    for d in (dx, dy)))
         self.plan_x = _embed_plan(grid.nx, nx)
-        self.plan_y = _clip_plan(_embed_plan(grid.ny, ny), h)
+        self.plan_y = _embed_plan(grid.ny, ny)
         self.cols = np.zeros((nx, h), dtype=np.complex128)
         self.half = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
         self.out = np.empty((nx, ny))
-        # data columns the buffers were last filled on; both are zero beyond them
-        self.width = 0
+        # (layout, data columns) the buffers were last filled for; both
+        # buffers are zero beyond those columns and the layout's rows
+        self.filled = None
 
     def __call__(self, state):
         _require_real(state)
         field = isinstance(state, SpectralField)
-        data = state.coeffs[:, :self.cols.shape[1]] if field else state
-        width = data.shape[1]
-        if width != self.width:
-            # rows and columns the other layout filled and this one does not
+        if field:
+            half = state.coeffs[:, :self.cols.shape[1]]
+            nonzero = np.flatnonzero(np.any(half != 0, axis=0))
+            width = int(nonzero[-1]) + 1 if nonzero.size else 1
+            data = half[:, :width]
+            mults = (1.0, self.dx, self.dy[:, :width])
+            plan_y = _clip_plan(self.plan_y, width)
+        else:
+            data, width, mults = state, state.shape[1], self.block_mults
+        if (field, width) != self.filled:
+            # rows and columns the last state filled and this one does not
             self.cols[:] = 0.0
             self.half[:] = 0.0
-            self.width = width
+            self.filled = (field, width)
         cols = self.cols[:, :width]
-        for mult in self.field_mults if field else self.block_mults:
+        for mult in mults:
             if field:
-                _pad_into(cols, data * mult, self.plan_x, self.plan_y)
+                _pad_into(cols, data * mult, self.plan_x, plan_y)
             else:
                 _scatter_block(data * mult, cols)
             yield _real_values_on_columns(cols, slice(0, width), self.half, self.out)

@@ -1,6 +1,7 @@
 """Config parsing, resolution precedence, and the command-line front end."""
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,17 @@ def test_weyl_degree_below_one_exits_2(tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["error"]["type"] == "ValueError"
     assert "degree must be >= 1" in record["error"]["message"]
+
+
+def test_weyl_scan_above_the_work_ceiling_exits_2_at_once(tmp_path):
+    # 1e8 trials of the default sizes are 1.3e11 terms
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert main(["weyl-scan", "--out", str(out), "--set", "weyl.trials=100000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["type"] == "ValueError"
+    assert "trials * sum(N)" in record["error"]["message"]
 
 
 def test_vdc_scan_run(tmp_path):

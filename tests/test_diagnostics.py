@@ -156,8 +156,8 @@ def test_non_real_fields_raise_symmetry_violation():
 
 def test_a_record_runs_its_x_passes_on_the_data_columns_only(monkeypatch):
     """Each plane of a record is one x pass (ifft) along the 2nx rows of the
-    2x grid on the state's data columns, ny/2 + 1 for the initial field and
-    kc for a recorded Galerkin block, then one irfft along y."""
+    2x grid on the state's data columns, at most ny/2 + 1 for the initial
+    field and kc for a recorded Galerkin block, then one irfft along y."""
     g = Grid(32, 32)
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=5e-3, t_end=0.01, record_every=1)
     traj = simulate(cfg, initial_data(g, "random-band", seed=3))
@@ -180,8 +180,9 @@ def test_real_fields_take_only_real_transforms(monkeypatch, rng):
     calls = _record_fft_calls(monkeypatch)
     commutator_check(f, h, 1.5)
     # u, u_x, u_y of f, then g and J^s g, each the two passes of irfft2 with
-    # the x pass on the 17 data columns; the products fg and f J^s g
-    assert sorted(calls) == sorted([("ifft", (64, 17)), ("irfft", (64, 64))] * 5
+    # the x pass on the 9 columns band 8 fills (n = 0 .. 8) of the 17 of the
+    # half spectrum; the products fg and f J^s g
+    assert sorted(calls) == sorted([("ifft", (64, 9)), ("irfft", (64, 64))] * 5
                                    + [("rfft2", (64, 33))] * 2)
     calls.clear()
     forward_transform(g, inverse_transform(f))
@@ -191,9 +192,11 @@ def test_real_fields_take_only_real_transforms(monkeypatch, rng):
 @settings(max_examples=25, deadline=None)
 @given(nx=_EVEN, ny=_EVEN, seed=st.integers(0, 2**32 - 1))
 def test_refined_planes_have_the_bits_of_irfft2_in_either_layout(nx, ny, seed):
-    """One evaluator, fed a block, a field, then a block again (each switch
-    of layout leaves stale data in its buffers), gives every plane with the
-    bits of irfft2 of the padded half spectrum."""
+    """One evaluator, fed blocks and fields of several widths in turn (each
+    switch leaves stale data in its buffers), gives every plane with the
+    bits of irfft2 of the padded half spectrum.  A field is read on its
+    columns up to the last nonzero one: `narrow` fills the block's kc
+    columns, and rows the block does not hold."""
     rng = np.random.default_rng(seed)
     g = Grid(nx, ny)
     big = Grid(2 * nx, 2 * ny)
@@ -201,8 +204,11 @@ def test_refined_planes_have_the_bits_of_irfft2_in_either_layout(nx, ny, seed):
     block_field = dealias(project_mean_zero_x(band_field(g, min(nx, ny) // 3, rng)))
     block = _block(block_field.coeffs, *dims)
     field = real_field(g, rng)
+    narrow = real_field(g, rng)
+    narrow.coeffs[:, dims[1]:ny - dims[1] + 1] = 0.0  # |n| < kc, every m
     planes = _RefinedPlanes(g)
-    for state, f in ((block, block_field), (field, field), (block, block_field)):
+    for state, f in ((block, block_field), (field, field), (block, block_field),
+                     (narrow, narrow), (block, block_field), (narrow, narrow)):
         want = [_real_values(_half(embed_in_grid(h, big).coeffs), big.ny)
                 for h in (f, derivative(f, "x"), derivative(f, "y"))]
         got = [p.copy() for p in planes(state)]

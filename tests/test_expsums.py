@@ -15,6 +15,7 @@ from dgzk.estimates.expsums import (
     WeylInstance,
     dirichlet_approx,
     weyl_bound,
+    _weyl_sums,
     weyl_scan,
     weyl_sum,
 )
@@ -207,16 +208,67 @@ def test_scan_decides_the_dirichlet_bound_exactly(monkeypatch):
     # seed 0 draws at N = 2^28, trial 87, an r whose approximation meets
     # |r - a/q| <= 1/(N q) in exact arithmetic while the float comparison
     # says it fails; the sums are stubbed, since 2^28 terms play no part in
-    # the approximation
+    # the approximation, and the work ceiling those terms exceed is lifted
     n, trial = 2**28, 87
     r = np.random.default_rng([0, n, trial]).uniform(0.0, 1.0, size=4)[-1]
     approx = dirichlet_approx(r, n)
     assert abs(Fraction(r) - Fraction(approx.a, approx.q)) <= Fraction(1, n * approx.q)
     assert abs(r - approx.value) > 1.0 / (n * approx.q)
-    monkeypatch.setattr(expsums, "weyl_sum", lambda instance: 0.0)
+    monkeypatch.setattr(expsums, "_weyl_sums",
+                        lambda coeffs, n_terms: np.zeros(len(coeffs), dtype=complex))
+    monkeypatch.setattr(expsums, "MAX_WEYL_WORK", math.inf)
     assert weyl_scan(3, [n], trials=trial + 1, seed=0).dirichlet_ok
 
 
 def test_scan_validation():
     with pytest.raises(ValueError, match="trials"):
         weyl_scan(3, [64], trials=0)
+    with pytest.raises(ValueError, match="n_terms"):
+        weyl_scan(3, [64, 0], trials=1)
+
+
+def test_scan_refuses_work_above_the_ceiling_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the work ceiling")
+
+    monkeypatch.setattr(expsums.np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=r"trials \* sum\(N\)"):
+        weyl_scan(3, [64, 256, 1024], trials=10**8)
+
+
+# ------------------------------------------------------------- batched sums
+
+def _oracle_sum(coeffs, n):
+    """One instance the per-term way: np.polyval and np.mod, then a sum."""
+    m = np.arange(1, n + 1, dtype=float)
+    h = np.polyval(list(reversed(coeffs)), m)
+    return np.sum(np.exp(2j * np.pi * np.mod(h, 1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, 5),
+       n=st.one_of(st.integers(1, 8), st.sampled_from([15, 16, 17, 127, 128, 129, 1024]),
+                   st.integers(1, 3000)),
+       rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e3, 1e6]))
+def test_batched_sums_equal_the_per_instance_formula(degree, n, rows, seed, scale):
+    """_weyl_sums gives, bit for bit, each row's sum by np.polyval and
+    np.mod(h, 1.0), for signed coefficients of several sizes."""
+    coeffs = np.random.default_rng(seed).uniform(-scale, scale, size=(rows, degree + 1))
+    got = _weyl_sums(coeffs, n)
+    want = np.array([_oracle_sum(tuple(c), n) for c in coeffs])
+    assert np.array_equal(got, want)
+
+
+def test_scan_rows_equal_per_instance_sums_across_chunk_edges():
+    """The scan takes its sums in chunks of trials (one trial per chunk
+    past 2^16 terms); every |S| is that of the per-instance formula."""
+    n_values, trials = [5, 4096, 70000], 20
+    report = weyl_scan(2, n_values, trials=trials, seed=3)
+    want = []
+    for n in n_values:
+        for trial in range(trials):
+            coeffs = tuple(np.random.default_rng([3, n, trial]).uniform(0.0, 1.0, size=3))
+            want.append(abs(complex(_oracle_sum(coeffs, n))))
+    assert [row[3] for row in report.rows] == want
+    assert [row[:2] for row in report.rows] == [(n, t) for n in n_values for t in range(trials)]

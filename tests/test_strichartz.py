@@ -6,8 +6,10 @@ import pytest
 
 from dgzk.errors import InsufficientDataError, SymmetryViolationError
 from dgzk.grid import Grid
+from dgzk.presets import random_band_field
 from dgzk.propagator import DispersionSymbol, _symbol_tables, propagate
-from dgzk.spectral import field_from_modes, grid_values, hermitian_defect, l2_norm, shell_indices
+from dgzk.spectral import (SpectralField, field_from_modes, grid_values, hermitian_defect,
+                           l2_norm, shell_indices)
 from dgzk.estimates.strichartz import _shell_grid, shell_field, strichartz_norm, strichartz_scan
 
 from fieldgen import _FFT_ENTRY_POINTS
@@ -90,6 +92,39 @@ def test_shell_field_is_unit_real_and_localized(rng):
     off_shell = ~((sx[:, None] == 3) & (sy[None, :] == 2))
     assert np.all(phi.coeffs[off_shell] == 0.0)
     assert np.any(phi.coeffs != 0.0)
+
+
+def _full_grid_draw(grid, mask, rng):
+    """The draw built over the whole grid: both Gaussian arrays, the mask,
+    the conjugate reflection conj(z[-m, -n]) of the whole array."""
+    z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    z = np.where(mask, z, 0.0)
+    return 0.5 * (z + np.conj(np.roll(np.flip(z), 1, axis=(0, 1))))
+
+
+@pytest.mark.parametrize("j, k", [(3, 3), (5, 4), (6, 5), (3, 0), (1, 0), (1, 1), (2, 6)])
+def test_shell_field_has_the_bits_of_the_full_grid_draw(j, k):
+    """shell_field symmetrizes on the shell block only; its coefficients
+    are those of the draw built over the whole grid, bit for bit."""
+    grid = _shell_grid(j, k, 4)
+    mask = (shell_indices(grid.kx)[:, None] == j) & (shell_indices(grid.ky)[None, :] == k)
+    for trial in range(3):
+        want = _full_grid_draw(grid, mask, np.random.default_rng([5, j, k, trial]))
+        want = want / l2_norm(SpectralField(grid, want))
+        got = shell_field(grid, j, k, np.random.default_rng([5, j, k, trial]))
+        assert np.array_equal(got.coeffs, want)
+
+
+@pytest.mark.parametrize("nx, ny, band", [(8, 8, 4), (16, 32, 3), (32, 16, 12), (64, 64, 8)])
+@pytest.mark.parametrize("mean_zero_x", [True, False])
+def test_random_band_field_has_the_bits_of_the_full_grid_draw(nx, ny, band, mean_zero_x):
+    grid = Grid(nx, ny)
+    mask = (np.abs(grid.kx2d) <= band) & (np.abs(grid.ky2d) <= band)
+    if mean_zero_x:
+        mask &= grid.kx2d != 0
+    want = _full_grid_draw(grid, mask, np.random.default_rng(band))
+    got = random_band_field(grid, band, np.random.default_rng(band), mean_zero_x)
+    assert np.array_equal(got.coeffs, want)
 
 
 def test_shell_field_validation(rng):
