@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .._work import check_work
+
 __all__ = [
     "WeylInstance",
     "RationalApprox",
@@ -32,9 +34,6 @@ __all__ = [
     "weyl_scan",
 ]
 
-# weyl_scan refuses more terms than this, trials * sum(N), before any draw;
-# the default `weyl-scan` takes 1.3e5, and at the ceiling a scan takes minutes
-MAX_WEYL_WORK = 1e9
 _CHUNK_POINTS = 2 ** 16  # trials x N per array pass of weyl_scan
 
 
@@ -136,7 +135,8 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
 
     The leading coefficient is approximated by a/q with denominator cap
     Lambda = N, which keeps |omega_d - a/q| <= 1/(Nq) <= 1/q^2 as the bound
-    requires.  Above MAX_WEYL_WORK terms it raises ValueError.
+    requires.  Above the work ceiling (see dgzk._work) it raises
+    ValueError before it draws.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -145,11 +145,7 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
     sizes = [int(n) for n in n_values]
     if sizes and min(sizes) < 1:
         raise ValueError(f"n_terms must be >= 1, got {min(sizes)}")
-    work = trials * sum(sizes)
-    if work > MAX_WEYL_WORK:
-        raise ValueError(
-            f"weyl scan of trials * sum(N) = {work:.3g} terms exceeds the ceiling "
-            f"MAX_WEYL_WORK = {MAX_WEYL_WORK:.0e}; use fewer trials or smaller N")
+    check_work("weyl", trials * sum(sizes))
     rows = []
     max_ratio = 0.0
     dirichlet_ok = True

@@ -12,12 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .._work import check_work
 from ..errors import InsufficientDataError
 from ..grid import Grid
 from ..presets import _random_real
-from ..propagator import DispersionSymbol, _symbol_tables
-from ..spectral import (SpectralField, _half, _real_values_on_columns, _require_real,
-                        _sup, l2_norm, shell_indices)
+from ..propagator import DispersionSymbol, _phase_speeds
+from ..spectral import (SpectralField, _columns_buffer, _half, _real_values_on_columns,
+                        _require_real, _sup, l2_norm, shell_indices)
 from ._shellscan import shell_scan
 
 __all__ = [
@@ -64,23 +65,27 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     accumulated phase roundoff over <= a few hundred steps is ~1e-14 and
     irrelevant next to the fitted slopes.  phi must be a real field
     (SymmetryViolationError otherwise), so the time loop runs on its half
-    spectrum through the real transform, pruned along x to the nonzero
-    columns (the group keeps them; a shell field fills ~1/8), bit for bit.
+    spectrum through spectral._real_values_on_columns: the x pass on the
+    nonzero columns only (the group keeps them; a shell field fills ~1/8),
+    then a y pass that is irfft, with the bits of irfft2, on more than
+    _PRODUCT_COLUMNS of them and one real cos/sin product, within about
+    1e-15 of max|values|, on fewer.  The phases are built on those columns
+    alone, with no full-grid table.
     """
     if n_times < 64:
         raise ValueError(f"need at least 64 time samples, got {n_times}")
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    omega, gamma = _symbol_tables(phi.grid, symbol)
-    if gamma is not None:
+    if symbol.mu > 0:
         raise ValueError("decay scan uses the undamped group (mu = 0)")
     _require_real(phi)
     times = np.linspace(0.0, t_max, n_times)
     half = _half(phi.coeffs)
     cols = np.flatnonzero(np.any(half != 0, axis=0))
     cur = half[:, cols]
-    step = np.exp(1j * _half(omega)[:, cols] * (times[1] - times[0]))
-    buf = np.zeros(half.shape, dtype=np.complex128)
+    omega = _phase_speeds(phi.grid, symbol, phi.grid.ky2d[:, cols])
+    step = np.exp(1j * omega * (times[1] - times[0]))
+    buf = _columns_buffer(*phi.grid.shape, cols.size)
     vals = np.empty(phi.grid.shape)
     sups = np.empty(n_times)
     for i in range(n_times):
@@ -124,6 +129,8 @@ def strichartz_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     Reference per-cell value: 2^{(-1/2^{alpha+2} + eps) j + (-beta/4 + eps) k}.
     The fitted slopes are one-sided evidence: random data typically decays
     faster than the worst case, so slopes at or below the reference pass.
+    Above the work ceiling (see dgzk._work) it raises ValueError before it
+    draws.
     """
     if symbol.mu != 0.0:
         raise ValueError("decay scan uses the undamped group (mu = 0)")
@@ -139,6 +146,8 @@ def strichartz_scan(symbol: DispersionSymbol, j_range: Sequence[int],
         raise ValueError("y-shell indices must be >= 0")
     if 2 ** (max(j_list) + max(k_list)) > 2 ** 20:
         raise ValueError("lattice cost exceeds the feasibility guard")
+    grids = [_shell_grid(j, k, refine) for j in j_list for k in k_list]
+    check_work("strichartz", trials * n_times * sum(g.nx * g.ny for g in grids))
 
     s_j = -1.0 / 2.0 ** (symbol.alpha + 2) + eps
     s_k = -symbol.beta / 4.0 + eps

@@ -34,6 +34,7 @@ from .spectral import (
     _block_coeffs,
     _block_dims,
     _block_sq,
+    _columns_buffer,
     _full_from_block,
     _half,
     _real_values,
@@ -140,12 +141,12 @@ def _build_nonlinear(grid: Grid):
     of a block to the block of -0.5 d/dx(u^2) that takes u from them."""
     K, kc = _block_dims(grid)
     buf = np.zeros((grid.nx, kc), dtype=np.complex128)
-    half = np.zeros((grid.nx, grid.ny // 2 + 1), dtype=np.complex128)
+    work = _columns_buffer(grid.nx, grid.ny, kc)
     out = np.empty(grid.shape)
     quadratic = _quadratic_term(grid)
 
     def values(c: np.ndarray) -> np.ndarray:
-        return _real_values_of_block(c, buf, half, out)
+        return _real_values_of_block(c, buf, work, out)
 
     return values, lambda c: quadratic(values(c))
 

@@ -14,18 +14,22 @@ n = 0 .. ny/2 (see _half); only grid_values and resample_values evaluate
 coefficients with no symmetry through the complex ifft2.  The solver's
 state is the Galerkin block of the half spectrum, the modes the two-thirds
 rule keeps (see _block), and a run keeps its recorded states as blocks
-(RecordedStates).  Its pruned transforms _real_values_of_block and
-_block_coeffs run the passes of irfft2 and rfft2 with the x pass on the
-block's columns only, so they give the same bits; the diagnostics planes
-(_RefinedPlanes) prune theirs the same way.  This module is the only
-one in the package that calls numpy.fft: every other module goes through
-the functions here.
+(RecordedStates).  Its pruned forward _block_coeffs runs the passes of
+rfft2 with the x pass on the block's columns only, so it gives the same
+bits.  Every pruned real evaluation (_real_values_of_block, the diagnostics
+planes _RefinedPlanes and strichartz_norm) goes through
+_real_values_on_columns: an x pass on the data columns only, then a y pass
+that is irfft past _PRODUCT_COLUMNS data columns, with the bits of irfft2,
+and one real product with a cos/sin table up to them, within about 1e-15
+of max|values|.  This module is the only one in the package that calls
+numpy.fft: every other module goes through the functions here.
 
 Sobolev norms below follow the sequence-space convention without the surface
 factor: sobolev_norm(f, s) = (sum (1 + m^2 + n^2)^s |f_hat|^2)^{1/2}.
 """
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -110,13 +114,65 @@ def _real_values(half: np.ndarray, ny: int) -> np.ndarray:
     return np.fft.irfft2(half, s=(half.shape[0], ny), norm="forward")
 
 
-def _real_values_on_columns(data: np.ndarray, cols: np.ndarray, buf: np.ndarray,
+# Up to this many data columns, _real_values_on_columns takes its y pass as
+# one real product with a cos/sin table; past it, as irfft.  Measured with
+# one BLAS thread on a 2-CPU x86-64 VM, in multiples of the irfft pass's
+# time: 0.2-0.75x at 4-32 columns on 64^2 to 1024^2 grids, rectangular ones
+# included; at 43 columns 0.9x on 128^2 and 1.2x on 256^2, at 86 columns
+# 1.8x on 512^2.
+_PRODUCT_COLUMNS = 32
+# the least recently used cos/sin table is dropped past this many; one
+# table holds 2 * ncols * ny <= 64 * ny doubles
+_MAX_TABLES = 16
+
+
+def _columns_buffer(nx: int, ny: int, ncols: int) -> np.ndarray:
+    """The work buffer _real_values_on_columns takes for ncols data columns
+    on an (nx, ny) grid: the C-contiguous (nx, ncols) x-pass output when the
+    y pass is a product, else a zero half spectrum (nx, ny/2 + 1)."""
+    if ncols <= _PRODUCT_COLUMNS:
+        return np.empty((nx, ncols), dtype=np.complex128)
+    return np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
+
+
+@functools.lru_cache(maxsize=_MAX_TABLES)
+def _cos_sin_table(n: tuple, ny: int) -> np.ndarray:
+    """(2 len(n), ny) table whose rows 2i and 2i + 1 are w cos(n_i y_l) and
+    -w sin(n_i y_l) at y_l = 2 pi l / ny, so that the interleaved (re, im)
+    of a coefficient times them is w Re(c e^{i n_i y_l}).  w = 2 counts the
+    conjugate column -n_i; columns 0 and ny/2 are their own conjugates, so
+    they take w = 1 and, as in irfft, drop their imaginary parts."""
+    n = np.array(n, dtype=np.int64)
+    angle = 2.0 * np.pi * ((n[:, None] * np.arange(ny)) % ny) / ny
+    single = ((n == 0) | (2 * n == ny))[:, None]
+    w = np.where(single, 1.0, 2.0)
+    table = np.empty((2 * n.size, ny))
+    table[0::2] = w * np.cos(angle)
+    table[1::2] = np.where(single, 0.0, -w * np.sin(angle))
+    table.flags.writeable = False
+    return table
+
+
+def _real_values_on_columns(data: np.ndarray, cols, buf: np.ndarray,
                             out: np.ndarray) -> np.ndarray:
     """_real_values, into out (nx, ny), of a half spectrum that is data on
-    columns cols and zero elsewhere, with the same bits: the x pass runs on
-    cols only, into buf, a reusable half spectrum kept zero off cols."""
+    columns cols (an index array or a slice) and zero elsewhere.  The x pass
+    runs on cols only.  buf is the work buffer _columns_buffer(nx, ny,
+    ncols) made for the ncols data columns, reused while cols stay the same.
+
+    The y pass depends on ncols.  Up to _PRODUCT_COLUMNS it is one real
+    product: the x pass goes into buf, and out is buf's interleaved (re, im)
+    times the cos/sin table of cols (see _cos_sin_table), within about 1e-15
+    of max|values| of irfft2.  Past that it is irfft, with the bits of
+    irfft2: the x pass goes into buf, a half spectrum kept zero off cols."""
+    ny = out.shape[1]
+    if data.shape[1] <= _PRODUCT_COLUMNS:
+        np.fft.ifft(data, axis=0, norm="forward", out=buf)
+        n = (tuple(range(*cols.indices(ny // 2 + 1))) if isinstance(cols, slice)
+             else tuple(cols.tolist()))
+        return np.matmul(buf.view(np.float64), _cos_sin_table(n, ny), out=out)
     buf[:, cols] = np.fft.ifft(data, axis=0, norm="forward")
-    return np.fft.irfft(buf, n=out.shape[1], axis=1, norm="forward", out=out)
+    return np.fft.irfft(buf, n=ny, axis=1, norm="forward", out=out)
 
 
 def _sup(values: np.ndarray) -> float:
@@ -185,14 +241,14 @@ class RecordedStates(Sequence):
         return SpectralField(self.grid, _full_from_block(entry, self.grid))
 
 
-def _real_values_of_block(block: np.ndarray, buf: np.ndarray, half: np.ndarray,
+def _real_values_of_block(block: np.ndarray, buf: np.ndarray, work: np.ndarray,
                           out: np.ndarray) -> np.ndarray:
-    """_real_values, into out (nx, ny), of a Galerkin block, with the same bits:
-    the block is scattered into buf (nx, kc), kept zero off the block rows,
-    and the x pass runs on the kc columns only, into half, a reusable half
-    spectrum kept zero off them."""
+    """_real_values, into out (nx, ny), of a Galerkin block: the block is
+    scattered into buf (nx, kc), kept zero off the block rows, and
+    _real_values_on_columns runs on its kc columns with the work buffer
+    _columns_buffer(nx, ny, kc)."""
     _scatter_block(block, buf)
-    return _real_values_on_columns(buf, slice(0, block.shape[1]), half, out)
+    return _real_values_on_columns(buf, slice(0, block.shape[1]), work, out)
 
 
 def _real_coeffs(v: np.ndarray) -> np.ndarray:
@@ -459,31 +515,39 @@ class _RefinedPlanes:
     state is real (SymmetryViolationError otherwise) and iterates over the
     three planes.
 
-    The buffers are made once and reused for every state: the padded data
-    columns of the 2x grid, the padded half spectrum of the 2x grid and one
-    plane, which each plane overwrites.  A field is padded by slices from its
-    half spectrum, a block by its rows.  The x pass runs on the data columns
-    only (those of a field's half spectrum up to its last nonzero one, the kc
-    of a block) through _real_values_on_columns, so each plane has the bits
-    of irfft2 of the padded half spectrum.
+    The buffers are reused for every state: the padded data columns of the
+    2x grid, the work buffer of _real_values_on_columns and one plane, which
+    each plane overwrites.  A field is padded by slices from its half
+    spectrum, a block by its rows.  The x pass runs on the data columns only
+    (those of a field's half spectrum up to its last nonzero one, the kc of
+    a block), so each plane is the irfft2 of the padded half spectrum: with
+    its bits past _PRODUCT_COLUMNS data columns, within about 1e-15 of its
+    max|values| up to them.  The multipliers of a block's derivatives are
+    built on the first block.
     """
 
     def __init__(self, grid: Grid):
         nx, ny = 2 * grid.nx, 2 * grid.ny
         h = grid.ny // 2 + 1
-        dx, dy = (_derivative_multiplier(grid, axis) for axis in "xy")
-        dims = _block_dims(grid)
-        self.dx, self.dy = dx, dy[:, :h]
-        self.block_mults = (1.0, *(_block(np.broadcast_to(d, grid.shape), *dims)
-                                   for d in (dx, dy)))
+        self.dx = _derivative_multiplier(grid, "x")
+        self.dy = _derivative_multiplier(grid, "y")[:, :h]
+        self.dims = _block_dims(grid)
+        self.block_mults = None
         self.plan_x = _embed_plan(grid.nx, nx)
         self.plan_y = _embed_plan(grid.ny, ny)
         self.cols = np.zeros((nx, h), dtype=np.complex128)
-        self.half = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
         self.out = np.empty((nx, ny))
-        # (layout, data columns) the buffers were last filled for; both
-        # buffers are zero beyond those columns and the layout's rows
+        # (layout, data columns) the buffers were last filled for; cols is
+        # zero beyond those columns and the layout's rows
         self.filled = None
+        self.work = None
+
+    def _block_mults(self):
+        if self.block_mults is None:
+            shape = (self.dx.shape[0], self.dy.shape[1])
+            self.block_mults = (1.0, *(_block(np.broadcast_to(d, shape), *self.dims)
+                                       for d in (self.dx, self.dy)))
+        return self.block_mults
 
     def __call__(self, state):
         _require_real(state)
@@ -496,11 +560,11 @@ class _RefinedPlanes:
             mults = (1.0, self.dx, self.dy[:, :width])
             plan_y = _clip_plan(self.plan_y, width)
         else:
-            data, width, mults = state, state.shape[1], self.block_mults
+            data, width, mults = state, state.shape[1], self._block_mults()
         if (field, width) != self.filled:
             # rows and columns the last state filled and this one does not
             self.cols[:] = 0.0
-            self.half[:] = 0.0
+            self.work = _columns_buffer(*self.out.shape, width)
             self.filled = (field, width)
         cols = self.cols[:, :width]
         for mult in mults:
@@ -508,4 +572,4 @@ class _RefinedPlanes:
                 _pad_into(cols, data * mult, self.plan_x, plan_y)
             else:
                 _scatter_block(data * mult, cols)
-            yield _real_values_on_columns(cols, slice(0, width), self.half, self.out)
+            yield _real_values_on_columns(cols, slice(0, width), self.work, self.out)

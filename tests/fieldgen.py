@@ -1,8 +1,10 @@
-"""Shared field constructors, and a recorder of numpy.fft calls, for the test suite."""
+"""Shared field constructors, recorders of numpy.fft calls and of cos/sin
+products, and the check of pruned real values, for the test suite."""
 import numpy as np
 
-from dgzk import Grid, forward_transform
+from dgzk import Grid, forward_transform, spectral
 from dgzk.presets import random_band_field
+from dgzk.spectral import _PRODUCT_COLUMNS
 
 
 def real_field(grid: Grid, rng, scale: float = 1.0):
@@ -33,3 +35,25 @@ def _record_fft_calls(monkeypatch):
             return out
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def _record_products(monkeypatch):
+    """(data columns, ny) of every y pass that spectral._real_values_on_columns
+    takes as a cos/sin product from here on."""
+    products = []
+
+    def counted(n, ny, _table=spectral._cos_sin_table):
+        products.append((len(n), ny))
+        return _table(n, ny)
+    monkeypatch.setattr(spectral, "_cos_sin_table", counted)
+    return products
+
+
+def assert_irfft2_values(got, want, ncols):
+    """got, real values from ncols data columns, against their irfft2 want:
+    the same bits past _PRODUCT_COLUMNS (an irfft y pass), within 1e-14 of
+    max|want| up to them (a cos/sin product)."""
+    if ncols > _PRODUCT_COLUMNS:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

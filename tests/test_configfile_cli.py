@@ -403,6 +403,17 @@ def test_weyl_scan_above_the_work_ceiling_exits_2_at_once(tmp_path):
     assert "trials * sum(N)" in record["error"]["message"]
 
 
+def test_strichartz_scan_above_the_work_ceiling_exits_2_at_once(tmp_path):
+    # 1e8 trials of the default cells are 3.2e14 grid-point samples
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert main(["strichartz-scan", "--out", str(out), "--set", "scan.trials=100000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["type"] == "ValueError"
+    assert "trials * sum of nx * ny * n_times" in record["error"]["message"]
+
+
 def test_vdc_scan_run(tmp_path):
     out = tmp_path / "run"
     rc = main(["vdc-scan", "--out", str(out), "--set", "vdc.i_max=4"])

@@ -1,7 +1,7 @@
 """Conserved functionals, sup norms, commutator and smoothing-estimate checks."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgzk import (
@@ -25,13 +25,15 @@ from dgzk import (
     sup_norm_diagnostics,
     zero_field,
 )
+from dgzk import spectral
 from dgzk.diagnostics import FOUR_PI_SQ, build_records, L1tLinfReport
 from dgzk.errors import InsufficientDataError
-from dgzk.spectral import (RecordedStates, _RefinedPlanes, _block, _block_dims, _half,
-                           _real_values, dealias, derivative, embed_in_grid, grid_values,
-                           project_mean_zero_x)
+from dgzk.spectral import (_PRODUCT_COLUMNS, RecordedStates, _RefinedPlanes, _block,
+                           _block_dims, _half, _real_values, dealias, derivative,
+                           embed_in_grid, grid_values, project_mean_zero_x)
 
-from fieldgen import _record_fft_calls, band_field, cos_x, real_field
+from fieldgen import (_record_fft_calls, _record_products, assert_irfft2_values, band_field,
+                      cos_x, real_field)
 
 SYM = DispersionSymbol(1, 1.0)
 
@@ -157,20 +159,23 @@ def test_non_real_fields_raise_symmetry_violation():
 def test_a_record_runs_its_x_passes_on_the_data_columns_only(monkeypatch):
     """Each plane of a record is one x pass (ifft) along the 2nx rows of the
     2x grid on the state's data columns, at most ny/2 + 1 for the initial
-    field and kc for a recorded Galerkin block, then one irfft along y."""
+    field and kc for a recorded Galerkin block, then one y pass over the
+    same columns: a cos/sin product, since no state here has more than
+    _PRODUCT_COLUMNS of them, and no irfft."""
     g = Grid(32, 32)
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=5e-3, t_end=0.01, record_every=1)
     traj = simulate(cfg, initial_data(g, "random-band", seed=3))
     assert len(traj.states) == 3
     _, kc = _block_dims(g)
     widths = [g.ny // 2 + 1] + [kc] * (len(traj.states) - 1)
+    assert max(widths) <= _PRODUCT_COLUMNS
     calls = _record_fft_calls(monkeypatch)
+    products = _record_products(monkeypatch)
     build_records(traj.times, traj.states, SYM)
-    x_passes = [(name, shape) for name, shape in calls if name != "irfft"]
-    assert len(x_passes) == 3 * len(widths)
-    for (name, shape), width in zip(x_passes, np.repeat(widths, 3)):
+    assert len(calls) == 3 * len(widths)
+    for (name, shape), width in zip(calls, np.repeat(widths, 3)):
         assert name == "ifft" and np.prod(shape) <= width * 2 * g.nx
-    assert [c for c in calls if c[0] == "irfft"] == [("irfft", (64, 64))] * (3 * len(widths))
+    assert products == [(shape[1], 64) for _, shape in calls]
 
 
 def test_real_fields_take_only_real_transforms(monkeypatch, rng):
@@ -178,25 +183,38 @@ def test_real_fields_take_only_real_transforms(monkeypatch, rng):
     f = band_field(g, 8, rng, mean_zero_x=False)
     h = band_field(g, 8, rng, mean_zero_x=False)
     calls = _record_fft_calls(monkeypatch)
+    products = _record_products(monkeypatch)
     commutator_check(f, h, 1.5)
-    # u, u_x, u_y of f, then g and J^s g, each the two passes of irfft2 with
-    # the x pass on the 9 columns band 8 fills (n = 0 .. 8) of the 17 of the
-    # half spectrum; the products fg and f J^s g
-    assert sorted(calls) == sorted([("ifft", (64, 9)), ("irfft", (64, 64))] * 5
-                                   + [("rfft2", (64, 33))] * 2)
+    # u, u_x, u_y of f, then g and J^s g, each an x pass on the 9 columns
+    # band 8 fills (n = 0 .. 8) of the 17 of the half spectrum, then a y
+    # pass that is a cos/sin product (9 <= _PRODUCT_COLUMNS); the products
+    # fg and f J^s g
+    assert sorted(calls) == sorted([("ifft", (64, 9))] * 5 + [("rfft2", (64, 33))] * 2)
+    assert products == [(9, 64)] * 5
     calls.clear()
     forward_transform(g, inverse_transform(f))
     assert calls == [("irfft2", (32, 32)), ("rfft2", (32, 17))]
 
 
+def _data_width(state, grid):
+    """The data columns _RefinedPlanes reads: kc for a Galerkin block, a
+    field's half-spectrum columns up to its last nonzero one."""
+    if not hasattr(state, "coeffs"):
+        return state.shape[1]
+    nonzero = np.flatnonzero(np.any(state.coeffs[:, : grid.ny // 2 + 1] != 0, axis=0))
+    return int(nonzero[-1]) + 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(nx=_EVEN, ny=_EVEN, seed=st.integers(0, 2**32 - 1))
-def test_refined_planes_have_the_bits_of_irfft2_in_either_layout(nx, ny, seed):
+@example(nx=16, ny=64, seed=0)  # a full field past _PRODUCT_COLUMNS, blocks under it
+@example(nx=16, ny=96, seed=0)  # every state past it
+def test_refined_planes_have_the_values_of_irfft2_in_either_layout(nx, ny, seed):
     """One evaluator, fed blocks and fields of several widths in turn (each
     switch leaves stale data in its buffers), gives every plane with the
-    bits of irfft2 of the padded half spectrum.  A field is read on its
-    columns up to the last nonzero one: `narrow` fills the block's kc
-    columns, and rows the block does not hold."""
+    values of irfft2 of the padded half spectrum (see assert_irfft2_values).
+    A field is read on its columns up to the last nonzero one: `narrow`
+    fills the block's kc columns, and rows the block does not hold."""
     rng = np.random.default_rng(seed)
     g = Grid(nx, ny)
     big = Grid(2 * nx, 2 * ny)
@@ -212,7 +230,31 @@ def test_refined_planes_have_the_bits_of_irfft2_in_either_layout(nx, ny, seed):
         want = [_real_values(_half(embed_in_grid(h, big).coeffs), big.ny)
                 for h in (f, derivative(f, "x"), derivative(f, "y"))]
         got = [p.copy() for p in planes(state)]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for a, b in zip(got, want):
+            assert_irfft2_values(a, b, _data_width(state, g))
+
+
+def test_field_only_callers_never_build_the_block_multipliers(monkeypatch, rng):
+    """The multipliers of a block's derivatives are built on the first
+    block an evaluator reads, never for fields alone."""
+    g = Grid(16, 16)
+    f = band_field(g, 4, rng, mean_zero_x=False)
+    h = band_field(g, 4, rng, mean_zero_x=False)
+
+    def no_block(*args):
+        raise AssertionError("built a Galerkin block for a field-only call")
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "_block", no_block)
+        sup_norm_diagnostics(f)
+        cubic_integral(f)
+        commutator_check(f, h, 1.5)
+    planes = _RefinedPlanes(g)
+    for _ in planes(f):
+        pass
+    assert planes.block_mults is None
+    for _ in planes(_block(f.coeffs, *_block_dims(g))):
+        pass
+    assert planes.block_mults is not None
 
 
 def test_block_records_match_records_of_their_full_fields():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgzk import _work
 from dgzk.estimates import expsums
 from dgzk.estimates.expsums import (
     RationalApprox,
@@ -216,7 +217,7 @@ def test_scan_decides_the_dirichlet_bound_exactly(monkeypatch):
     assert abs(r - approx.value) > 1.0 / (n * approx.q)
     monkeypatch.setattr(expsums, "_weyl_sums",
                         lambda coeffs, n_terms: np.zeros(len(coeffs), dtype=complex))
-    monkeypatch.setattr(expsums, "MAX_WEYL_WORK", math.inf)
+    monkeypatch.setitem(_work.MAX_WORK, "weyl", math.inf)
     assert weyl_scan(3, [n], trials=trial + 1, seed=0).dirichlet_ok
 
 

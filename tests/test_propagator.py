@@ -17,6 +17,7 @@ from dgzk import (
 )
 from dgzk.diagnostics import cubic_integral, energy
 from dgzk.errors import BackwardHeatError
+from dgzk.propagator import _phase_speeds, _symbol_tables
 from dgzk.solver import Etdrk4Stepper, Ifrk4Stepper
 from dgzk.spectral import _full_from_block
 
@@ -174,3 +175,15 @@ def test_real_fields_stay_real_under_group_and_steppers():
                     block = cls(g, sym, 1e-3).step(f.coeffs)
                     stepped = SpectralField(g, _full_from_block(block, g))
                     assert hermitian_defect(stepped) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, beta, sign", [(1, 1.0, 1), (2, 0.5, -1), (3, 0.25, 1)])
+def test_phase_speeds_on_some_columns_have_the_bits_of_the_full_table(alpha, beta, sign):
+    """strichartz_norm builds omega on its data columns alone: those columns
+    of the cached full table, bit for bit, with the x-Nyquist row zero."""
+    g = Grid(32, 24)
+    sym = DispersionSymbol(alpha, beta, sign)
+    cols = np.array([0, 3, 5, 12])
+    part = _phase_speeds(g, sym, g.ky2d[:, cols])
+    assert np.array_equal(part, _symbol_tables(g, sym)[0][:, cols])
+    assert np.all(part[g.nx // 2] == 0.0)

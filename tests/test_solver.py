@@ -34,10 +34,10 @@ from dgzk.solver import (MAX_STUDY_WORK, SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifr
                          _step_count, l2_identity_residual)
 from dgzk.errors import (DivergenceError, InsufficientDataError, InvalidInitialDataError,
                          SymmetryViolationError)
-from dgzk.spectral import (_block, _block_dims, _dealias_mask, _full_from_block, _half,
-                           inverse_transform)
+from dgzk.spectral import (_PRODUCT_COLUMNS, _block, _block_dims, _dealias_mask,
+                           _full_from_block, _half, inverse_transform)
 
-from fieldgen import _record_fft_calls, band_field, real_field
+from fieldgen import _record_fft_calls, _record_products, band_field, real_field
 
 SYM = DispersionSymbol(1, 1.0)
 
@@ -188,29 +188,37 @@ def test_block_steppers_match_the_unpruned_half_spectrum_schemes(nx, ny, seed, i
 
 def test_a_step_transforms_only_the_block_columns(monkeypatch):
     """Both x passes of every quadratic term cover the kc block columns
-    alone, the y passes run along the whole grid, and no array leaving the
-    step is wider than the block, also when it is given a full array."""
+    alone, the y passes run along the whole grid (a cos/sin product on the
+    way in, since kc <= _PRODUCT_COLUMNS here, and rfft on the way out), and
+    no array leaving the step is wider than the block, also when it is
+    given a full array."""
     g = Grid(64, 64)
     K, kc = _block_dims(g)
+    assert kc <= _PRODUCT_COLUMNS
     stepper = Etdrk4Stepper(g, SYM, 1e-3)
     c = dealias(initial_data(g, "random-band", seed=2)).coeffs
     calls = _record_fft_calls(monkeypatch)
+    products = _record_products(monkeypatch)
     out = stepper.step(c)
-    x_passes = [shape for name, shape in calls if name not in ("rfft", "irfft")]
+    x_passes = [shape for name, shape in calls if name != "rfft"]
     assert x_passes and all(np.prod(shape) <= kc * g.nx for shape in x_passes)
-    assert sorted(calls) == sorted([("ifft", (64, kc)), ("irfft", (64, 64)),
-                                    ("rfft", (64, 33)), ("fft", (64, kc))] * 4)
+    assert sorted(calls) == sorted([("ifft", (64, kc)), ("rfft", (64, 33)),
+                                    ("fft", (64, kc))] * 4)
+    assert products == [(kc, 64)] * 4
     assert out.shape == (2 * K + 1, kc)
 
 
 def test_cfl_guard_reads_the_sup_of_the_recorded_state():
+    """The guard's max|u| is that of the state's irfft2 values, to 1e-14
+    relative: kc = 9 columns take the cos/sin product."""
     g = Grid(32, 24)
     state = dealias(project_mean_zero_x(band_field(g, 8, np.random.default_rng(3))))
     c = _block(state.coeffs, *_block_dims(g))
     values = Etdrk4Stepper(g, SYM, 1e-9).values
     umax = _check_guards(g, 1e-9, c, values, {})
-    assert umax == np.max(np.abs(inverse_transform(state)))
-    assert umax == np.max(np.abs(inverse_transform(SpectralField(g, _full_from_block(c, g)))))
+    for full in (state, SpectralField(g, _full_from_block(c, g))):
+        want = np.max(np.abs(inverse_transform(full)))
+        assert abs(umax - want) <= 1e-14 * want
     assert _check_guards(g, 1e-9, c, values, {"cfl": True}) is None
 
 

@@ -37,12 +37,13 @@ from dgzk import (
     zero_field,
 )
 from dgzk.errors import SymmetryViolationError
-from dgzk.spectral import (_block, _block_coeffs, _block_dims, _block_hermitian_defect,
-                           _full_from_block, _full_spectrum, _half, _hermitian_gap,
-                           _real_coeffs, _real_values, _real_values_of_block,
-                           _real_values_on_columns, _values)
+from dgzk.spectral import (_PRODUCT_COLUMNS, _block, _block_coeffs, _block_dims,
+                           _block_hermitian_defect, _columns_buffer, _full_from_block,
+                           _full_spectrum, _half, _hermitian_gap, _real_coeffs, _real_values,
+                           _real_values_of_block, _real_values_on_columns, _values)
 
-from fieldgen import band_field, cos_x, real_field
+from fieldgen import (_record_fft_calls, _record_products, assert_irfft2_values, band_field,
+                      cos_x, real_field)
 
 
 def direct_dft_coefficient(samples, grid, m, n):
@@ -394,37 +395,78 @@ def test_public_transforms_on_rectangular_grids(nx, ny, seed):
 @settings(max_examples=60, deadline=None)
 @given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_column_pruned_real_values_equal_the_full_real_transform(nx, ny, seed, data):
-    """The x pass over the nonzero columns alone gives the bits of irfft2,
-    also when both buffers are reused for a second spectrum on the same
-    columns (as strichartz_norm reuses them over its time samples)."""
+    """The x pass over the nonzero columns alone gives the values of irfft2
+    (see assert_irfft2_values), also when both buffers are reused for a
+    second spectrum on the same columns (as strichartz_norm reuses them over
+    its time samples)."""
     h = ny // 2 + 1
     cols = np.array(sorted(data.draw(st.sets(st.integers(0, h - 1)), label="cols")),
                     dtype=np.intp)
     rng = np.random.default_rng(seed)
     # half spectra of real samples fill column 0 and the x-Nyquist row
-    buf = np.zeros((nx, h), dtype=np.complex128)
+    buf = _columns_buffer(nx, ny, cols.size)
     out = np.empty((nx, ny))
     for _ in range(2):
         half = _real_coeffs(rng.standard_normal((nx, ny)))
         half[:, np.setdiff1d(np.arange(h), cols)] = 0.0
         got = _real_values_on_columns(half[:, cols], cols, buf, out)
         assert got is out
-        assert np.array_equal(out, _real_values(half, ny))
+        assert_irfft2_values(out, _real_values(half, ny), cols.size)
+
+
+@pytest.mark.parametrize("y_pass", ["product", "irfft"])
+@settings(max_examples=40, deadline=None)
+@given(nx=even_sizes, ny=st.integers(32, 80).map(lambda k: 2 * k),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_the_y_pass_is_chosen_by_the_number_of_data_columns(y_pass, nx, ny, seed, data):
+    """Up to _PRODUCT_COLUMNS data columns the y pass is one cos/sin product
+    and no irfft, past them one irfft and no product; either way the values
+    are those of irfft2, on index sets with or without column 0 and the
+    Nyquist column ny/2, on contiguous slices, on rectangular grids, and
+    with the buffers reused for a second spectrum."""
+    h = ny // 2 + 1
+    lo, hi = (1, _PRODUCT_COLUMNS) if y_pass == "product" else (_PRODUCT_COLUMNS + 1, h)
+    ncols = data.draw(st.integers(lo, hi), label="ncols")
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="slice"):
+        start = data.draw(st.integers(0, h - ncols), label="start")
+        cols = slice(start, start + ncols)
+    else:
+        ends = [0, h - 1][:ncols] if data.draw(st.booleans(), label="ends") else []
+        rest = rng.permutation(np.setdiff1d(np.arange(h), ends))[:ncols - len(ends)]
+        cols = np.sort(np.concatenate([ends, rest])).astype(np.intp)
+    kept = np.arange(h)[cols]
+    buf = _columns_buffer(nx, ny, ncols)
+    out = np.empty((nx, ny))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_fft_calls(mp)
+        products = _record_products(mp)
+        for _ in range(2):
+            half = _real_coeffs(rng.standard_normal((nx, ny)))
+            half[:, np.setdiff1d(np.arange(h), kept)] = 0.0
+            assert _real_values_on_columns(half[:, cols], cols, buf, out) is out
+            assert_irfft2_values(out, np.fft.irfft2(half, s=(nx, ny), norm="forward"), ncols)
+    passes = [c for c in calls if c[0] in ("ifft", "irfft")]  # the oracle takes rfft2, irfft2
+    if y_pass == "product":
+        assert passes == [("ifft", (nx, ncols))] * 2 and products == [(ncols, ny)] * 2
+    else:
+        assert passes == [("ifft", (nx, ncols)), ("irfft", (nx, ny))] * 2 and products == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1))
+@example(nx=16, ny=96, seed=0)  # kc = 33: the irfft y pass
 def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
     """On data carried by the Galerkin block, the pruned inverse gives the
-    bits of irfft2 and the pruned forward the block of rfft2, also when the
-    inverse's buffers are reused for a second spectrum (as a stepper reuses
-    them); the block -> full map keeps the block and zeros the rest."""
+    values of irfft2 (see assert_irfft2_values) and the pruned forward the
+    bits of the block of rfft2, also when the inverse's buffers are reused
+    for a second spectrum (as a stepper reuses them); the block -> full map
+    keeps the block and zeros the rest."""
     g = Grid(nx, ny)
     K, kc = _block_dims(g)
-    h = ny // 2 + 1
     rng = np.random.default_rng(seed)
     buf = np.zeros((nx, kc), dtype=np.complex128)
-    half_buf = np.zeros((nx, h), dtype=np.complex128)
+    work = _columns_buffer(nx, ny, kc)
     out = np.empty((nx, ny))
     for _ in range(2):
         half = _real_coeffs(rng.standard_normal((nx, ny)))
@@ -433,9 +475,9 @@ def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
         half[:, kc:] = 0.0
         block = _block(half, K, kc)
         assert block.shape == (2 * K + 1, kc)
-        got = _real_values_of_block(block, buf, half_buf, out)
+        got = _real_values_of_block(block, buf, work, out)
         assert got is out
-        assert np.array_equal(out, np.fft.irfft2(half, s=(nx, ny), norm="forward"))
+        assert_irfft2_values(out, np.fft.irfft2(half, s=(nx, ny), norm="forward"), kc)
         v = rng.standard_normal((nx, ny))
         assert np.array_equal(_block_coeffs(v, K, kc),
                               _block(np.fft.rfft2(v, norm="forward"), K, kc))

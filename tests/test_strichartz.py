@@ -1,15 +1,22 @@
 """Space-time decay of the free group on frequency shells."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgzk
+from dgzk import _work
+from dgzk.estimates import strichartz
 from dgzk.errors import InsufficientDataError, SymmetryViolationError
 from dgzk.grid import Grid
 from dgzk.presets import random_band_field
 from dgzk.propagator import DispersionSymbol, _symbol_tables, propagate
-from dgzk.spectral import (SpectralField, field_from_modes, grid_values, hermitian_defect,
-                           l2_norm, shell_indices)
+from dgzk.spectral import (_PRODUCT_COLUMNS, SpectralField, _half, field_from_modes,
+                           grid_values, hermitian_defect, l2_norm, shell_indices)
 from dgzk.estimates.strichartz import _shell_grid, shell_field, strichartz_norm, strichartz_scan
 
 from fieldgen import _FFT_ENTRY_POINTS
@@ -50,13 +57,20 @@ def _unpruned_norm(phi, symbol, t_max, n_times=64):
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
-@pytest.mark.parametrize("j, k", [(1, 0), (3, 0), (1, 1), (2, 3), (4, 2)])
+@pytest.mark.parametrize("j, k", [(1, 0), (3, 0), (1, 1), (2, 3), (4, 2), (1, 6), (1, 7)])
 def test_pruned_norm_equals_the_unpruned_loop(alpha, j, k):
+    """Past _PRODUCT_COLUMNS support columns (shell k = 7 fills 64) the y
+    pass is irfft and the norm has the bits of the unpruned loop; up to them
+    (k = 6 fills 32) it is a cos/sin product, within 1e-14 relative."""
     sym = DispersionSymbol(alpha=alpha, beta=1.0, sign=1, mu=0.0)
     t_max = 2.0 ** (-(j + k))
     for trial in range(3):
         phi = shell_field(_shell_grid(j, k, 4), j, k, np.random.default_rng([5, j, k, trial]))
-        assert strichartz_norm(phi, sym, t_max) == _unpruned_norm(phi, sym, t_max)
+        got, want = strichartz_norm(phi, sym, t_max), _unpruned_norm(phi, sym, t_max)
+        if _support_columns(phi) > _PRODUCT_COLUMNS:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-14 * want
 
 
 # entry points whose transform runs along x over every column of its input:
@@ -65,11 +79,16 @@ _X_PASS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "
            "irfftn")
 
 
+def _support_columns(phi):
+    """The number of nonzero half-spectrum columns of phi."""
+    return int(np.count_nonzero(np.any(_half(phi.coeffs) != 0, axis=0)))
+
+
 def test_x_pass_transforms_only_the_support_columns(monkeypatch):
     j, k, n_times = 5, 3, 64
     grid = _shell_grid(j, k, 4)
     phi = shell_field(grid, j, k, np.random.default_rng(9))
-    support = int(np.count_nonzero(np.any(phi.coeffs[:, : grid.ny // 2 + 1] != 0, axis=0)))
+    support = _support_columns(phi)
     assert 0 < support < grid.ny // 2 + 1
     points = {}
     for name in _FFT_ENTRY_POINTS:
@@ -172,6 +191,39 @@ def test_scan_is_deterministic_and_trial_monotone():
     va = {(j, k): v for j, k, v, _, _ in a.cells}
     vc = {(j, k): v for j, k, v, _, _ in c.cells}
     assert all(vc[p] >= va[p] for p in va)
+
+
+def test_scan_cells_do_not_depend_on_the_blas_thread_count():
+    """The cos/sin products of the y pass run through BLAS: a scan whose
+    cells take them (4 to 16 support columns, products of up to 256 x 32
+    by 32 x 256) gives the same cells under one and two BLAS threads."""
+    script = ("from dgzk.propagator import DispersionSymbol\n"
+              "from dgzk.estimates.strichartz import strichartz_scan\n"
+              "sym = DispersionSymbol(alpha=1, beta=0.5, sign=1, mu=0.0)\n"
+              "print(repr(strichartz_scan(sym, range(3, 6), range(3, 6), trials=2, seed=4).cells))\n")
+    src = str(Path(dgzk.__file__).resolve().parents[1])
+    cells = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        cells.append(run.stdout)
+    assert cells[0] == cells[1] and cells[0].startswith("[(3, 3, ")
+
+
+def test_scan_refuses_work_above_the_ceiling_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the work ceiling")
+
+    monkeypatch.setattr(strichartz.np.random, "default_rng", no_draws)
+    # 1e8 trials of 64 samples on the cells' 64 x 64 .. 128 x 128 grids
+    with pytest.raises(ValueError, match=r"trials \* sum of nx \* ny \* n_times"):
+        strichartz_scan(SYM, [3, 4], [3, 4], trials=10**8)
+    # the acceptance preset alpha1-full (criterion 06) stays under the ceiling
+    work = 20 * 64 * sum(_shell_grid(j, k, 4).nx * _shell_grid(j, k, 4).ny
+                         for j in range(3, 8) for k in range(3, 8))
+    assert work == 1984 ** 2 * 64 * 20 <= _work.MAX_WORK["strichartz"] / 10
 
 
 def test_scan_single_k_fits_j_only():
