@@ -26,7 +26,6 @@ from .spectral import (
     field_from_modes,
     forward_transform,
     fractional_derivative,
-    grid_values,
     hermitian_defect,
     inverse_transform,
     l2_norm,
@@ -91,7 +90,6 @@ __all__ = [
     "field_from_modes",
     "forward_transform",
     "fractional_derivative",
-    "grid_values",
     "hermitian_defect",
     "initial_data",
     "inverse_transform",

@@ -1,8 +1,8 @@
 """Work ceilings, checked before a run draws or computes anything.
 
 A run whose predicted work is above its ceiling raises ValueError (exit 2
-from the CLI) at once, where it would otherwise run for hours.  Each
-ceiling counts the run's innermost operation:
+from the CLI) at once, where it would otherwise run for hours or exhaust
+memory.  Each ceiling counts the run's innermost operation or its records:
 
 * "weyl": exponential-sum terms, trials * sum(N).  The default
   `weyl-scan` takes 1.3e5, and at the ceiling a scan takes minutes.
@@ -10,17 +10,26 @@ ceiling counts the run's innermost operation:
   nx * ny * n_times, since every time sample of every trial evaluates the
   cell's grid.  The default `strichartz-scan` takes 1.6e7 and an
   `alpha*-full` preset 5.0e9; at the ceiling a scan takes minutes.
+* "study": grid-point steps of a temporal order study, summed over its
+  runs, the reference included.  The default `convergence` study takes
+  8.1e6; at the ceiling a study runs for minutes.
+* "simulate": grid-point steps of one `simulate` run, steps * nx * ny
+  (4.1e5 by default; hours at the ceiling), and "records": the bytes of
+  the Galerkin blocks it records, 11.7 MB for 200 records at 128^2.
 """
 from __future__ import annotations
 
-MAX_WORK = {"weyl": 1e9, "strichartz": 1e11}
+MAX_WORK = {"weyl": 1e9, "strichartz": 1e11, "study": 1e9, "simulate": 1e11, "records": 2e9}
 _UNITS = {"weyl": "terms (trials * sum(N))",
-          "strichartz": "grid-point samples (trials * sum of nx * ny * n_times over the cells)"}
+          "strichartz": "grid-point samples (trials * sum of nx * ny * n_times over the cells)",
+          "study": "grid-point steps (sum of steps * nx * ny over the runs)",
+          "simulate": "grid-point steps (steps * nx * ny)",
+          "records": "bytes of recorded states (recorded blocks * bytes per block)"}
 
 
-def check_work(scan: str, work: int) -> None:
-    """Raise ValueError if work, in the units of scan, exceeds its ceiling."""
-    if work > MAX_WORK[scan]:
+def check_work(kind: str, work: int) -> None:
+    """Raise ValueError if work, in the units of kind, exceeds its ceiling."""
+    if work > MAX_WORK[kind]:
         raise ValueError(
-            f"{scan} scan of {work:.3g} {_UNITS[scan]} exceeds the ceiling "
-            f"MAX_WORK[{scan!r}] = {MAX_WORK[scan]:.0e}; use fewer trials or a smaller range")
+            f"{kind} work of {work:.3g} {_UNITS[kind]} exceeds the ceiling "
+            f"MAX_WORK[{kind!r}] = {MAX_WORK[kind]:.0e}")

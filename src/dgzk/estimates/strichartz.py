@@ -17,8 +17,8 @@ from ..errors import InsufficientDataError
 from ..grid import Grid
 from ..presets import _random_real
 from ..propagator import DispersionSymbol, _phase_speeds
-from ..spectral import (SpectralField, _columns_buffer, _half, _real_values_on_columns,
-                        _require_real, _sup, l2_norm, shell_indices)
+from ..spectral import (SpectralField, _ColumnValues, _half, _require_real, _sup, l2_norm,
+                        shell_indices)
 from ._shellscan import shell_scan
 
 __all__ = [
@@ -64,13 +64,10 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     single per-step factor instead of a fresh exponential per sample; the
     accumulated phase roundoff over <= a few hundred steps is ~1e-14 and
     irrelevant next to the fitted slopes.  phi must be a real field
-    (SymmetryViolationError otherwise), so the time loop runs on its half
-    spectrum through spectral._real_values_on_columns: the x pass on the
-    nonzero columns only (the group keeps them; a shell field fills ~1/8),
-    then a y pass that is irfft, with the bits of irfft2, on more than
-    _PRODUCT_COLUMNS of them and one real cos/sin product, within about
-    1e-15 of max|values|, on fewer.  The phases are built on those columns
-    alone, with no full-grid table.
+    (SymmetryViolationError otherwise), so the time loop runs on the
+    nonzero columns of its half spectrum (the group keeps them; a shell
+    field fills ~1/8), with the phases built on them alone, and takes each
+    sample's values from one spectral._ColumnValues on those columns.
     """
     if n_times < 64:
         raise ValueError(f"need at least 64 time samples, got {n_times}")
@@ -85,12 +82,10 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     cur = half[:, cols]
     omega = _phase_speeds(phi.grid, symbol, phi.grid.ky2d[:, cols])
     step = np.exp(1j * omega * (times[1] - times[0]))
-    buf = _columns_buffer(*phi.grid.shape, cols.size)
-    vals = np.empty(phi.grid.shape)
+    values = _ColumnValues(*phi.grid.shape, cols)
     sups = np.empty(n_times)
     for i in range(n_times):
-        _real_values_on_columns(cur, cols, buf, vals)
-        sups[i] = _sup(vals)
+        sups[i] = _sup(values(cur))
         cur = cur * step
     return float(np.sqrt(np.trapezoid(sups ** 2, times)))
 

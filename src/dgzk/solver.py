@@ -24,22 +24,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._work import check_work
 from .errors import DivergenceError, InsufficientDataError, InvalidInitialDataError
 from .grid import Grid
 from .propagator import DispersionSymbol, _symbol_tables
 from .spectral import (
     RecordedStates,
     SpectralField,
+    _ColumnValues,
     _block,
     _block_coeffs,
     _block_dims,
     _block_sq,
-    _columns_buffer,
     _full_from_block,
     _half,
     _real_values,
-    _real_values_of_block,
     _require_real,
+    _scatter_block,
     dealias,
     l2_norm,
     mean_zero_x_defect,
@@ -71,11 +72,6 @@ CONTOUR_SWITCH = 0.5
 # spatial_convergence_study clips its errors to this roundoff level before
 # taking rates, so two errors at roundoff give 0 decades, not noise
 SPATIAL_ERROR_FLOOR = 1e-12
-# temporal_order_study refuses a study whose runs, the reference included,
-# would take more than this many grid-point steps (sum of steps * nx * ny).
-# The default `convergence` study takes 1975 steps at 64^2 (8.1e6), a
-# second or so; at the ceiling a study runs for minutes.
-MAX_STUDY_WORK = 1e9
 
 
 @dataclass(frozen=True)
@@ -136,17 +132,18 @@ def _quadratic_term(grid: Grid):
 
 
 def _build_nonlinear(grid: Grid):
-    """Return the real point values of a Galerkin block, through the pruned
-    inverse with buffers of its own (valid until the next call), and the map
-    of a block to the block of -0.5 d/dx(u^2) that takes u from them."""
-    K, kc = _block_dims(grid)
-    buf = np.zeros((grid.nx, kc), dtype=np.complex128)
-    work = _columns_buffer(grid.nx, grid.ny, kc)
-    out = np.empty(grid.shape)
+    """Return the real point values of a Galerkin block, scattered into the
+    grid's nx rows and read by one _ColumnValues on its kc columns (valid
+    until the next call), and the map of a block to the block of
+    -0.5 d/dx(u^2) that takes u from them."""
+    _, kc = _block_dims(grid)
+    rows = np.zeros((grid.nx, kc), dtype=np.complex128)
+    column_values = _ColumnValues(grid.nx, grid.ny, slice(0, kc))
     quadratic = _quadratic_term(grid)
 
     def values(c: np.ndarray) -> np.ndarray:
-        return _real_values_of_block(c, buf, work, out)
+        _scatter_block(c, rows)
+        return column_values(rows)
 
     return values, lambda c: quadratic(values(c))
 
@@ -282,7 +279,9 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     The run takes n = max(1, round(t_end / dt)) steps of t_end / n, so it
     ends at t_end exactly.  Initial data must be real and mean-zero in x
     (InvalidInitialDataError otherwise); a relative mean defect up to 1e-12
-    is projected away silently.
+    is projected away silently.  A run above the "simulate" (grid-point
+    steps) or "records" (bytes of recorded blocks) ceiling of
+    _work.MAX_WORK raises ValueError before its stepper is built.
     """
     grid = config.grid
     if phi.grid != grid:
@@ -299,6 +298,9 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     dt = config.t_end / n_steps
 
     dims = _block_dims(grid)
+    check_work("simulate", n_steps * grid.nx * grid.ny)
+    n_blocks = -(-n_steps // config.record_every)
+    check_work("records", n_blocks * (2 * dims[0] + 1) * dims[1] * 16)
     # the steppers turn the Galerkin block only, so its phases are the ones carried
     omega, _ = _symbol_tables(grid, config.symbol)
     max_phase = float(np.max(np.abs(_block(omega, *dims)))) * dt
@@ -406,16 +408,6 @@ def _final_state(grid: Grid, symbol: DispersionSymbol, phi: SpectralField, t_end
     return simulate(config, phi).final_state
 
 
-def _check_study_work(grid: Grid, counts: Sequence[int]) -> None:
-    """Raise ValueError when runs of these step counts on grid exceed MAX_STUDY_WORK."""
-    work = sum(counts) * grid.nx * grid.ny
-    if work > MAX_STUDY_WORK:
-        raise ValueError(
-            f"the study would take {sum(counts)} steps at {grid.nx}x{grid.ny}, "
-            f"{work:.3g} grid-point steps, above the ceiling MAX_STUDY_WORK = "
-            f"{MAX_STUDY_WORK:.0e}; use fewer halvings or a larger dt")
-
-
 @dataclass
 class TemporalOrderReport:
     dts: np.ndarray
@@ -434,8 +426,8 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
     CFL and phase guards and mean-zero-in-x check (InvalidInitialDataError
     above a 1e-12 defect).  There must be at least two dts, with distinct step
     counts: two dts with one step count would fit one run as two step sizes.
-    A study whose predicted work exceeds MAX_STUDY_WORK raises ValueError
-    before any run starts.
+    A study whose runs would take more than _work.MAX_WORK["study"]
+    grid-point steps raises ValueError before any run starts.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -445,7 +437,7 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
         raise InsufficientDataError(
             f"need at least two distinct dts, with distinct step counts over t_end = "
             f"{t_end}, to fit an order; got {dts.tolist()}, step counts {counts}")
-    _check_study_work(grid, counts + [_step_count(t_end, dts.min() / 8)])
+    check_work("study", sum(counts + [_step_count(t_end, dts.min() / 8)]) * grid.nx * grid.ny)
     run = lambda dt: _final_state(grid, symbol, phi, t_end, dt, integrator).coeffs
     ref = run(dts.min() / 8)
     errors = np.array([l2_norm(SpectralField(grid, run(dt) - ref)) for dt in dts])

@@ -10,18 +10,18 @@ square satisfies ||f||^2 = (2*pi)^2 * sum |f_hat|^2.  Discretely this is
 numpy's fft2(samples, norm="forward"), and its inverse is
 ifft2(f_hat, norm="forward").  Real fields, which are all the program
 makes, go through the real transforms rfft2/irfft2 on the half spectrum
-n = 0 .. ny/2 (see _half); only grid_values and resample_values evaluate
-coefficients with no symmetry through the complex ifft2.  The solver's
-state is the Galerkin block of the half spectrum, the modes the two-thirds
-rule keeps (see _block), and a run keeps its recorded states as blocks
-(RecordedStates).  Its pruned forward _block_coeffs runs the passes of
-rfft2 with the x pass on the block's columns only, so it gives the same
-bits.  Every pruned real evaluation (_real_values_of_block, the diagnostics
-planes _RefinedPlanes and strichartz_norm) goes through
-_real_values_on_columns: an x pass on the data columns only, then a y pass
-that is irfft past _PRODUCT_COLUMNS data columns, with the bits of irfft2,
-and one real product with a cos/sin table up to them, within about 1e-15
-of max|values|.  This module is the only one in the package that calls
+n = 0 .. ny/2 (see _half); there is no complex evaluation, and every
+function that returns point values rejects a non-real field.  The
+solver's state is the Galerkin block of the half spectrum, the modes the
+two-thirds rule keeps (see _block), and a run keeps its recorded states as
+blocks (RecordedStates).  Its pruned forward _block_coeffs runs the passes
+of rfft2 with the x pass on the block's columns only, so it gives the same
+bits.  Every pruned real evaluation (the solver's quadratic term, the
+diagnostics planes _RefinedPlanes and strichartz_norm) holds one
+_ColumnValues: an x pass on the data columns only, then a y pass that is
+irfft past _PRODUCT_COLUMNS data columns, with the bits of irfft2, and one
+real product with a cos/sin table up to them, within about 1e-15 of
+max|values|.  This module is the only one in the package that calls
 numpy.fft: every other module goes through the functions here.
 
 Sobolev norms below follow the sequence-space convention without the surface
@@ -42,7 +42,6 @@ __all__ = [
     "SpectralField",
     "forward_transform",
     "inverse_transform",
-    "grid_values",
     "hermitian_defect",
     "fractional_derivative",
     "derivative",
@@ -98,11 +97,6 @@ def field_from_modes(grid: Grid, modes: dict) -> SpectralField:
     return f
 
 
-def _values(c: np.ndarray) -> np.ndarray:
-    """Complex point values of a coefficient array in FFT layout."""
-    return np.fft.ifft2(c, norm="forward")
-
-
 def _half(c: np.ndarray) -> np.ndarray:
     """Columns n = 0 .. ny/2 of an array in FFT layout: the half spectrum
     that determines a real field, as the real transforms lay it out."""
@@ -114,7 +108,7 @@ def _real_values(half: np.ndarray, ny: int) -> np.ndarray:
     return np.fft.irfft2(half, s=(half.shape[0], ny), norm="forward")
 
 
-# Up to this many data columns, _real_values_on_columns takes its y pass as
+# Up to this many data columns, _ColumnValues takes its y pass as
 # one real product with a cos/sin table; past it, as irfft.  Measured with
 # one BLAS thread on a 2-CPU x86-64 VM, in multiples of the irfft pass's
 # time: 0.2-0.75x at 4-32 columns on 64^2 to 1024^2 grids, rectangular ones
@@ -124,15 +118,6 @@ _PRODUCT_COLUMNS = 32
 # the least recently used cos/sin table is dropped past this many; one
 # table holds 2 * ncols * ny <= 64 * ny doubles
 _MAX_TABLES = 16
-
-
-def _columns_buffer(nx: int, ny: int, ncols: int) -> np.ndarray:
-    """The work buffer _real_values_on_columns takes for ncols data columns
-    on an (nx, ny) grid: the C-contiguous (nx, ncols) x-pass output when the
-    y pass is a product, else a zero half spectrum (nx, ny/2 + 1)."""
-    if ncols <= _PRODUCT_COLUMNS:
-        return np.empty((nx, ncols), dtype=np.complex128)
-    return np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
 
 
 @functools.lru_cache(maxsize=_MAX_TABLES)
@@ -153,26 +138,38 @@ def _cos_sin_table(n: tuple, ny: int) -> np.ndarray:
     return table
 
 
-def _real_values_on_columns(data: np.ndarray, cols, buf: np.ndarray,
-                            out: np.ndarray) -> np.ndarray:
-    """_real_values, into out (nx, ny), of a half spectrum that is data on
-    columns cols (an index array or a slice) and zero elsewhere.  The x pass
-    runs on cols only.  buf is the work buffer _columns_buffer(nx, ny,
-    ncols) made for the ncols data columns, reused while cols stay the same.
+class _ColumnValues:
+    """_real_values, on an (nx, ny) grid, of half spectra that are data on
+    the columns cols (an index array or a slice) and zero elsewhere: called
+    as values(data), data of shape (nx, ncols), it returns its own output
+    plane, which the next call overwrites.
 
-    The y pass depends on ncols.  Up to _PRODUCT_COLUMNS it is one real
-    product: the x pass goes into buf, and out is buf's interleaved (re, im)
-    times the cos/sin table of cols (see _cos_sin_table), within about 1e-15
-    of max|values| of irfft2.  Past that it is irfft, with the bits of
-    irfft2: the x pass goes into buf, a half spectrum kept zero off cols."""
-    ny = out.shape[1]
-    if data.shape[1] <= _PRODUCT_COLUMNS:
-        np.fft.ifft(data, axis=0, norm="forward", out=buf)
-        n = (tuple(range(*cols.indices(ny // 2 + 1))) if isinstance(cols, slice)
-             else tuple(cols.tolist()))
-        return np.matmul(buf.view(np.float64), _cos_sin_table(n, ny), out=out)
-    buf[:, cols] = np.fft.ifft(data, axis=0, norm="forward")
-    return np.fft.irfft(buf, n=ny, axis=1, norm="forward", out=out)
+    The x pass runs on cols only, into a buffer of the evaluator's own, and
+    the y pass depends on ncols.  Up to _PRODUCT_COLUMNS it is one real
+    product: the buffer is the C-contiguous (nx, ncols) x-pass output, and
+    the plane is its interleaved (re, im) times the cos/sin table of cols
+    (see _cos_sin_table, looked up once), within about 1e-15 of max|values|
+    of irfft2.  Past that it is irfft, with the bits of irfft2: the buffer
+    is a half spectrum kept zero off cols."""
+
+    def __init__(self, nx: int, ny: int, cols):
+        n = np.arange(ny // 2 + 1)[cols]
+        self.cols = cols
+        self.out = np.empty((nx, ny))
+        self.table = None
+        if n.size <= _PRODUCT_COLUMNS:
+            self.buf = np.empty((nx, n.size), dtype=np.complex128)
+            self.table = _cos_sin_table(tuple(n.tolist()), ny)
+        else:
+            self.buf = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
+
+    def __call__(self, data: np.ndarray) -> np.ndarray:
+        if self.table is None:
+            self.buf[:, self.cols] = np.fft.ifft(data, axis=0, norm="forward")
+            return np.fft.irfft(self.buf, n=self.out.shape[1], axis=1, norm="forward",
+                                out=self.out)
+        np.fft.ifft(data, axis=0, norm="forward", out=self.buf)
+        return np.matmul(self.buf.view(np.float64), self.table, out=self.out)
 
 
 def _sup(values: np.ndarray) -> float:
@@ -241,16 +238,6 @@ class RecordedStates(Sequence):
         return SpectralField(self.grid, _full_from_block(entry, self.grid))
 
 
-def _real_values_of_block(block: np.ndarray, buf: np.ndarray, work: np.ndarray,
-                          out: np.ndarray) -> np.ndarray:
-    """_real_values, into out (nx, ny), of a Galerkin block: the block is
-    scattered into buf (nx, kc), kept zero off the block rows, and
-    _real_values_on_columns runs on its kc columns with the work buffer
-    _columns_buffer(nx, ny, kc)."""
-    _scatter_block(block, buf)
-    return _real_values_on_columns(buf, slice(0, block.shape[1]), work, out)
-
-
 def _real_coeffs(v: np.ndarray) -> np.ndarray:
     """Half spectrum (see _half) of real point values."""
     return np.fft.rfft2(v, norm="forward")
@@ -278,11 +265,6 @@ def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralField:
     if np.shape(samples) != grid.shape:
         raise ValueError(f"sample shape {np.shape(samples)} does not match grid {grid.shape}")
     return SpectralField(grid, _full_spectrum(_real_coeffs(samples), grid.ny))
-
-
-def grid_values(field: SpectralField) -> np.ndarray:
-    """Complex point values; no symmetry requirement on the coefficients."""
-    return _values(field.coeffs)
 
 
 def _hermitian_gap(c: np.ndarray) -> float:
@@ -500,12 +482,12 @@ def truncate_to_grid(field: SpectralField, small: Grid) -> SpectralField:
 
 
 def resample_values(field: SpectralField, factor: int) -> np.ndarray:
-    """Complex point values on a factor-refined grid (trigonometric interpolation)."""
+    """Real point values on a factor-refined grid (trigonometric
+    interpolation); rejects coefficients of a non-real field."""
     if factor < 1 or int(factor) != factor:
         raise ValueError(f"refinement factor must be a positive integer, got {factor!r}")
     g = field.grid
-    big = Grid(g.nx * factor, g.ny * factor)
-    return grid_values(embed_in_grid(field, big))
+    return inverse_transform(embed_in_grid(field, Grid(g.nx * factor, g.ny * factor)))
 
 
 class _RefinedPlanes:
@@ -515,61 +497,42 @@ class _RefinedPlanes:
     state is real (SymmetryViolationError otherwise) and iterates over the
     three planes.
 
-    The buffers are reused for every state: the padded data columns of the
-    2x grid, the work buffer of _real_values_on_columns and one plane, which
-    each plane overwrites.  A field is padded by slices from its half
-    spectrum, a block by its rows.  The x pass runs on the data columns only
-    (those of a field's half spectrum up to its last nonzero one, the kc of
-    a block), so each plane is the irfft2 of the padded half spectrum: with
-    its bits past _PRODUCT_COLUMNS data columns, within about 1e-15 of its
-    max|values| up to them.  The multipliers of a block's derivatives are
-    built on the first block.
+    A state is read on its data columns: a field's half spectrum up to its
+    last nonzero column, a block scattered into the grid's nx rows on its kc
+    columns.  Each plane is that data times its multiplier, padded into the
+    same columns of the 2x grid as embed_in_grid pads (a block's weights are
+    all 1.0) and evaluated by one _ColumnValues, made again when the number
+    of data columns changes; each plane overwrites the last.  So each plane
+    is the irfft2 of the padded half spectrum (see _ColumnValues).
     """
 
     def __init__(self, grid: Grid):
-        nx, ny = 2 * grid.nx, 2 * grid.ny
         h = grid.ny // 2 + 1
+        self.grid = grid
         self.dx = _derivative_multiplier(grid, "x")
         self.dy = _derivative_multiplier(grid, "y")[:, :h]
-        self.dims = _block_dims(grid)
-        self.block_mults = None
-        self.plan_x = _embed_plan(grid.nx, nx)
-        self.plan_y = _embed_plan(grid.ny, ny)
-        self.cols = np.zeros((nx, h), dtype=np.complex128)
-        self.out = np.empty((nx, ny))
-        # (layout, data columns) the buffers were last filled for; cols is
-        # zero beyond those columns and the layout's rows
-        self.filled = None
-        self.work = None
-
-    def _block_mults(self):
-        if self.block_mults is None:
-            shape = (self.dx.shape[0], self.dy.shape[1])
-            self.block_mults = (1.0, *(_block(np.broadcast_to(d, shape), *self.dims)
-                                       for d in (self.dx, self.dy)))
-        return self.block_mults
+        self.plan_x = _embed_plan(grid.nx, 2 * grid.nx)
+        self.plan_y = _embed_plan(grid.ny, 2 * grid.ny)
+        # each state writes all of its data columns here; the rows between
+        # the destinations of plan_x stay zero
+        self.cols = np.zeros((2 * grid.nx, h), dtype=np.complex128)
+        self.values, self.width = None, 0
 
     def __call__(self, state):
         _require_real(state)
-        field = isinstance(state, SpectralField)
-        if field:
+        if isinstance(state, SpectralField):
             half = state.coeffs[:, :self.cols.shape[1]]
             nonzero = np.flatnonzero(np.any(half != 0, axis=0))
-            width = int(nonzero[-1]) + 1 if nonzero.size else 1
-            data = half[:, :width]
-            mults = (1.0, self.dx, self.dy[:, :width])
-            plan_y = _clip_plan(self.plan_y, width)
+            data = half[:, :int(nonzero[-1]) + 1 if nonzero.size else 1]
         else:
-            data, width, mults = state, state.shape[1], self._block_mults()
-        if (field, width) != self.filled:
-            # rows and columns the last state filled and this one does not
-            self.cols[:] = 0.0
-            self.work = _columns_buffer(*self.out.shape, width)
-            self.filled = (field, width)
+            data = np.zeros((self.grid.nx, state.shape[1]), dtype=np.complex128)
+            _scatter_block(state, data)
+        width = data.shape[1]
+        if width != self.width:
+            self.values = _ColumnValues(2 * self.grid.nx, 2 * self.grid.ny, slice(0, width))
+            self.width = width
         cols = self.cols[:, :width]
-        for mult in mults:
-            if field:
-                _pad_into(cols, data * mult, self.plan_x, plan_y)
-            else:
-                _scatter_block(data * mult, cols)
-            yield _real_values_on_columns(cols, slice(0, width), self.work, self.out)
+        plan_y = _clip_plan(self.plan_y, width)
+        for mult in (1.0, self.dx, self.dy[:, :width]):
+            _pad_into(cols, data * mult, self.plan_x, plan_y)
+            yield self.values(cols)

@@ -38,14 +38,15 @@ def _record_fft_calls(monkeypatch):
 
 
 def _record_products(monkeypatch):
-    """(data columns, ny) of every y pass that spectral._real_values_on_columns
-    takes as a cos/sin product from here on."""
+    """(data columns, ny) of every y pass that a spectral._ColumnValues takes
+    as a cos/sin product from here on."""
     products = []
 
-    def counted(n, ny, _table=spectral._cos_sin_table):
-        products.append((len(n), ny))
-        return _table(n, ny)
-    monkeypatch.setattr(spectral, "_cos_sin_table", counted)
+    def counted(self, data, _call=spectral._ColumnValues.__call__):
+        if self.table is not None:
+            products.append((data.shape[1], self.out.shape[1]))
+        return _call(self, data)
+    monkeypatch.setattr(spectral._ColumnValues, "__call__", counted)
     return products
 
 

@@ -250,7 +250,7 @@ def test_empty_shell_range_exits_5(tmp_path, settings):
     ("vdc-scan", ["vdc.p=200"], 2, "ConfigError"),
     # 2.0 ** 1024 overflows
     ("vdc-scan", ["vdc.i_min=1024", "vdc.i_max=1024"], 2, "ConfigError"),
-    # dts down to 4e-3 / 2^39: about 1e14 steps, far past MAX_STUDY_WORK
+    # dts down to 4e-3 / 2^39: about 1e14 steps, far past MAX_WORK["study"]
     ("convergence", ["conv.mode=temporal", "conv.halvings=40"], 2, "ValueError"),
 ], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width",
         "one-step-count", "shared-step-count", "one-resolution", "comm-band-beyond-grid",
@@ -412,6 +412,26 @@ def test_strichartz_scan_above_the_work_ceiling_exits_2_at_once(tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["error"]["type"] == "ValueError"
     assert "trials * sum of nx * ny * n_times" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("settings, units", [
+    # 1e8 steps at 64^2 are 4.1e11 grid-point steps
+    (["solver.dt=1e-9"], "grid-point steps (steps * nx * ny)"),
+    # 1e4 recorded 341 x 171 blocks at 512^2 are 9.3e9 bytes, in 2.6e9 grid-point steps
+    (["grid.nx=512", "grid.ny=512", "solver.dt=1e-5", "solver.record_every=1"],
+     "bytes of recorded states"),
+], ids=["steps", "records"])
+def test_simulate_above_the_work_ceiling_exits_2_at_once(tmp_path, settings, units):
+    out = tmp_path / "run"
+    args = ["simulate", "--out", str(out)]
+    for kv in settings:
+        args += ["--set", kv]
+    start = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - start < 1.0
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["type"] == "ValueError"
+    assert units in record["error"]["message"]
 
 
 def test_vdc_scan_run(tmp_path):

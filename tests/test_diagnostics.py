@@ -25,12 +25,11 @@ from dgzk import (
     sup_norm_diagnostics,
     zero_field,
 )
-from dgzk import spectral
 from dgzk.diagnostics import FOUR_PI_SQ, build_records, L1tLinfReport
 from dgzk.errors import InsufficientDataError
 from dgzk.spectral import (_PRODUCT_COLUMNS, RecordedStates, _RefinedPlanes, _block,
                            _block_dims, _half, _real_values, dealias, derivative,
-                           embed_in_grid, grid_values, project_mean_zero_x)
+                           embed_in_grid, project_mean_zero_x)
 
 from fieldgen import (_record_fft_calls, _record_products, assert_irfft2_values, band_field,
                       cos_x, real_field)
@@ -105,13 +104,13 @@ def test_sup_norm_refinement_stability():
 def _oracle_sups(f, refine):
     """Sups through the full complex padding and the complex inverse transform."""
     big = Grid(refine * f.grid.nx, refine * f.grid.ny)
-    return [float(np.max(np.abs(grid_values(embed_in_grid(h, big)))))
+    return [float(np.max(np.abs(np.fft.ifft2(embed_in_grid(h, big).coeffs, norm="forward"))))
             for h in (f, derivative(f, "x"), derivative(f, "y"))]
 
 
 def _oracle_energy(f, symbol):
     big = Grid(2 * f.grid.nx, 2 * f.grid.ny)
-    vals = grid_values(embed_in_grid(f, big)).real
+    vals = np.fft.ifft2(embed_in_grid(f, big).coeffs, norm="forward").real
     w = (np.abs(f.grid.kx2d) ** (1 + symbol.alpha)
          + symbol.sign * np.abs(f.grid.ky2d) ** (1.0 + symbol.beta))
     quad = 0.5 * FOUR_PI_SQ * float(np.sum(w * np.abs(f.coeffs) ** 2))
@@ -232,29 +231,6 @@ def test_refined_planes_have_the_values_of_irfft2_in_either_layout(nx, ny, seed)
         got = [p.copy() for p in planes(state)]
         for a, b in zip(got, want):
             assert_irfft2_values(a, b, _data_width(state, g))
-
-
-def test_field_only_callers_never_build_the_block_multipliers(monkeypatch, rng):
-    """The multipliers of a block's derivatives are built on the first
-    block an evaluator reads, never for fields alone."""
-    g = Grid(16, 16)
-    f = band_field(g, 4, rng, mean_zero_x=False)
-    h = band_field(g, 4, rng, mean_zero_x=False)
-
-    def no_block(*args):
-        raise AssertionError("built a Galerkin block for a field-only call")
-    with monkeypatch.context() as mp:
-        mp.setattr(spectral, "_block", no_block)
-        sup_norm_diagnostics(f)
-        cubic_integral(f)
-        commutator_check(f, h, 1.5)
-    planes = _RefinedPlanes(g)
-    for _ in planes(f):
-        pass
-    assert planes.block_mults is None
-    for _ in planes(_block(f.coeffs, *_block_dims(g))):
-        pass
-    assert planes.block_mults is not None
 
 
 def test_block_records_match_records_of_their_full_fields():

@@ -4,6 +4,7 @@ A name counts as reached when it appears on some line other than its own
 definition, an import or an __all__ entry: elsewhere in src/, or in demos/,
 bench/, README.md or the acceptance criteria (tests/test_acceptance.py).
 """
+import ast
 import importlib
 import pkgutil
 import re
@@ -57,3 +58,33 @@ def test_public_names_have_a_caller_outside_unit_tests():
         if not any(word.search(line) and not definition.match(line) for line in lines):
             unreached.append(name)
     assert unreached == []
+
+
+def _module_level_private_names(tree):
+    """The _names, dunders aside, that a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_private_helpers_have_a_caller_in_src():
+    """Every module-level _name that src/dgzk defines is read somewhere in
+    src/: as a name or an attribute, not in an import, a docstring or a
+    comment.  A helper that only tests import is dead code."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "dgzk").rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(f"{path.relative_to(ROOT)}:{name}" for path, tree in trees.items()
+                    for name in _module_level_private_names(tree) - read)
+    assert unread == []

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dgzk
+from dgzk import _work
 from dgzk import (
     DispersionSymbol,
     Grid,
@@ -29,7 +30,7 @@ from dgzk import (
     temporal_order_study,
     zero_field,
 )
-from dgzk.solver import (MAX_STUDY_WORK, SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper,
+from dgzk.solver import (SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper,
                          _check_guards, _etdrk4_phi, _linear_eigenvalues,
                          _step_count, l2_identity_residual)
 from dgzk.errors import (DivergenceError, InsufficientDataError, InvalidInitialDataError,
@@ -435,10 +436,11 @@ def test_temporal_study_work_ceiling():
     # criterion 05's (975 steps at 32^2) stay 100x below the ceiling
     assert _study_work(64, 0.1, [4e-3 / 2**i for i in range(4)]) == 1975 * 64 * 64
     assert _study_work(32, 0.1, [4e-3, 2e-3, 1e-3]) == 975 * 32 * 32
-    assert 100 * 1975 * 64 * 64 <= MAX_STUDY_WORK
+    assert 100 * 1975 * 64 * 64 <= _work.MAX_WORK["study"]
     g = Grid(16, 16)
     dts = [4e-3 / 2**i for i in range(40)]
-    with pytest.raises(ValueError, match=r"grid-point steps, above the ceiling"):
+    with pytest.raises(ValueError, match=r"grid-point steps .* exceeds the ceiling "
+                                         r"MAX_WORK\['study'\]"):
         temporal_order_study(g, SYM, initial_data(g, "cos-x"), t_end=0.1, dts=dts)
 
 

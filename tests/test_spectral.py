@@ -24,7 +24,6 @@ from dgzk import (
     field_from_modes,
     forward_transform,
     fractional_derivative,
-    grid_values,
     hermitian_defect,
     inverse_transform,
     l2_norm,
@@ -37,10 +36,10 @@ from dgzk import (
     zero_field,
 )
 from dgzk.errors import SymmetryViolationError
-from dgzk.spectral import (_PRODUCT_COLUMNS, _block, _block_coeffs, _block_dims,
-                           _block_hermitian_defect, _columns_buffer, _full_from_block,
+from dgzk.spectral import (_PRODUCT_COLUMNS, _ColumnValues, _block, _block_coeffs,
+                           _block_dims, _block_hermitian_defect, _full_from_block,
                            _full_spectrum, _half, _hermitian_gap, _real_coeffs, _real_values,
-                           _real_values_of_block, _real_values_on_columns, _values)
+                           _scatter_block)
 
 from fieldgen import (_record_fft_calls, _record_products, assert_irfft2_values, band_field,
                       cos_x, real_field)
@@ -158,8 +157,8 @@ def test_hermitian_defect_and_symmetry_gate(rng):
     assert hermitian_defect(broken) > 1e-6
     with pytest.raises(SymmetryViolationError):
         inverse_transform(broken)
-    # the complex-valued path has no symmetry requirement
-    grid_values(broken)
+    with pytest.raises(SymmetryViolationError):
+        resample_values(broken, 2)
 
 
 def test_field_shape_validation():
@@ -338,6 +337,8 @@ def test_resample_values_interpolates_band_limited():
     fine = Grid(64, 64)
     want = np.cos(fine.x)[:, None] * np.ones(64)[None, :]
     assert np.max(np.abs(vals - want)) <= 1e-12
+    assert vals.dtype == np.float64
+    assert np.array_equal(vals, inverse_transform(embed_in_grid(c, fine)))
 
 
 def test_spectral_is_the_only_module_calling_numpy_fft():
@@ -353,12 +354,11 @@ def test_spectral_is_the_only_module_calling_numpy_fft():
 def test_spectral_calls_complex_forward_transform_only_as_an_x_pass():
     """Real fields go forward through rfft2, or through rfft along y and the
     complex fft along x, the same two passes that rfft2 runs internally, with
-    the x pass pruned to the Galerkin block columns.  The complex inverse
-    entry points serve coefficients with no symmetry (grid_values) and the
-    x pass of the column-pruned real inverse."""
+    the x pass pruned to the Galerkin block columns.  The one complex
+    inverse entry point is the x pass of the column-pruned real inverse."""
     source = (Path(dgzk.__file__).parent / "spectral.py").read_text(encoding="utf-8")
     called = set(re.findall(r"\bnp\.fft\.(\w+)", source))
-    assert called == {"fft", "ifft", "ifft2", "irfft", "irfft2", "rfft", "rfft2"}
+    assert called == {"fft", "ifft", "irfft", "irfft2", "rfft", "rfft2"}
 
 
 even_sizes = st.integers(4, 32).map(lambda k: 2 * k)
@@ -374,7 +374,7 @@ def test_half_spectrum_helpers_agree_with_the_full_transforms(nx, ny, seed):
     h = _real_coeffs(v)
     assert np.max(np.abs(_full_spectrum(h, ny) - c)) <= 1e-14 * np.max(np.abs(c))
     vals = _real_values(_half(c), ny)
-    assert np.max(np.abs(vals - _values(c).real)) <= 1e-14 * np.max(np.abs(v))
+    assert np.max(np.abs(vals - np.fft.ifft2(c, norm="forward").real)) <= 1e-14 * np.max(np.abs(v))
     assert np.array_equal(_half(_full_spectrum(h, ny)), h)
 
 
@@ -396,22 +396,21 @@ def test_public_transforms_on_rectangular_grids(nx, ny, seed):
 @given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_column_pruned_real_values_equal_the_full_real_transform(nx, ny, seed, data):
     """The x pass over the nonzero columns alone gives the values of irfft2
-    (see assert_irfft2_values), also when both buffers are reused for a
-    second spectrum on the same columns (as strichartz_norm reuses them over
+    (see assert_irfft2_values), also when the evaluator is called again for
+    a second spectrum on the same columns (as strichartz_norm calls it over
     its time samples)."""
     h = ny // 2 + 1
     cols = np.array(sorted(data.draw(st.sets(st.integers(0, h - 1)), label="cols")),
                     dtype=np.intp)
     rng = np.random.default_rng(seed)
     # half spectra of real samples fill column 0 and the x-Nyquist row
-    buf = _columns_buffer(nx, ny, cols.size)
-    out = np.empty((nx, ny))
+    values = _ColumnValues(nx, ny, cols)
     for _ in range(2):
         half = _real_coeffs(rng.standard_normal((nx, ny)))
         half[:, np.setdiff1d(np.arange(h), cols)] = 0.0
-        got = _real_values_on_columns(half[:, cols], cols, buf, out)
-        assert got is out
-        assert_irfft2_values(out, _real_values(half, ny), cols.size)
+        got = values(half[:, cols])
+        assert got is values.out
+        assert_irfft2_values(got, _real_values(half, ny), cols.size)
 
 
 @pytest.mark.parametrize("y_pass", ["product", "irfft"])
@@ -423,7 +422,7 @@ def test_the_y_pass_is_chosen_by_the_number_of_data_columns(y_pass, nx, ny, seed
     and no irfft, past them one irfft and no product; either way the values
     are those of irfft2, on index sets with or without column 0 and the
     Nyquist column ny/2, on contiguous slices, on rectangular grids, and
-    with the buffers reused for a second spectrum."""
+    with the evaluator called again for a second spectrum."""
     h = ny // 2 + 1
     lo, hi = (1, _PRODUCT_COLUMNS) if y_pass == "product" else (_PRODUCT_COLUMNS + 1, h)
     ncols = data.draw(st.integers(lo, hi), label="ncols")
@@ -436,15 +435,15 @@ def test_the_y_pass_is_chosen_by_the_number_of_data_columns(y_pass, nx, ny, seed
         rest = rng.permutation(np.setdiff1d(np.arange(h), ends))[:ncols - len(ends)]
         cols = np.sort(np.concatenate([ends, rest])).astype(np.intp)
     kept = np.arange(h)[cols]
-    buf = _columns_buffer(nx, ny, ncols)
-    out = np.empty((nx, ny))
+    values = _ColumnValues(nx, ny, cols)
     with pytest.MonkeyPatch.context() as mp:
         calls = _record_fft_calls(mp)
         products = _record_products(mp)
         for _ in range(2):
             half = _real_coeffs(rng.standard_normal((nx, ny)))
             half[:, np.setdiff1d(np.arange(h), kept)] = 0.0
-            assert _real_values_on_columns(half[:, cols], cols, buf, out) is out
+            out = values(half[:, cols])
+            assert out is values.out
             assert_irfft2_values(out, np.fft.irfft2(half, s=(nx, ny), norm="forward"), ncols)
     passes = [c for c in calls if c[0] in ("ifft", "irfft")]  # the oracle takes rfft2, irfft2
     if y_pass == "product":
@@ -459,15 +458,14 @@ def test_the_y_pass_is_chosen_by_the_number_of_data_columns(y_pass, nx, ny, seed
 def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
     """On data carried by the Galerkin block, the pruned inverse gives the
     values of irfft2 (see assert_irfft2_values) and the pruned forward the
-    bits of the block of rfft2, also when the inverse's buffers are reused
-    for a second spectrum (as a stepper reuses them); the block -> full map
-    keeps the block and zeros the rest."""
+    bits of the block of rfft2, also when the inverse's evaluator is called
+    again for a second spectrum (as a stepper calls it); the block -> full
+    map keeps the block and zeros the rest."""
     g = Grid(nx, ny)
     K, kc = _block_dims(g)
     rng = np.random.default_rng(seed)
-    buf = np.zeros((nx, kc), dtype=np.complex128)
-    work = _columns_buffer(nx, ny, kc)
-    out = np.empty((nx, ny))
+    rows = np.zeros((nx, kc), dtype=np.complex128)
+    values = _ColumnValues(nx, ny, slice(0, kc))
     for _ in range(2):
         half = _real_coeffs(rng.standard_normal((nx, ny)))
         # the block rows of the first kc columns: x-Nyquist row and rows past K zeroed
@@ -475,9 +473,10 @@ def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
         half[:, kc:] = 0.0
         block = _block(half, K, kc)
         assert block.shape == (2 * K + 1, kc)
-        got = _real_values_of_block(block, buf, work, out)
-        assert got is out
-        assert_irfft2_values(out, np.fft.irfft2(half, s=(nx, ny), norm="forward"), kc)
+        _scatter_block(block, rows)
+        got = values(rows)
+        assert got is values.out
+        assert_irfft2_values(got, np.fft.irfft2(half, s=(nx, ny), norm="forward"), kc)
         v = rng.standard_normal((nx, ny))
         assert np.array_equal(_block_coeffs(v, K, kc),
                               _block(np.fft.rfft2(v, norm="forward"), K, kc))
