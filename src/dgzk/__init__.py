@@ -50,6 +50,7 @@ from .solver import (
 from .diagnostics import (
     DiagnosticsRecord,
     commutator_check,
+    commutator_scan,
     cubic_integral,
     diagnostics_csv,
     energy,
@@ -77,6 +78,7 @@ __all__ = [
     "DiagnosticsRecord",
     "bessel_potential",
     "commutator_check",
+    "commutator_scan",
     "cubic_integral",
     "damping_rate",
     "dealias",

@@ -16,15 +16,22 @@ memory.  Each ceiling counts the run's innermost operation or its records:
 * "simulate": grid-point steps of one `simulate` run, steps * nx * ny
   (4.1e5 by default; hours at the ceiling), and "records": the bytes of
   the Galerkin blocks it records, 11.7 MB for 200 records at 128^2.
+* "vdc": quadrature nodes of a `vdc-scan`, rows * 2^22, the most the node
+  doubling can spend on one row (4.6e7 by default), and "commutator": grid
+  points of a `commutator-scan`, pairs * len(s_values) * (2 nx) (2 ny)
+  (9.8e6 by default).  At either ceiling a scan takes minutes.
 """
 from __future__ import annotations
 
-MAX_WORK = {"weyl": 1e9, "strichartz": 1e11, "study": 1e9, "simulate": 1e11, "records": 2e9}
+MAX_WORK = {"weyl": 1e9, "strichartz": 1e11, "study": 1e9, "simulate": 1e11, "records": 2e9,
+            "vdc": 1e9, "commutator": 1e9}
 _UNITS = {"weyl": "terms (trials * sum(N))",
           "strichartz": "grid-point samples (trials * sum of nx * ny * n_times over the cells)",
           "study": "grid-point steps (sum of steps * nx * ny over the runs)",
           "simulate": "grid-point steps (steps * nx * ny)",
-          "records": "bytes of recorded states (recorded blocks * bytes per block)"}
+          "records": "bytes of recorded states (recorded blocks * bytes per block)",
+          "vdc": "quadrature nodes (rows * 2^22)",
+          "commutator": "grid points (pairs * len(s_values) * 2nx * 2ny)"}
 
 
 def check_work(kind: str, work: int) -> None:

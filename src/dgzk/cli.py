@@ -35,21 +35,18 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .configfile import COMMANDS, parse_config_text, resolve_config
-from .diagnostics import commutator_check, diagnostics_csv
+from .diagnostics import commutator_scan, diagnostics_csv
 from .errors import (
     ConfigError,
     DivergenceError,
     InsufficientDataError,
     InvalidInitialDataError,
 )
-from .estimates import kernel_decay_scan, strichartz_scan, vandercorput_check, weyl_scan
-from .estimates._shellscan import parallel_map
+from .estimates import kernel_decay_scan, strichartz_scan, vdc_scan, weyl_scan
 from .fieldio import save_field
 from .grid import Grid
-from .presets import initial_data, random_band_field
+from .presets import initial_data
 from .propagator import DispersionSymbol
 from .reporting import error_record, write_csv, write_json, write_resolved_config
 from .solver import (
@@ -186,12 +183,11 @@ def _run_regularized_family(cfg: dict, out: Path) -> None:
     })
 
 
-def _write_shell_scan(out: Path, report, **settings) -> None:
-    """cells.csv and report.json of a shell scan; settings are the scan's own."""
+def _write_shell_scan(out: Path, report) -> None:
     write_csv(out / "cells.csv", ["j", "k", "measured", "bound", "ratio"], report.cells)
     write_json(out / "report.json", {
         "alpha": report.alpha, "beta": report.beta, "sign": report.sign,
-        "eps": report.eps, "seed": report.seed, **settings,
+        "eps": report.eps, "seed": report.seed, **report.settings,
         "slope_j": report.slope_j,
         "slope_k": None if math.isnan(report.slope_k) else report.slope_k,
         "intercept": report.intercept, "max_ratio": report.max_ratio,
@@ -200,25 +196,22 @@ def _write_shell_scan(out: Path, report, **settings) -> None:
 
 
 def _run_strichartz_scan(cfg: dict, out: Path) -> None:
-    report = strichartz_scan(
+    _write_shell_scan(out, strichartz_scan(
         _symbol_from(cfg),
         range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
         range(cfg["scan.k_min"], cfg["scan.k_max"] + 1),
         trials=cfg["scan.trials"], seed=cfg["seed"],
         n_times=cfg["scan.n_times"], refine=cfg["scan.refine"],
-        eps=cfg["scan.eps"], workers=cfg["workers"])
-    _write_shell_scan(out, report, trials=report.trials, n_times=report.n_times,
-                      refine=report.refine)
+        eps=cfg["scan.eps"], workers=cfg["workers"]))
 
 
 def _run_kernel_scan(cfg: dict, out: Path) -> None:
-    report = kernel_decay_scan(
+    _write_shell_scan(out, kernel_decay_scan(
         _symbol_from(cfg),
         range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
         range(cfg["scan.k_min"], cfg["scan.k_max"] + 1),
         samples_per_cell=cfg["scan.samples_per_cell"], seed=cfg["seed"],
-        eps=cfg["scan.eps"], workers=cfg["workers"])
-    _write_shell_scan(out, report, samples_per_cell=report.samples_per_cell)
+        eps=cfg["scan.eps"], workers=cfg["workers"]))
 
 
 def _run_weyl_scan(cfg: dict, out: Path) -> None:
@@ -235,36 +228,12 @@ def _run_weyl_scan(cfg: dict, out: Path) -> None:
 
 
 def _run_vdc_scan(cfg: dict, out: Path) -> None:
-    p = cfg["vdc.p"]
-    i_min, i_max = cfg["vdc.i_min"], cfg["vdc.i_max"]
-    if i_max < i_min:
-        raise ConfigError("vdc.i_max must be >= vdc.i_min")
-    if p > 170:
-        raise ConfigError(f"vdc.p must be <= 170, the largest p whose factorial is a "
-                          f"finite float; got {p}")
-    if i_max > 1023:
-        raise ConfigError(f"vdc.i_max must be <= 1023, the largest i for which 2^i is a "
-                          f"finite float; got {i_max}")
-    fact = math.factorial(p)
-    rows = []
-    for i in range(i_min, i_max + 1):
-        lam = 2.0 ** i
-        # monomial phase: the p-th derivative is exactly lam everywhere
-        rep = vandercorput_check(
-            phase=lambda x, c=lam: c * np.asarray(x) ** p / fact,
-            phase_deriv_p=lambda x, c=lam: np.full_like(np.asarray(x, dtype=float), c),
-            interval=(0.0, 1.0), lam=lam, p=p,
-            amplitude=lambda x: np.sin(np.pi * np.asarray(x)) ** 2,
-            amplitude_deriv=lambda x: np.pi * np.sin(2.0 * np.pi * np.asarray(x)))
-        rows.append((lam, rep.lhs, rep.rhs, rep.rhs_alternate, rep.ratio, int(rep.converged)))
-    # an unconverged lhs is quadrature noise: its row is listed, not maximized over
-    good = [row for row in rows if row[-1]]
+    report = vdc_scan(cfg["vdc.p"], cfg["vdc.i_min"], cfg["vdc.i_max"])
     write_csv(out / "rows.csv", ["lam", "lhs", "rhs", "rhs_alternate", "ratio", "converged"],
-              rows)
+              report.rows)
     write_json(out / "report.json", {
-        "p": p, "rows": len(rows), "unconverged": len(rows) - len(good),
-        "max_ratio": max((row[4] for row in good), default=0.0),
-        "max_lhs_scaled": max((row[1] * row[0] ** (1.0 / p) for row in good), default=0.0),
+        "p": cfg["vdc.p"], "rows": len(report.rows), "unconverged": report.unconverged,
+        "max_ratio": report.max_ratio, "max_lhs_scaled": report.max_lhs_scaled,
     })
 
 
@@ -293,28 +262,12 @@ def _run_convergence(cfg: dict, out: Path) -> None:
 
 
 def _run_commutator_scan(cfg: dict, out: Path) -> None:
-    grid = _grid_from(cfg)
-    band = cfg["comm.band"] or max(1, grid.nx // 4)
-    pairs = cfg["comm.pairs"]
-    if pairs < 1:
-        raise ConfigError(f"comm.pairs must be >= 1, got {pairs}")
-    s_values = list(cfg["comm.s_values"])
-    seed = cfg["seed"]
-
-    def one(task):
-        si, trial = task
-        rng = np.random.default_rng([seed, si, trial])
-        f = random_band_field(grid, band, rng, mean_zero_x=False)
-        g = random_band_field(grid, band, rng, mean_zero_x=False)
-        lhs, rhs = commutator_check(f, g, s_values[si])
-        return (s_values[si], trial, lhs, rhs, lhs / rhs if rhs else 0.0)
-
-    tasks = [(si, trial) for si in range(len(s_values)) for trial in range(pairs)]
-    rows = parallel_map(one, tasks, cfg["workers"])
-    write_csv(out / "rows.csv", ["s", "pair", "lhs", "rhs", "ratio"], rows)
+    report = commutator_scan(_grid_from(cfg), cfg["comm.pairs"], cfg["comm.s_values"],
+                             cfg["seed"], band=cfg["comm.band"] or None, workers=cfg["workers"])
+    write_csv(out / "rows.csv", ["s", "pair", "lhs", "rhs", "ratio"], report.rows)
     write_json(out / "report.json", {
-        "pairs": pairs, "s_values": s_values, "band": band, "seed": seed,
-        "max_ratio": max(r[4] for r in rows),
+        "pairs": cfg["comm.pairs"], "s_values": cfg["comm.s_values"], "band": report.band,
+        "seed": cfg["seed"], "max_ratio": report.max_ratio,
     })
 
 

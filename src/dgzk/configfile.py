@@ -53,18 +53,17 @@ def _choice(*allowed: str) -> Callable[[str], str]:
     return cast
 
 
-def _float_list(raw: str) -> Tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of numbers")
-    return tuple(_float(p) for p in parts)
+def _list(cast: Callable[[str], object], what: str) -> Callable[[str], tuple]:
+    def cast_list(raw: str) -> tuple:
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ValueError(f"expected a comma-separated list of {what}")
+        return tuple(cast(p) for p in parts)
+    return cast_list
 
 
-def _int_list(raw: str) -> Tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list of integers")
-    return tuple(int(p, 0) for p in parts)
+_float_list = _list(_float, "numbers")
+_int_list = _list(_int, "integers")
 
 
 def _opts(*options: Option) -> Dict[str, Option]:
@@ -105,15 +104,10 @@ _SCAN_PRESETS: Dict[str, Dict[str, Dict[str, object]]] = {
         "alpha1-small": {"symbol.alpha": 1, "symbol.beta": 1.0,
                          "scan.j_min": 3, "scan.j_max": 5,
                          "scan.k_min": 1, "scan.k_max": 3, "scan.trials": 5},
-        "alpha1-full": {"symbol.alpha": 1, "symbol.beta": 1.0,
-                        "scan.j_min": 3, "scan.j_max": 7,
-                        "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20},
-        "alpha2-full": {"symbol.alpha": 2, "symbol.beta": 1.0,
-                        "scan.j_min": 3, "scan.j_max": 7,
-                        "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20},
-        "alpha3-full": {"symbol.alpha": 3, "symbol.beta": 1.0,
-                        "scan.j_min": 3, "scan.j_max": 7,
-                        "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20},
+        **{f"alpha{alpha}-full": {"symbol.alpha": alpha, "symbol.beta": 1.0,
+                                  "scan.j_min": 3, "scan.j_max": 7,
+                                  "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20}
+           for alpha in (1, 2, 3)},
     },
     "kernel-scan": {
         "alpha1-small": {"symbol.alpha": 1, "symbol.beta": 1.0,

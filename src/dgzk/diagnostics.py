@@ -9,23 +9,24 @@ refinement of the sample grid.
 Fields are real (conjugate-symmetry defect at most HERMITIAN_TOL; any
 other field raises SymmetryViolationError) and are evaluated on the refined
 grid by one plane evaluator per call (spectral._RefinedPlanes), one plane
-each for u, u_x and u_y, with the x pass on the data columns only;
-products go back through the real forward transform.  build_records takes
-each record from those three planes on the 2x grid and from one
-|u_hat|^2, so a record reads the state once; the states of a run are read
-as the Galerkin blocks simulate keeps.  Record values agree with a complex
+each for u, u_x and u_y.  build_records takes each record from those
+three planes and from one |u_hat|^2, and reads the states of a run as the
+Galerkin blocks simulate keeps.  Record values agree with a complex
 evaluation to about 4e-16 relative.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from ._work import check_work
 from .errors import InsufficientDataError
+from .estimates._shellscan import parallel_map
 from .grid import Grid
+from .presets import random_band_field
 from .propagator import DispersionSymbol
 from .spectral import (
     RecordedStates,
@@ -53,6 +54,8 @@ __all__ = [
     "build_records",
     "diagnostics_csv",
     "commutator_check",
+    "commutator_scan",
+    "CommutatorScanReport",
     "l1t_linf_estimate_check",
     "L1tLinfReport",
 ]
@@ -223,6 +226,38 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
            + (_sup(f_vals) + grad_inf)
            * l2_norm(SpectralField(grid, g.coeffs * base ** ((s - 1.0) / 2.0))))
     return lhs, rhs
+
+
+@dataclass
+class CommutatorScanReport:
+    band: int
+    rows: list           # (s, pair, lhs, rhs, ratio)
+    max_ratio: float
+
+
+def commutator_scan(grid: Grid, pairs: int, s_values: Sequence[float], seed: int,
+                    band: int = None, workers: int = 1) -> CommutatorScanReport:
+    """commutator_check on `pairs` random real pairs with |m|, |n| <= band
+    (None: max(1, nx // 4)) per s.  Pair `trial` of s_values[si] draws from
+    default_rng([seed, si, trial]), so the rows do not depend on workers.
+    Work above the ceiling (see dgzk._work) raises ValueError before a draw."""
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    check_work("commutator", pairs * len(s_values) * 4 * grid.nx * grid.ny)
+    if band is None:
+        band = max(1, grid.nx // 4)
+
+    def one(task):
+        si, trial = task
+        rng = np.random.default_rng([seed, si, trial])
+        f = random_band_field(grid, band, rng, mean_zero_x=False)
+        g = random_band_field(grid, band, rng, mean_zero_x=False)
+        lhs, rhs = commutator_check(f, g, s_values[si])
+        return (s_values[si], trial, lhs, rhs, lhs / rhs if rhs else 0.0)
+
+    tasks = [(si, trial) for si in range(len(s_values)) for trial in range(pairs)]
+    rows = parallel_map(one, tasks, workers)
+    return CommutatorScanReport(band=band, rows=rows, max_ratio=max(r[4] for r in rows))
 
 
 @dataclass

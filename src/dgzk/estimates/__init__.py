@@ -12,12 +12,15 @@ from .expsums import (
 from .oscillatory import (
     OscillatoryIntegralResult,
     VanDerCorputReport,
+    VdcScanReport,
     complex_oscillatory_quad,
     oscillatory_integral,
     vandercorput_check,
+    vdc_scan,
 )
-from .kernels import KernelQuery, KernelScanReport, kernel_decay_scan, kernel_sum
-from .strichartz import StrichartzScanReport, shell_field, strichartz_norm, strichartz_scan
+from ._shellscan import ShellScanReport
+from .kernels import KernelQuery, kernel_decay_scan, kernel_sum
+from .strichartz import shell_field, strichartz_norm, strichartz_scan
 
 __all__ = [
     "psi1",
@@ -30,14 +33,15 @@ __all__ = [
     "weyl_scan",
     "OscillatoryIntegralResult",
     "VanDerCorputReport",
+    "VdcScanReport",
     "complex_oscillatory_quad",
     "oscillatory_integral",
     "vandercorput_check",
+    "vdc_scan",
+    "ShellScanReport",
     "KernelQuery",
-    "KernelScanReport",
     "kernel_sum",
     "kernel_decay_scan",
-    "StrichartzScanReport",
     "shell_field",
     "strichartz_norm",
     "strichartz_scan",

@@ -7,6 +7,7 @@ least squares on log2(measured).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,14 +21,26 @@ def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
     return [fn(x) for x in items]
 
 
-def shell_scan(measure: Callable[[int, int], float], j_list: Sequence[int],
-               k_list: Sequence[int], s_j: float, s_k: float, workers: int = 1):
-    """Measure every cell of j_list x k_list and fit the decay exponents.
+@dataclass
+class ShellScanReport:
+    alpha: int
+    beta: float
+    sign: int
+    eps: float
+    seed: int
+    settings: dict       # the scan's own sample counts, by their report.json keys
+    cells: list          # rows (j, k, measured, bound, ratio)
+    slope_j: float
+    slope_k: float       # nan when a single k is scanned
+    intercept: float
+    max_ratio: float
 
-    Returns (cells, max_ratio, slope_j, slope_k, intercept), where cells
-    holds rows (j, k, measured, bound, ratio).  With a single k only the j
-    slope is fitted and slope_k is nan.
-    """
+
+def shell_scan(measure: Callable[[int, int], float], symbol, j_list: Sequence[int],
+               k_list: Sequence[int], s_j: float, s_k: float, eps: float, seed: int,
+               settings: dict, workers: int = 1) -> ShellScanReport:
+    """Measure every cell of j_list x k_list and fit the decay exponents;
+    with a single k only the j slope is fitted and slope_k is nan."""
     pairs = [(j, k) for j in j_list for k in k_list]
     measured = parallel_map(lambda jk: measure(*jk), pairs, workers)
     cells = []
@@ -42,5 +55,7 @@ def shell_scan(measure: Callable[[int, int], float], j_list: Sequence[int],
     design = np.array([[1.0, j, k] if fit_k else [1.0, j] for j, k in pairs])
     logs = np.log2([max(v, 1e-300) for v in measured])
     coeff, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    slope_k = float(coeff[2]) if fit_k else float("nan")
-    return cells, float(max_ratio), float(coeff[1]), slope_k, float(coeff[0])
+    return ShellScanReport(alpha=symbol.alpha, beta=symbol.beta, sign=symbol.sign, eps=eps,
+                           seed=seed, settings=settings, cells=cells, slope_j=float(coeff[1]),
+                           slope_k=float(coeff[2]) if fit_k else float("nan"),
+                           intercept=float(coeff[0]), max_ratio=float(max_ratio))

@@ -34,7 +34,7 @@ __all__ = [
     "weyl_scan",
 ]
 
-_CHUNK_POINTS = 2 ** 16  # trials x N per array pass of weyl_scan
+_CHUNK_POINTS = 2 ** 14  # trials x N per array pass of weyl_scan
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ def _weyl_sums(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
         h *= m
         h += c[:, None]
     h -= np.floor(h)
-    return np.sum(np.exp(2j * np.pi * h), axis=1)
+    phases = 2j * np.pi * h
+    return np.sum(np.exp(phases, out=phases), axis=1)
 
 
 def weyl_sum(instance: WeylInstance) -> complex:

@@ -26,12 +26,11 @@ import numpy as np
 
 from ..errors import InsufficientDataError
 from ..propagator import DispersionSymbol
-from ._shellscan import shell_scan
+from ._shellscan import ShellScanReport, shell_scan
 from .bump import psi1
 
 __all__ = [
     "KernelQuery",
-    "KernelScanReport",
     "kernel_sum",
     "kernel_decay_scan",
 ]
@@ -123,21 +122,6 @@ def kernel_sum(query: KernelQuery) -> complex:
     return complex(2.0 * total.real)
 
 
-@dataclass
-class KernelScanReport:
-    alpha: int
-    beta: float
-    sign: int
-    eps: float
-    seed: int
-    samples_per_cell: int
-    cells: list          # rows (j, k, measured, bound, ratio)
-    slope_j: float
-    slope_k: float
-    intercept: float
-    max_ratio: float
-
-
 def _cell_measurement(symbol, j, k, samples, seed):
     """Max of |K| * 2^{-l} over sampled admissible (t, t', x, y, l)."""
     lo = j + k
@@ -166,7 +150,7 @@ def _cell_measurement(symbol, j, k, samples, seed):
 def kernel_decay_scan(symbol: DispersionSymbol, j_range: Sequence[int],
                       k_range: Sequence[int], samples_per_cell: int = 8,
                       seed: int = 0, eps: float = 0.05,
-                      workers: int = 1) -> KernelScanReport:
+                      workers: int = 1) -> ShellScanReport:
     """Measure the decay of the windowed kernel across shell pairs.
 
     Per cell (j, k) the scan records max over samples of |K| * 2^{-l} and
@@ -190,9 +174,5 @@ def kernel_decay_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     s_j = -1.0 / 2.0 ** (symbol.alpha + 1) + 2.0 * eps
     s_k = -symbol.beta / 2.0 + 2.0 * eps
     measure = lambda j, k: _cell_measurement(symbol, j, k, samples_per_cell, seed)
-    cells, max_ratio, slope_j, slope_k, intercept = shell_scan(
-        measure, j_list, k_list, s_j, s_k, workers)
-    return KernelScanReport(alpha=symbol.alpha, beta=symbol.beta, sign=symbol.sign,
-                            eps=eps, seed=seed, samples_per_cell=samples_per_cell,
-                            cells=cells, slope_j=slope_j, slope_k=slope_k,
-                            intercept=intercept, max_ratio=max_ratio)
+    return shell_scan(measure, symbol, j_list, k_list, s_j, s_k, eps, seed,
+                      {"samples_per_cell": samples_per_cell}, workers)

@@ -23,15 +23,18 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .._work import check_work
 from ..errors import CertificateViolationError
 from .bump import psi1
 
 __all__ = [
     "OscillatoryIntegralResult",
     "VanDerCorputReport",
+    "VdcScanReport",
     "complex_oscillatory_quad",
     "oscillatory_integral",
     "vandercorput_check",
+    "vdc_scan",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -196,3 +199,44 @@ def vandercorput_check(phase: Callable, phase_deriv_p: Callable,
                               rhs=lam ** (-1.0 / p) * variation,
                               rhs_alternate=lam ** (1.0 / p) * variation,
                               lam=float(lam), p=int(p), converged=converged)
+
+
+@dataclass
+class VdcScanReport:
+    rows: list            # (lam, lhs, rhs, rhs_alternate, ratio, converged 1 or 0)
+    unconverged: int
+    max_ratio: float      # this and max_lhs_scaled over converged rows only
+    max_lhs_scaled: float  # max of lhs * lam^{1/p}
+
+
+def vdc_scan(p: int, i_min: int, i_max: int) -> VdcScanReport:
+    """vandercorput_check of lam x^p / p! with amplitude sin^2(pi x) on [0, 1]
+    for lam = 2^i, i = i_min .. i_max; the maxima skip unconverged rows, whose
+    lhs is quadrature noise.  Out-of-domain values and work above the ceiling
+    (see dgzk._work) raise ValueError before the first row."""
+    if i_max < i_min:
+        raise ValueError("i_max must be >= i_min")
+    if p > 170:
+        raise ValueError(f"p must be <= 170, the largest p whose factorial is a "
+                         f"finite float; got {p}")
+    if i_max > 1023:
+        raise ValueError(f"i_max must be <= 1023, the largest i for which 2^i is a "
+                         f"finite float; got {i_max}")
+    check_work("vdc", (i_max - i_min + 1) * 2 * MAX_QUADRATURE_NODES)
+    fact = math.factorial(p)
+    rows = []
+    for i in range(i_min, i_max + 1):
+        lam = 2.0 ** i
+        # monomial phase: the p-th derivative is exactly lam everywhere
+        rep = vandercorput_check(
+            phase=lambda x, c=lam: c * np.asarray(x) ** p / fact,
+            phase_deriv_p=lambda x, c=lam: np.full_like(np.asarray(x, dtype=float), c),
+            interval=(0.0, 1.0), lam=lam, p=p,
+            amplitude=lambda x: np.sin(np.pi * np.asarray(x)) ** 2,
+            amplitude_deriv=lambda x: np.pi * np.sin(2.0 * np.pi * np.asarray(x)))
+        rows.append((lam, rep.lhs, rep.rhs, rep.rhs_alternate, rep.ratio, int(rep.converged)))
+    good = [row for row in rows if row[-1]]
+    return VdcScanReport(
+        rows=rows, unconverged=len(rows) - len(good),
+        max_ratio=max((row[4] for row in good), default=0.0),
+        max_lhs_scaled=max((row[1] * row[0] ** (1.0 / p) for row in good), default=0.0))

@@ -7,7 +7,6 @@ case over random trials, and fits the observed decay exponents in j and k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,10 +18,9 @@ from ..presets import _random_real
 from ..propagator import DispersionSymbol, _phase_speeds
 from ..spectral import (SpectralField, _ColumnValues, _half, _require_real, _sup, l2_norm,
                         shell_indices)
-from ._shellscan import shell_scan
+from ._shellscan import ShellScanReport, shell_scan
 
 __all__ = [
-    "StrichartzScanReport",
     "shell_field",
     "strichartz_norm",
     "strichartz_scan",
@@ -53,7 +51,8 @@ def shell_field(grid: Grid, j: int, k: int, rng) -> SpectralField:
     norm = l2_norm(field)
     if norm == 0.0:
         raise ValueError("degenerate draw: all shell coefficients vanished")
-    return SpectralField(grid=grid, coeffs=field.coeffs / norm)
+    field.coeffs /= norm
+    return field
 
 
 def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
@@ -61,13 +60,10 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     """Discrete L2-in-time of the spatial sup of the propagated field.
 
     Time samples are equispaced, so the group multiplier advances by a
-    single per-step factor instead of a fresh exponential per sample; the
-    accumulated phase roundoff over <= a few hundred steps is ~1e-14 and
-    irrelevant next to the fitted slopes.  phi must be a real field
-    (SymmetryViolationError otherwise), so the time loop runs on the
-    nonzero columns of its half spectrum (the group keeps them; a shell
-    field fills ~1/8), with the phases built on them alone, and takes each
-    sample's values from one spectral._ColumnValues on those columns.
+    single per-step factor; the accumulated phase roundoff over <= a few
+    hundred steps is ~1e-14, irrelevant next to the fitted slopes.  phi must
+    be a real field (SymmetryViolationError otherwise); the time loop runs
+    on the nonzero columns of its half spectrum, which the group keeps.
     """
     if n_times < 64:
         raise ValueError(f"need at least 64 time samples, got {n_times}")
@@ -90,35 +86,19 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     return float(np.sqrt(np.trapezoid(sups ** 2, times)))
 
 
-@dataclass
-class StrichartzScanReport:
-    alpha: int
-    beta: float
-    sign: int
-    eps: float
-    seed: int
-    trials: int
-    n_times: int
-    refine: int
-    cells: list          # rows (j, k, measured, bound, ratio)
-    slope_j: float
-    slope_k: float
-    intercept: float
-    max_ratio: float
-
-
 def _cell_measurement(symbol, j, k, trials, seed, n_times, refine):
     grid = _shell_grid(j, k, refine)
     t_max = 2.0 ** (-(j + k))
-    fields = (shell_field(grid, j, k, np.random.default_rng([seed, j, k, trial]))
-              for trial in range(trials))
-    return max(strichartz_norm(phi, symbol, t_max, n_times) for phi in fields)
+    # each trial's field is freed before the next one is drawn
+    rngs = (np.random.default_rng([seed, j, k, trial]) for trial in range(trials))
+    return max(strichartz_norm(shell_field(grid, j, k, rng), symbol, t_max, n_times)
+               for rng in rngs)
 
 
 def strichartz_scan(symbol: DispersionSymbol, j_range: Sequence[int],
                     k_range: Sequence[int], trials: int = 20, seed: int = 0,
                     n_times: int = 64, refine: int = 4, eps: float = 0.05,
-                    workers: int = 1) -> StrichartzScanReport:
+                    workers: int = 1) -> ShellScanReport:
     """Worst-case decay measurement across shell pairs with a slope fit.
 
     Reference per-cell value: 2^{(-1/2^{alpha+2} + eps) j + (-beta/4 + eps) k}.
@@ -147,9 +127,5 @@ def strichartz_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     s_j = -1.0 / 2.0 ** (symbol.alpha + 2) + eps
     s_k = -symbol.beta / 4.0 + eps
     measure = lambda j, k: _cell_measurement(symbol, j, k, trials, seed, n_times, refine)
-    cells, max_ratio, slope_j, slope_k, intercept = shell_scan(
-        measure, j_list, k_list, s_j, s_k, workers)
-    return StrichartzScanReport(alpha=symbol.alpha, beta=symbol.beta, sign=symbol.sign,
-                                eps=eps, seed=seed, trials=trials, n_times=n_times,
-                                refine=refine, cells=cells, slope_j=slope_j,
-                                slope_k=slope_k, intercept=intercept, max_ratio=max_ratio)
+    return shell_scan(measure, symbol, j_list, k_list, s_j, s_k, eps, seed,
+                      {"trials": trials, "n_times": n_times, "refine": refine}, workers)

@@ -63,14 +63,20 @@ def _deinterleave(data: np.ndarray, grid: Grid) -> np.ndarray:
     return (data[0::2] + 1j * data[1::2]).reshape(grid.shape)
 
 
+def _format(path: Path, fmt) -> str:
+    """fmt, by default 'json' for a .json suffix and 'binary' otherwise."""
+    if fmt is None:
+        fmt = "json" if path.suffix.lower() == ".json" else "binary"
+    if fmt not in ("json", "binary"):
+        raise ValueError(f"fmt must be 'json' or 'binary', got {fmt!r}")
+    return fmt
+
+
 def save_field(field: SpectralField, path, fmt: str = None) -> None:
     """Write a field snapshot; fmt is 'json' or 'binary' (default: by suffix)."""
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "binary"
-    canon = _to_canonical(field)
-    data = _interleave(canon)
-    if fmt == "json":
+    data = _interleave(_to_canonical(field))
+    if _format(path, fmt) == "json":
         record = {
             "format": "dgzk-field",
             "version": VERSION,
@@ -80,41 +86,33 @@ def save_field(field: SpectralField, path, fmt: str = None) -> None:
             "data": data.tolist(),
         }
         path.write_text(json.dumps(record, sort_keys=True) + "\n")
-    elif fmt == "binary":
+    else:
         tag = NORMALIZATION.encode("ascii").ljust(_TAG_BYTES, b"\0")
         header = MAGIC + struct.pack("<III", VERSION, field.grid.nx, field.grid.ny) + tag
         path.write_bytes(header + data.astype("<f8").tobytes())
-    else:
-        raise ValueError(f"fmt must be 'json' or 'binary', got {fmt!r}")
 
 
 def load_field(path, fmt: str = None) -> SpectralField:
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "binary"
-    if fmt == "json":
+    if _format(path, fmt) == "json":
         record = json.loads(path.read_text())
         if record.get("format") != "dgzk-field":
             raise ValueError(f"{path}: not a field record")
-        if record.get("version") != VERSION:
-            raise ValueError(f"{path}: unsupported version {record.get('version')!r}")
-        if record.get("normalization") != NORMALIZATION:
-            raise ValueError(f"{path}: unexpected normalization {record.get('normalization')!r}")
-        grid = Grid(nx=int(record["nx"]), ny=int(record["ny"]))
-        data = np.asarray(record["data"], dtype=float)
-        return _from_canonical(grid, _deinterleave(data, grid))
-    if fmt == "binary":
+        version, tag = record.get("version"), record.get("normalization")
+        body = lambda: (record["nx"], record["ny"], np.asarray(record["data"], dtype=float))
+    else:
         blob = path.read_bytes()
         head = len(MAGIC) + 12 + _TAG_BYTES
         if len(blob) < head or blob[:len(MAGIC)] != MAGIC:
             raise ValueError(f"{path}: not a binary field snapshot")
         version, nx, ny = struct.unpack("<III", blob[len(MAGIC):len(MAGIC) + 12])
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
         tag = blob[len(MAGIC) + 12:head].rstrip(b"\0").decode("ascii", "replace")
-        if tag != NORMALIZATION:
-            raise ValueError(f"{path}: unexpected normalization {tag!r}")
-        grid = Grid(nx=int(nx), ny=int(ny))
-        data = np.frombuffer(blob[head:], dtype="<f8")
-        return _from_canonical(grid, _deinterleave(data, grid))
-    raise ValueError(f"fmt must be 'json' or 'binary', got {fmt!r}")
+        body = lambda: (nx, ny, np.frombuffer(blob[head:], dtype="<f8"))
+    # the header checks run before the body is read
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported version {version!r}")
+    if tag != NORMALIZATION:
+        raise ValueError(f"{path}: unexpected normalization {tag!r}")
+    nx, ny, data = body()
+    grid = Grid(nx=int(nx), ny=int(ny))
+    return _from_canonical(grid, _deinterleave(data, grid))

@@ -9,19 +9,12 @@ so the transform of a constant c has f_hat(0, 0) = c, and the L2 norm on the
 square satisfies ||f||^2 = (2*pi)^2 * sum |f_hat|^2.  Discretely this is
 numpy's fft2(samples, norm="forward"), and its inverse is
 ifft2(f_hat, norm="forward").  Real fields, which are all the program
-makes, go through the real transforms rfft2/irfft2 on the half spectrum
-n = 0 .. ny/2 (see _half); there is no complex evaluation, and every
-function that returns point values rejects a non-real field.  The
-solver's state is the Galerkin block of the half spectrum, the modes the
-two-thirds rule keeps (see _block), and a run keeps its recorded states as
-blocks (RecordedStates).  Its pruned forward _block_coeffs runs the passes
-of rfft2 with the x pass on the block's columns only, so it gives the same
-bits.  Every pruned real evaluation (the solver's quadratic term, the
-diagnostics planes _RefinedPlanes and strichartz_norm) holds one
-_ColumnValues: an x pass on the data columns only, then a y pass that is
-irfft past _PRODUCT_COLUMNS data columns, with the bits of irfft2, and one
-real product with a cos/sin table up to them, within about 1e-15 of
-max|values|.  This module is the only one in the package that calls
+makes, go through the real transforms on the half spectrum n = 0 .. ny/2
+(see _half), and every function that returns point values rejects a
+non-real field.  The solver's state is the Galerkin block of the half
+spectrum (see _block).  Every pruned real evaluation (the solver's
+quadratic term, _RefinedPlanes and strichartz_norm) holds one
+_ColumnValues.  This module is the only one in the package that calls
 numpy.fft: every other module goes through the functions here.
 
 Sobolev norms below follow the sequence-space convention without the surface
@@ -142,15 +135,10 @@ class _ColumnValues:
     """_real_values, on an (nx, ny) grid, of half spectra that are data on
     the columns cols (an index array or a slice) and zero elsewhere: called
     as values(data), data of shape (nx, ncols), it returns its own output
-    plane, which the next call overwrites.
-
-    The x pass runs on cols only, into a buffer of the evaluator's own, and
-    the y pass depends on ncols.  Up to _PRODUCT_COLUMNS it is one real
-    product: the buffer is the C-contiguous (nx, ncols) x-pass output, and
-    the plane is its interleaved (re, im) times the cos/sin table of cols
-    (see _cos_sin_table, looked up once), within about 1e-15 of max|values|
-    of irfft2.  Past that it is irfft, with the bits of irfft2: the buffer
-    is a half spectrum kept zero off cols."""
+    plane, which the next call overwrites.  The x pass runs on cols only.
+    Up to _PRODUCT_COLUMNS the y pass is one real product with the cos/sin
+    table of cols, within about 1e-15 of max|values| of irfft2; past that
+    it is irfft, with the bits of irfft2."""
 
     def __init__(self, nx: int, ny: int, cols):
         n = np.arange(ny // 2 + 1)[cols]

@@ -11,6 +11,7 @@ from dgzk import (
     SimulationConfig,
     Trajectory,
     commutator_check,
+    commutator_scan,
     cubic_integral,
     diagnostics_csv,
     energy,
@@ -286,6 +287,8 @@ def test_commutator_validation(rng):
     for s in (np.nan, np.inf):
         with pytest.raises(ValueError):
             commutator_check(f, f, s)
+    with pytest.raises(ValueError, match="pairs must be >= 1"):
+        commutator_scan(g, 0, (1.0,), seed=0)
 
 
 def test_commutator_envelope_quick(rng):
@@ -296,6 +299,13 @@ def test_commutator_envelope_quick(rng):
             h = band_field(g, 8, rng, mean_zero_x=False)
             lhs, rhs = commutator_check(f, h, s)
             assert lhs <= 100.0 * rhs
+
+
+def test_commutator_scan_rows_do_not_depend_on_the_worker_count():
+    # each pair draws from its own (seed, s index, pair) stream
+    serial = commutator_scan(Grid(16, 16), 3, (1.0, 2.0), seed=5)
+    assert serial.band == 4 and len(serial.rows) == 6
+    assert commutator_scan(Grid(16, 16), 3, (1.0, 2.0), seed=5, workers=2).rows == serial.rows
 
 
 def test_g_accum_is_trapezoid_of_sups():
