@@ -20,18 +20,24 @@ memory.  Each ceiling counts the run's innermost operation or its records:
   doubling can spend on one row (4.6e7 by default), and "commutator": grid
   points of a `commutator-scan`, pairs * len(s_values) * (2 nx) (2 ny)
   (9.8e6 by default).  At either ceiling a scan takes minutes.
+* "kernel": lattice terms of a `kernel-scan`, (samples_per_cell + 2) *
+  the sum over the cells of |support_j| * |support_k|, the terms one
+  kernel_sum adds; each sample and the two fixed probes take one.  The
+  default scan takes 1.7e6 and the alpha1-full preset 3.4e7; at the
+  ceiling either takes minutes (shells j, k <= 2 take longer per term).
 """
 from __future__ import annotations
 
 MAX_WORK = {"weyl": 1e9, "strichartz": 1e11, "study": 1e9, "simulate": 1e11, "records": 2e9,
-            "vdc": 1e9, "commutator": 1e9}
+            "vdc": 1e9, "commutator": 1e9, "kernel": 1e10}
 _UNITS = {"weyl": "terms (trials * sum(N))",
           "strichartz": "grid-point samples (trials * sum of nx * ny * n_times over the cells)",
           "study": "grid-point steps (sum of steps * nx * ny over the runs)",
           "simulate": "grid-point steps (steps * nx * ny)",
           "records": "bytes of recorded states (recorded blocks * bytes per block)",
           "vdc": "quadrature nodes (rows * 2^22)",
-          "commutator": "grid points (pairs * len(s_values) * 2nx * 2ny)"}
+          "commutator": "grid points (pairs * len(s_values) * 2nx * 2ny)",
+          "kernel": "lattice terms ((samples_per_cell + 2) * sum of the cells' lattice terms)"}
 
 
 def check_work(kind: str, work: int) -> None:

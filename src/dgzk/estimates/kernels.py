@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .._work import check_work
 from ..errors import InsufficientDataError
 from ..propagator import DispersionSymbol
 from ._shellscan import ShellScanReport, shell_scan
@@ -156,6 +157,8 @@ def kernel_decay_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     Per cell (j, k) the scan records max over samples of |K| * 2^{-l} and
     compares it with 2^{(-1/2^{alpha+1} + 2 eps) j + (-beta/2 + 2 eps) k};
     slopes come from a least-squares fit of log2(measured) against (j, k).
+    A scan above the "kernel" ceiling of _work.MAX_WORK raises ValueError
+    before its first draw.
     """
     if symbol.mu != 0.0:
         raise ValueError("kernel scan requires the undamped symbol (mu = 0)")
@@ -170,6 +173,8 @@ def kernel_decay_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     worst = max(j_list) + max(k_list) + 6
     if 2 ** worst > 2 ** 6 * MAX_LATTICE_COST:
         raise ValueError(f"lattice cost 2^{worst} exceeds the feasibility guard")
+    terms = lambda shells: sum(_shell_support(s).size for s in shells)
+    check_work("kernel", (samples_per_cell + 2) * terms(j_list) * terms(k_list))
 
     s_j = -1.0 / 2.0 ** (symbol.alpha + 1) + 2.0 * eps
     s_k = -symbol.beta / 2.0 + 2.0 * eps

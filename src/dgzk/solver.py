@@ -31,9 +31,9 @@ from .propagator import DispersionSymbol, _symbol_tables
 from .spectral import (
     RecordedStates,
     SpectralField,
+    _BlockCoeffs,
     _ColumnValues,
     _block,
-    _block_coeffs,
     _block_dims,
     _block_sq,
     _full_from_block,
@@ -122,30 +122,36 @@ class Trajectory:
         return self.states[-1]
 
 
-def _quadratic_term(grid: Grid):
-    """Return u -> Galerkin block (see spectral._block) of -0.5 d/dx(u^2), for
-    real point values u; the block holds exactly the modes the two-thirds
-    rule keeps, so taking it is the dealiasing."""
-    K, kc = _block_dims(grid)
-    deriv_x = -0.5j * _block(grid.kx2d, K, 1)
-    return lambda u: deriv_x * _block_coeffs(u * u, K, kc)
+class _QuadraticTerm:
+    """Galerkin block c (see spectral._block) of a real field -> the block of
+    -0.5 d/dx(u^2), u its point values, through buffers made once: c is
+    scattered into the grid's nx rows and read by one _ColumnValues on its kc
+    columns, u is squared in place in that evaluator's output plane, and one
+    _BlockCoeffs writes the block into the caller's out.  The block holds the
+    modes the two-thirds rule keeps, so taking it is the dealiasing."""
 
+    def __init__(self, grid: Grid):
+        K, kc = _block_dims(grid)
+        self.grid, self.column_values = grid, None
+        self.deriv_x = -0.5j * _block(grid.kx2d, K, 1)
+        self.block_coeffs = _BlockCoeffs(grid.nx, grid.ny, kc)
 
-def _build_nonlinear(grid: Grid):
-    """Return the real point values of a Galerkin block, scattered into the
-    grid's nx rows and read by one _ColumnValues on its kc columns (valid
-    until the next call), and the map of a block to the block of
-    -0.5 d/dx(u^2) that takes u from them."""
-    _, kc = _block_dims(grid)
-    rows = np.zeros((grid.nx, kc), dtype=np.complex128)
-    column_values = _ColumnValues(grid.nx, grid.ny, slice(0, kc))
-    quadratic = _quadratic_term(grid)
+    def values(self, c: np.ndarray) -> np.ndarray:
+        """Real point values of the block c, valid until the next call; the
+        first call makes the evaluator, which nonlinear_term never needs."""
+        if self.column_values is None:
+            nx, kc = self.grid.nx, c.shape[1]
+            self.rows = np.zeros((nx, kc), dtype=np.complex128)
+            self.column_values = _ColumnValues(nx, self.grid.ny, slice(0, kc))
+        _scatter_block(c, self.rows)
+        return self.column_values(self.rows)
 
-    def values(c: np.ndarray) -> np.ndarray:
-        _scatter_block(c, rows)
-        return column_values(rows)
+    def of_values(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(u, u, out=u)
+        return self.block_coeffs(u, self.deriv_x, out)
 
-    return values, lambda c: quadratic(values(c))
+    def __call__(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self.of_values(self.values(c), out)
 
 
 def nonlinear_term(field: SpectralField) -> SpectralField:
@@ -153,8 +159,10 @@ def nonlinear_term(field: SpectralField) -> SpectralField:
     dealiased; u is read from the whole half spectrum."""
     _require_real(field)
     g = field.grid
+    K, kc = _block_dims(g)
     u = _real_values(_half(field.coeffs), g.ny)
-    return SpectralField(g, _full_from_block(_quadratic_term(g)(u), g))
+    out = np.empty((2 * K + 1, kc), dtype=np.complex128)
+    return SpectralField(g, _full_from_block(_QuadraticTerm(g).of_values(u, out), g))
 
 
 def _etdrk4_phi(z: np.ndarray):
@@ -204,22 +212,31 @@ class Etdrk4Stepper:
         lam = _block(_linear_eigenvalues(grid, symbol), *self.dims)
         self.E, self.E2, q, f1, f2, f3 = _etdrk4_phi(dt * lam)
         self.Q = dt * q
-        self.F1, self.F2, self.F3 = dt * f1, dt * f2, dt * f3
-        self.values, self.nonlinear = _build_nonlinear(grid)
+        self.F1, self.F2x2, self.F3 = dt * f1, 2.0 * (dt * f2), dt * f3
+        self.nonlinear = _QuadraticTerm(grid)
+        # n1 .. n4 and two scratch blocks, reused by every step
+        self.work = np.empty((6, *lam.shape), dtype=np.complex128)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         """Advance a real state: read its Galerkin block (see spectral._block)
-        from a full, half or block array in FFT layout; return a block."""
-        c = _block(c, *self.dims)
-        n1 = self.nonlinear(c)
-        e2c = self.E2 * c
-        a = e2c + self.Q * n1
-        n2 = self.nonlinear(a)
-        b = e2c + self.Q * n2
-        n3 = self.nonlinear(b)
-        d = self.E2 * a + self.Q * (2.0 * n3 - n1)
-        n4 = self.nonlinear(d)
-        return self.E * c + self.F1 * n1 + 2.0 * self.F2 * (n2 + n3) + self.F3 * n4
+        from a full, half or block array in FFT layout; return a new block."""
+        c = c if c.shape == self.E.shape else _block(c, *self.dims)
+        E2, Q, N = self.E2, self.Q, self.nonlinear
+        n1, n2, n3, n4, s, t = self.work
+        N(c, n1)
+        e2c = np.multiply(E2, c, out=t)
+        a = np.add(e2c, np.multiply(Q, n1, out=s), out=n4)     # n4 is free until the last stage
+        N(a, n2)
+        b = np.add(e2c, np.multiply(Q, n2, out=s), out=t)
+        N(b, n3)
+        np.subtract(np.multiply(2.0, n3, out=s), n1, out=s)
+        d = np.add(np.multiply(E2, a, out=t), np.multiply(Q, s, out=s), out=t)
+        N(d, n4)
+        out = self.E * c
+        out += np.multiply(self.F1, n1, out=s)
+        out += np.multiply(self.F2x2, np.add(n2, n3, out=s), out=s)
+        out += np.multiply(self.F3, n4, out=s)
+        return out
 
 
 class Ifrk4Stepper:
@@ -231,18 +248,28 @@ class Ifrk4Stepper:
         lam = _block(_linear_eigenvalues(grid, symbol), *self.dims)
         self.E = np.exp(dt * lam)
         self.E2 = np.exp(0.5 * dt * lam)
-        self.values, self.nonlinear = _build_nonlinear(grid)
+        self.hE2, self.E2x2 = dt * self.E2, 2.0 * self.E2
+        self.nonlinear = _QuadraticTerm(grid)
+        # k1 .. k4 and two scratch blocks, reused by every step
+        self.work = np.empty((6, *lam.shape), dtype=np.complex128)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         """Advance a real state: read its Galerkin block (see spectral._block)
-        from a full, half or block array in FFT layout; return a block."""
+        from a full, half or block array in FFT layout; return a new block."""
         h = self.dt
-        c = _block(c, *self.dims)
-        k1 = self.nonlinear(c)
-        k2 = self.nonlinear(self.E2 * (c + 0.5 * h * k1))
-        k3 = self.nonlinear(self.E2 * c + 0.5 * h * k2)
-        k4 = self.nonlinear(self.E * c + h * self.E2 * k3)
-        return self.E * c + (h / 6.0) * (self.E * k1 + 2.0 * self.E2 * (k2 + k3) + k4)
+        c = c if c.shape == self.E.shape else _block(c, *self.dims)
+        E2, N = self.E2, self.nonlinear
+        k1, k2, k3, k4, s, t = self.work
+        N(c, k1)
+        np.add(c, np.multiply(0.5 * h, k1, out=s), out=s)
+        N(np.multiply(E2, s, out=s), k2)
+        N(np.add(np.multiply(E2, c, out=t), np.multiply(0.5 * h, k2, out=s), out=t), k3)
+        out = self.E * c
+        N(np.add(out, np.multiply(self.hE2, k3, out=s), out=t), k4)
+        np.add(np.multiply(self.E, k1, out=s),
+               np.multiply(self.E2x2, np.add(k2, k3, out=t), out=t), out=s)
+        out += np.multiply(h / 6.0, np.add(s, k4, out=s), out=s)
+        return out
 
 
 _STEPPERS = {"etdrk4": Etdrk4Stepper, "ifrk4": Ifrk4Stepper}
@@ -324,7 +351,7 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     # the state is the Galerkin block: every other mode stays exactly zero
     c = _block(phi.coeffs, *dims)
     warned: dict = {}
-    _check_guards(grid, dt, c, stepper.values, warned)
+    _check_guards(grid, dt, c, stepper.nonlinear.values, warned)
 
     rec_times = [0.0]
     rec_blocks = []
@@ -344,7 +371,9 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             rec_times.append(config.t_end if i == n_steps else i * dt)
             rec_blocks.append(c)
             rec_diss.append(diss_accum)
-            _check_guards(grid, dt, c, stepper.values, warned)
+            _check_guards(grid, dt, c, stepper.nonlinear.values, warned)
+    # the records' 2x planes set the peak memory: free the workspaces first
+    del stepper
 
     times = np.array(rec_times)
     states = RecordedStates(phi, rec_blocks)

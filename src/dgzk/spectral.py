@@ -153,7 +153,10 @@ class _ColumnValues:
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         if self.table is None:
-            self.buf[:, self.cols] = np.fft.ifft(data, axis=0, norm="forward")
+            if isinstance(self.cols, slice):
+                np.fft.ifft(data, axis=0, norm="forward", out=self.buf[:, self.cols])
+            else:
+                self.buf[:, self.cols] = np.fft.ifft(data, axis=0, norm="forward")
             return np.fft.irfft(self.buf, n=self.out.shape[1], axis=1, norm="forward",
                                 out=self.out)
         np.fft.ifft(data, axis=0, norm="forward", out=self.buf)
@@ -231,12 +234,24 @@ def _real_coeffs(v: np.ndarray) -> np.ndarray:
     return np.fft.rfft2(v, norm="forward")
 
 
-def _block_coeffs(v: np.ndarray, K: int, kc: int) -> np.ndarray:
-    """The Galerkin block (see _block) of _real_coeffs(v), with the same bits:
-    rfft along y, then the x pass on the kc kept columns only, as rfft2 runs
-    its passes."""
-    cols = np.fft.rfft(v, axis=1, norm="forward")[:, :kc]
-    return _block(np.fft.fft(cols, axis=0, norm="forward"), K, kc)
+class _BlockCoeffs:
+    """The forward twin of _ColumnValues: called as coeffs(v, mult, out), v
+    real point values on an (nx, ny) grid, it writes mult times the Galerkin
+    block (see _block) of _real_coeffs(v) into out and returns out.  The
+    block has the bits of rfft2's: rfft along y into its own half spectrum,
+    then the x pass on the kc block columns only into its own (nx, kc) buffer."""
+
+    def __init__(self, nx: int, ny: int, kc: int):
+        self.half = np.empty((nx, ny // 2 + 1), dtype=np.complex128)
+        self.cols = np.empty((nx, kc), dtype=np.complex128)
+
+    def __call__(self, v: np.ndarray, mult: np.ndarray, out: np.ndarray) -> np.ndarray:
+        K, cols = out.shape[0] // 2, self.cols
+        np.fft.rfft(v, axis=1, norm="forward", out=self.half)
+        np.fft.fft(self.half[:, :cols.shape[1]], axis=0, norm="forward", out=cols)
+        np.multiply(mult[:K + 1], cols[:K + 1], out=out[:K + 1])
+        np.multiply(mult[K + 1:], cols[-K:], out=out[K + 1:])
+        return out
 
 
 def _full_spectrum(half: np.ndarray, ny: int) -> np.ndarray:

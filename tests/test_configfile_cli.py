@@ -404,7 +404,9 @@ def test_weyl_degree_below_one_exits_2(tmp_path):
     ("vdc-scan", "vdc.i_max=1000", "quadrature nodes (rows * 2^22)"),
     # 3e8 pairs on the 128^2 doubled grid are 4.9e12 grid points
     ("commutator-scan", "comm.pairs=100000000", "pairs * len(s_values) * 2nx * 2ny"),
-], ids=["weyl", "strichartz", "vdc", "commutator"])
+    # 1e8 samples of the default cells' 1.7e5 lattice terms are 1.7e13 terms
+    ("kernel-scan", "scan.samples_per_cell=100000000", "(samples_per_cell + 2) * sum"),
+], ids=["weyl", "strichartz", "vdc", "commutator", "kernel"])
 def test_scan_above_the_work_ceiling_exits_2_at_once(tmp_path, command, setting, units):
     out = tmp_path / "run"
     start = time.perf_counter()

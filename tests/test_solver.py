@@ -35,8 +35,9 @@ from dgzk.solver import (SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper,
                          _step_count, l2_identity_residual)
 from dgzk.errors import (DivergenceError, InsufficientDataError, InvalidInitialDataError,
                          SymmetryViolationError)
-from dgzk.spectral import (_PRODUCT_COLUMNS, _block, _block_dims, _dealias_mask,
-                           _full_from_block, _half, inverse_transform)
+from dgzk.spectral import (_PRODUCT_COLUMNS, _ColumnValues, _block, _block_dims,
+                           _dealias_mask, _full_from_block, _half, _scatter_block,
+                           inverse_transform)
 
 from fieldgen import _record_fft_calls, _record_products, band_field, real_field
 
@@ -209,13 +210,99 @@ def test_a_step_transforms_only_the_block_columns(monkeypatch):
     assert out.shape == (2 * K + 1, kc)
 
 
+def _fresh_array_stepper(grid, symbol, dt, integrator):
+    """The step as written before the steppers kept workspaces: every stage a
+    fresh array, the quadratic term deriv_x * the block of fft_x(rfft_y(u *
+    u)), u from one _ColumnValues on the block columns.  The operand order of
+    every product is the one the steppers keep."""
+    K, kc = _block_dims(grid)
+    rows = np.zeros((grid.nx, kc), dtype=np.complex128)
+    values = _ColumnValues(grid.nx, grid.ny, slice(0, kc))
+    deriv_x = -0.5j * _block(grid.kx2d, K, 1)
+
+    def N(c):
+        _scatter_block(c, rows)
+        u = values(rows)
+        cols = np.fft.rfft(u * u, axis=1, norm="forward")[:, :kc]
+        return deriv_x * _block(np.fft.fft(cols, axis=0, norm="forward"), K, kc)
+
+    lam = _block(_linear_eigenvalues(grid, symbol), K, kc)
+    if integrator == "etdrk4":
+        E, E2, q, f1, f2, f3 = _etdrk4_phi(dt * lam)
+        Q, F1, F2, F3 = dt * q, dt * f1, dt * f2, dt * f3
+
+        def step(c):
+            n1 = N(c)
+            e2c = E2 * c
+            a = e2c + Q * n1
+            n2 = N(a)
+            b = e2c + Q * n2
+            n3 = N(b)
+            d = E2 * a + Q * (2.0 * n3 - n1)
+            n4 = N(d)
+            return E * c + F1 * n1 + 2.0 * F2 * (n2 + n3) + F3 * n4
+    else:
+        E, E2, h = np.exp(dt * lam), np.exp(0.5 * dt * lam), dt
+
+        def step(c):
+            k1 = N(c)
+            k2 = N(E2 * (c + 0.5 * h * k1))
+            k3 = N(E2 * c + 0.5 * h * k2)
+            k4 = N(E * c + h * E2 * k3)
+            return E * c + (h / 6.0) * (E * k1 + 2.0 * E2 * (k2 + k3) + k4)
+    return step
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("integrator", ["etdrk4", "ifrk4"])
+def test_workspace_steppers_keep_the_bits_of_the_fresh_array_steps(n, integrator):
+    """20 steps through the steppers' workspaces equal the fresh-array
+    formulas bit for bit (64^2 takes the cos/sin product, 128^2 the irfft),
+    and a run recording every step keeps 20 distinct blocks that no later
+    step overwrites."""
+    g = Grid(n, n)
+    sym = DispersionSymbol(1, 1.0, mu=1e-3)
+    phi = dealias(project_mean_zero_x(initial_data(g, "random-band", amplitude=1.0, seed=4)))
+    reference = _fresh_array_stepper(g, sym, 1e-3, integrator)
+    stepper = {"etdrk4": Etdrk4Stepper, "ifrk4": Ifrk4Stepper}[integrator](g, sym, 1e-3)
+    c = want = _block(phi.coeffs, *_block_dims(g))
+    wants = []
+    for _ in range(20):
+        c, want = stepper.step(c), reference(want)
+        assert np.array_equal(c, want)
+        wants.append(want)
+    cfg = SimulationConfig(grid=g, symbol=sym, dt=1e-3, t_end=0.02, integrator=integrator)
+    blocks = simulate(cfg, phi).states.entries[1:]
+    assert len(blocks) == 20
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[:i])
+    assert all(np.array_equal(got, w) for got, w in zip(blocks, wants))
+
+
+def test_a_steady_state_step_allocates_less_than_three_blocks():
+    """A step writes its stages into the stepper's workspaces: past the
+    first steps, its peak allocation at 128^2 stays under three blocks (the
+    new block it returns is one)."""
+    g = Grid(128, 128)
+    stepper = Etdrk4Stepper(g, SYM, 1e-3)
+    c = stepper.step(dealias(initial_data(g, "random-band", amplitude=1.0, seed=2)).coeffs)
+    c = stepper.step(c)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        c = stepper.step(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 3 * c.nbytes
+
+
 def test_cfl_guard_reads_the_sup_of_the_recorded_state():
     """The guard's max|u| is that of the state's irfft2 values, to 1e-14
     relative: kc = 9 columns take the cos/sin product."""
     g = Grid(32, 24)
     state = dealias(project_mean_zero_x(band_field(g, 8, np.random.default_rng(3))))
     c = _block(state.coeffs, *_block_dims(g))
-    values = Etdrk4Stepper(g, SYM, 1e-9).values
+    values = Etdrk4Stepper(g, SYM, 1e-9).nonlinear.values
     umax = _check_guards(g, 1e-9, c, values, {})
     for full in (state, SpectralField(g, _full_from_block(c, g))):
         want = np.max(np.abs(inverse_transform(full)))

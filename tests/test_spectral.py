@@ -36,7 +36,7 @@ from dgzk import (
     zero_field,
 )
 from dgzk.errors import SymmetryViolationError
-from dgzk.spectral import (_PRODUCT_COLUMNS, _ColumnValues, _block, _block_coeffs,
+from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockCoeffs, _ColumnValues, _block,
                            _block_dims, _block_hermitian_defect, _full_from_block,
                            _full_spectrum, _half, _hermitian_gap, _real_coeffs, _real_values,
                            _scatter_block)
@@ -458,14 +458,16 @@ def test_the_y_pass_is_chosen_by_the_number_of_data_columns(y_pass, nx, ny, seed
 def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
     """On data carried by the Galerkin block, the pruned inverse gives the
     values of irfft2 (see assert_irfft2_values) and the pruned forward the
-    bits of the block of rfft2, also when the inverse's evaluator is called
-    again for a second spectrum (as a stepper calls it); the block -> full
-    map keeps the block and zeros the rest."""
+    bits of a multiplier times the block of rfft2, also when each evaluator
+    is called again (as a stepper calls them); the block -> full map keeps
+    the block and zeros the rest."""
     g = Grid(nx, ny)
     K, kc = _block_dims(g)
     rng = np.random.default_rng(seed)
     rows = np.zeros((nx, kc), dtype=np.complex128)
     values = _ColumnValues(nx, ny, slice(0, kc))
+    coeffs = _BlockCoeffs(nx, ny, kc)
+    out = np.empty((2 * K + 1, kc), dtype=np.complex128)
     for _ in range(2):
         half = _real_coeffs(rng.standard_normal((nx, ny)))
         # the block rows of the first kc columns: x-Nyquist row and rows past K zeroed
@@ -478,8 +480,9 @@ def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
         assert got is values.out
         assert_irfft2_values(got, np.fft.irfft2(half, s=(nx, ny), norm="forward"), kc)
         v = rng.standard_normal((nx, ny))
-        assert np.array_equal(_block_coeffs(v, K, kc),
-                              _block(np.fft.rfft2(v, norm="forward"), K, kc))
+        mult = rng.standard_normal((2 * K + 1, 1)) + 1j * rng.standard_normal((2 * K + 1, 1))
+        assert coeffs(v, mult, out) is out
+        assert np.array_equal(out, mult * _block(np.fft.rfft2(v, norm="forward"), K, kc))
         full = _full_from_block(block, g)
         assert np.array_equal(_half(full), half)
         assert np.array_equal(full, _full_spectrum(half, ny))
