@@ -35,6 +35,7 @@ import os
 import sys
 from pathlib import Path
 
+from ._work import check_work
 from .configfile import COMMANDS, parse_config_text, resolve_config
 from .diagnostics import commutator_scan, diagnostics_csv
 from .errors import (
@@ -108,7 +109,9 @@ def _symbol_from(cfg: dict, mu: float = 0.0) -> DispersionSymbol:
 
 
 def _grid_from(cfg: dict) -> Grid:
-    return Grid(nx=cfg["grid.nx"], ny=cfg["grid.ny"])
+    grid = Grid(nx=cfg["grid.nx"], ny=cfg["grid.ny"])
+    check_work("grid_bytes", 32 * grid.nx * grid.ny)
+    return grid
 
 
 def _initial_from(cfg: dict, grid: Grid):
@@ -169,8 +172,7 @@ def _run_regularized_family(cfg: dict, out: Path) -> None:
     sim = _sim_config_from(cfg, grid, symbol)
     phi = _initial_from(cfg, grid)
     family = solve_regularized_family(sim, phi, cfg["family.mu_list"])
-    rows = [(mu, gap, res) for mu, gap, res in
-            zip(family.mus, family.l2_gaps, family.identity_residuals)]
+    rows = zip(family.mus, family.l2_gaps, family.identity_residuals)
     write_csv(out / "family.csv", ["mu", "l2_gap_vs_mu0", "identity_residual"], rows)
     write_json(out / "report.json", {
         "mu_list": list(family.mus),

@@ -9,7 +9,7 @@ directory.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import ConfigError
 from .presets import PRESET_NAMES
@@ -18,11 +18,10 @@ from .solver import _STEPPERS
 __all__ = ["Option", "parse_config_text", "resolve_config", "schema_for", "COMMANDS"]
 
 
-class Option:
-    def __init__(self, key: str, cast: Callable[[str], object], default):
-        self.key = key
-        self.cast = cast
-        self.default = default
+class Option(NamedTuple):
+    key: str
+    cast: Callable[[str], object]
+    default: object
 
 
 def _int(raw: str) -> int:

@@ -6,13 +6,9 @@ produces (u^3 of a field with |m| <= nx/3 has modes up to nx, resolvable on
 the doubled grid).  Sup norms are grid maxima on a spectrally interpolated
 refinement of the sample grid.
 
-Fields are real (conjugate-symmetry defect at most HERMITIAN_TOL; any
-other field raises SymmetryViolationError) and are evaluated on the refined
-grid by one plane evaluator per call (spectral._RefinedPlanes), one plane
-each for u, u_x and u_y.  build_records takes each record from those
-three planes and from one |u_hat|^2, and reads the states of a run as the
-Galerkin blocks simulate keeps.  Record values agree with a complex
-evaluation to about 4e-16 relative.
+Fields are real (any other raises SymmetryViolationError) and are
+evaluated on the refined grid by spectral._RefinedPlanes.  Record values
+agree with a complex evaluation to about 4e-16 relative.
 """
 from __future__ import annotations
 
@@ -45,20 +41,9 @@ from .spectral import (
     l2_norm,
 )
 
-__all__ = [
-    "DiagnosticsRecord",
-    "mass",
-    "energy",
-    "cubic_integral",
-    "sup_norm_diagnostics",
-    "build_records",
-    "diagnostics_csv",
-    "commutator_check",
-    "commutator_scan",
-    "CommutatorScanReport",
-    "l1t_linf_estimate_check",
-    "L1tLinfReport",
-]
+__all__ = ["DiagnosticsRecord", "mass", "energy", "cubic_integral", "sup_norm_diagnostics",
+           "build_records", "diagnostics_csv", "commutator_check", "commutator_scan",
+           "CommutatorScanReport", "l1t_linf_estimate_check", "L1tLinfReport"]
 
 FOUR_PI_SQ = (2.0 * np.pi) ** 2
 
@@ -122,13 +107,9 @@ def sup_norm_diagnostics(field: SpectralField) -> Tuple[float, float, float]:
 
 
 def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
-    """One record per state, each from the u, u_x and u_y planes on the 2x
-    grid (sups and the cubic integral) and one |u_hat|^2 (mass, energy and
-    the H^s norms); g_accum is the trapezoid integral of the summed sups.
-
-    states is a sequence of SpectralFields, or the RecordedStates of a run,
-    whose entries are read in the layout it keeps them: a Galerkin block
-    gives its planes and |u_hat|^2 from the block alone."""
+    """One record per state of a sequence of SpectralFields or of a run's
+    RecordedStates, whose blocks are read as blocks; g_accum is the
+    trapezoid integral of the summed sups."""
     if not states:
         return []
     grid = states[0].grid

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["SymmetryViolationError", "BackwardHeatError", "InvalidInitialDataError",
+           "DivergenceError", "InsufficientDataError", "CertificateViolationError",
+           "ConfigError"]
+
 
 class SymmetryViolationError(ValueError):
     """Coefficients fail the conjugate symmetry required of a real field."""

@@ -12,6 +12,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..errors import InsufficientDataError
+
+__all__ = ["ShellScanReport"]
+
+# the feasibility guard on a cell's lattice: j + k <= 20, so that the
+# kernel's double sum has at most 2^{j+k+6} = 2^26 terms
+MAX_SHELL_SUM = 20
+
 
 def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
     """[fn(x) for x in items], on a thread pool when workers > 1; order is kept."""
@@ -19,6 +27,30 @@ def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
+
+
+def shell_lists(symbol, j_range, k_range, counts: dict, fewest_k: int, least_k: int):
+    """Sorted distinct j and k of a shell scan, after the checks both scans
+    make: the undamped symbol, each of counts (name: value) >= 1, at least
+    two j and fewest_k k, j >= 1 and k >= least_k, and the feasibility guard."""
+    if symbol.mu != 0.0:
+        raise ValueError("decay scan uses the undamped group (mu = 0)")
+    for name, value in counts.items():
+        if value < 1:
+            raise InsufficientDataError(f"{name} must be >= 1, got {value}")
+    j_list = sorted(set(int(j) for j in j_range))
+    k_list = sorted(set(int(k) for k in k_range))
+    if len(j_list) < 2 or len(k_list) < fewest_k:
+        raise InsufficientDataError(
+            f"need at least two distinct j and {fewest_k} distinct k to fit slopes")
+    if min(j_list) < 1:
+        raise ValueError("x-shell indices must be >= 1 (the m = 0 band is excluded)")
+    if min(k_list) < least_k:
+        raise ValueError(f"y-shell indices must be >= {least_k}")
+    if max(j_list) + max(k_list) > MAX_SHELL_SUM:
+        raise ValueError(f"lattice cost 2^{max(j_list) + max(k_list) + 6} exceeds the "
+                         "feasibility guard")
+    return j_list, k_list
 
 
 @dataclass

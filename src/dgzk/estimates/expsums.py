@@ -9,10 +9,9 @@ is
 
 dirichlet_approx produces such approximations with denominator q <= Lambda
 and error at most 1/(Lambda q); weyl_scan draws random instances, pairs each
-with its approximation, and records the ratio |S| / bound.
-The scan takes the sums of one N for a chunk of trials in one array pass
-(_weyl_sums), with the bits of one weyl_sum per instance; its memory is set
-by the chunk, not by the trial count.
+with its approximation, and records the ratio |S| / bound.  It sums a
+chunk of trials of one N in one array pass, with the bits of one weyl_sum
+per instance.
 """
 from __future__ import annotations
 
@@ -24,15 +23,8 @@ import numpy as np
 
 from .._work import check_work
 
-__all__ = [
-    "WeylInstance",
-    "RationalApprox",
-    "WeylScanReport",
-    "weyl_sum",
-    "dirichlet_approx",
-    "weyl_bound",
-    "weyl_scan",
-]
+__all__ = ["WeylInstance", "RationalApprox", "WeylScanReport", "weyl_sum", "dirichlet_approx",
+           "weyl_bound", "weyl_scan"]
 
 _CHUNK_POINTS = 2 ** 14  # trials x N per array pass of weyl_scan
 

@@ -7,15 +7,10 @@ The kernel attached to the shell pair (j, k) is the lattice sum
                   e^{i [m x + n y + omega(m,n) (t - t')]}
 
 with chi_j,k the indicator of |t| <= 2^{-(j+k)}.  It is real (imaginary
-part exactly 0): psi1 is even and the phase odd under (m, n) -> (-m, -n),
-so kernel_sum sums the quarter m, n > 0.  Its m are consecutive, so the
-phase e^{i sd m p_n} (sd = sign (t - t'), p_n = n^{1+beta}) of row
-m = m0 + r factors into e^{i sd m0 p_n} e^{i sd r p_n}: in blocks of
-_ROW_BLOCK rows that takes (|m| / _ROW_BLOCK + _ROW_BLOCK) |n| exponentials
-instead of |m| |n|.  The windowed variant restricts
-to |t - t'| in (2^{-l}, 2 * 2^{-l}] for an integer l >= j + k;
-kernel_decay_scan samples admissible windows and fits the observed decay
-of max |K| * 2^{-l} in j and k.
+part exactly 0): psi1 is even and the phase odd under (m, n) -> (-m, -n).
+The windowed variant restricts to |t - t'| in (2^{-l}, 2 * 2^{-l}] for an
+integer l >= j + k; kernel_decay_scan samples admissible windows and fits
+the observed decay of max |K| * 2^{-l} in j and k.
 """
 from __future__ import annotations
 
@@ -25,25 +20,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .._work import check_work
-from ..errors import InsufficientDataError
 from ..propagator import DispersionSymbol
-from ._shellscan import ShellScanReport, shell_scan
+from ._shellscan import ShellScanReport, shell_lists, shell_scan
 from .bump import psi1
 
-__all__ = [
-    "KernelQuery",
-    "kernel_sum",
-    "kernel_decay_scan",
-]
+__all__ = ["KernelQuery", "kernel_sum", "kernel_decay_scan"]
 
 TWO_PI = 2.0 * np.pi
-
-# cost guard: the full double sum has about 2^{j+k+6} terms
-MAX_LATTICE_COST = 2 ** 20
 
 _ROW_BLOCK = 16
 # block-start table entries per pass: a kernel_sum's temporaries stay ~1 MB
 _CHUNK_ENTRIES = 2 ** 14
+# the fixed cost of one kernel_sum call, in lattice terms: about 155 us a
+# call against 5-10 ns a term (one BLAS thread, 2-CPU x86-64 VM)
+_CALL_TERMS = 20000
 
 # widening of the sampled l-window above its admissible floor j+k.  The
 # decay estimate is sharp near l = j+k, where |t-t'| is comparable to the
@@ -90,9 +80,10 @@ def _shell_support(shell: int) -> np.ndarray:
 
 
 def kernel_sum(query: KernelQuery) -> complex:
-    """Direct evaluation of the kernel lattice sum at one space-time point:
-    n and -n pair into 2 cos(n y), then (m, n) and (-m, -n) into 2 Re, and
-    the phase factors over row blocks (see the module docstring)."""
+    """Direct evaluation of the kernel lattice sum at one space-time point,
+    over the quarter m, n > 0.  The m are consecutive, so the phase
+    e^{i sd m p_n} (sd = sign (t - t'), p_n = n^{1+beta}) of row m0 + r
+    factors into e^{i sd m0 p_n} e^{i sd r p_n}, over blocks of _ROW_BLOCK rows."""
     j, k, symbol = query.j, query.k, query.symbol
     if max(abs(query.t), abs(query.t_prime)) > 2.0 ** (-(j + k)):
         return 0.0 + 0.0j
@@ -160,21 +151,11 @@ def kernel_decay_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     A scan above the "kernel" ceiling of _work.MAX_WORK raises ValueError
     before its first draw.
     """
-    if symbol.mu != 0.0:
-        raise ValueError("kernel scan requires the undamped symbol (mu = 0)")
-    j_list = sorted(set(int(j) for j in j_range))
-    k_list = sorted(set(int(k) for k in k_range))
-    if samples_per_cell < 1:
-        raise InsufficientDataError(f"samples_per_cell must be >= 1, got {samples_per_cell}")
-    if len(j_list) < 2 or len(k_list) < 2:
-        raise InsufficientDataError("need at least two distinct j and two distinct k to fit slopes")
-    if min(j_list) < 1 or min(k_list) < 1:
-        raise ValueError("shell indices must be >= 1")
-    worst = max(j_list) + max(k_list) + 6
-    if 2 ** worst > 2 ** 6 * MAX_LATTICE_COST:
-        raise ValueError(f"lattice cost 2^{worst} exceeds the feasibility guard")
+    j_list, k_list = shell_lists(symbol, j_range, k_range,
+                                 {"samples_per_cell": samples_per_cell}, fewest_k=2, least_k=1)
     terms = lambda shells: sum(_shell_support(s).size for s in shells)
-    check_work("kernel", (samples_per_cell + 2) * terms(j_list) * terms(k_list))
+    call_terms = len(j_list) * len(k_list) * _CALL_TERMS
+    check_work("kernel", (samples_per_cell + 2) * (terms(j_list) * terms(k_list) + call_terms))
 
     s_j = -1.0 / 2.0 ** (symbol.alpha + 1) + 2.0 * eps
     s_k = -symbol.beta / 2.0 + 2.0 * eps

@@ -27,15 +27,8 @@ from .._work import check_work
 from ..errors import CertificateViolationError
 from .bump import psi1
 
-__all__ = [
-    "OscillatoryIntegralResult",
-    "VanDerCorputReport",
-    "VdcScanReport",
-    "complex_oscillatory_quad",
-    "oscillatory_integral",
-    "vandercorput_check",
-    "vdc_scan",
-]
+__all__ = ["OscillatoryIntegralResult", "VanDerCorputReport", "VdcScanReport",
+           "complex_oscillatory_quad", "oscillatory_integral", "vandercorput_check", "vdc_scan"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 

@@ -12,19 +12,14 @@ from typing import Sequence
 import numpy as np
 
 from .._work import check_work
-from ..errors import InsufficientDataError
 from ..grid import Grid
 from ..presets import _random_real
 from ..propagator import DispersionSymbol, _phase_speeds
-from ..spectral import (SpectralField, _ColumnValues, _half, _require_real, _sup, l2_norm,
-                        shell_indices)
-from ._shellscan import ShellScanReport, shell_scan
+from ..spectral import (SpectralField, _ColumnValues, _half, _nonzero_columns, _require_real,
+                        _sup, l2_norm, shell_indices)
+from ._shellscan import ShellScanReport, shell_lists, shell_scan
 
-__all__ = [
-    "shell_field",
-    "strichartz_norm",
-    "strichartz_scan",
-]
+__all__ = ["shell_field", "strichartz_norm", "strichartz_scan"]
 
 
 def _shell_grid(j: int, k: int, refine: int) -> Grid:
@@ -74,7 +69,7 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     _require_real(phi)
     times = np.linspace(0.0, t_max, n_times)
     half = _half(phi.coeffs)
-    cols = np.flatnonzero(np.any(half != 0, axis=0))
+    cols = _nonzero_columns(half)
     cur = half[:, cols]
     omega = _phase_speeds(phi.grid, symbol, phi.grid.ky2d[:, cols])
     step = np.exp(1j * omega * (times[1] - times[0]))
@@ -107,20 +102,8 @@ def strichartz_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     Above the work ceiling (see dgzk._work) it raises ValueError before it
     draws.
     """
-    if symbol.mu != 0.0:
-        raise ValueError("decay scan uses the undamped group (mu = 0)")
-    if trials < 1:
-        raise InsufficientDataError(f"trials must be >= 1, got {trials}")
-    j_list = sorted(set(int(j) for j in j_range))
-    k_list = sorted(set(int(k) for k in k_range))
-    if len(j_list) < 2 or not k_list:
-        raise InsufficientDataError("need at least two distinct j and one k to fit a slope")
-    if min(j_list) < 1:
-        raise ValueError("x-shell indices must be >= 1 (the m = 0 band is excluded)")
-    if min(k_list) < 0:
-        raise ValueError("y-shell indices must be >= 0")
-    if 2 ** (max(j_list) + max(k_list)) > 2 ** 20:
-        raise ValueError("lattice cost exceeds the feasibility guard")
+    j_list, k_list = shell_lists(symbol, j_range, k_range, {"trials": trials},
+                                 fewest_k=1, least_k=0)
     grids = [_shell_grid(j, k, refine) for j in j_list for k in k_list]
     check_work("strichartz", trials * n_times * sum(g.nx * g.ny for g in grids))
 

@@ -10,10 +10,8 @@ time integrator alone.
 Two steppers are provided: exponential time differencing (ETDRK4, the
 default) and a classical Runge-Kutta scheme in integrating-factor variables
 (IFRK4) used as an independent cross-check.  Every mode outside the
-Galerkin block (spectral._block) stays exactly zero, so both march the block.
-`simulate` records each state as its block: Trajectory.states is a
-RecordedStates, which builds a full SpectralField only when an entry is
-read, and the records are taken from the blocks.
+Galerkin block (spectral._block) stays exactly zero, so both march, and
+`simulate` records, the block.
 """
 from __future__ import annotations
 
@@ -32,6 +30,7 @@ from .spectral import (
     RecordedStates,
     SpectralField,
     _BlockCoeffs,
+    _BlockRows,
     _ColumnValues,
     _block,
     _block_dims,
@@ -40,7 +39,6 @@ from .spectral import (
     _half,
     _real_values,
     _require_real,
-    _scatter_block,
     dealias,
     l2_norm,
     mean_zero_x_defect,
@@ -49,20 +47,10 @@ from .spectral import (
 )
 from . import diagnostics as _diag
 
-__all__ = [
-    "SimulationConfig",
-    "Trajectory",
-    "RegularizedFamily",
-    "nonlinear_term",
-    "Etdrk4Stepper",
-    "Ifrk4Stepper",
-    "simulate",
-    "solve_regularized_family",
-    "temporal_order_study",
-    "spatial_convergence_study",
-    "TemporalOrderReport",
-    "SpatialConvergenceReport",
-]
+__all__ = ["SimulationConfig", "Trajectory", "RegularizedFamily", "nonlinear_term",
+           "Etdrk4Stepper", "Ifrk4Stepper", "simulate", "solve_regularized_family",
+           "temporal_order_study", "spatial_convergence_study", "TemporalOrderReport",
+           "SpatialConvergenceReport"]
 
 MEAN_ZERO_TOL = 1e-12
 CFL_LIMIT = 0.5
@@ -123,16 +111,15 @@ class Trajectory:
 
 
 class _QuadraticTerm:
-    """Galerkin block c (see spectral._block) of a real field -> the block of
-    -0.5 d/dx(u^2), u its point values, through buffers made once: c is
-    scattered into the grid's nx rows and read by one _ColumnValues on its kc
-    columns, u is squared in place in that evaluator's output plane, and one
-    _BlockCoeffs writes the block into the caller's out.  The block holds the
-    modes the two-thirds rule keeps, so taking it is the dealiasing."""
+    """N(c, out) writes the Galerkin block of -0.5 d/dx(u^2) into out, u the
+    point values of the block c of a real field, through buffers made once.
+    The block holds the modes the two-thirds rule keeps, so taking it is the
+    dealiasing."""
 
     def __init__(self, grid: Grid):
         K, kc = _block_dims(grid)
         self.grid, self.column_values = grid, None
+        self.rows = _BlockRows(grid.nx)
         self.deriv_x = -0.5j * _block(grid.kx2d, K, 1)
         self.block_coeffs = _BlockCoeffs(grid.nx, grid.ny, kc)
 
@@ -140,11 +127,8 @@ class _QuadraticTerm:
         """Real point values of the block c, valid until the next call; the
         first call makes the evaluator, which nonlinear_term never needs."""
         if self.column_values is None:
-            nx, kc = self.grid.nx, c.shape[1]
-            self.rows = np.zeros((nx, kc), dtype=np.complex128)
-            self.column_values = _ColumnValues(nx, self.grid.ny, slice(0, kc))
-        _scatter_block(c, self.rows)
-        return self.column_values(self.rows)
+            self.column_values = _ColumnValues(self.grid.nx, self.grid.ny, slice(0, c.shape[1]))
+        return self.column_values(self.rows(c))
 
     def of_values(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(u, u, out=u)
@@ -254,8 +238,7 @@ class Ifrk4Stepper:
         self.work = np.empty((6, *lam.shape), dtype=np.complex128)
 
     def step(self, c: np.ndarray) -> np.ndarray:
-        """Advance a real state: read its Galerkin block (see spectral._block)
-        from a full, half or block array in FFT layout; return a new block."""
+        """Advance a real state, as Etdrk4Stepper.step does."""
         h = self.dt
         c = c if c.shape == self.E.shape else _block(c, *self.dims)
         E2, N = self.E2, self.nonlinear
@@ -450,13 +433,10 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
                          integrator: str = "etdrk4") -> TemporalOrderReport:
     """Error against a reference run at min(dts) / 8; pairwise and fitted orders.
 
-    Every run, the reference included, is a `simulate` run, sharing its step
-    rule (n = max(1, round(t_end / dt)) steps of t_end / n), divergence check,
-    CFL and phase guards and mean-zero-in-x check (InvalidInitialDataError
-    above a 1e-12 defect).  There must be at least two dts, with distinct step
-    counts: two dts with one step count would fit one run as two step sizes.
-    A study whose runs would take more than _work.MAX_WORK["study"]
-    grid-point steps raises ValueError before any run starts.
+    Every run, the reference included, is a `simulate` run.  There must be
+    at least two dts with distinct step counts: two dts with one step count
+    would fit one run as two step sizes.  A study above the "study" ceiling
+    of _work.MAX_WORK raises ValueError before any run starts.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -492,16 +472,21 @@ def spatial_convergence_study(symbol: DispersionSymbol, profile, n_values: Seque
     profile(grid) must return the same analytic initial field sampled on the
     given grid.  All runs share dt so the comparison isolates the spatial
     truncation; errors are measured on the common coefficient band, and
-    rates are taken from errors clipped to SPATIAL_ERROR_FLOOR.  Every
-    run is a `simulate` run, sharing its step rule, divergence check, guards
-    and mean-zero-in-x check (InvalidInitialDataError above a 1e-12 defect).
-    At least two distinct resolutions are required.
+    rates are taken from errors clipped to SPATIAL_ERROR_FLOOR.  Every run
+    is a `simulate` run.  At least two distinct resolutions are required.
+    A study above the "study" ceiling of _work.MAX_WORK, or whose reference
+    grid is above "grid_bytes", raises ValueError before any profile is built.
     """
     n_values = sorted(int(n) for n in n_values)
     if len(set(n_values)) < 2:
         raise InsufficientDataError(
             f"need at least two distinct n_values to fit a rate, got {n_values}")
+    if not (math.isfinite(t_end) and t_end > 0 and math.isfinite(dt) and dt > 0):
+        raise ValueError(f"t_end and dt must be positive and finite, got {t_end} and {dt}")
     ref_grid = Grid(2 * n_values[-1], 2 * n_values[-1])
+    points = sum(n * n for n in n_values) + ref_grid.nx * ref_grid.ny
+    check_work("study", _step_count(t_end, dt) * points)
+    check_work("grid_bytes", 32 * ref_grid.nx * ref_grid.ny)
     ref = _final_state(ref_grid, symbol, profile(ref_grid), t_end, dt)
     errors = []
     for n in n_values:

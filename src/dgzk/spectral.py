@@ -9,13 +9,9 @@ so the transform of a constant c has f_hat(0, 0) = c, and the L2 norm on the
 square satisfies ||f||^2 = (2*pi)^2 * sum |f_hat|^2.  Discretely this is
 numpy's fft2(samples, norm="forward"), and its inverse is
 ifft2(f_hat, norm="forward").  Real fields, which are all the program
-makes, go through the real transforms on the half spectrum n = 0 .. ny/2
-(see _half), and every function that returns point values rejects a
-non-real field.  The solver's state is the Galerkin block of the half
-spectrum (see _block).  Every pruned real evaluation (the solver's
-quadratic term, _RefinedPlanes and strichartz_norm) holds one
-_ColumnValues.  This module is the only one in the package that calls
-numpy.fft: every other module goes through the functions here.
+makes, go through the real transforms on the half spectrum (see _half),
+and every function that returns point values rejects a non-real field.
+This module is the only one in the package that calls numpy.fft.
 
 Sobolev norms below follow the sequence-space convention without the surface
 factor: sobolev_norm(f, s) = (sum (1 + m^2 + n^2)^s |f_hat|^2)^{1/2}.
@@ -31,27 +27,11 @@ import numpy as np
 from .errors import SymmetryViolationError
 from .grid import Grid
 
-__all__ = [
-    "SpectralField",
-    "forward_transform",
-    "inverse_transform",
-    "hermitian_defect",
-    "fractional_derivative",
-    "derivative",
-    "bessel_potential",
-    "dyadic_project",
-    "shell_indices",
-    "sobolev_norm",
-    "project_mean_zero_x",
-    "mean_zero_x_defect",
-    "dealias",
-    "l2_norm",
-    "zero_field",
-    "field_from_modes",
-    "embed_in_grid",
-    "truncate_to_grid",
-    "resample_values",
-]
+__all__ = ["SpectralField", "forward_transform", "inverse_transform", "hermitian_defect",
+           "fractional_derivative", "derivative", "bessel_potential", "dyadic_project",
+           "shell_indices", "sobolev_norm", "project_mean_zero_x", "mean_zero_x_defect",
+           "dealias", "l2_norm", "zero_field", "field_from_modes", "embed_in_grid",
+           "truncate_to_grid", "resample_values"]
 
 HERMITIAN_TOL = 1e-12
 
@@ -115,11 +95,10 @@ _MAX_TABLES = 16
 
 @functools.lru_cache(maxsize=_MAX_TABLES)
 def _cos_sin_table(n: tuple, ny: int) -> np.ndarray:
-    """(2 len(n), ny) table whose rows 2i and 2i + 1 are w cos(n_i y_l) and
-    -w sin(n_i y_l) at y_l = 2 pi l / ny, so that the interleaved (re, im)
-    of a coefficient times them is w Re(c e^{i n_i y_l}).  w = 2 counts the
-    conjugate column -n_i; columns 0 and ny/2 are their own conjugates, so
-    they take w = 1 and, as in irfft, drop their imaginary parts."""
+    """Rows w cos(n_i y) and -w sin(n_i y), interleaved, so that (re, im) of
+    a coefficient times them is w Re(c e^{i n_i y}): w = 2 counts column -n_i,
+    and columns 0 and ny/2, their own conjugates, take w = 1 and drop their
+    imaginary parts, as in irfft."""
     n = np.array(n, dtype=np.int64)
     angle = 2.0 * np.pi * ((n[:, None] * np.arange(ny)) % ny) / ny
     single = ((n == 0) | (2 * n == ny))[:, None]
@@ -132,13 +111,11 @@ def _cos_sin_table(n: tuple, ny: int) -> np.ndarray:
 
 
 class _ColumnValues:
-    """_real_values, on an (nx, ny) grid, of half spectra that are data on
-    the columns cols (an index array or a slice) and zero elsewhere: called
-    as values(data), data of shape (nx, ncols), it returns its own output
-    plane, which the next call overwrites.  The x pass runs on cols only.
-    Up to _PRODUCT_COLUMNS the y pass is one real product with the cos/sin
-    table of cols, within about 1e-15 of max|values| of irfft2; past that
-    it is irfft, with the bits of irfft2."""
+    """_real_values on an (nx, ny) grid of half spectra that are zero off the
+    columns cols (an index array or a slice): values(data), data the (nx,
+    ncols) columns, returns its own plane, which the next call overwrites.
+    Up to _PRODUCT_COLUMNS columns the values are within about 1e-15 of
+    max|values| of irfft2; past that they have its bits."""
 
     def __init__(self, nx: int, ny: int, cols):
         n = np.arange(ny // 2 + 1)[cols]
@@ -181,20 +158,34 @@ def _block(c: np.ndarray, K: int, kc: int) -> np.ndarray:
     return np.concatenate((c[:K + 1, :kc], c[-K:, :kc]))
 
 
-def _scatter_block(block: np.ndarray, out: np.ndarray) -> None:
-    """Write a Galerkin block into the rows m = 0 .. K and -K .. -1 of out,
-    whose columns are the block's; the rows between are left as they are."""
-    K = block.shape[0] // 2
-    out[:K + 1] = block[:K + 1]
-    out[-K:] = block[K + 1:]
+class _BlockRows:
+    """Galerkin blocks in a grid's nx rows: rows(block) returns its own
+    buffer, the block's columns, zero off its rows m = 0 .. K and -K .. -1,
+    which the next call overwrites."""
+
+    def __init__(self, nx: int):
+        self.buf = np.zeros((nx, 0), dtype=np.complex128)
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        K, kc = block.shape[0] // 2, block.shape[1]
+        if self.buf.shape[1] != kc:
+            self.buf = np.zeros((self.buf.shape[0], kc), dtype=np.complex128)
+        self.buf[:K + 1] = block[:K + 1]
+        self.buf[-K:] = block[K + 1:]
+        return self.buf
 
 
 def _full_from_block(block: np.ndarray, grid: Grid) -> np.ndarray:
     """Full FFT-layout coefficients of the real field whose half spectrum is
     the block and zero elsewhere."""
     half = np.zeros((grid.nx, grid.ny // 2 + 1), dtype=np.complex128)
-    _scatter_block(block, half[:, : block.shape[1]])
+    half[:, :block.shape[1]] = _BlockRows(grid.nx)(block)
     return _full_spectrum(half, grid.ny)
+
+
+def _nonzero_columns(half: np.ndarray) -> np.ndarray:
+    """Indices of the columns of a half spectrum that hold a nonzero entry."""
+    return np.flatnonzero(np.any(half != 0, axis=0))
 
 
 def _block_sq(block: np.ndarray) -> np.ndarray:
@@ -207,11 +198,9 @@ def _block_sq(block: np.ndarray) -> np.ndarray:
 
 
 class RecordedStates(Sequence):
-    """Read-only sequence of a run's states, kept in the layout the solver
-    makes them: the first entry a SpectralField, each later one a Galerkin
-    block (see _block).  Reading an entry gives a SpectralField; for a block
-    its full field is built (_full_from_block) on every read.  `entries`
-    holds the stored entries themselves."""
+    """Read-only sequence of a run's states, as SpectralFields built on every
+    read from `entries`: the first state as a field, the later ones as
+    Galerkin blocks."""
 
     def __init__(self, first: SpectralField, blocks: list):
         self.grid = first.grid
@@ -235,11 +224,9 @@ def _real_coeffs(v: np.ndarray) -> np.ndarray:
 
 
 class _BlockCoeffs:
-    """The forward twin of _ColumnValues: called as coeffs(v, mult, out), v
-    real point values on an (nx, ny) grid, it writes mult times the Galerkin
-    block (see _block) of _real_coeffs(v) into out and returns out.  The
-    block has the bits of rfft2's: rfft along y into its own half spectrum,
-    then the x pass on the kc block columns only into its own (nx, kc) buffer."""
+    """coeffs(v, mult, out) writes mult times the Galerkin block of
+    _real_coeffs(v), v real values on an (nx, ny) grid, into out and returns
+    out; the block has the bits of rfft2's."""
 
     def __init__(self, nx: int, ny: int, kc: int):
         self.half = np.empty((nx, ny // 2 + 1), dtype=np.complex128)
@@ -272,11 +259,7 @@ def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralField:
 
 def _hermitian_gap(c: np.ndarray) -> float:
     """max |c[m, n] - conj(c[-m, -n])| over an array in FFT layout, read on
-    its half spectrum (see _half): the conjugate reflection is written by
-    slices into one buffer (columns 0, ny - 1 .. ny - h + 1 of rows 0,
-    nx - 1 .. 1), which then takes the difference.  The gap at (-m, -n) has
-    the modulus of the gap at (m, n), so the half gives the maximum over the
-    whole array."""
+    its half spectrum: the gap at (-m, -n) has the modulus of that at (m, n)."""
     nx, ny = c.shape
     h = ny // 2 + 1
     gap = np.empty((nx, h), dtype=c.dtype)
@@ -298,16 +281,14 @@ def hermitian_defect(field: SpectralField) -> float:
 
 
 def _block_hermitian_defect(block: np.ndarray) -> float:
-    """hermitian_defect of the full field of a Galerkin block (see
-    _full_from_block), read on the block: its columns n >= 1 get their
-    conjugates by construction, so only column 0 can break the symmetry,
-    and the block holds its rows m and -m at i and -i mod 2K + 1."""
+    """hermitian_defect of the full field of a Galerkin block: only column 0
+    can break the symmetry, and it holds rows m and -m at i and -i mod 2K + 1."""
     return _relative_gap(_hermitian_gap(block[:, :1]), block)
 
 
 def _require_real(state, error=SymmetryViolationError) -> None:
-    """Raise error unless state, a SpectralField or a Galerkin block (see
-    _block), holds the coefficients of a real function."""
+    """Raise error unless state, a SpectralField or a Galerkin block, holds
+    the coefficients of a real function."""
     defect = (hermitian_defect(state) if isinstance(state, SpectralField)
               else _block_hermitian_defect(state))
     if defect > HERMITIAN_TOL:
@@ -495,18 +476,11 @@ def resample_values(field: SpectralField, factor: int) -> np.ndarray:
 
 class _RefinedPlanes:
     """Real point values of u, then u_x, then u_y on the 2x grid (derivatives
-    as `derivative` takes them), for real states of one grid: SpectralFields
-    and Galerkin blocks (see _block).  Calling it on a state checks that the
-    state is real (SymmetryViolationError otherwise) and iterates over the
-    three planes.
-
-    A state is read on its data columns: a field's half spectrum up to its
-    last nonzero column, a block scattered into the grid's nx rows on its kc
-    columns.  Each plane is that data times its multiplier, padded into the
-    same columns of the 2x grid as embed_in_grid pads (a block's weights are
-    all 1.0) and evaluated by one _ColumnValues, made again when the number
-    of data columns changes; each plane overwrites the last.  So each plane
-    is the irfft2 of the padded half spectrum (see _ColumnValues).
+    as `derivative` takes them) of real states of one grid, SpectralFields
+    or Galerkin blocks: planes(state) raises SymmetryViolationError for a
+    non-real state and iterates over the three planes, each of which
+    overwrites the last.  A plane is the irfft2 (see _ColumnValues) of the
+    state's data columns times its multiplier, padded as embed_in_grid pads.
     """
 
     def __init__(self, grid: Grid):
@@ -516,20 +490,19 @@ class _RefinedPlanes:
         self.dy = _derivative_multiplier(grid, "y")[:, :h]
         self.plan_x = _embed_plan(grid.nx, 2 * grid.nx)
         self.plan_y = _embed_plan(grid.ny, 2 * grid.ny)
-        # each state writes all of its data columns here; the rows between
-        # the destinations of plan_x stay zero
+        # the rows between the destinations of plan_x stay zero
         self.cols = np.zeros((2 * grid.nx, h), dtype=np.complex128)
+        self.rows = _BlockRows(grid.nx)
         self.values, self.width = None, 0
 
     def __call__(self, state):
         _require_real(state)
         if isinstance(state, SpectralField):
             half = state.coeffs[:, :self.cols.shape[1]]
-            nonzero = np.flatnonzero(np.any(half != 0, axis=0))
+            nonzero = _nonzero_columns(half)
             data = half[:, :int(nonzero[-1]) + 1 if nonzero.size else 1]
         else:
-            data = np.zeros((self.grid.nx, state.shape[1]), dtype=np.complex128)
-            _scatter_block(state, data)
+            data = self.rows(state)
         width = data.shape[1]
         if width != self.width:
             self.values = _ColumnValues(2 * self.grid.nx, 2 * self.grid.ny, slice(0, width))

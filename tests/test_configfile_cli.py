@@ -395,22 +395,32 @@ def test_weyl_degree_below_one_exits_2(tmp_path):
     assert "degree must be >= 1" in record["error"]["message"]
 
 
-@pytest.mark.parametrize("command, setting, units", [
+@pytest.mark.parametrize("command, settings, units", [
     # 1e8 trials of the default sizes are 1.3e11 terms
-    ("weyl-scan", "weyl.trials=100000000", "trials * sum(N)"),
+    ("weyl-scan", ["weyl.trials=100000000"], "trials * sum(N)"),
     # 1e8 trials of the default cells are 3.2e14 grid-point samples
-    ("strichartz-scan", "scan.trials=100000000", "trials * sum of nx * ny * n_times"),
+    ("strichartz-scan", ["scan.trials=100000000"], "trials * sum of nx * ny * n_times"),
     # 1001 rows of up to 2^22 nodes are 4.2e9 nodes
-    ("vdc-scan", "vdc.i_max=1000", "quadrature nodes (rows * 2^22)"),
+    ("vdc-scan", ["vdc.i_max=1000"], "quadrature nodes (rows * 2^22)"),
     # 3e8 pairs on the 128^2 doubled grid are 4.9e12 grid points
-    ("commutator-scan", "comm.pairs=100000000", "pairs * len(s_values) * 2nx * 2ny"),
+    ("commutator-scan", ["comm.pairs=100000000"], "pairs * len(s_values) * 2nx * 2ny"),
     # 1e8 samples of the default cells' 1.7e5 lattice terms are 1.7e13 terms
-    ("kernel-scan", "scan.samples_per_cell=100000000", "(samples_per_cell + 2) * sum"),
-], ids=["weyl", "strichartz", "vdc", "commutator", "kernel"])
-def test_scan_above_the_work_ceiling_exits_2_at_once(tmp_path, command, setting, units):
+    ("kernel-scan", ["scan.samples_per_cell=100000000"], "(samples_per_cell + 2) * sum"),
+    # 1e7 samples of the four cells j, k = 1..2 hold only 441 lattice terms,
+    # but each call costs about 155 us: 8.0e11 terms with the per-call charge
+    ("kernel-scan", ["scan.j_min=1", "scan.j_max=2", "scan.k_min=1", "scan.k_max=2",
+                     "scan.samples_per_cell=10000000"], "per kernel_sum call"),
+    # 100 steps at 4096^2, 8192^2 and the 16384^2 reference are 3.5e10 grid-point steps
+    ("convergence", ["conv.mode=spatial", "conv.n_values=4096,8192"],
+     "grid-point steps (sum of steps * nx * ny over the runs)"),
+], ids=["weyl", "strichartz", "vdc", "commutator", "kernel", "kernel-calls", "spatial"])
+def test_scan_above_the_work_ceiling_exits_2_at_once(tmp_path, command, settings, units):
     out = tmp_path / "run"
+    args = [command, "--out", str(out)]
+    for kv in settings:
+        args += ["--set", kv]
     start = time.perf_counter()
-    assert main([command, "--out", str(out), "--set", setting]) == 2
+    assert main(args) == 2
     assert time.perf_counter() - start < 1.0
     record = json.loads((out / "error.json").read_text())
     assert record["error"]["type"] == "ValueError"
@@ -423,7 +433,9 @@ def test_scan_above_the_work_ceiling_exits_2_at_once(tmp_path, command, setting,
     # 1e4 recorded 341 x 171 blocks at 512^2 are 9.3e9 bytes, in 2.6e9 grid-point steps
     (["grid.nx=512", "grid.ny=512", "solver.dt=1e-5", "solver.record_every=1"],
      "bytes of recorded states"),
-], ids=["steps", "records"])
+    # the 2x diagnostics plane of 8192^2 takes 2.1e9 bytes, in only 6.7e9 grid-point steps
+    (["grid.nx=8192", "grid.ny=8192"], "bytes of the largest array"),
+], ids=["steps", "records", "grid-bytes"])
 def test_simulate_above_the_work_ceiling_exits_2_at_once(tmp_path, settings, units):
     out = tmp_path / "run"
     args = ["simulate", "--out", str(out)]

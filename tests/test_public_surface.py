@@ -60,6 +60,24 @@ def test_public_names_have_a_caller_outside_unit_tests():
     assert unreached == []
 
 
+# modules of the CLI layer, whose names the package does not re-export
+NOT_REEXPORTED = {"dgzk.cli", "dgzk.configfile", "dgzk.reporting"}
+
+
+def test_package_all_is_built_from_its_modules():
+    """Each public name is written once, in its module's __all__: every name
+    there is importable from the package, and no package __all__ repeats one."""
+    for package in (dgzk, dgzk.estimates):
+        assert len(package.__all__) == len(set(package.__all__))
+        for info in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
+            module = importlib.import_module(info.name)
+            if info.ispkg or info.name in NOT_REEXPORTED or not hasattr(module, "__all__"):
+                continue
+            missing = [name for name in module.__all__ if name not in package.__all__
+                       or getattr(package, name) is not getattr(module, name)]
+            assert missing == [], info.name
+
+
 def _module_level_private_names(tree):
     """The _names, dunders aside, that a module binds at its top level."""
     names = set()

@@ -35,8 +35,8 @@ from dgzk.solver import (SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper,
                          _step_count, l2_identity_residual)
 from dgzk.errors import (DivergenceError, InsufficientDataError, InvalidInitialDataError,
                          SymmetryViolationError)
-from dgzk.spectral import (_PRODUCT_COLUMNS, _ColumnValues, _block, _block_dims,
-                           _dealias_mask, _full_from_block, _half, _scatter_block,
+from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockRows, _ColumnValues, _block, _block_dims,
+                           _dealias_mask, _full_from_block, _half,
                            inverse_transform)
 
 from fieldgen import _record_fft_calls, _record_products, band_field, real_field
@@ -216,13 +216,12 @@ def _fresh_array_stepper(grid, symbol, dt, integrator):
     u)), u from one _ColumnValues on the block columns.  The operand order of
     every product is the one the steppers keep."""
     K, kc = _block_dims(grid)
-    rows = np.zeros((grid.nx, kc), dtype=np.complex128)
+    rows = _BlockRows(grid.nx)
     values = _ColumnValues(grid.nx, grid.ny, slice(0, kc))
     deriv_x = -0.5j * _block(grid.kx2d, K, 1)
 
     def N(c):
-        _scatter_block(c, rows)
-        u = values(rows)
+        u = values(rows(c))
         cols = np.fft.rfft(u * u, axis=1, norm="forward")[:, :kc]
         return deriv_x * _block(np.fft.fft(cols, axis=0, norm="forward"), K, kc)
 

@@ -36,10 +36,9 @@ from dgzk import (
     zero_field,
 )
 from dgzk.errors import SymmetryViolationError
-from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockCoeffs, _ColumnValues, _block,
+from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockCoeffs, _BlockRows, _ColumnValues, _block,
                            _block_dims, _block_hermitian_defect, _full_from_block,
-                           _full_spectrum, _half, _hermitian_gap, _real_coeffs, _real_values,
-                           _scatter_block)
+                           _full_spectrum, _half, _hermitian_gap, _real_coeffs, _real_values)
 
 from fieldgen import (_record_fft_calls, _record_products, assert_irfft2_values, band_field,
                       cos_x, real_field)
@@ -464,7 +463,7 @@ def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
     g = Grid(nx, ny)
     K, kc = _block_dims(g)
     rng = np.random.default_rng(seed)
-    rows = np.zeros((nx, kc), dtype=np.complex128)
+    rows = _BlockRows(nx)
     values = _ColumnValues(nx, ny, slice(0, kc))
     coeffs = _BlockCoeffs(nx, ny, kc)
     out = np.empty((2 * K + 1, kc), dtype=np.complex128)
@@ -475,8 +474,7 @@ def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
         half[:, kc:] = 0.0
         block = _block(half, K, kc)
         assert block.shape == (2 * K + 1, kc)
-        _scatter_block(block, rows)
-        got = values(rows)
+        got = values(rows(block))
         assert got is values.out
         assert_irfft2_values(got, np.fft.irfft2(half, s=(nx, ny), norm="forward"), kc)
         v = rng.standard_normal((nx, ny))
