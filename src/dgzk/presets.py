@@ -41,8 +41,7 @@ def _random_real(grid: Grid, rows: np.ndarray, cols: np.ndarray, rng) -> Spectra
     """Random real-valued field on the block rows x cols, index sets closed
     under i -> -i: iid complex Gaussians, Hermitian-symmetrized on the block.
     The draws cover the whole grid, so the stream does not depend on it."""
-    re = rng.standard_normal(grid.shape)
-    im = rng.standard_normal(grid.shape)
+    re, im = rng.standard_normal((2, *grid.shape))
     block = np.ix_(rows, cols)
     mirror = np.ix_(-rows % grid.nx, -cols % grid.ny)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
