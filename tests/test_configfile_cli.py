@@ -404,7 +404,7 @@ def test_weyl_degree_below_one_exits_2(tmp_path):
     ("vdc-scan", ["vdc.i_max=1000"], "quadrature nodes (rows * 2^22)"),
     # 3e8 pairs on the 128^2 doubled grid are 4.9e12 grid points
     ("commutator-scan", ["comm.pairs=100000000"], "pairs * len(s_values) * 2nx * 2ny"),
-    # 1e8 samples of the default cells' 1.7e5 lattice terms are 1.7e13 terms
+    # 1e8 samples of the default cells' 1.7e5 lattice terms and 9 call charges are 3.5e13
     ("kernel-scan", ["scan.samples_per_cell=100000000"], "(samples_per_cell + 2) * sum"),
     # 1e7 samples of the four cells j, k = 1..2 hold only 441 lattice terms,
     # but each call costs about 155 us: 8.0e11 terms with the per-call charge
