@@ -84,8 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> dict:
-    pairs = []
-    source = "<defaults>"
+    pairs, source = [], "<defaults>"
     if args.config is not None:
         path = Path(args.config)
         try:
@@ -95,11 +94,9 @@ def _resolve(args) -> dict:
         source = str(path)
         pairs = parse_config_text(text, source=source)
 
-    overrides = list(args.set)
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if args.workers is not None:
-        overrides.append(f"workers={args.workers}")
+    overrides = list(args.set) + [f"{key}={value}" for key, value in
+                                  (("seed", args.seed), ("workers", args.workers))
+                                  if value is not None]
     return resolve_config(args.command, pairs, overrides, source=source)
 
 
@@ -197,22 +194,21 @@ def _write_shell_scan(out: Path, report) -> None:
     })
 
 
+def _shells_from(cfg: dict) -> tuple:
+    return (_symbol_from(cfg), range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
+            range(cfg["scan.k_min"], cfg["scan.k_max"] + 1))
+
+
 def _run_strichartz_scan(cfg: dict, out: Path) -> None:
     _write_shell_scan(out, strichartz_scan(
-        _symbol_from(cfg),
-        range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
-        range(cfg["scan.k_min"], cfg["scan.k_max"] + 1),
-        trials=cfg["scan.trials"], seed=cfg["seed"],
+        *_shells_from(cfg), trials=cfg["scan.trials"], seed=cfg["seed"],
         n_times=cfg["scan.n_times"], refine=cfg["scan.refine"],
         eps=cfg["scan.eps"], workers=cfg["workers"]))
 
 
 def _run_kernel_scan(cfg: dict, out: Path) -> None:
     _write_shell_scan(out, kernel_decay_scan(
-        _symbol_from(cfg),
-        range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
-        range(cfg["scan.k_min"], cfg["scan.k_max"] + 1),
-        samples_per_cell=cfg["scan.samples_per_cell"], seed=cfg["seed"],
+        *_shells_from(cfg), samples_per_cell=cfg["scan.samples_per_cell"], seed=cfg["seed"],
         eps=cfg["scan.eps"], workers=cfg["workers"]))
 
 
@@ -296,11 +292,7 @@ _EXIT_BY_ERROR = (
 
 
 def _fail(exc: Exception, out: Path = None) -> int:
-    code = EXIT_INTERNAL
-    for etype, ecode in _EXIT_BY_ERROR:
-        if isinstance(exc, etype):
-            code = ecode
-            break
+    code = next((c for etype, c in _EXIT_BY_ERROR if isinstance(exc, etype)), EXIT_INTERNAL)
     record = error_record(exc, code)
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
     if out is not None:
@@ -316,11 +308,8 @@ def main(argv=None) -> int:
     out = None
     try:
         cfg = _resolve(args)
-        out_arg = args.out
-        if out_arg is None:
-            root = os.environ.get("DGZK_OUT", "runs")
-            out_arg = os.path.join(root, args.command)
-        out = Path(out_arg)
+        out = Path(args.out if args.out is not None
+                   else os.path.join(os.environ.get("DGZK_OUT", "runs"), args.command))
         out.mkdir(parents=True, exist_ok=True)
         write_resolved_config(out / "resolved-config.txt", args.command, cfg)
         _RUNNERS[args.command](cfg, out)

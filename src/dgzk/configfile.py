@@ -183,8 +183,7 @@ def parse_config_text(text: str, source: str = "<config>") -> List[Tuple[int, st
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
+        key, raw = key.strip(), raw.strip()
         if not key:
             raise ConfigError(f"{source}:{lineno}: empty key")
         triples.append((lineno, key, raw))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -160,6 +161,18 @@ def diagnostics_csv(trajectory) -> Tuple[list, list]:
     return header, rows
 
 
+@lru_cache(maxsize=8)
+def _bessel_multipliers(grid: Grid, s: float) -> tuple:
+    """Read-only J^s on grid and on the 2x grid's half spectrum, and J^{s-1} on grid."""
+    base = 1.0 + grid.kx2d**2 + grid.ky2d**2  # 1 + |k|^2
+    big = Grid(2 * grid.nx, 2 * grid.ny)
+    tables = (base ** (s / 2.0), (1.0 + big.kx2d**2 + _half(big.ky2d)**2) ** (s / 2.0),
+              base ** ((s - 1.0) / 2.0))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[float, float]:
     """Left and right side of the commutator estimate for J^s = (1 - lap)^{s/2}.
 
@@ -177,7 +190,7 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
         raise ValueError("fields must share a grid")
     grid = f.grid
 
-    constant_f = not np.any(f.coeffs.flat[1:])  # f_hat vanishes off (0, 0)
+    constant_f = not np.any(f.coeffs.ravel()[1:])  # f_hat vanishes off (0, 0)
 
     planes = _RefinedPlanes(grid)
     # each plane overwrites the last, so f is copied for the products
@@ -188,16 +201,14 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     grad_inf = math.sqrt(float(grad_sq.max()))  # max |grad f|, no hypot per point
     g_vals = next(planes(g))
     sup_g = _sup(g_vals)
-    base = 1.0 + grid.kx2d**2 + grid.ky2d**2  # 1 + |k|^2, for J^s and J^{s-1}
-    js = base ** (s / 2.0)
+    js, js_big, js_less = _bessel_multipliers(grid, s)
 
     if constant_f:
         # multipliers commute with constants identically
         lhs = 0.0
     else:
-        big = Grid(2 * grid.nx, 2 * grid.ny)
         diff = _real_coeffs(f_vals * g_vals)
-        diff *= (1.0 + big.kx2d**2 + _half(big.ky2d)**2) ** (s / 2.0)
+        diff *= js_big
         diff -= _real_coeffs(f_vals * next(planes(SpectralField(grid, g.coeffs * js))))
         sq = np.abs(diff) ** 2
         sq[:, 1:-1] *= 2.0
@@ -205,7 +216,7 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
 
     rhs = (l2_norm(SpectralField(grid, f.coeffs * js)) * sup_g
            + (_sup(f_vals) + grad_inf)
-           * l2_norm(SpectralField(grid, g.coeffs * base ** ((s - 1.0) / 2.0))))
+           * l2_norm(SpectralField(grid, g.coeffs * js_less)))
     return lhs, rhs
 
 

@@ -21,11 +21,15 @@ __all__ = ["ShellScanReport"]
 MAX_SHELL_SUM = 20
 
 
-def parallel_map(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """[fn(x) for x in items], on a thread pool when workers > 1; order is kept."""
+def parallel_map(fn: Callable, items: Sequence, workers: int = 1,
+                 costs: Sequence = None) -> list:
+    """[fn(x) for x in items], on a thread pool when workers > 1, which starts
+    the costliest items first when costs (one per item) are given."""
     if workers > 1:
+        order = sorted(range(len(items)), key=lambda i: -costs[i]) if costs else range(len(items))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+            futures = {i: pool.submit(fn, items[i]) for i in order}
+            return [futures[i].result() for i in range(len(items))]
     return [fn(x) for x in items]
 
 
@@ -68,13 +72,14 @@ class ShellScanReport:
     max_ratio: float
 
 
-def shell_scan(measure: Callable[[int, int], float], symbol, j_list: Sequence[int],
-               k_list: Sequence[int], s_j: float, s_k: float, eps: float, seed: int,
-               settings: dict, workers: int = 1) -> ShellScanReport:
-    """Measure every cell of j_list x k_list and fit the decay exponents;
-    with a single k only the j slope is fitted and slope_k is nan."""
+def shell_scan(measure: Callable[[int, int], float], cost: Callable[[int, int], int], symbol,
+               j_list: Sequence[int], k_list: Sequence[int], s_j: float, s_k: float, eps: float,
+               seed: int, settings: dict, workers: int = 1) -> ShellScanReport:
+    """Measure every cell of j_list x k_list, costliest first by cost(j, k),
+    and fit the decay exponents; with a single k only the j slope is fitted
+    and slope_k is nan."""
     pairs = [(j, k) for j in j_list for k in k_list]
-    measured = parallel_map(lambda jk: measure(*jk), pairs, workers)
+    measured = parallel_map(lambda jk: measure(*jk), pairs, workers, [cost(*jk) for jk in pairs])
     cells = []
     max_ratio = 0.0
     for (j, k), value in zip(pairs, measured):

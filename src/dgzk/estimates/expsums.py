@@ -11,11 +11,13 @@ dirichlet_approx produces such approximations with denominator q <= Lambda
 and error at most 1/(Lambda q); weyl_scan draws random instances, pairs each
 with its approximation, and records the ratio |S| / bound.  It sums a
 chunk of trials of one N in one array pass, with the bits of one weyl_sum
-per instance.
+per instance, and draws a batch of trials with the bits of
+default_rng([seed, N, trial]) in one pass of _keyed_uniforms.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +29,12 @@ __all__ = ["WeylInstance", "RationalApprox", "WeylScanReport", "weyl_sum", "diri
            "weyl_bound", "weyl_scan"]
 
 _CHUNK_POINTS = 2 ** 14  # trials x N per array pass of weyl_scan
+_DRAW_BATCH = 2 ** 11    # trials per pass of _keyed_uniforms
+
+# numpy's SeedSequence hash constants and PCG64 multiplier (high, low words)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_MULT = (2549297995355413924, 4865540595714422341)
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,52 @@ def _weyl_sums(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
     h -= np.floor(h)
     phases = 2j * np.pi * h
     return np.sum(np.exp(phases, out=phases), axis=1)
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of uint32 arrays; each call advances its constant."""
+    def hashed(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const
+        return value ^ value >> 16
+    return hashed
+
+
+def _keyed_uniforms(seed: int, n: int, first: int, stop: int, size: int) -> np.ndarray:
+    """Row t - first is default_rng([seed, n, t]).uniform(0.0, 1.0, size) bit for bit, for t
+    in first..stop-1 (seed, n >= 0; stop <= 2^32): SeedSequence's pool mixing and
+    generate_state, PCG64's seeding and XSL-RR outputs, over arrays of all the trials."""
+    # an int's little-endian 32-bit words, 0 being one word; the pool holds four
+    entropy = [np.full(stop - first, int(w) >> s & _M32, np.uint32)
+               for w in (seed, n) for s in range(0, max(int(w).bit_length(), 1), 32)]
+    entropy.append(np.arange(first, stop, dtype=np.uint32))
+    entropy += [np.zeros(stop - first, np.uint32)] * (4 - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(len(entropy)):  # each pool word, then each word past the pool
+        for dst in range(4):
+            if dst != src:
+                r = pool[dst] * _MIX_L - hashmix(pool[src] if src < 4 else entropy[src]) * _MIX_R
+                pool[dst] = r ^ r >> 16
+    half = [word.astype(np.uint64) for word in map(_hasher(_INIT_B, _MULT_B), pool * 2)]
+    state_hi, state_lo, seq_hi, seq_lo = (half[i] | half[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    lo = inc[1] + state_lo  # a step from state 0 gives inc; add the state
+    hi = inc[0] + state_hi + (lo < state_lo)
+    (m_hi, m_lo), out = _PCG_MULT, np.empty((stop - first, size + 1))
+    for column in out.T:  # (hi, lo) * _PCG_MULT + inc modulo 2^128 in 32-bit limbs, XSL-RR
+        a0, a1 = lo & _M32, lo >> 32
+        p00, p01, p10 = a0 * (m_lo & _M32), a0 * (m_lo >> 32), a1 * (m_lo & _M32)
+        mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+        hi = (hi * m_lo + lo * m_hi + a1 * (m_lo >> 32) + (p01 >> 32) + (p10 >> 32)
+              + (mid >> 32) + inc[0])
+        lo = lo * m_lo + inc[1]
+        hi += lo < inc[1]
+        x, rot = hi ^ lo, hi >> 58
+        column[:] = ((x >> rot | x << (-rot & 63)) >> 11) * 2.0 ** -53
+    return out[:, 1:]  # the first step ends the seeding: its output is not drawn
 
 
 def weyl_sum(instance: WeylInstance) -> complex:
@@ -135,6 +189,8 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
         raise ValueError(f"trials must be >= 1, got {trials}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     sizes = [int(n) for n in n_values]
     if sizes and min(sizes) < 1:
         raise ValueError(f"n_terms must be >= 1, got {min(sizes)}")
@@ -144,11 +200,15 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
     dirichlet_ok = True
     for n in sizes:
         chunk = max(1, _CHUNK_POINTS // n)
+        drawn = np.empty((0, degree + 1))
         for first in range(0, trials, chunk):
             block = range(first, min(first + chunk, trials))
             # keyed per (N, trial) so results do not depend on loop order
-            coeffs = np.array([np.random.default_rng([seed, n, trial]).uniform(
-                0.0, 1.0, size=degree + 1) for trial in block])
+            while len(drawn) < len(block):
+                start = first + len(drawn)
+                drawn = np.concatenate([drawn, _keyed_uniforms(
+                    seed, n, start, min(start + _DRAW_BATCH, trials), degree + 1)])
+            coeffs, drawn = drawn[:len(block)], drawn[len(block):]
             sums = _weyl_sums(coeffs, n).tolist()
             for trial, lead, total in zip(block, coeffs[:, -1].tolist(), sums):
                 approx = dirichlet_approx(lead, n)

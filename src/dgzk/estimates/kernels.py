@@ -15,6 +15,7 @@ the observed decay of max |K| * 2^{-l} in j and k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,6 +80,18 @@ def _shell_support(shell: int) -> np.ndarray:
     return np.arange(first, last + 1)
 
 
+@lru_cache(maxsize=8)
+def _cell_tables(j: int, k: int, alpha: int, beta: float) -> tuple:
+    """Read-only supports, powers and psi1^2 weights of cell (j, k), as kernel_sum uses them."""
+    m = _shell_support(j).astype(float)
+    n = _shell_support(k).astype(float)
+    tables = (m, n, m * m ** (1.0 + alpha), n ** (1.0 + beta), psi1(m / 2.0 ** j) ** 2,
+              2.0 * psi1(n / 2.0 ** k) ** 2)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def kernel_sum(query: KernelQuery) -> complex:
     """Direct evaluation of the kernel lattice sum at one space-time point,
     over the quarter m, n > 0.  The m are consecutive, so the phase
@@ -88,14 +101,10 @@ def kernel_sum(query: KernelQuery) -> complex:
     if max(abs(query.t), abs(query.t_prime)) > 2.0 ** (-(j + k)):
         return 0.0 + 0.0j
 
-    m = _shell_support(j).astype(float)
-    n = _shell_support(k).astype(float)
+    m, n, mpow, npow, psi_m, psi_n = _cell_tables(j, k, symbol.alpha, symbol.beta)
     delta = query.t - query.t_prime
-    npow = n ** (1.0 + symbol.beta)
-    mpow = m * m ** (1.0 + symbol.alpha)
-
-    vec_m = psi1(m / 2.0 ** j) ** 2 * np.exp(1j * (m * query.x + mpow * delta))
-    vec_n = 2.0 * psi1(n / 2.0 ** k) ** 2 * np.cos(n * query.y)
+    vec_m = psi_m * np.exp(1j * (m * query.x + mpow * delta))
+    vec_n = psi_n * np.cos(n * query.y)
 
     # row m[0] + R b + r is row r of block b, R = _ROW_BLOCK
     phase = 1j * (symbol.sign * delta)
@@ -153,12 +162,11 @@ def kernel_decay_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     """
     j_list, k_list = shell_lists(symbol, j_range, k_range,
                                  {"samples_per_cell": samples_per_cell}, fewest_k=2, least_k=1)
-    terms = lambda shells: sum(_shell_support(s).size for s in shells)
-    call_terms = len(j_list) * len(k_list) * _CALL_TERMS
-    check_work("kernel", (samples_per_cell + 2) * (terms(j_list) * terms(k_list) + call_terms))
+    cost = lambda j, k: _shell_support(j).size * _shell_support(k).size + _CALL_TERMS
+    check_work("kernel", (samples_per_cell + 2) * sum(cost(j, k) for j in j_list for k in k_list))
 
     s_j = -1.0 / 2.0 ** (symbol.alpha + 1) + 2.0 * eps
     s_k = -symbol.beta / 2.0 + 2.0 * eps
     measure = lambda j, k: _cell_measurement(symbol, j, k, samples_per_cell, seed)
-    return shell_scan(measure, symbol, j_list, k_list, s_j, s_k, eps, seed,
+    return shell_scan(measure, cost, symbol, j_list, k_list, s_j, s_k, eps, seed,
                       {"samples_per_cell": samples_per_cell}, workers)

@@ -7,6 +7,7 @@ case over random trials, and fits the observed decay exponents in j and k.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -104,11 +105,11 @@ def strichartz_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     """
     j_list, k_list = shell_lists(symbol, j_range, k_range, {"trials": trials},
                                  fewest_k=1, least_k=0)
-    grids = [_shell_grid(j, k, refine) for j in j_list for k in k_list]
-    check_work("strichartz", trials * n_times * sum(g.nx * g.ny for g in grids))
+    cost = lambda j, k: math.prod(_shell_grid(j, k, refine).shape) * n_times
+    check_work("strichartz", trials * sum(cost(j, k) for j in j_list for k in k_list))
 
     s_j = -1.0 / 2.0 ** (symbol.alpha + 2) + eps
     s_k = -symbol.beta / 4.0 + eps
     measure = lambda j, k: _cell_measurement(symbol, j, k, trials, seed, n_times, refine)
-    return shell_scan(measure, symbol, j_list, k_list, s_j, s_k, eps, seed,
+    return shell_scan(measure, cost, symbol, j_list, k_list, s_j, s_k, eps, seed,
                       {"trials": trials, "n_times": n_times, "refine": refine}, workers)

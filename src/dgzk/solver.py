@@ -77,6 +77,7 @@ class SimulationConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        _step_count(self.t_end, self.dt)
         if self.record_every < 1 or int(self.record_every) != self.record_every:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
         if self.integrator not in _STEPPERS:
@@ -279,8 +280,11 @@ def _check_guards(grid: Grid, dt: float, c: np.ndarray, values, warned: dict):
 
 
 def _step_count(t_end: float, dt: float) -> int:
-    """Steps simulate takes to reach t_end: the nearest count to t_end/dt, at least 1."""
-    return max(1, int(round(t_end / dt)))
+    """Steps to reach t_end: round(t_end/dt), at least 1; ValueError if t_end/dt is not finite."""
+    ratio = float(t_end) / float(dt)  # Python floats: inf without a numpy warning
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end / dt must be finite, got {t_end} / {dt}")
+    return max(1, int(round(ratio)))
 
 
 def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
@@ -441,6 +445,8 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     dts = np.asarray(sorted(dts, reverse=True), dtype=float)
+    if not np.all(np.isfinite(dts) & (dts > 0)):
+        raise ValueError(f"dts must be positive and finite, got {dts.tolist()}")
     counts = [_step_count(t_end, dt) for dt in dts]
     if len(counts) < 2 or len(set(counts)) < len(counts):
         raise InsufficientDataError(

@@ -254,10 +254,13 @@ def test_empty_shell_range_exits_5(tmp_path, settings):
     ("vdc-scan", ["vdc.i_min=1024", "vdc.i_max=1024"], 2, "ValueError"),
     # dts down to 4e-3 / 2^39: about 1e14 steps, far past MAX_WORK["study"]
     ("convergence", ["conv.mode=temporal", "conv.halvings=40"], 2, "ValueError"),
+    # t_end / dt overflows to inf, which no step count can hold
+    ("simulate", ["solver.t_end=1e300", "solver.dt=1e-300"], 2, "ValueError"),
+    ("convergence", ["conv.mode=temporal", "conv.dt0=0"], 2, "ValueError"),
 ], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width",
         "one-step-count", "shared-step-count", "one-resolution", "comm-band-beyond-grid",
         "band-beyond-grid", "negative-temporal-t-end", "vdc-p-171", "vdc-p-200",
-        "vdc-i-max-1024", "unbounded-temporal-work"])
+        "vdc-i-max-1024", "unbounded-temporal-work", "overflowing-steps", "zero-temporal-dt"])
 def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
                                                    exit_code, error_type):
     out = tmp_path / "run"
@@ -266,13 +269,37 @@ def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
         args += ["--set", "grid.nx=16", "--set", "grid.ny=16"]
     for kv in settings:
         args += ["--set", kv]
+    start = time.perf_counter()
     assert main(args) == exit_code
+    assert time.perf_counter() - start < 1.0  # rejected before any run starts
     record = json.loads((out / "error.json").read_text())
     assert record["error"]["type"] == error_type
     if command == "vdc-scan":
         # the offending parameter and its limit are named
         limit = {"vdc.p": "p must be <= 170", "vdc.i_max": "i_max must be <= 1023"}
         assert limit[settings[-1].split("=")[0]] in record["error"]["message"]
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("strichartz-scan", ["scan.trials=2"]),
+    ("kernel-scan", ["scan.samples_per_cell=3"]),
+])
+def test_two_workers_write_the_artifacts_of_one(tmp_path, command, settings):
+    """Cells run costliest first on two workers; the artifacts keep their
+    bytes, and resolved-config.txt differs only in its workers line."""
+    files = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        args = [command, "--out", str(out), "--workers", str(workers)]
+        for kv in settings:
+            args += ["--set", kv]
+        assert main(args) == 0
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(files[0]) == ["cells.csv", "report.json", "resolved-config.txt"]
+    for name in ("cells.csv", "report.json"):
+        assert files[0][name] == files[1][name]
+    assert (files[0]["resolved-config.txt"].replace(b"workers = 1", b"workers = 2")
+            == files[1]["resolved-config.txt"])
 
 
 @pytest.mark.parametrize("command, settings", [

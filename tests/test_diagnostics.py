@@ -26,7 +26,7 @@ from dgzk import (
     sup_norm_diagnostics,
     zero_field,
 )
-from dgzk.diagnostics import FOUR_PI_SQ, build_records, L1tLinfReport
+from dgzk.diagnostics import FOUR_PI_SQ, _bessel_multipliers, build_records, L1tLinfReport
 from dgzk.errors import InsufficientDataError
 from dgzk.spectral import (_PRODUCT_COLUMNS, RecordedStates, _RefinedPlanes, _block,
                            _block_dims, _half, _real_values, dealias, derivative,
@@ -275,6 +275,19 @@ def test_commutator_constant_f_is_exactly_zero(rng):
     h = band_field(g, 4, rng, mean_zero_x=False)
     lhs, _ = commutator_check(const, h, 1.5)
     assert lhs == 0.0
+
+
+def test_commutator_multipliers_are_shared_read_only_and_keep_the_outputs(rng):
+    g = Grid(16, 24)
+    f = band_field(g, 4, rng, mean_zero_x=False)
+    h = band_field(g, 4, rng, mean_zero_x=False)
+    first = commutator_check(f, h, 1.5)
+    tables = _bessel_multipliers(g, 1.5)
+    assert all(not t.flags.writeable for t in tables)
+    with pytest.raises(ValueError):
+        tables[1][0, 0] = 0.0
+    assert _bessel_multipliers(Grid(16, 24), 1.5) is tables
+    assert commutator_check(f, h, 1.5) == first
 
 
 def test_commutator_validation(rng):

@@ -16,6 +16,7 @@ from dgzk.estimates.expsums import (
     WeylInstance,
     dirichlet_approx,
     weyl_bound,
+    _keyed_uniforms,
     _weyl_sums,
     weyl_scan,
     weyl_sum,
@@ -233,8 +234,35 @@ def test_scan_refuses_work_above_the_ceiling_before_drawing(monkeypatch):
         raise AssertionError("drew before checking the work ceiling")
 
     monkeypatch.setattr(expsums.np.random, "default_rng", no_draws)
+    monkeypatch.setattr(expsums, "_keyed_uniforms", no_draws)
     with pytest.raises(ValueError, match=r"trials \* sum\(N\)"):
         weyl_scan(3, [64, 256, 1024], trials=10**8)
+
+
+# ------------------------------------------------------------- keyed draws
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+       n=st.one_of(st.just(0), st.integers(1, 5000), st.integers(0, 2**40)),
+       first=st.one_of(st.integers(0, 100), st.integers(0, 2**32 - 1), st.just(2**32 - 1)),
+       count=st.integers(1, 40), size=st.integers(1, 6))
+def test_keyed_draws_are_those_of_default_rng(seed, n, first, count, size):
+    """_keyed_uniforms reimplements SeedSequence and PCG64 over arrays:
+    each row is default_rng([seed, n, trial]).uniform(0.0, 1.0, size), bit
+    for bit, for one- and two-word seeds and n, up to trial 2^32 - 1."""
+    first = min(first, 2**32 - count)
+    got = _keyed_uniforms(seed, n, first, first + count, size)
+    want = np.array([np.random.default_rng([seed, n, t]).uniform(0.0, 1.0, size=size)
+                     for t in range(first, first + count)])
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_scan_rows_do_not_depend_on_the_draw_batch(monkeypatch):
+    """Draw batches smaller and larger than the sum chunks give the same rows."""
+    report = weyl_scan(2, [3, 700], trials=40, seed=11)
+    for batch in (1, 7, 4096):
+        monkeypatch.setattr(expsums, "_DRAW_BATCH", batch)
+        assert weyl_scan(2, [3, 700], trials=40, seed=11).rows == report.rows
 
 
 # ------------------------------------------------------------- batched sums

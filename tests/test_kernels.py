@@ -8,7 +8,7 @@ import pytest
 
 from dgzk.errors import InsufficientDataError
 from dgzk.estimates.bump import psi1
-from dgzk.estimates.kernels import KernelQuery, kernel_decay_scan, kernel_sum
+from dgzk.estimates.kernels import KernelQuery, _cell_tables, kernel_decay_scan, kernel_sum
 from dgzk.propagator import DispersionSymbol
 
 SYM = DispersionSymbol(alpha=1, beta=0.5, sign=1, mu=0.0)
@@ -116,6 +116,17 @@ def test_scan_is_deterministic_and_worker_invariant():
     c = kernel_decay_scan(SYM, range(4, 6), range(4, 6), samples_per_cell=3, seed=2,
                           workers=2)
     assert a.cells == c.cells
+
+
+def test_cell_tables_are_shared_read_only_and_keep_the_sums():
+    q = KernelQuery(j=2, k=3, symbol=SYM, t=0.01, t_prime=-0.005, x=0.3, y=1.1)
+    first = kernel_sum(q)
+    tables = _cell_tables(2, 3, SYM.alpha, SYM.beta)
+    assert all(not t.flags.writeable for t in tables)
+    with pytest.raises(ValueError):
+        tables[0][0] = 0.0
+    assert _cell_tables(2, 3, SYM.alpha, SYM.beta) is tables
+    assert kernel_sum(q) == first
 
 
 def test_scan_requires_two_shells_each_way():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import dgzk
 from dgzk import _work
 from dgzk.estimates import strichartz
+from dgzk.estimates._shellscan import parallel_map
 from dgzk.errors import InsufficientDataError, SymmetryViolationError
 from dgzk.grid import Grid
 from dgzk.presets import random_band_field
@@ -211,6 +213,21 @@ def test_scan_cells_do_not_depend_on_the_blas_thread_count():
                              text=True, check=True, timeout=120)
         cells.append(run.stdout)
     assert cells[0] == cells[1] and cells[0].startswith("[(3, 3, ")
+
+
+def test_parallel_map_starts_the_costliest_items_first_and_keeps_their_order():
+    started = []
+    gate = threading.Barrier(2)
+
+    def fn(x):
+        started.append(x)
+        if len(started) <= 2:
+            gate.wait(timeout=10)  # both workers hold their first item
+        return 10 * x
+
+    items = [1, 2, 3, 4, 5]
+    assert parallel_map(fn, items, workers=2, costs=[5, 1, 9, 1, 7]) == [10, 20, 30, 40, 50]
+    assert set(started[:2]) == {3, 5} and sorted(started) == items
 
 
 def test_scan_refuses_work_above_the_ceiling_before_drawing(monkeypatch):
