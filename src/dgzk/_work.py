@@ -9,7 +9,8 @@ from __future__ import annotations
 
 MAX_WORK = {"weyl": 1e9, "strichartz": 1e11, "study": 1e9, "simulate": 1e11, "records": 2e9,
             "vdc": 1e9, "commutator": 1e9, "kernel": 1e10, "grid_bytes": 1e9}
-_UNITS = {"weyl": "terms (trials * sum(N))",
+_UNITS = {"weyl": "terms ((degree + 1) * trials * sum(N), plus 10000 per coefficient column "
+                  "and N and 4000 per row)",
           "strichartz": "grid-point samples (trials * sum of nx * ny * n_times over the cells)",
           "study": "grid-point steps (sum of steps * nx * ny over the runs)",
           "simulate": "grid-point steps (steps * nx * ny)",
@@ -24,6 +25,7 @@ _UNITS = {"weyl": "terms (trials * sum(N))",
 def check_work(kind: str, work: int) -> None:
     """Raise ValueError if work, in the units of kind, exceeds its ceiling."""
     if work > MAX_WORK[kind]:
+        shown = f"{work:.3g}" if work < 1e300 else "over 1e300"  # a huge int has no float
         raise ValueError(
-            f"{kind} work of {work:.3g} {_UNITS[kind]} exceeds the ceiling "
+            f"{kind} work of {shown} {_UNITS[kind]} exceeds the ceiling "
             f"MAX_WORK[{kind!r}] = {MAX_WORK[kind]:.0e}")

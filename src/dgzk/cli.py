@@ -242,7 +242,10 @@ def _run_convergence(cfg: dict, out: Path) -> None:
     report = {}
     if mode in ("temporal", "both"):
         phi = _initial_from(cfg, grid)
-        dts = [cfg["conv.dt0"] / 2 ** i for i in range(cfg["conv.halvings"])]
+        # each halving doubles the finest run's steps: past 64 no study is under its ceiling
+        if cfg["conv.halvings"] > 64:
+            raise ValueError(f"conv.halvings must be <= 64, got {cfg['conv.halvings']}")
+        dts = [math.ldexp(cfg["conv.dt0"], -i) for i in range(cfg["conv.halvings"])]
         temporal = temporal_order_study(grid, symbol, phi, cfg["conv.t_end"], dts,
                                         integrator=cfg["conv.integrator"])
         rows = zip(temporal.dts, temporal.errors, ["", *temporal.pairwise_orders])

@@ -33,17 +33,27 @@ def parallel_map(fn: Callable, items: Sequence, workers: int = 1,
     return [fn(x) for x in items]
 
 
-def shell_lists(symbol, j_range, k_range, counts: dict, fewest_k: int, least_k: int):
+def shell_lists(symbol, j_range, k_range, counts: dict, fewest_k: int, least_k: int,
+                eps: float):
     """Sorted distinct j and k of a shell scan, after the checks both scans
-    make: the undamped symbol, each of counts (name: value) >= 1, at least
+    make: the undamped symbol, each of counts (name: value) >= 1, |eps| <= 1
+    (which keeps every bound 2^{s_j j + s_k k} a normal float), at least
     two j and fewest_k k, j >= 1 and k >= least_k, and the feasibility guard."""
     if symbol.mu != 0.0:
         raise ValueError("decay scan uses the undamped group (mu = 0)")
     for name, value in counts.items():
         if value < 1:
             raise InsufficientDataError(f"{name} must be >= 1, got {value}")
-    j_list = sorted(set(int(j) for j in j_range))
-    k_list = sorted(set(int(k) for k in k_range))
+    if not abs(eps) <= 1.0:
+        raise ValueError(f"eps must lie in [-1, 1], got {eps}")
+
+    def read(indices):  # one at a time: a huge range stops at its first index past the guard
+        for i in map(int, indices):
+            if abs(i) > MAX_SHELL_SUM:
+                raise ValueError(f"shell index {i} is past the feasibility guard")
+            yield i
+
+    j_list, k_list = (sorted(set(read(indices))) for indices in (j_range, k_range))
     if len(j_list) < 2 or len(k_list) < fewest_k:
         raise InsufficientDataError(
             f"need at least two distinct j and {fewest_k} distinct k to fit slopes")

@@ -30,6 +30,9 @@ __all__ = ["WeylInstance", "RationalApprox", "WeylScanReport", "weyl_sum", "diri
 
 _CHUNK_POINTS = 2 ** 14  # trials x N per array pass of weyl_scan
 _DRAW_BATCH = 2 ** 11    # trials per pass of _keyed_uniforms
+# the "weyl" work charges, in terms of a sum (about 2-20 ns each): a coefficient
+# column's draw and sum passes of one N take about 80 us, and a row about 40 us
+_COLUMN_TERMS, _ROW_TERMS = 10000, 4000
 
 # numpy's SeedSequence hash constants and PCG64 multiplier (high, low words)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -182,19 +185,26 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
 
     The leading coefficient is approximated by a/q with denominator cap
     Lambda = N, which keeps |omega_d - a/q| <= 1/(Nq) <= 1/q^2 as the bound
-    requires.  Above the work ceiling (see dgzk._work) it raises
+    requires.  Above the work ceiling (see dgzk._work), or at a degree
+    whose phases h(m) <= 2 N^degree may pass the float range, it raises
     ValueError before it draws.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     sizes = [int(n) for n in n_values]
     if sizes and min(sizes) < 1:
         raise ValueError(f"n_terms must be >= 1, got {min(sizes)}")
-    check_work("weyl", trials * sum(sizes))
+    check_work("weyl", (degree + 1) * sum(trials * n + _COLUMN_TERMS for n in sizes)
+               + _ROW_TERMS * trials * len(sizes))
+    if sizes and degree * math.log2(max(sizes)) >= 1023:
+        raise ValueError(f"degree {degree} at N = {max(sizes)}: the phases, up to "
+                         f"2 N^{degree}, can overflow float64")
     rows = []
     max_ratio = 0.0
     dirichlet_ok = True

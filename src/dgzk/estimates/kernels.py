@@ -160,8 +160,8 @@ def kernel_decay_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     A scan above the "kernel" ceiling of _work.MAX_WORK raises ValueError
     before its first draw.
     """
-    j_list, k_list = shell_lists(symbol, j_range, k_range,
-                                 {"samples_per_cell": samples_per_cell}, fewest_k=2, least_k=1)
+    j_list, k_list = shell_lists(symbol, j_range, k_range, {"samples_per_cell": samples_per_cell},
+                                 fewest_k=2, least_k=1, eps=eps)
     cost = lambda j, k: _shell_support(j).size * _shell_support(k).size + _CALL_TERMS
     check_work("kernel", (samples_per_cell + 2) * sum(cost(j, k) for j in j_list for k in k_list))
 

@@ -104,7 +104,7 @@ def strichartz_scan(symbol: DispersionSymbol, j_range: Sequence[int],
     draws.
     """
     j_list, k_list = shell_lists(symbol, j_range, k_range, {"trials": trials},
-                                 fewest_k=1, least_k=0)
+                                 fewest_k=1, least_k=0, eps=eps)
     cost = lambda j, k: math.prod(_shell_grid(j, k, refine).shape) * n_times
     check_work("strichartz", trials * sum(cost(j, k) for j in j_list for k in k_list))
 

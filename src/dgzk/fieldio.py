@@ -30,37 +30,9 @@ NORMALIZATION = "angular-2pi-inverse"
 _TAG_BYTES = 24
 
 
-def _canonical_order(grid: Grid):
-    """Index arrays putting FFT-ordered coefficients into ascending-m, -n order."""
-    return np.argsort(grid.kx, kind="stable"), np.argsort(grid.ky, kind="stable")
-
-
-def _to_canonical(field: SpectralField) -> np.ndarray:
-    ox, oy = _canonical_order(field.grid)
-    return field.coeffs[np.ix_(ox, oy)]
-
-
-def _from_canonical(grid: Grid, canon: np.ndarray) -> SpectralField:
-    ox, oy = _canonical_order(grid)
-    coeffs = np.empty(grid.shape, dtype=complex)
-    coeffs[np.ix_(ox, oy)] = canon
-    return SpectralField(grid=grid, coeffs=coeffs)
-
-
-def _interleave(canon: np.ndarray) -> np.ndarray:
-    flat = canon.ravel()
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out
-
-
-def _deinterleave(data: np.ndarray, grid: Grid) -> np.ndarray:
-    if data.size != 2 * grid.nx * grid.ny:
-        raise ValueError(
-            f"expected {2 * grid.nx * grid.ny} scalars for a {grid.nx}x{grid.ny} field, "
-            f"got {data.size}")
-    return (data[0::2] + 1j * data[1::2]).reshape(grid.shape)
+def _canonical(grid: Grid):
+    """Index putting FFT-ordered coefficients into ascending-m, -n order."""
+    return np.ix_(np.argsort(grid.kx, kind="stable"), np.argsort(grid.ky, kind="stable"))
 
 
 def _format(path: Path, fmt) -> str:
@@ -75,7 +47,8 @@ def _format(path: Path, fmt) -> str:
 def save_field(field: SpectralField, path, fmt: str = None) -> None:
     """Write a field snapshot; fmt is 'json' or 'binary' (default: by suffix)."""
     path = Path(path)
-    data = _interleave(_to_canonical(field))
+    # interleaved re/im: the float64 view of the C-contiguous canonical array
+    data = np.ascontiguousarray(field.coeffs[_canonical(field.grid)]).view(np.float64).ravel()
     if _format(path, fmt) == "json":
         record = {
             "format": "dgzk-field",
@@ -115,4 +88,12 @@ def load_field(path, fmt: str = None) -> SpectralField:
         raise ValueError(f"{path}: unexpected normalization {tag!r}")
     nx, ny, data = body()
     grid = Grid(nx=int(nx), ny=int(ny))
-    return _from_canonical(grid, _deinterleave(data, grid))
+    if data.size != 2 * grid.nx * grid.ny:
+        raise ValueError(
+            f"expected {2 * grid.nx * grid.ny} scalars for a {grid.nx}x{grid.ny} field, "
+            f"got {data.size}")
+    # the complex128 view of the interleaved data: a bit-exact round trip
+    coeffs = np.empty(grid.shape, dtype=np.complex128)
+    coeffs[_canonical(grid)] = np.ascontiguousarray(data, dtype=np.float64).view(
+        np.complex128).reshape(grid.shape)
+    return SpectralField(grid=grid, coeffs=coeffs)

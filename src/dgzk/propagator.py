@@ -73,8 +73,12 @@ def _phase_speeds(grid: Grid, symbol: DispersionSymbol, ky: np.ndarray) -> np.nd
 
 @functools.lru_cache(maxsize=32)
 def _symbol_tables(grid: Grid, symbol: DispersionSymbol):
+    """Read-only omega and gamma (None when mu = 0) on grid, shared by every caller."""
     omega = _phase_speeds(grid, symbol, grid.ky2d)
     gamma = damping_rate(grid.kx2d, grid.ky2d, symbol) if symbol.mu > 0 else None
+    for table in (omega, gamma):
+        if table is not None:
+            table.setflags(write=False)
     return omega, gamma
 
 

@@ -73,11 +73,15 @@ class SimulationConfig:
     h_s: tuple = (1.0,)
 
     def __post_init__(self):
+        # the one check of t_end, dt and their ratio; _n_steps is the step count simulate takes
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        _step_count(self.t_end, self.dt)
+        ratio = float(self.t_end) / float(self.dt)  # Python floats: inf without a numpy warning
+        if not math.isfinite(ratio):
+            raise ValueError(f"t_end / dt must be finite, got {self.t_end} / {self.dt}")
+        object.__setattr__(self, "_n_steps", max(1, int(round(ratio))))
         if self.record_every < 1 or int(self.record_every) != self.record_every:
             raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
         if self.integrator not in _STEPPERS:
@@ -181,31 +185,40 @@ def _etdrk4_phi(z: np.ndarray):
     return E, E2, q, f1, f2, f3
 
 
-def _linear_eigenvalues(grid: Grid, symbol: DispersionSymbol) -> np.ndarray:
-    omega, gamma = _symbol_tables(grid, symbol)
-    lam = 1j * omega
-    if gamma is not None:
-        lam = lam - gamma
-    return lam
-
-
-class Etdrk4Stepper:
-    """Fourth-order exponential time differencing with fixed step."""
+class _BlockStepper:
+    """Set-up both schemes share: the Galerkin block's eigenvalues
+    lam = i omega - gamma of L, max|Im lam| * dt (the phase per step), the
+    quadratic term and six workspace blocks that every step reuses.  Each
+    scheme makes its tables from lam in _tables."""
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
         self.dims = _block_dims(grid)
-        lam = _block(_linear_eigenvalues(grid, symbol), *self.dims)
+        omega, gamma = (t if t is None else _block(t, *self.dims)
+                        for t in _symbol_tables(grid, symbol))
+        lam = 1j * omega if gamma is None else 1j * omega - gamma
+        self.max_phase = float(np.max(np.abs(omega))) * dt
+        self.nonlinear = _QuadraticTerm(grid)
+        self.work = np.empty((6, *lam.shape), dtype=np.complex128)
+        self._tables(lam, dt)
+
+    def _block_of(self, c: np.ndarray) -> np.ndarray:
+        """The Galerkin block (see spectral._block) of a full, half or block
+        array in FFT layout."""
+        return c if c.shape == self.work.shape[1:] else _block(c, *self.dims)
+
+
+class Etdrk4Stepper(_BlockStepper):
+    """Fourth-order exponential time differencing with fixed step."""
+
+    def _tables(self, lam: np.ndarray, dt: float):
         self.E, self.E2, q, f1, f2, f3 = _etdrk4_phi(dt * lam)
         self.Q = dt * q
         self.F1, self.F2x2, self.F3 = dt * f1, 2.0 * (dt * f2), dt * f3
-        self.nonlinear = _QuadraticTerm(grid)
-        # n1 .. n4 and two scratch blocks, reused by every step
-        self.work = np.empty((6, *lam.shape), dtype=np.complex128)
 
     def step(self, c: np.ndarray) -> np.ndarray:
-        """Advance a real state: read its Galerkin block (see spectral._block)
-        from a full, half or block array in FFT layout; return a new block."""
-        c = c if c.shape == self.E.shape else _block(c, *self.dims)
+        """Advance a real state, read from a full, half or block array; return
+        a new block."""
+        c = self._block_of(c)
         E2, Q, N = self.E2, self.Q, self.nonlinear
         n1, n2, n3, n4, s, t = self.work
         N(c, n1)
@@ -224,24 +237,19 @@ class Etdrk4Stepper:
         return out
 
 
-class Ifrk4Stepper:
+class Ifrk4Stepper(_BlockStepper):
     """Classical RK4 in integrating-factor variables; cross-check scheme."""
 
-    def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
+    def _tables(self, lam: np.ndarray, dt: float):
         self.dt = dt
-        self.dims = _block_dims(grid)
-        lam = _block(_linear_eigenvalues(grid, symbol), *self.dims)
         self.E = np.exp(dt * lam)
         self.E2 = np.exp(0.5 * dt * lam)
         self.hE2, self.E2x2 = dt * self.E2, 2.0 * self.E2
-        self.nonlinear = _QuadraticTerm(grid)
-        # k1 .. k4 and two scratch blocks, reused by every step
-        self.work = np.empty((6, *lam.shape), dtype=np.complex128)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         """Advance a real state, as Etdrk4Stepper.step does."""
         h = self.dt
-        c = c if c.shape == self.E.shape else _block(c, *self.dims)
+        c = self._block_of(c)
         E2, N = self.E2, self.nonlinear
         k1, k2, k3, k4, s, t = self.work
         N(c, k1)
@@ -259,10 +267,6 @@ class Ifrk4Stepper:
 _STEPPERS = {"etdrk4": Etdrk4Stepper, "ifrk4": Ifrk4Stepper}
 
 
-def _laplacian_sq_weight(grid: Grid) -> np.ndarray:
-    return (grid.kx2d**2 + grid.ky2d**2) ** 2
-
-
 def _check_guards(grid: Grid, dt: float, c: np.ndarray, values, warned: dict):
     """Warn once when the CFL number of the Galerkin block c, whose point
     values `values` gives, passes CFL_LIMIT; return max|u|, or None if warned."""
@@ -277,14 +281,6 @@ def _check_guards(grid: Grid, dt: float, c: np.ndarray, values, warned: dict):
         )
         warned["cfl"] = True
     return umax
-
-
-def _step_count(t_end: float, dt: float) -> int:
-    """Steps to reach t_end: round(t_end/dt), at least 1; ValueError if t_end/dt is not finite."""
-    ratio = float(t_end) / float(dt)  # Python floats: inf without a numpy warning
-    if not math.isfinite(ratio):
-        raise ValueError(f"t_end / dt must be finite, got {t_end} / {dt}")
-    return max(1, int(round(ratio)))
 
 
 def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
@@ -308,28 +304,25 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             f"the model requires zero mean in x (tolerance {MEAN_ZERO_TOL:.0e})"
         )
     phi = dealias(project_mean_zero_x(phi))
-    n_steps = _step_count(config.t_end, config.dt)
+    n_steps = config._n_steps
     dt = config.t_end / n_steps
 
     dims = _block_dims(grid)
     check_work("simulate", n_steps * grid.nx * grid.ny)
     n_blocks = -(-n_steps // config.record_every)
     check_work("records", n_blocks * (2 * dims[0] + 1) * dims[1] * 16)
+    stepper = _STEPPERS[config.integrator](grid, config.symbol, dt)
     # the steppers turn the Galerkin block only, so its phases are the ones carried
-    omega, _ = _symbol_tables(grid, config.symbol)
-    max_phase = float(np.max(np.abs(_block(omega, *dims)))) * dt
-    if max_phase > PHASE_PER_STEP_LIMIT:
+    if stepper.max_phase > PHASE_PER_STEP_LIMIT:
         warnings.warn(
-            f"linear phase per step is {max_phase:.3g} radians; "
+            f"linear phase per step is {stepper.max_phase:.3g} radians; "
             "accuracy of the exponential factor degrades at this magnitude",
             RuntimeWarning,
         )
 
-    stepper = _STEPPERS[config.integrator](grid, config.symbol, dt)
-
     mu = config.symbol.mu
     if mu > 0:
-        lap_w = _block(_laplacian_sq_weight(grid), *dims)
+        lap_w = _block((grid.kx2d**2 + grid.ky2d**2) ** 2, *dims)  # |k|^4 weighs ||laplacian u||^2
     four_pi_sq = (2.0 * np.pi) ** 2
 
     def lap_sq_norm(cc):
@@ -416,14 +409,6 @@ def solve_regularized_family(config: SimulationConfig, phi: SpectralField,
     )
 
 
-def _final_state(grid: Grid, symbol: DispersionSymbol, phi: SpectralField, t_end: float,
-                 dt: float, integrator: str = "etdrk4") -> SpectralField:
-    """State at t_end of a simulate run that records only its first and last step."""
-    config = SimulationConfig(grid=grid, symbol=symbol, dt=dt, t_end=t_end,
-                              integrator=integrator, record_every=10**9)
-    return simulate(config, phi).final_state
-
-
 @dataclass
 class TemporalOrderReport:
     dts: np.ndarray
@@ -437,25 +422,27 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
                          integrator: str = "etdrk4") -> TemporalOrderReport:
     """Error against a reference run at min(dts) / 8; pairwise and fitted orders.
 
-    Every run, the reference included, is a `simulate` run.  There must be
-    at least two dts with distinct step counts: two dts with one step count
+    Every run, the reference included, is a `simulate` run of a
+    SimulationConfig built, and so checked, before the first run starts.
+    There must be at least two dts with distinct step counts: two dts with one step count
     would fit one run as two step sizes.  A study above the "study" ceiling
     of _work.MAX_WORK raises ValueError before any run starts.
     """
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     dts = np.asarray(sorted(dts, reverse=True), dtype=float)
-    if not np.all(np.isfinite(dts) & (dts > 0)):
-        raise ValueError(f"dts must be positive and finite, got {dts.tolist()}")
-    counts = [_step_count(t_end, dt) for dt in dts]
+    # runs that record only their first and last step
+    config = lambda dt: SimulationConfig(grid=grid, symbol=symbol, dt=dt, t_end=t_end,
+                                         integrator=integrator, record_every=10**9)
+    runs = [config(dt) for dt in dts]
+    counts = [run._n_steps for run in runs]
     if len(counts) < 2 or len(set(counts)) < len(counts):
         raise InsufficientDataError(
             f"need at least two distinct dts, with distinct step counts over t_end = "
             f"{t_end}, to fit an order; got {dts.tolist()}, step counts {counts}")
-    check_work("study", sum(counts + [_step_count(t_end, dts.min() / 8)]) * grid.nx * grid.ny)
-    run = lambda dt: _final_state(grid, symbol, phi, t_end, dt, integrator).coeffs
-    ref = run(dts.min() / 8)
-    errors = np.array([l2_norm(SpectralField(grid, run(dt) - ref)) for dt in dts])
+    ref = config(dts.min() / 8)
+    check_work("study", (sum(counts) + ref._n_steps) * grid.nx * grid.ny)
+    final = lambda run: simulate(run, phi).final_state.coeffs
+    ref_final = final(ref)
+    errors = np.array([l2_norm(SpectralField(grid, final(run) - ref_final)) for run in runs])
     with np.errstate(divide="ignore"):
         pairwise = np.log2(errors[:-1] / errors[1:]) / np.log2(dts[:-1] / dts[1:])
     A = np.vstack([np.ones_like(dts), np.log(dts)]).T
@@ -479,7 +466,8 @@ def spatial_convergence_study(symbol: DispersionSymbol, profile, n_values: Seque
     given grid.  All runs share dt so the comparison isolates the spatial
     truncation; errors are measured on the common coefficient band, and
     rates are taken from errors clipped to SPATIAL_ERROR_FLOOR.  Every run
-    is a `simulate` run.  At least two distinct resolutions are required.
+    is a `simulate` run of a SimulationConfig built before the first run
+    starts.  At least two distinct resolutions are required.
     A study above the "study" ceiling of _work.MAX_WORK, or whose reference
     grid is above "grid_bytes", raises ValueError before any profile is built.
     """
@@ -487,19 +475,17 @@ def spatial_convergence_study(symbol: DispersionSymbol, profile, n_values: Seque
     if len(set(n_values)) < 2:
         raise InsufficientDataError(
             f"need at least two distinct n_values to fit a rate, got {n_values}")
-    if not (math.isfinite(t_end) and t_end > 0 and math.isfinite(dt) and dt > 0):
-        raise ValueError(f"t_end and dt must be positive and finite, got {t_end} and {dt}")
-    ref_grid = Grid(2 * n_values[-1], 2 * n_values[-1])
-    points = sum(n * n for n in n_values) + ref_grid.nx * ref_grid.ny
-    check_work("study", _step_count(t_end, dt) * points)
-    check_work("grid_bytes", 32 * ref_grid.nx * ref_grid.ny)
-    ref = _final_state(ref_grid, symbol, profile(ref_grid), t_end, dt)
+    # runs that record only their first and last step, the reference first
+    ref, *runs = (SimulationConfig(grid=Grid(n, n), symbol=symbol, dt=dt, t_end=t_end,
+                                   record_every=10**9) for n in [2 * n_values[-1], *n_values])
+    check_work("study", ref._n_steps * sum(run.grid.nx * run.grid.ny for run in [ref, *runs]))
+    check_work("grid_bytes", 32 * ref.grid.nx * ref.grid.ny)
+    final = lambda run: simulate(run, profile(run.grid)).final_state
+    ref_final = final(ref)
     errors = []
-    for n in n_values:
-        grid = Grid(n, n)
-        final = _final_state(grid, symbol, profile(grid), t_end, dt)
-        diff = final.coeffs - truncate_to_grid(ref, grid).coeffs
-        errors.append(l2_norm(SpectralField(grid, diff)))
+    for run in runs:
+        diff = final(run).coeffs - truncate_to_grid(ref_final, run.grid).coeffs
+        errors.append(l2_norm(SpectralField(run.grid, diff)))
     errors = np.array(errors, dtype=float)
     clipped = np.maximum(errors, SPATIAL_ERROR_FLOOR)
     decades = np.log10(clipped[:-1] / clipped[1:])

@@ -1,18 +1,19 @@
 """Config parsing, resolution precedence, and the command-line front end."""
 import json
 import re
+import signal
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgzk import cli
+from dgzk import cli, configfile
 from dgzk.cli import _RUNNERS, main
-from dgzk.configfile import SCHEMAS, parse_config_text, resolve_config
+from dgzk.configfile import COMMANDS, SCHEMAS, parse_config_text, resolve_config
 from dgzk.errors import ConfigError
 from dgzk.fieldio import load_field
 
@@ -257,10 +258,22 @@ def test_empty_shell_range_exits_5(tmp_path, settings):
     # t_end / dt overflows to inf, which no step count can hold
     ("simulate", ["solver.t_end=1e300", "solver.dt=1e-300"], 2, "ValueError"),
     ("convergence", ["conv.mode=temporal", "conv.dt0=0"], 2, "ValueError"),
+    # 2.0 ** (s_j j + s_k k) overflows, or underflows to a zero bound
+    ("strichartz-scan", ["scan.eps=1e300"], 2, "ValueError"),
+    ("strichartz-scan", ["scan.eps=-1e300"], 2, "ValueError"),
+    ("kernel-scan", ["scan.eps=1e300"], 2, "ValueError"),
+    ("kernel-scan", ["scan.eps=-1e300"], 2, "ValueError"),
+    # N ** (1 + delta) overflows
+    ("weyl-scan", ["weyl.delta=1e300"], 2, "ValueError"),
+    # 2 ** 1100 is no float; a billion halvings would build a billion dts
+    ("convergence", ["conv.mode=temporal", "conv.halvings=1100"], 2, "ValueError"),
+    ("convergence", ["conv.mode=temporal", "conv.halvings=1000000000"], 2, "ValueError"),
 ], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width",
         "one-step-count", "shared-step-count", "one-resolution", "comm-band-beyond-grid",
         "band-beyond-grid", "negative-temporal-t-end", "vdc-p-171", "vdc-p-200",
-        "vdc-i-max-1024", "unbounded-temporal-work", "overflowing-steps", "zero-temporal-dt"])
+        "vdc-i-max-1024", "unbounded-temporal-work", "overflowing-steps", "zero-temporal-dt",
+        "strichartz-eps-1e300", "strichartz-eps-minus-1e300", "kernel-eps-1e300",
+        "kernel-eps-minus-1e300", "weyl-delta-1e300", "halvings-1100", "halvings-1e9"])
 def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
                                                    exit_code, error_type):
     out = tmp_path / "run"
@@ -348,27 +361,122 @@ def test_summary_reports_the_requested_t_end(tmp_path):
     assert json.loads((out / "summary.json").read_text())["t_end"] == 0.1
 
 
+_NUMERIC = (configfile._int, configfile._float, configfile._int_list, configfile._float_list)
 _NONFINITE = ("nan", "inf", "-inf", "1e400")
-_BAD_TOKEN = st.sampled_from(_NONFINITE + ("0", "-1", "-0.5", "abc", ""))
-# bounded finite draws: dt >= 1e-3 and t_end <= 0.05 keep every run <= 50 steps
-_FUZZ = {
-    "solver.dt": st.floats(1e-3, 1.0),
-    "solver.t_end": st.floats(1e-6, 0.05),
-    "initial.amplitude": st.floats(-1e3, 1e3),
-    "symbol.beta": st.floats(-2.0, 2.0),
-    "symbol.mu": st.floats(-1.0, 10.0),
+_HUGE = ("1e300", "-1e300", str(10**300), str(-10**300))
+_BAD_TOKEN = st.sampled_from(_NONFINITE + _HUGE + ("0", "-1", "-0.5", "abc", ""))
+
+
+def _joined(draw):
+    return st.lists(draw, min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs)))
+
+
+# a small box per numeric key of every command, mostly valid values and
+# their edges (bad tokens probe the rest): on top of the command's
+# _SMALL_RUNS settings, each draw keeps a run well under a second
+_SIDES = st.sampled_from((8, 12, 16, 24))
+_BOX = {
+    "seed": st.integers(0, 2**40), "workers": st.integers(1, 2),
+    "grid.nx": _SIDES, "grid.ny": _SIDES,
+    "symbol.alpha": st.integers(1, 3), "symbol.beta": st.floats(0.0, 1.0),
+    "symbol.mu": st.floats(0.0, 10.0),
+    "initial.amplitude": st.floats(-1e3, 1e3), "initial.m": st.integers(0, 6),
+    "initial.n": st.integers(-6, 6), "initial.width": st.floats(0.0, 2.0),
+    "initial.band": st.integers(0, 8),
+    # dt >= 1e-3 and t_end <= 0.05 keep every run <= 50 steps
+    "solver.dt": st.floats(1e-3, 1.0), "solver.t_end": st.floats(1e-6, 0.05),
+    "solver.record_every": st.integers(1, 60), "solver.h_s": _joined(st.floats(-1.0, 3.0)),
+    "family.mu_list": _joined(st.floats(0.0, 1.0)),
+    "scan.j_min": st.integers(1, 3), "scan.j_max": st.integers(1, 3),
+    "scan.k_min": st.integers(0, 3), "scan.k_max": st.integers(0, 3),
+    "scan.trials": st.integers(1, 2), "scan.n_times": st.integers(1, 16),
+    "scan.refine": st.integers(0, 4), "scan.samples_per_cell": st.integers(1, 2),
+    "scan.eps": st.floats(-1.5, 1.5),
+    "weyl.degree": st.integers(1, 200), "weyl.n_values": _joined(st.integers(1, 128)),
+    "weyl.trials": st.integers(1, 4), "weyl.delta": st.floats(0.0, 1.5),
+    "vdc.p": st.integers(0, 200), "vdc.i_min": st.integers(0, 3), "vdc.i_max": st.integers(0, 3),
+    "conv.dt0": st.floats(1e-3, 1.0), "conv.halvings": st.integers(0, 4),
+    "conv.t_end": st.floats(1e-6, 0.02), "conv.n_values": _joined(_SIDES.filter(lambda n: n < 24)),
+    "conv.dt": st.floats(2e-3, 1.0),
+    "comm.pairs": st.integers(1, 2), "comm.s_values": _joined(st.floats(-1.0, 3.0)),
+    "comm.band": st.integers(0, 8),
 }
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.fixed_dictionaries({key: st.one_of(st.none(), _BAD_TOKEN, draw.map(repr))
-                              for key, draw in _FUZZ.items()}))
-def test_fuzzed_values_map_to_documented_exit_codes(values):
-    chosen = [f"{key}={raw}" for key, raw in values.items() if raw is not None]
+def _numeric_keys(command):
+    return [key for key, opt in SCHEMAS[command].items() if opt.cast in _NUMERIC]
+
+
+class _Overrun(BaseException):
+    """Raised by the alarm below; main maps every Exception to an exit code."""
+
+
+def _exit_code_within(seconds, command, settings):
+    """main's exit code for command with settings on top of its _SMALL_RUNS ones;
+    _Overrun if it takes longer than seconds."""
+    def overrun(signum, frame):
+        raise _Overrun(f"{command} {settings} ran past {seconds} s")
+
     with tempfile.TemporaryDirectory() as tmp:
-        rc = main(_simulate_args(Path(tmp) / "run", "initial.preset=cos-x", *chosen))
+        args = [command, "--out", str(Path(tmp) / "run")]
+        for kv in _SMALL_RUNS[command] + settings:
+            args += ["--set", kv]
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            return main(args)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+
+def _rejected(command, key, raw):
+    try:
+        SCHEMAS[command][key].cast(raw)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the runs that may go on
+def test_extreme_values_of_every_numeric_key_exit_at_once(capsys):
+    """Bad tokens, non-finite values and +-1e300 (as floats and as ints) of
+    every numeric key of every command end within a second, never with 7;
+    a value the key's cast rejects exits 2."""
+    # every numeric key also has a fuzz box
+    assert sorted({key for command in SCHEMAS for key in _numeric_keys(command)}) == sorted(_BOX)
+    for command in COMMANDS:
+        for key in _numeric_keys(command):
+            for raw in _NONFINITE + _HUGE + ("abc", ""):
+                rc = _exit_code_within(1.0, command, [f"{key}={raw}"])
+                assert rc in (0, 2, 3, 4, 5, 6), (command, key, raw, capsys.readouterr().err)
+                if _rejected(command, key, raw):
+                    assert rc == 2, (command, key, raw)
+
+
+# box draws for some numeric keys of one command, and at times one bad token
+_CASES = st.sampled_from(COMMANDS).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.fixed_dictionaries({key: st.one_of(st.none(), _BOX[key].map(str))
+                           for key in _numeric_keys(command)}),
+    st.one_of(st.none(), st.tuples(st.sampled_from(_numeric_keys(command)), _BAD_TOKEN))))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_CASES)
+@example(("strichartz-scan", {}, ("scan.eps", "1e300")))
+@example(("kernel-scan", {}, ("scan.eps", "-1e300")))
+@example(("weyl-scan", {}, ("weyl.delta", "1e300")))
+@example(("convergence", {}, ("conv.halvings", "1100")))
+def test_fuzzed_values_map_to_documented_exit_codes(case):
+    command, values, bad = case
+    values = {key: raw for key, raw in values.items() if raw is not None}
+    if bad is not None:
+        values[bad[0]] = bad[1]
+    rc = _exit_code_within(5.0, command, [f"{key}={raw}" for key, raw in values.items()])
     assert rc in (0, 2, 3, 4, 5, 6)
-    if any(raw in _NONFINITE for raw in values.values()):
+    if any(_rejected(command, key, raw) for key, raw in values.items()):
         assert rc == 2
 
 
@@ -440,7 +548,17 @@ def test_weyl_degree_below_one_exits_2(tmp_path):
     # 100 steps at 4096^2, 8192^2 and the 16384^2 reference are 3.5e10 grid-point steps
     ("convergence", ["conv.mode=spatial", "conv.n_values=4096,8192"],
      "grid-point steps (sum of steps * nx * ny over the runs)"),
-], ids=["weyl", "strichartz", "vdc", "commutator", "kernel", "kernel-calls", "spatial"])
+    # one trial of N = 64 at degree 1e8 is 6.4e9 terms and 1e8 coefficient columns
+    ("weyl-scan", ["weyl.degree=100000000", "weyl.trials=1", "weyl.n_values=64"],
+     "(degree + 1) * trials * sum(N)"),
+    # N = 1 keeps every phase finite, but each of 1e6 coefficient columns takes
+    # two array passes of about 40 us: 1e10 terms with the per-column charge
+    ("weyl-scan", ["weyl.degree=1000000", "weyl.trials=1", "weyl.n_values=1"],
+     "per coefficient column"),
+    # 2e8 rows of one term each, at about 40 us a row: 8e11 terms with the per-row charge
+    ("weyl-scan", ["weyl.degree=1", "weyl.trials=200000000", "weyl.n_values=1"], "per row"),
+], ids=["weyl", "strichartz", "vdc", "commutator", "kernel", "kernel-calls", "spatial",
+        "weyl-degree", "weyl-columns", "weyl-rows"])
 def test_scan_above_the_work_ceiling_exits_2_at_once(tmp_path, command, settings, units):
     out = tmp_path / "run"
     args = [command, "--out", str(out)]

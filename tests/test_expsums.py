@@ -229,6 +229,23 @@ def test_scan_validation():
         weyl_scan(3, [64, 0], trials=1)
 
 
+def test_scan_refuses_a_delta_past_its_domain():
+    # N ** (1 + delta) overflows at delta = 1e300
+    for delta in (1e300, 0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
+            weyl_scan(3, [64], trials=1, delta=delta)
+
+
+def test_scan_refuses_a_degree_whose_phases_can_overflow():
+    # at N = 64, h(m) <= 2 * 64^degree: degree 170 keeps every phase under
+    # 2^1021, while at degree 1000 h overflows and every row was NaN
+    rows = weyl_scan(170, [64], trials=3).rows
+    assert all(math.isfinite(value) for row in rows for value in row[3:])
+    for degree in (171, 1000):
+        with pytest.raises(ValueError, match="can overflow float64"):
+            weyl_scan(degree, [64], trials=1)
+
+
 def test_scan_refuses_work_above_the_ceiling_before_drawing(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("drew before checking the work ceiling")

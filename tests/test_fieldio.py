@@ -33,6 +33,17 @@ def test_binary_round_trip_is_exact(tmp_path, grid16, rng):
     assert np.array_equal(back.coeffs, f.coeffs)
 
 
+@pytest.mark.parametrize("suffix", [".json", ".fld"])
+def test_round_trip_keeps_every_bit(tmp_path, grid16, rng, suffix):
+    # re + 1j * im turned a -0.0 real part into +0.0 and 1 + inf j into nan + inf j
+    f = _complex_field(grid16, rng)
+    f.coeffs[0, :4] = [complex(-0.0, 1.0), complex(1.0, np.inf), complex(-0.0, -0.0),
+                       complex(np.nan, -np.inf)]
+    p = tmp_path / f"snap{suffix}"
+    save_field(f, p)
+    assert load_field(p).coeffs.tobytes() == f.coeffs.tobytes()
+
+
 def test_real_field_survives_round_trip(tmp_path, grid16, rng):
     f = real_field(grid16, rng)
     p = tmp_path / "snap.fld"

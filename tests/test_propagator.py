@@ -5,6 +5,7 @@ import pytest
 from dgzk import (
     DispersionSymbol,
     Grid,
+    SimulationConfig,
     SpectralField,
     damping_rate,
     dispersion_relation,
@@ -14,6 +15,7 @@ from dgzk import (
     l2_norm,
     project_mean_zero_x,
     propagate,
+    simulate,
 )
 from dgzk.diagnostics import cubic_integral, energy
 from dgzk.errors import BackwardHeatError
@@ -187,3 +189,22 @@ def test_phase_speeds_on_some_columns_have_the_bits_of_the_full_table(alpha, bet
     part = _phase_speeds(g, sym, g.ky2d[:, cols])
     assert np.array_equal(part, _symbol_tables(g, sym)[0][:, cols])
     assert np.all(part[g.nx // 2] == 0.0)
+
+
+def test_symbol_tables_are_read_only_and_keep_the_outputs():
+    """Every caller shares the cached omega and gamma: a write raises, and
+    propagate and simulate keep the bits of tables built afresh."""
+    g = Grid(16, 16)
+    sym = DispersionSymbol(1, 0.5, mu=1e-3)
+    f = real_field(g, np.random.default_rng(3))
+    phi = project_mean_zero_x(f)
+    config = SimulationConfig(grid=g, symbol=sym, dt=1e-3, t_end=0.01)
+    before = simulate(config, phi).final_state.coeffs
+    omega, gamma = _symbol_tables(g, sym)
+    for table in (omega, gamma):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1, 1] += 1.0
+    fresh = (np.exp(1j * (_phase_speeds(g, sym, g.ky2d) * 0.3))
+             * np.exp(-damping_rate(g.kx2d, g.ky2d, sym) * 0.3))
+    assert np.array_equal(propagate(f, 0.3, sym).coeffs, f.coeffs * fresh)
+    assert np.array_equal(simulate(config, phi).final_state.coeffs, before)

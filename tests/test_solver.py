@@ -30,9 +30,9 @@ from dgzk import (
     temporal_order_study,
     zero_field,
 )
+from dgzk.propagator import _symbol_tables
 from dgzk.solver import (SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper,
-                         _check_guards, _etdrk4_phi, _linear_eigenvalues,
-                         _step_count, l2_identity_residual)
+                         _check_guards, _etdrk4_phi, l2_identity_residual)
 from dgzk.errors import (DivergenceError, InsufficientDataError, InvalidInitialDataError,
                          SymmetryViolationError)
 from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockRows, _ColumnValues, _block, _block_dims,
@@ -135,10 +135,16 @@ def test_step_reads_the_same_block_from_full_half_and_block_arrays(cls):
     assert np.array_equal(stepper.step(_half(c)), got)
 
 
+def _eigenvalues(grid, symbol):
+    """i omega - gamma of L on the whole grid."""
+    omega, gamma = _symbol_tables(grid, symbol)
+    return 1j * omega if gamma is None else 1j * omega - gamma
+
+
 def _unpruned_reference(grid, symbol, dt, c, steps, integrator):
     """steps of ETDRK4 or IFRK4 on the whole half spectrum, the quadratic
     term through irfft2/rfft2 and masked by the two-thirds rule."""
-    lam = _half(_linear_eigenvalues(grid, symbol))
+    lam = _half(_eigenvalues(grid, symbol))
     mask = _half(_dealias_mask(grid))
 
     def nonlinear(h):
@@ -225,7 +231,7 @@ def _fresh_array_stepper(grid, symbol, dt, integrator):
         cols = np.fft.rfft(u * u, axis=1, norm="forward")[:, :kc]
         return deriv_x * _block(np.fft.fft(cols, axis=0, norm="forward"), K, kc)
 
-    lam = _block(_linear_eigenvalues(grid, symbol), K, kc)
+    lam = _block(_eigenvalues(grid, symbol), K, kc)
     if integrator == "etdrk4":
         E, E2, q, f1, f2, f3 = _etdrk4_phi(dt * lam)
         Q, F1, F2, F3 = dt * q, dt * f1, dt * f2, dt * f3
@@ -513,7 +519,8 @@ def test_temporal_order():
 
 
 def _study_work(n, t_end, dts):
-    counts = [_step_count(t_end, dt) for dt in dts] + [_step_count(t_end, min(dts) / 8)]
+    steps = lambda dt: SimulationConfig(Grid(n, n), SYM, dt, t_end)._n_steps
+    counts = [steps(dt) for dt in dts] + [steps(min(dts) / 8)]
     return sum(counts) * n * n
 
 

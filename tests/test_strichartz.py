@@ -244,6 +244,18 @@ def test_scan_refuses_work_above_the_ceiling_before_drawing(monkeypatch):
     assert work == 1984 ** 2 * 64 * 20 <= _work.MAX_WORK["strichartz"] / 10
 
 
+def test_scan_checks_eps_and_stops_reading_a_range_past_the_guard():
+    # 2.0 ** (s_j j + s_k k) overflowed at eps = 1e300 and gave a zero bound
+    # at -1e300; a range of 10^300 shells was read out before the guard
+    for eps in (1e300, -1e300, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"eps must lie in \[-1, 1\]"):
+            strichartz_scan(SYM, [3, 4], [1, 2], trials=1, eps=eps)
+    with pytest.raises(ValueError, match="shell index 21 is past the feasibility guard"):
+        strichartz_scan(SYM, range(1, 10**300), [1], trials=1)
+    with pytest.raises(ValueError, match=f"shell index {-10**300} is past"):
+        strichartz_scan(SYM, range(-10**300, 3), [1], trials=1)
+
+
 def test_scan_single_k_fits_j_only():
     rep = strichartz_scan(SYM, range(3, 6), [3], trials=2, seed=0)
     assert math.isnan(rep.slope_k)
