@@ -162,8 +162,8 @@ def weyl_bound(n_terms: int, q: int, degree: int, delta: float) -> float:
         raise ValueError("n_terms and q must be >= 1")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     n = float(n_terms)
     bracket = 1.0 / q + 1.0 / n + q * n ** (-degree)
     return n ** (1.0 + delta) * bracket ** (0.5 ** (degree - 1))
@@ -186,15 +186,11 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
     The leading coefficient is approximated by a/q with denominator cap
     Lambda = N, which keeps |omega_d - a/q| <= 1/(Nq) <= 1/q^2 as the bound
     requires.  Above the work ceiling (see dgzk._work), or at a degree
-    whose phases h(m) <= 2 N^degree may pass the float range, it raises
-    ValueError before it draws.
+    whose phases h(m) <= 2 N^degree may reach 2^53, where h - floor(h)
+    is 0, it raises ValueError before it draws.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if operator.index(seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     sizes = [int(n) for n in n_values]
@@ -202,9 +198,10 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
         raise ValueError(f"n_terms must be >= 1, got {min(sizes)}")
     check_work("weyl", (degree + 1) * sum(trials * n + _COLUMN_TERMS for n in sizes)
                + _ROW_TERMS * trials * len(sizes))
-    if sizes and degree * math.log2(max(sizes)) >= 1023:
+    weyl_bound(1, 1, degree, delta)  # the bound's own checks of degree and delta
+    if sizes and degree * math.log2(max(sizes)) >= 52:
         raise ValueError(f"degree {degree} at N = {max(sizes)}: the phases, up to "
-                         f"2 N^{degree}, can overflow float64")
+                         f"2 N^{degree}, reach 2^53, where float64 keeps no fraction")
     rows = []
     max_ratio = 0.0
     dirichlet_ok = True

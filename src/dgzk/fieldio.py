@@ -48,7 +48,7 @@ def save_field(field: SpectralField, path, fmt: str = None) -> None:
     """Write a field snapshot; fmt is 'json' or 'binary' (default: by suffix)."""
     path = Path(path)
     # interleaved re/im: the float64 view of the C-contiguous canonical array
-    data = np.ascontiguousarray(field.coeffs[_canonical(field.grid)]).view(np.float64).ravel()
+    data = field.coeffs[_canonical(field.grid)].view(np.float64).ravel()
     if _format(path, fmt) == "json":
         record = {
             "format": "dgzk-field",

@@ -361,30 +361,49 @@ def test_summary_reports_the_requested_t_end(tmp_path):
     assert json.loads((out / "summary.json").read_text())["t_end"] == 0.1
 
 
-_NUMERIC = (configfile._int, configfile._float, configfile._int_list, configfile._float_list)
 _NONFINITE = ("nan", "inf", "-inf", "1e400")
+_BAD_TOKEN = st.sampled_from(_NONFINITE + ("0", "-1", "-0.5", "abc", ""))
+# bounded finite draws: dt >= 1e-3 and t_end <= 0.05 keep every run <= 50 steps
+_FUZZ = {
+    "solver.dt": st.floats(1e-3, 1.0),
+    "solver.t_end": st.floats(1e-6, 0.05),
+    "initial.amplitude": st.floats(-1e3, 1e3),
+    "symbol.beta": st.floats(-2.0, 2.0),
+    "symbol.mu": st.floats(-1.0, 10.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({key: st.one_of(st.none(), _BAD_TOKEN, draw.map(repr))
+                              for key, draw in _FUZZ.items()}))
+def test_fuzzed_values_map_to_documented_exit_codes(values):
+    chosen = [f"{key}={raw}" for key, raw in values.items() if raw is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = main(_simulate_args(Path(tmp) / "run", "initial.preset=cos-x", *chosen))
+    assert rc in (0, 2, 3, 4, 5, 6)
+    if any(raw in _NONFINITE for raw in values.values()):
+        assert rc == 2
+
+
+_NUMERIC = (configfile._int, configfile._float, configfile._int_list, configfile._float_list)
 _HUGE = ("1e300", "-1e300", str(10**300), str(-10**300))
-_BAD_TOKEN = st.sampled_from(_NONFINITE + _HUGE + ("0", "-1", "-0.5", "abc", ""))
+_ANY_BAD_TOKEN = st.one_of(_BAD_TOKEN, st.sampled_from(_HUGE))
 
 
 def _joined(draw):
     return st.lists(draw, min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs)))
 
 
-# a small box per numeric key of every command, mostly valid values and
-# their edges (bad tokens probe the rest): on top of the command's
-# _SMALL_RUNS settings, each draw keeps a run well under a second
+# a small box per numeric key of every command (_FUZZ's for its five keys),
+# mostly valid values and their edges (bad tokens probe the rest): on top of
+# the command's _SMALL_RUNS settings, each draw keeps a run well under a second
 _SIDES = st.sampled_from((8, 12, 16, 24))
 _BOX = {
+    **_FUZZ,
     "seed": st.integers(0, 2**40), "workers": st.integers(1, 2),
-    "grid.nx": _SIDES, "grid.ny": _SIDES,
-    "symbol.alpha": st.integers(1, 3), "symbol.beta": st.floats(0.0, 1.0),
-    "symbol.mu": st.floats(0.0, 10.0),
-    "initial.amplitude": st.floats(-1e3, 1e3), "initial.m": st.integers(0, 6),
-    "initial.n": st.integers(-6, 6), "initial.width": st.floats(0.0, 2.0),
-    "initial.band": st.integers(0, 8),
-    # dt >= 1e-3 and t_end <= 0.05 keep every run <= 50 steps
-    "solver.dt": st.floats(1e-3, 1.0), "solver.t_end": st.floats(1e-6, 0.05),
+    "grid.nx": _SIDES, "grid.ny": _SIDES, "symbol.alpha": st.integers(1, 3),
+    "initial.m": st.integers(0, 6), "initial.n": st.integers(-6, 6),
+    "initial.width": st.floats(0.0, 2.0), "initial.band": st.integers(0, 8),
     "solver.record_every": st.integers(1, 60), "solver.h_s": _joined(st.floats(-1.0, 3.0)),
     "family.mu_list": _joined(st.floats(0.0, 1.0)),
     "scan.j_min": st.integers(1, 3), "scan.j_max": st.integers(1, 3),
@@ -454,26 +473,25 @@ def test_extreme_values_of_every_numeric_key_exit_at_once(capsys):
                     assert rc == 2, (command, key, raw)
 
 
-# box draws for some numeric keys of one command, and at times one bad token
+# box draws for some numeric keys of one command, and at times a few bad tokens
 _CASES = st.sampled_from(COMMANDS).flatmap(lambda command: st.tuples(
     st.just(command),
     st.fixed_dictionaries({key: st.one_of(st.none(), _BOX[key].map(str))
                            for key in _numeric_keys(command)}),
-    st.one_of(st.none(), st.tuples(st.sampled_from(_numeric_keys(command)), _BAD_TOKEN))))
+    st.lists(st.tuples(st.sampled_from(_numeric_keys(command)), _ANY_BAD_TOKEN), max_size=3)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(_CASES)
-@example(("strichartz-scan", {}, ("scan.eps", "1e300")))
-@example(("kernel-scan", {}, ("scan.eps", "-1e300")))
-@example(("weyl-scan", {}, ("weyl.delta", "1e300")))
-@example(("convergence", {}, ("conv.halvings", "1100")))
-def test_fuzzed_values_map_to_documented_exit_codes(case):
+@example(("strichartz-scan", {}, [("scan.eps", "1e300")]))
+@example(("kernel-scan", {}, [("scan.eps", "-1e300")]))
+@example(("weyl-scan", {}, [("weyl.delta", "1e300")]))
+@example(("convergence", {}, [("conv.halvings", "1100")]))
+def test_fuzzed_values_of_every_command_map_to_documented_exit_codes(case):
     command, values, bad = case
     values = {key: raw for key, raw in values.items() if raw is not None}
-    if bad is not None:
-        values[bad[0]] = bad[1]
+    values.update(bad)
     rc = _exit_code_within(5.0, command, [f"{key}={raw}" for key, raw in values.items()])
     assert rc in (0, 2, 3, 4, 5, 6)
     if any(_rejected(command, key, raw) for key, raw in values.items()):

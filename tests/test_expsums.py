@@ -179,8 +179,10 @@ def test_bound_validation():
         weyl_bound(10, 0, 3, 0.01)
     with pytest.raises(ValueError, match="degree"):
         weyl_bound(10, 1, 0, 0.01)
-    with pytest.raises(ValueError, match="delta"):
-        weyl_bound(10, 1, 3, 0.0)
+    # N ** (1 + delta) overflowed at delta = 1e300
+    for delta in (0.0, 1e300, math.nan):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
+            weyl_bound(64, 1, 3, delta)
 
 
 # ------------------------------------------------------------------------ scan
@@ -207,19 +209,21 @@ def test_scan_small_cubic_run():
 
 
 def test_scan_decides_the_dirichlet_bound_exactly(monkeypatch):
-    # seed 0 draws at N = 2^28, trial 87, an r whose approximation meets
-    # |r - a/q| <= 1/(N q) in exact arithmetic while the float comparison
-    # says it fails; the sums are stubbed, since 2^28 terms play no part in
-    # the approximation, and the work ceiling those terms exceed is lifted
-    n, trial = 2**28, 87
-    r = np.random.default_rng([0, n, trial]).uniform(0.0, 1.0, size=4)[-1]
+    # seed 0 draws at degree 1, N = 2^28, trial 11, an r whose approximation
+    # meets |r - a/q| <= 1/(N q) in exact arithmetic while the float
+    # comparison says it fails; the sums are stubbed, since 2^28 terms play
+    # no part in the approximation, and the work ceiling those terms exceed
+    # is lifted (degree 1 keeps the phases, up to 2^29, inside the scan's
+    # precision limit)
+    n, trial = 2**28, 11
+    r = np.random.default_rng([0, n, trial]).uniform(0.0, 1.0, size=2)[-1]
     approx = dirichlet_approx(r, n)
     assert abs(Fraction(r) - Fraction(approx.a, approx.q)) <= Fraction(1, n * approx.q)
     assert abs(r - approx.value) > 1.0 / (n * approx.q)
     monkeypatch.setattr(expsums, "_weyl_sums",
                         lambda coeffs, n_terms: np.zeros(len(coeffs), dtype=complex))
     monkeypatch.setitem(_work.MAX_WORK, "weyl", math.inf)
-    assert weyl_scan(3, [n], trials=trial + 1, seed=0).dirichlet_ok
+    assert weyl_scan(1, [n], trials=trial + 1, seed=0).dirichlet_ok
 
 
 def test_scan_validation():
@@ -236,14 +240,15 @@ def test_scan_refuses_a_delta_past_its_domain():
             weyl_scan(3, [64], trials=1, delta=delta)
 
 
-def test_scan_refuses_a_degree_whose_phases_can_overflow():
-    # at N = 64, h(m) <= 2 * 64^degree: degree 170 keeps every phase under
-    # 2^1021, while at degree 1000 h overflows and every row was NaN
-    rows = weyl_scan(170, [64], trials=3).rows
+def test_scan_refuses_a_degree_whose_phases_lose_their_fraction():
+    # h(m) <= 2 N^degree: at N = 16, degree 12 keeps every phase under 2^49,
+    # and degree 13 reaches 2^53, where h - floor(h) is 0 and each such term
+    # adds 1 to |S|; past 2^1024 h overflowed (degree 1000 at N = 64 gave NaN rows)
+    rows = weyl_scan(12, [16], trials=3).rows
     assert all(math.isfinite(value) for row in rows for value in row[3:])
-    for degree in (171, 1000):
-        with pytest.raises(ValueError, match="can overflow float64"):
-            weyl_scan(degree, [64], trials=1)
+    for degree, n in ((13, 16), (9, 64), (170, 64), (1000, 64)):
+        with pytest.raises(ValueError, match="float64 keeps no fraction"):
+            weyl_scan(degree, [8, n], trials=1)
 
 
 def test_scan_refuses_work_above_the_ceiling_before_drawing(monkeypatch):
