@@ -11,10 +11,12 @@ kernel-scan, vdc-scan, convergence, commutator-scan.
 of every command except vdc-scan, which draws nothing at random.  On any
 other command either flag is an unknown key and exits 2.
 
-Every run writes resolved-config.txt into the output directory; successful
-runs add CSV tables and a report.json (or summary.json); failures write an
-error.json and print the same record to stderr.  Reruns with identical
-configuration are byte-identical.
+Every run writes resolved-config.txt into the output directory and removes
+a stale error.json.  A command's runner returns its artifacts (CSV tables,
+report.json or summary.json, snapshots), written only if it succeeds; a
+failure writes error.json instead and prints the same record to stderr.
+Artifacts hold only finite numbers and standard JSON: a NaN or infinity
+exits 7.  Reruns with identical configuration are byte-identical.
 
 Exit codes:
     0  success
@@ -33,6 +35,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from ._work import check_work
@@ -112,10 +115,9 @@ def _grid_from(cfg: dict) -> Grid:
 
 
 def _initial_from(cfg: dict, grid: Grid):
-    band = cfg["initial.band"] or None
     return initial_data(grid, cfg["initial.preset"], amplitude=cfg["initial.amplitude"],
                         seed=cfg["seed"], m=cfg["initial.m"], n=cfg["initial.n"],
-                        width=cfg["initial.width"], band=band)
+                        width=cfg["initial.width"], band=cfg["initial.band"] or None)
 
 
 def _sim_config_from(cfg: dict, grid: Grid, symbol: DispersionSymbol) -> SimulationConfig:
@@ -126,120 +128,84 @@ def _sim_config_from(cfg: dict, grid: Grid, symbol: DispersionSymbol) -> Simulat
                             h_s=tuple(cfg["solver.h_s"]))
 
 
-def _rel_drift(series) -> float:
-    base = max(abs(series[0]), 1e-300)
-    return max(abs(v - series[0]) for v in series) / base
+def _report_artifacts(report, table: str, header: list, **extra) -> dict:
+    """<table>.csv from the report's table, and report.json from its other
+    fields, with its settings (if any) and extra merged in."""
+    fields = {k: v for k, v in vars(report).items() if k not in (table, "settings")}
+    return {f"{table}.csv": (header, getattr(report, table)),
+            "report.json": {**fields, **getattr(report, "settings", {}), **extra}}
 
 
-def _run_simulate(cfg: dict, out: Path) -> None:
+def _run_simulate(cfg: dict) -> dict:
     grid = _grid_from(cfg)
-    symbol = _symbol_from(cfg, mu=cfg["symbol.mu"])
-    sim = _sim_config_from(cfg, grid, symbol)
-    phi = _initial_from(cfg, grid)
-    traj = simulate(sim, phi)
-    header, rows = diagnostics_csv(traj)
-    write_csv(out / "diagnostics.csv", header, rows)
-    masses = [d.mass for d in traj.diagnostics]
-    energies = [d.energy for d in traj.diagnostics]
-    summary = {
-        "t_end": traj.times[-1],
-        "records": len(traj.times),
-        "mass_initial": masses[0],
-        "mass_final": masses[-1],
-        "mass_drift_rel": _rel_drift(masses),
-        "energy_initial": energies[0],
-        "energy_final": energies[-1],
-        "energy_drift_rel": _rel_drift(energies),
-        "sup_u_final": traj.diagnostics[-1].sup_u,
-        "g_accum_final": traj.diagnostics[-1].g_accum,
-    }
+    sim = _sim_config_from(cfg, grid, _symbol_from(cfg, mu=cfg["symbol.mu"]))
+    traj = simulate(sim, _initial_from(cfg, grid))
+    last = traj.diagnostics[-1]
+    summary = {"t_end": traj.times[-1], "records": len(traj.times),
+               "sup_u_final": last.sup_u, "g_accum_final": last.g_accum}
+    for name in ("mass", "energy"):
+        series = [getattr(d, name) for d in traj.diagnostics]
+        drift = max(abs(v - series[0]) for v in series) / max(abs(series[0]), 1e-300)
+        summary.update({f"{name}_initial": series[0], f"{name}_final": series[-1],
+                        f"{name}_drift_rel": drift})
     if traj.dissipation is not None:
         summary["dissipation_final"] = traj.dissipation[-1]
-    write_json(out / "summary.json", summary)
+    artifacts = {"diagnostics.csv": diagnostics_csv(traj), "summary.json": summary}
     snap = cfg["output.snapshots"]
     if snap != "none":
         suffix = ".json" if snap == "json" else ".fld"
-        save_field(traj.states[0], out / f"initial{suffix}", fmt=snap)
-        save_field(traj.final_state, out / f"final{suffix}", fmt=snap)
+        artifacts[f"initial{suffix}"] = traj.states[0]
+        artifacts[f"final{suffix}"] = traj.final_state
+    return artifacts
 
 
-def _run_regularized_family(cfg: dict, out: Path) -> None:
+def _run_regularized_family(cfg: dict) -> dict:
     grid = _grid_from(cfg)
-    symbol = _symbol_from(cfg, mu=0.0)
-    sim = _sim_config_from(cfg, grid, symbol)
-    phi = _initial_from(cfg, grid)
-    family = solve_regularized_family(sim, phi, cfg["family.mu_list"])
-    rows = zip(family.mus, family.l2_gaps, family.identity_residuals)
-    write_csv(out / "family.csv", ["mu", "l2_gap_vs_mu0", "identity_residual"], rows)
-    write_json(out / "report.json", {
-        "mu_list": list(family.mus),
-        "l2_gaps": list(family.l2_gaps),
-        "identity_residuals": list(family.identity_residuals),
-        "gaps_nonincreasing": all(
-            family.l2_gaps[i] + 1e-12 >= family.l2_gaps[i + 1]
-            for i in range(len(family.l2_gaps) - 1)),
-        "t_end": sim.t_end,
-    })
+    sim = _sim_config_from(cfg, grid, _symbol_from(cfg))
+    family = solve_regularized_family(sim, _initial_from(cfg, grid), cfg["family.mu_list"])
+    gaps = family.l2_gaps
+    return {
+        "family.csv": (["mu", "l2_gap_vs_mu0", "identity_residual"],
+                       zip(family.mus, gaps, family.identity_residuals)),
+        "report.json": {
+            "mu_list": family.mus, "l2_gaps": gaps,
+            "identity_residuals": family.identity_residuals,
+            "gaps_nonincreasing": all(a + 1e-12 >= b for a, b in zip(gaps, gaps[1:])),
+            "t_end": sim.t_end},
+    }
 
 
-def _write_shell_scan(out: Path, report) -> None:
-    write_csv(out / "cells.csv", ["j", "k", "measured", "bound", "ratio"], report.cells)
-    write_json(out / "report.json", {
-        "alpha": report.alpha, "beta": report.beta, "sign": report.sign,
-        "eps": report.eps, "seed": report.seed, **report.settings,
-        "slope_j": report.slope_j,
-        "slope_k": None if math.isnan(report.slope_k) else report.slope_k,
-        "intercept": report.intercept, "max_ratio": report.max_ratio,
-        "cells": len(report.cells),
-    })
+def _run_shell_scan(scan, knobs: tuple, cfg: dict) -> dict:
+    """strichartz-scan or kernel-scan: scan over the configured shells, with
+    the scan.<knob> keys as its keyword arguments of the same names."""
+    report = scan(_symbol_from(cfg), range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
+                  range(cfg["scan.k_min"], cfg["scan.k_max"] + 1), seed=cfg["seed"],
+                  eps=cfg["scan.eps"], workers=cfg["workers"],
+                  **{knob: cfg[f"scan.{knob}"] for knob in knobs})
+    return _report_artifacts(
+        report, "cells", ["j", "k", "measured", "bound", "ratio"], cells=len(report.cells),
+        slope_k=None if math.isnan(report.slope_k) else report.slope_k)
 
 
-def _shells_from(cfg: dict) -> tuple:
-    return (_symbol_from(cfg), range(cfg["scan.j_min"], cfg["scan.j_max"] + 1),
-            range(cfg["scan.k_min"], cfg["scan.k_max"] + 1))
-
-
-def _run_strichartz_scan(cfg: dict, out: Path) -> None:
-    _write_shell_scan(out, strichartz_scan(
-        *_shells_from(cfg), trials=cfg["scan.trials"], seed=cfg["seed"],
-        n_times=cfg["scan.n_times"], refine=cfg["scan.refine"],
-        eps=cfg["scan.eps"], workers=cfg["workers"]))
-
-
-def _run_kernel_scan(cfg: dict, out: Path) -> None:
-    _write_shell_scan(out, kernel_decay_scan(
-        *_shells_from(cfg), samples_per_cell=cfg["scan.samples_per_cell"], seed=cfg["seed"],
-        eps=cfg["scan.eps"], workers=cfg["workers"]))
-
-
-def _run_weyl_scan(cfg: dict, out: Path) -> None:
+def _run_weyl_scan(cfg: dict) -> dict:
     report = weyl_scan(cfg["weyl.degree"], list(cfg["weyl.n_values"]),
                        trials=cfg["weyl.trials"], delta=cfg["weyl.delta"],
                        seed=cfg["seed"])
-    write_csv(out / "rows.csv", ["n_terms", "trial", "q", "abs_sum", "bound", "ratio"],
-              report.rows)
-    write_json(out / "report.json", {
-        "degree": report.degree, "delta": report.delta, "seed": report.seed,
-        "max_ratio": report.max_ratio, "dirichlet_ok": report.dirichlet_ok,
-        "rows": len(report.rows),
-    })
+    header = ["n_terms", "trial", "q", "abs_sum", "bound", "ratio"]
+    return _report_artifacts(report, "rows", header, rows=len(report.rows))
 
 
-def _run_vdc_scan(cfg: dict, out: Path) -> None:
+def _run_vdc_scan(cfg: dict) -> dict:
     report = vdc_scan(cfg["vdc.p"], cfg["vdc.i_min"], cfg["vdc.i_max"])
-    write_csv(out / "rows.csv", ["lam", "lhs", "rhs", "rhs_alternate", "ratio", "converged"],
-              report.rows)
-    write_json(out / "report.json", {
-        "p": cfg["vdc.p"], "rows": len(report.rows), "unconverged": report.unconverged,
-        "max_ratio": report.max_ratio, "max_lhs_scaled": report.max_lhs_scaled,
-    })
+    header = ["lam", "lhs", "rhs", "rhs_alternate", "ratio", "converged"]
+    return _report_artifacts(report, "rows", header, p=cfg["vdc.p"], rows=len(report.rows))
 
 
-def _run_convergence(cfg: dict, out: Path) -> None:
+def _run_convergence(cfg: dict) -> dict:
     grid = _grid_from(cfg)
     symbol = _symbol_from(cfg)
     mode = cfg["conv.mode"]
-    report = {}
+    artifacts, report = {}, {}
     if mode in ("temporal", "both"):
         phi = _initial_from(cfg, grid)
         # each halving doubles the finest run's steps: past 64 no study is under its ceiling
@@ -248,40 +214,57 @@ def _run_convergence(cfg: dict, out: Path) -> None:
         dts = [math.ldexp(cfg["conv.dt0"], -i) for i in range(cfg["conv.halvings"])]
         temporal = temporal_order_study(grid, symbol, phi, cfg["conv.t_end"], dts,
                                         integrator=cfg["conv.integrator"])
-        rows = zip(temporal.dts, temporal.errors, ["", *temporal.pairwise_orders])
-        write_csv(out / "temporal.csv", ["dt", "error", "pairwise_order"], rows)
+        artifacts["temporal.csv"] = (["dt", "error", "pairwise_order"], zip(
+            temporal.dts, temporal.errors, ["", *temporal.pairwise_orders]))
         report["temporal_fitted_order"] = temporal.fitted_order
     if mode in ("spatial", "both"):
         profile = lambda g: _initial_from(cfg, g)
         spatial = spatial_convergence_study(symbol, profile, list(cfg["conv.n_values"]),
                                             cfg["conv.t_end"], cfg["conv.dt"])
-        rows = zip(spatial.n_values, spatial.errors, ["", *spatial.decades_per_doubling])
-        write_csv(out / "spatial.csv", ["n", "error", "decades_per_doubling"], rows)
-        report["spatial_errors"] = list(spatial.errors)
-        report["spatial_decades_per_doubling"] = list(spatial.decades_per_doubling)
-    write_json(out / "report.json", report)
+        artifacts["spatial.csv"] = (["n", "error", "decades_per_doubling"], zip(
+            spatial.n_values, spatial.errors, ["", *spatial.decades_per_doubling]))
+        report["spatial_errors"] = spatial.errors
+        report["spatial_decades_per_doubling"] = spatial.decades_per_doubling
+    return {**artifacts, "report.json": report}
 
 
-def _run_commutator_scan(cfg: dict, out: Path) -> None:
+def _run_commutator_scan(cfg: dict) -> dict:
     report = commutator_scan(_grid_from(cfg), cfg["comm.pairs"], cfg["comm.s_values"],
                              cfg["seed"], band=cfg["comm.band"] or None, workers=cfg["workers"])
-    write_csv(out / "rows.csv", ["s", "pair", "lhs", "rhs", "ratio"], report.rows)
-    write_json(out / "report.json", {
-        "pairs": cfg["comm.pairs"], "s_values": cfg["comm.s_values"], "band": report.band,
-        "seed": cfg["seed"], "max_ratio": report.max_ratio,
-    })
+    return _report_artifacts(report, "rows", ["s", "pair", "lhs", "rhs", "ratio"],
+                             pairs=cfg["comm.pairs"], s_values=cfg["comm.s_values"],
+                             seed=cfg["seed"])
 
 
+# each runner maps cfg to its artifacts, {file name: content}, for _write_artifacts
 _RUNNERS = {
     "simulate": _run_simulate,
     "regularized-family": _run_regularized_family,
-    "strichartz-scan": _run_strichartz_scan,
-    "kernel-scan": _run_kernel_scan,
+    "strichartz-scan": partial(_run_shell_scan, strichartz_scan, ("trials", "n_times", "refine")),
+    "kernel-scan": partial(_run_shell_scan, kernel_decay_scan, ("samples_per_cell",)),
     "weyl-scan": _run_weyl_scan,
     "vdc-scan": _run_vdc_scan,
     "convergence": _run_convergence,
     "commutator-scan": _run_commutator_scan,
 }
+
+
+def _write_artifacts(out: Path, artifacts: dict) -> None:
+    """Write a dict as JSON, a (header, rows) table as CSV and a field as a
+    snapshot in its suffix's format; if one fails, remove them all."""
+    try:
+        for name, content in artifacts.items():
+            if isinstance(content, dict):
+                write_json(out / name, content)
+            elif isinstance(content, tuple):
+                write_csv(out / name, *content)
+            else:
+                save_field(content, out / name)
+    except Exception:
+        for name in artifacts:
+            (out / name).unlink(missing_ok=True)
+        raise
+
 
 # first match wins: the ValueError subclasses with codes of their own come
 # before ValueError, which covers every config value a check rejects
@@ -315,7 +298,8 @@ def main(argv=None) -> int:
                    else os.path.join(os.environ.get("DGZK_OUT", "runs"), args.command))
         out.mkdir(parents=True, exist_ok=True)
         write_resolved_config(out / "resolved-config.txt", args.command, cfg)
-        _RUNNERS[args.command](cfg, out)
+        (out / "error.json").unlink(missing_ok=True)  # left by an earlier, failed run
+        _write_artifacts(out, _RUNNERS[args.command](cfg))
     except Exception as exc:  # mapped to the documented exit-code table
         return _fail(exc, out)
     return EXIT_OK

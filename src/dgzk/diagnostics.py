@@ -32,6 +32,7 @@ from .spectral import (
     _block,
     _block_dims,
     _block_sq,
+    _check_sobolev_index,
     _half,
     _real_coeffs,
     _sobolev_weight,
@@ -151,14 +152,10 @@ def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
 def diagnostics_csv(trajectory) -> Tuple[list, list]:
     """(header, rows) for the per-record diagnostics table."""
     h_s = trajectory.config.h_s
-    header = ["t", "mass", "energy"] + [f"h{s:g}" for s in h_s] + [
-        "sup_u", "sup_ux", "sup_uy", "g_accum",
-    ]
-    rows = []
-    for r in trajectory.diagnostics:
-        rows.append([r.t, r.mass, r.energy] + [r.h_s_norms[s] for s in h_s]
-                    + [r.sup_u, r.sup_ux, r.sup_uy, r.g_accum])
-    return header, rows
+    header = ["t", "mass", "energy", *(f"h{s:g}" for s in h_s),
+              "sup_u", "sup_ux", "sup_uy", "g_accum"]
+    return header, [[r.t, r.mass, r.energy, *(r.h_s_norms[s] for s in h_s),
+                     r.sup_u, r.sup_ux, r.sup_uy, r.g_accum] for r in trajectory.diagnostics]
 
 
 @lru_cache(maxsize=8)
@@ -182,13 +179,15 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     Products are formed on a doubled grid, exact for band-limited inputs,
     and the difference on its half spectrum, whose columns 1 .. ny - 1 count
     twice in the norm (for their conjugates).  Fields must be real
-    (SymmetryViolationError otherwise).
+    (SymmetryViolationError otherwise), and s must keep (1 + |k|^2)^s finite
+    on the 2x grid (see spectral._check_sobolev_index).
     """
     if not (math.isfinite(s) and s >= 1):
         raise ValueError(f"s must be finite and >= 1, got {s}")
     if f.grid != g.grid:
         raise ValueError("fields must share a grid")
     grid = f.grid
+    _check_sobolev_index(Grid(2 * grid.nx, 2 * grid.ny), s)  # J^s squared on the 2x grid
 
     constant_f = not np.any(f.coeffs.ravel()[1:])  # f_hat vanishes off (0, 0)
 

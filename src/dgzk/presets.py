@@ -100,8 +100,8 @@ def initial_data(grid: Grid, name: str, amplitude: float = 1.0, seed: int = 0,
     if name == "cos-x":
         return field_from_modes(grid, {(1, 0): 0.5 * amplitude, (-1, 0): 0.5 * amplitude})
     if name == "gaussian-bell":
-        if width <= 0:
-            raise ValueError(f"gaussian-bell width must be positive, got {width}")
+        if not 1e-150 <= width <= 1e150:  # keeps the variance 2 width^2 a normal float
+            raise ValueError(f"gaussian-bell width must lie in [1e-150, 1e150], got {width}")
         field = project_mean_zero_x(forward_transform(grid, _gaussian_bell(grid, width)))
         return _scale_to_peak(field, amplitude)
     if name == "random-band":

@@ -35,6 +35,7 @@ from .spectral import (
     _block,
     _block_dims,
     _block_sq,
+    _check_sobolev_index,
     _full_from_block,
     _half,
     _real_values,
@@ -87,6 +88,7 @@ class SimulationConfig:
         if self.integrator not in _STEPPERS:
             raise ValueError(f"integrator must be {' or '.join(map(repr, _STEPPERS))}, "
                              f"got {self.integrator!r}")
+        _check_sobolev_index(self.grid, max(self.h_s, default=0.0))
 
 
 @dataclass
@@ -373,14 +375,14 @@ class RegularizedFamily:
 
 
 def l2_identity_residual(traj: Trajectory) -> float:
-    """Largest relative defect of ||phi||^2 = ||u(t)||^2 + D(t), where D is
-    the accumulated dissipation 2 mu int ||laplacian u||^2."""
+    """Largest relative defect of ||phi||^2 = ||u(t)||^2 + D(t), D the dissipation
+    2 mu int ||laplacian u||^2 so far; 0 for phi = 0, where 0 = 0 + 0 holds exactly."""
     if traj.dissipation is None:
         raise ValueError("trajectory was not produced by a damped (mu > 0) run")
     norms_sq = np.array([l2_norm(s) ** 2 for s in traj.states])
     phi_sq = norms_sq[0]
     residual = np.abs(phi_sq - norms_sq - traj.dissipation)
-    return float(np.max(residual) / phi_sq)
+    return float(np.max(residual) / phi_sq) if phi_sq > 0 else 0.0
 
 
 def solve_regularized_family(config: SimulationConfig, phi: SpectralField,
@@ -424,9 +426,10 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
 
     Every run, the reference included, is a `simulate` run of a
     SimulationConfig built, and so checked, before the first run starts.
-    There must be at least two dts with distinct step counts: two dts with one step count
-    would fit one run as two step sizes.  A study above the "study" ceiling
-    of _work.MAX_WORK raises ValueError before any run starts.
+    There must be at least two dts with distinct step counts (two dts with one
+    step count would fit one run as two step sizes) and no zero error, which has
+    no logarithm.  A study above the "study" ceiling of _work.MAX_WORK raises
+    ValueError before any run starts.
     """
     dts = np.asarray(sorted(dts, reverse=True), dtype=float)
     # runs that record only their first and last step
@@ -443,6 +446,8 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
     final = lambda run: simulate(run, phi).final_state.coeffs
     ref_final = final(ref)
     errors = np.array([l2_norm(SpectralField(grid, final(run) - ref_final)) for run in runs])
+    if not np.all(errors > 0):
+        raise InsufficientDataError(f"a zero error has no logarithm: errors {errors.tolist()}")
     with np.errstate(divide="ignore"):
         pairwise = np.log2(errors[:-1] / errors[1:]) / np.log2(dts[:-1] / dts[1:])
     A = np.vstack([np.ones_like(dts), np.log(dts)]).T

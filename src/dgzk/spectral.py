@@ -141,8 +141,8 @@ class _ColumnValues:
 
 
 def _sup(values: np.ndarray) -> float:
-    """max |values| of a real array, as max(max, -min): no |.| array."""
-    return float(np.maximum(values.max(), -values.min()))
+    """max |values| of a real array, as max(max, -min): no |.| array, and +0.0 for zeros."""
+    return float(max(values.max(), -values.min()))
 
 
 def _block_dims(grid: Grid) -> tuple[int, int]:
@@ -363,6 +363,14 @@ def dyadic_project(field: SpectralField, axis: str, shell: int) -> SpectralField
         raise ValueError(f"shell index must be a nonnegative integer, got {shell!r}")
     mask = shell_indices(_axis_wavenumbers(field.grid, axis)) == shell
     return SpectralField(field.grid, field.coeffs * mask)
+
+
+def _check_sobolev_index(grid: Grid, s: float) -> None:
+    """Refuse s (ValueError) unless s log2(1 + max|k|^2) < 1000 on grid, which
+    keeps the weight (1 + |k|^2)^s, and sums over it, finite floats."""
+    if not s * np.log2(1 + (grid.nx // 2) ** 2 + (grid.ny // 2) ** 2) < 1000:
+        raise ValueError(f"Sobolev index {s} is too large for a {grid.nx} x {grid.ny} grid: "
+                         "s * log2(1 + max|k|^2) must stay below 1000")
 
 
 def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:

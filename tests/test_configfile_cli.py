@@ -16,6 +16,7 @@ from dgzk.cli import _RUNNERS, main
 from dgzk.configfile import COMMANDS, SCHEMAS, parse_config_text, resolve_config
 from dgzk.errors import ConfigError
 from dgzk.fieldio import load_field
+from dgzk.presets import PRESET_NAMES
 
 
 # -------------------------------------------------------------- config parsing
@@ -96,7 +97,7 @@ def test_every_config_key_is_read(tmp_path, command):
     # a key no runner reads is a setting that silently does nothing;
     # resolve_config reads scan.preset itself
     cfg = _ReadLog(resolve_config(command, overrides=_SMALL_RUNS[command]))
-    _RUNNERS[command](cfg, tmp_path)
+    _RUNNERS[command](cfg)
     assert sorted(set(cfg) - cfg.read - {"scan.preset"}) == []
 
 
@@ -268,12 +269,19 @@ def test_empty_shell_range_exits_5(tmp_path, settings):
     # 2 ** 1100 is no float; a billion halvings would build a billion dts
     ("convergence", ["conv.mode=temporal", "conv.halvings=1100"], 2, "ValueError"),
     ("convergence", ["conv.mode=temporal", "conv.halvings=1000000000"], 2, "ValueError"),
+    # s log2(1 + max|k|^2) < 1000 keeps (1 + |k|^2)^s finite: on the grid for h_s,
+    # on the 2x grid for the commutator; just inside the limit a run exits 0
+    ("simulate", ["grid.nx=64", "grid.ny=64", "solver.t_end=0.01", "solver.h_s=80"], 0, None),
+    ("simulate", ["grid.nx=64", "grid.ny=64", "solver.h_s=100"], 2, "ValueError"),
+    ("commutator-scan", ["comm.pairs=1", "comm.s_values=100"], 0, None),
+    ("commutator-scan", ["comm.pairs=1", "comm.s_values=150"], 2, "ValueError"),
 ], ids=["one-dt", "no-dt", "negative-band", "negative-comm-band", "zero-width",
         "one-step-count", "shared-step-count", "one-resolution", "comm-band-beyond-grid",
         "band-beyond-grid", "negative-temporal-t-end", "vdc-p-171", "vdc-p-200",
         "vdc-i-max-1024", "unbounded-temporal-work", "overflowing-steps", "zero-temporal-dt",
         "strichartz-eps-1e300", "strichartz-eps-minus-1e300", "kernel-eps-1e300",
-        "kernel-eps-minus-1e300", "weyl-delta-1e300", "halvings-1100", "halvings-1e9"])
+        "kernel-eps-minus-1e300", "weyl-delta-1e300", "halvings-1100", "halvings-1e9",
+        "h-s-80-at-64", "h-s-100-at-64", "comm-s-100-at-16", "comm-s-150-at-16"])
 def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
                                                    exit_code, error_type):
     out = tmp_path / "run"
@@ -285,6 +293,9 @@ def test_out_of_domain_values_exit_with_their_code(tmp_path, command, settings,
     start = time.perf_counter()
     assert main(args) == exit_code
     assert time.perf_counter() - start < 1.0  # rejected before any run starts
+    if exit_code == 0:
+        _assert_finite_artifacts(out)
+        return
     record = json.loads((out / "error.json").read_text())
     assert record["error"]["type"] == error_type
     if command == "vdc-scan":
@@ -338,6 +349,63 @@ def test_output_path_collision_exits_6(tmp_path, capsys):
     assert record["error"]["exit_code"] == 6
 
 
+def _names(out):
+    return sorted(p.name for p in out.iterdir())
+
+
+def test_failed_run_leaves_only_its_config_and_error(tmp_path):
+    # the temporal study succeeds before the spatial one fails: its table is not written
+    out = tmp_path / "run"
+    args = ["convergence", "--out", str(out)]
+    for kv in _SMALL_RUNS["convergence"] + ["conv.n_values=16"]:
+        args += ["--set", kv]
+    assert main(args) == 5
+    assert _names(out) == ["error.json", "resolved-config.txt"]
+
+
+def test_successful_rerun_removes_a_stale_error_json(tmp_path):
+    out = tmp_path / "run"
+    assert main(_simulate_args(out, "solver.dt=-1")) == 2
+    assert _names(out) == ["error.json", "resolved-config.txt"]
+    assert main(_simulate_args(out)) == 0
+    assert _names(out) == ["diagnostics.csv", "resolved-config.txt", "summary.json"]
+
+
+@pytest.mark.parametrize("leak", [
+    {"rows.csv": (["x"], [[1.0]]), "report.json": {"max_ratio": float("nan")}},
+    {"report.json": {"max_ratio": 1.0}, "rows.csv": (["x"], [[1.0], [float("-inf")]])},
+], ids=["json-nan", "csv-inf"])
+def test_a_non_finite_number_exits_7_and_leaves_no_artifact(tmp_path, monkeypatch, leak):
+    # the artifact written before the leak is removed with it
+    monkeypatch.setitem(_RUNNERS, "vdc-scan", lambda cfg: leak)
+    out = tmp_path / "run"
+    assert main(["vdc-scan", "--out", str(out)]) == 7
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["type"] == "RuntimeError"
+    assert error["message"].startswith(f"{list(leak)[1]} would hold a non-finite number")
+    assert _names(out) == ["error.json", "resolved-config.txt"]
+
+
+def test_zero_data_has_a_documented_outcome(tmp_path):
+    # the L2 identity 0 = 0 + 0 holds exactly; a zero temporal error has no logarithm
+    family = tmp_path / "family"
+    args = ["regularized-family", "--out", str(family), "--set", "initial.preset=zero"]
+    for kv in _SMALL_RUNS["regularized-family"]:
+        args += ["--set", kv]
+    assert main(args) == 0
+    report = json.loads((family / "report.json").read_text())
+    assert report["identity_residuals"] == [0.0] * len(report["mu_list"])
+    conv = tmp_path / "conv"
+    args = ["convergence", "--out", str(conv), "--set", "initial.preset=zero",
+            "--set", "conv.mode=temporal"]
+    for kv in _SMALL_RUNS["convergence"]:
+        args += ["--set", kv]
+    assert main(args) == 5
+    error = json.loads((conv / "error.json").read_text())["error"]
+    assert error["type"] == "InsufficientDataError"
+    assert "no logarithm" in error["message"]
+
+
 def test_csv_cells_are_plain_numbers(tmp_path):
     # numpy scalars must not reach a cell as their repr, np.float64(...)
     sim, conv = tmp_path / "sim", tmp_path / "conv"
@@ -351,6 +419,10 @@ def test_csv_cells_are_plain_numbers(tmp_path):
             for cell in row.split(","):
                 if cell:
                     float(cell)
+    # cos-x has u_y = 0: its sup is +0.0, never -0.0
+    cos_x = tmp_path / "cos-x"
+    assert main(_simulate_args(cos_x, "initial.preset=cos-x")) == 0
+    assert "-0.0" not in (cos_x / "diagnostics.csv").read_text()
 
 
 def test_summary_reports_the_requested_t_end(tmp_path):
@@ -359,6 +431,22 @@ def test_summary_reports_the_requested_t_end(tmp_path):
     assert main(_simulate_args(out, "initial.preset=cos-x",
                                "solver.dt=0.03", "solver.t_end=0.1")) == 0
     assert json.loads((out / "summary.json").read_text())["t_end"] == 0.1
+
+
+def _standard_json_only(constant):
+    raise ValueError(f"{constant} is not standard JSON")
+
+
+def _assert_finite_artifacts(out):
+    """Every JSON artifact is standard JSON and every CSV cell a finite number
+    (or empty), as a run that exits 0 must leave them."""
+    for path in Path(out).iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_standard_json_only)
+        elif path.suffix == ".csv":
+            for row in path.read_text().splitlines()[1:]:
+                cells = [float(cell) for cell in row.split(",") if cell]
+                assert np.all(np.isfinite(cells)), (path.name, row)
 
 
 _NONFINITE = ("nan", "inf", "-inf", "1e400")
@@ -380,6 +468,8 @@ def test_fuzzed_values_map_to_documented_exit_codes(values):
     chosen = [f"{key}={raw}" for key, raw in values.items() if raw is not None]
     with tempfile.TemporaryDirectory() as tmp:
         rc = main(_simulate_args(Path(tmp) / "run", "initial.preset=cos-x", *chosen))
+        if rc == 0:
+            _assert_finite_artifacts(Path(tmp) / "run")
     assert rc in (0, 2, 3, 4, 5, 6)
     if any(raw in _NONFINITE for raw in values.values()):
         assert rc == 2
@@ -419,11 +509,17 @@ _BOX = {
     "conv.dt": st.floats(2e-3, 1.0),
     "comm.pairs": st.integers(1, 2), "comm.s_values": _joined(st.floats(-1.0, 3.0)),
     "comm.band": st.integers(0, 8),
+    "initial.preset": st.sampled_from(PRESET_NAMES),
 }
 
 
 def _numeric_keys(command):
     return [key for key, opt in SCHEMAS[command].items() if opt.cast in _NUMERIC]
+
+
+def _boxed_keys(command):
+    """The command's keys with a fuzz box: its numeric keys and initial.preset."""
+    return [key for key in SCHEMAS[command] if key in _BOX]
 
 
 class _Overrun(BaseException):
@@ -432,7 +528,8 @@ class _Overrun(BaseException):
 
 def _exit_code_within(seconds, command, settings):
     """main's exit code for command with settings on top of its _SMALL_RUNS ones;
-    _Overrun if it takes longer than seconds."""
+    _Overrun if it takes longer than seconds.  A run that exits 0 must leave
+    only finite numbers in its artifacts."""
     def overrun(signum, frame):
         raise _Overrun(f"{command} {settings} ran past {seconds} s")
 
@@ -443,10 +540,13 @@ def _exit_code_within(seconds, command, settings):
         previous = signal.signal(signal.SIGALRM, overrun)
         signal.setitimer(signal.ITIMER_REAL, seconds)
         try:
-            return main(args)
+            rc = main(args)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+        if rc == 0:
+            _assert_finite_artifacts(Path(tmp) / "run")
+        return rc
 
 
 def _rejected(command, key, raw):
@@ -462,8 +562,9 @@ def test_extreme_values_of_every_numeric_key_exit_at_once(capsys):
     """Bad tokens, non-finite values and +-1e300 (as floats and as ints) of
     every numeric key of every command end within a second, never with 7;
     a value the key's cast rejects exits 2."""
-    # every numeric key also has a fuzz box
-    assert sorted({key for command in SCHEMAS for key in _numeric_keys(command)}) == sorted(_BOX)
+    # every numeric key also has a fuzz box, and so has initial.preset
+    assert (sorted({key for command in SCHEMAS for key in _numeric_keys(command)})
+            == sorted(set(_BOX) - {"initial.preset"}))
     for command in COMMANDS:
         for key in _numeric_keys(command):
             for raw in _NONFINITE + _HUGE + ("abc", ""):
@@ -473,11 +574,11 @@ def test_extreme_values_of_every_numeric_key_exit_at_once(capsys):
                     assert rc == 2, (command, key, raw)
 
 
-# box draws for some numeric keys of one command, and at times a few bad tokens
+# box draws for some numeric keys (and the preset) of one command, and at times a few bad tokens
 _CASES = st.sampled_from(COMMANDS).flatmap(lambda command: st.tuples(
     st.just(command),
     st.fixed_dictionaries({key: st.one_of(st.none(), _BOX[key].map(str))
-                           for key in _numeric_keys(command)}),
+                           for key in _boxed_keys(command)}),
     st.lists(st.tuples(st.sampled_from(_numeric_keys(command)), _ANY_BAD_TOKEN), max_size=3)))
 
 
@@ -488,6 +589,10 @@ _CASES = st.sampled_from(COMMANDS).flatmap(lambda command: st.tuples(
 @example(("kernel-scan", {}, [("scan.eps", "-1e300")]))
 @example(("weyl-scan", {}, [("weyl.delta", "1e300")]))
 @example(("convergence", {}, [("conv.halvings", "1100")]))
+# zero data: the identity residual is 0, and a temporal fit has no logarithm (exit 5)
+@example(("regularized-family", {"initial.preset": "zero"}, []))
+@example(("convergence", {"initial.preset": "zero"}, []))
+@example(("regularized-family", {"initial.amplitude": "1e-300"}, []))
 def test_fuzzed_values_of_every_command_map_to_documented_exit_codes(case):
     command, values, bad = case
     values = {key: raw for key, raw in values.items() if raw is not None}

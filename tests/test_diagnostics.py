@@ -1,4 +1,6 @@
 """Conserved functionals, sup norms, commutator and smoothing-estimate checks."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -90,6 +92,9 @@ def test_sup_norm_closed_forms():
     assert np.isclose(sx, 1.0, atol=1e-12)
     assert sy <= 1e-12
     assert sup_norm_diagnostics(zero_field(g)) == (0.0, 0.0, 0.0)
+    # cos x has u_y = 0 exactly: its sup is +0.0, not -0.0
+    assert math.copysign(1.0, sy) == 1.0
+    assert all(math.copysign(1.0, v) == 1.0 for v in sup_norm_diagnostics(zero_field(g)))
 
 
 def test_sup_norm_refinement_stability():
