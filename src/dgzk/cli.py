@@ -15,6 +15,8 @@ Every run writes resolved-config.txt into the output directory and removes
 a stale error.json.  A command's runner returns its artifacts (CSV tables,
 report.json or summary.json, snapshots), written only if it succeeds; a
 failure writes error.json instead and prints the same record to stderr.
+A failed run does not remove the artifacts an earlier run left in the
+directory; its error.json marks the last run as failed.
 Artifacts hold only finite numbers and standard JSON: a NaN or infinity
 exits 7.  Reruns with identical configuration are byte-identical.
 

@@ -26,14 +26,15 @@ from .grid import Grid
 from .presets import random_band_field
 from .propagator import DispersionSymbol
 from .spectral import (
+    FOUR_PI_SQ,
     RecordedStates,
     SpectralField,
     _RefinedPlanes,
     _block,
     _block_dims,
-    _block_sq,
     _check_sobolev_index,
     _half,
+    _half_sq,
     _real_coeffs,
     _sobolev_weight,
     _sup,
@@ -46,9 +47,6 @@ from .spectral import (
 __all__ = ["DiagnosticsRecord", "mass", "energy", "cubic_integral", "sup_norm_diagnostics",
            "build_records", "diagnostics_csv", "commutator_check", "commutator_scan",
            "CommutatorScanReport", "l1t_linf_estimate_check", "L1tLinfReport"]
-
-FOUR_PI_SQ = (2.0 * np.pi) ** 2
-
 
 @dataclass
 class DiagnosticsRecord:
@@ -119,7 +117,7 @@ def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
     planes = _RefinedPlanes(grid)
     energy_w = _energy_weight(grid, symbol)
     sobolev_w = {s: _sobolev_weight(grid, s) for s in h_s}
-    # the weights of |u_hat|^2 for a field and for a block (see _block_sq)
+    # the weights of |u_hat|^2 for a field and for a block (see _half_sq)
     weights = {True: (energy_w, sobolev_w),
                False: (_block(energy_w, *dims),
                        {s: _block(w, *dims) for s, w in sobolev_w.items()})}
@@ -136,7 +134,7 @@ def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
             g += 0.5 * (times[i] - times[i - 1]) * ((su + sx + sy)
                                                     + (p.sup_u + p.sup_ux + p.sup_uy))
         field = isinstance(state, SpectralField)
-        sq = np.abs(state.coeffs) ** 2 if field else _block_sq(state)
+        sq = np.abs(state.coeffs) ** 2 if field else _half_sq(state, grid.ny)
         ew, sw = weights[field]
         records.append(DiagnosticsRecord(
             t=float(t),
@@ -177,10 +175,9 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     rhs = ||J^s f|| * ||g||_inf + (||f||_inf + ||grad f||_inf) * ||J^{s-1} g||
 
     Products are formed on a doubled grid, exact for band-limited inputs,
-    and the difference on its half spectrum, whose columns 1 .. ny - 1 count
-    twice in the norm (for their conjugates).  Fields must be real
-    (SymmetryViolationError otherwise), and s must keep (1 + |k|^2)^s finite
-    on the 2x grid (see spectral._check_sobolev_index).
+    and the difference on its half spectrum (see spectral._half_sq).  Fields
+    must be real (SymmetryViolationError otherwise), and s must keep
+    (1 + |k|^2)^s finite on the 2x grid (see spectral._check_sobolev_index).
     """
     if not (math.isfinite(s) and s >= 1):
         raise ValueError(f"s must be finite and >= 1, got {s}")
@@ -209,9 +206,7 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
         diff = _real_coeffs(f_vals * g_vals)
         diff *= js_big
         diff -= _real_coeffs(f_vals * next(planes(SpectralField(grid, g.coeffs * js))))
-        sq = np.abs(diff) ** 2
-        sq[:, 1:-1] *= 2.0
-        lhs = 2.0 * np.pi * math.sqrt(float(np.sum(sq)))
+        lhs = 2.0 * np.pi * math.sqrt(float(np.sum(_half_sq(diff, 2 * grid.ny))))
 
     rhs = (l2_norm(SpectralField(grid, f.coeffs * js)) * sup_g
            + (_sup(f_vals) + grad_inf)

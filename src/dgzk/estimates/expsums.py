@@ -207,26 +207,23 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
     dirichlet_ok = True
     for n in sizes:
         chunk = max(1, _CHUNK_POINTS // n)
-        drawn = np.empty((0, degree + 1))
-        for first in range(0, trials, chunk):
-            block = range(first, min(first + chunk, trials))
+        for first in range(0, trials, _DRAW_BATCH):
             # keyed per (N, trial) so results do not depend on loop order
-            while len(drawn) < len(block):
-                start = first + len(drawn)
-                drawn = np.concatenate([drawn, _keyed_uniforms(
-                    seed, n, start, min(start + _DRAW_BATCH, trials), degree + 1)])
-            coeffs, drawn = drawn[:len(block)], drawn[len(block):]
-            sums = _weyl_sums(coeffs, n).tolist()
-            for trial, lead, total in zip(block, coeffs[:, -1].tolist(), sums):
-                approx = dirichlet_approx(lead, n)
-                # |r - a/q| <= 1/(N q) in exact arithmetic; floats misjudge it from N ~ 2^25
-                num, den = lead.as_integer_ratio()
-                if abs(num * approx.q - approx.a * den) * n > den:
-                    dirichlet_ok = False
-                s = abs(total)  # Python's abs: np.abs can differ in the last bit
-                bound = weyl_bound(n, approx.q, degree, delta)
-                ratio = s / bound
-                max_ratio = max(max_ratio, ratio)
-                rows.append((n, trial, approx.q, s, bound, ratio))
+            drawn = _keyed_uniforms(seed, n, first, min(first + _DRAW_BATCH, trials), degree + 1)
+            for start in range(0, len(drawn), chunk):
+                coeffs = drawn[start:start + chunk]
+                sums = _weyl_sums(coeffs, n).tolist()
+                for trial, lead, total in zip(range(first + start, trials),
+                                              coeffs[:, -1].tolist(), sums):
+                    approx = dirichlet_approx(lead, n)
+                    # |r - a/q| <= 1/(N q) in exact arithmetic; floats misjudge it from N ~ 2^25
+                    num, den = lead.as_integer_ratio()
+                    if abs(num * approx.q - approx.a * den) * n > den:
+                        dirichlet_ok = False
+                    s = abs(total)  # Python's abs: np.abs can differ in the last bit
+                    bound = weyl_bound(n, approx.q, degree, delta)
+                    ratio = s / bound
+                    max_ratio = max(max_ratio, ratio)
+                    rows.append((n, trial, approx.q, s, bound, ratio))
     return WeylScanReport(degree=degree, delta=delta, seed=seed, rows=rows,
                           max_ratio=max_ratio, dirichlet_ok=dirichlet_ok)

@@ -58,8 +58,10 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     Time samples are equispaced, so the group multiplier advances by a
     single per-step factor; the accumulated phase roundoff over <= a few
     hundred steps is ~1e-14, irrelevant next to the fitted slopes.  phi must
-    be a real field (SymmetryViolationError otherwise); the time loop runs
-    on the nonzero columns of its half spectrum, which the group keeps.
+    be a real field (SymmetryViolationError otherwise).  The time loop runs
+    on one column range of its half spectrum, from its first to its last
+    nonzero column (a shell field fills all of them); the group keeps every
+    column outside it zero.
     """
     if n_times < 64:
         raise ValueError(f"need at least 64 time samples, got {n_times}")

@@ -1,15 +1,16 @@
 """Field snapshots on disk.
 
 Two stable formats, both carrying the normalization tag so readers can
-reject fields written under a different transform convention:
+reject fields written under a different transform convention; a path's
+suffix names the format:
 
-* JSON: object {"format": "dgzk-field", "version": 1, "nx", "ny",
-  "normalization": "angular-2pi-inverse", "data": [re, im, re, im, ...]}
-  with coefficients in canonical order: wavenumber m ascending from
-  -nx/2+1 to nx/2 (outer), n ascending likewise (inner).
-* binary: magic "DGZK-FLD", three little-endian uint32 (version, nx, ny),
-  a 24-byte null-padded normalization tag, then float64 little-endian
-  interleaved re/im in the same canonical order.
+* JSON (suffix .json): object {"format": "dgzk-field", "version": 1,
+  "nx", "ny", "normalization": "angular-2pi-inverse", "data": [re, im,
+  re, im, ...]} with coefficients in canonical order: wavenumber m
+  ascending from -nx/2+1 to nx/2 (outer), n ascending likewise (inner).
+* binary (any other suffix): magic "DGZK-FLD", three little-endian uint32
+  (version, nx, ny), a 24-byte null-padded normalization tag, then float64
+  little-endian interleaved re/im in the same canonical order.
 """
 from __future__ import annotations
 
@@ -35,21 +36,17 @@ def _canonical(grid: Grid):
     return np.ix_(np.argsort(grid.kx, kind="stable"), np.argsort(grid.ky, kind="stable"))
 
 
-def _format(path: Path, fmt) -> str:
-    """fmt, by default 'json' for a .json suffix and 'binary' otherwise."""
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "binary"
-    if fmt not in ("json", "binary"):
-        raise ValueError(f"fmt must be 'json' or 'binary', got {fmt!r}")
-    return fmt
+def _is_json(path: Path) -> bool:
+    """The format a path's suffix names: JSON for .json, binary otherwise."""
+    return path.suffix.lower() == ".json"
 
 
-def save_field(field: SpectralField, path, fmt: str = None) -> None:
-    """Write a field snapshot; fmt is 'json' or 'binary' (default: by suffix)."""
+def save_field(field: SpectralField, path) -> None:
+    """Write a field snapshot in the format its suffix names (see _is_json)."""
     path = Path(path)
     # interleaved re/im: the float64 view of the C-contiguous canonical array
     data = field.coeffs[_canonical(field.grid)].view(np.float64).ravel()
-    if _format(path, fmt) == "json":
+    if _is_json(path):
         record = {
             "format": "dgzk-field",
             "version": VERSION,
@@ -65,9 +62,9 @@ def save_field(field: SpectralField, path, fmt: str = None) -> None:
         path.write_bytes(header + data.astype("<f8").tobytes())
 
 
-def load_field(path, fmt: str = None) -> SpectralField:
+def load_field(path) -> SpectralField:
     path = Path(path)
-    if _format(path, fmt) == "json":
+    if _is_json(path):
         record = json.loads(path.read_text())
         if record.get("format") != "dgzk-field":
             raise ValueError(f"{path}: not a field record")

@@ -3,7 +3,10 @@
 The linear part of the equation diagonalizes in Fourier space with phase
 speed omega(m, n) = m * (|m|^{1+alpha} + sign * |n|^{1+beta}); the optional
 fourth-order damping adds the decay rate gamma(m, n) = mu * (m^2 + n^2)^2.
-One application multiplies each coefficient by exp((i*omega - gamma) * t).
+One application multiplies each coefficient by exp((i*omega - gamma) * t),
+with the phase omega * t passed to the complex exponential as it is: no
+reduction mod 2*pi, which would add the rounding of the float 2*pi times
+the number of turns.
 """
 from __future__ import annotations
 
@@ -17,11 +20,6 @@ from .grid import Grid
 from .spectral import SpectralField
 
 __all__ = ["DispersionSymbol", "dispersion_relation", "damping_rate", "propagate"]
-
-# Above this many radians per coefficient the phase is reduced mod 2*pi
-# before exponentiation; accuracy is already limited by the product
-# omega * t at that magnitude.
-PHASE_WRAP_THRESHOLD = 1e12
 
 
 @dataclass(frozen=True)
@@ -89,11 +87,7 @@ def propagate(field: SpectralField, t: float, symbol: DispersionSymbol) -> Spect
             f"damped evolution is a semigroup; t = {t} < 0 with mu = {symbol.mu}"
         )
     omega, gamma = _symbol_tables(field.grid, symbol)
-    theta = omega * t
-    big = np.abs(theta) > PHASE_WRAP_THRESHOLD
-    if np.any(big):
-        theta = np.where(big, np.mod(theta, 2.0 * np.pi), theta)
-    mult = np.exp(1j * theta)
+    mult = np.exp(1j * (omega * t))
     if gamma is not None:
         mult = mult * np.exp(-gamma * t)
     return SpectralField(field.grid, field.coeffs * mult)

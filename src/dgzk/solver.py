@@ -27,6 +27,7 @@ from .errors import DivergenceError, InsufficientDataError, InvalidInitialDataEr
 from .grid import Grid
 from .propagator import DispersionSymbol, _symbol_tables
 from .spectral import (
+    FOUR_PI_SQ,
     RecordedStates,
     SpectralField,
     _BlockCoeffs,
@@ -34,10 +35,10 @@ from .spectral import (
     _ColumnValues,
     _block,
     _block_dims,
-    _block_sq,
     _check_sobolev_index,
     _full_from_block,
     _half,
+    _half_sq,
     _real_values,
     _require_real,
     dealias,
@@ -325,10 +326,9 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     mu = config.symbol.mu
     if mu > 0:
         lap_w = _block((grid.kx2d**2 + grid.ky2d**2) ** 2, *dims)  # |k|^4 weighs ||laplacian u||^2
-    four_pi_sq = (2.0 * np.pi) ** 2
 
     def lap_sq_norm(cc):
-        return four_pi_sq * float(np.sum(lap_w * _block_sq(cc)))
+        return FOUR_PI_SQ * float(np.sum(lap_w * _half_sq(cc, grid.ny)))
 
     # the state is the Galerkin block: every other mode stays exactly zero
     c = _block(phi.coeffs, *dims)
@@ -448,8 +448,7 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
     errors = np.array([l2_norm(SpectralField(grid, final(run) - ref_final)) for run in runs])
     if not np.all(errors > 0):
         raise InsufficientDataError(f"a zero error has no logarithm: errors {errors.tolist()}")
-    with np.errstate(divide="ignore"):
-        pairwise = np.log2(errors[:-1] / errors[1:]) / np.log2(dts[:-1] / dts[1:])
+    pairwise = np.log2(errors[:-1] / errors[1:]) / np.log2(dts[:-1] / dts[1:])
     A = np.vstack([np.ones_like(dts), np.log(dts)]).T
     slope = float(np.linalg.lstsq(A, np.log(errors), rcond=None)[0][1])
     return TemporalOrderReport(dts=dts, errors=errors, pairwise_orders=pairwise,

@@ -34,6 +34,8 @@ __all__ = ["SpectralField", "forward_transform", "inverse_transform", "hermitian
            "truncate_to_grid", "resample_values"]
 
 HERMITIAN_TOL = 1e-12
+# (2 pi)^2, the area of the square: ||f||^2 = FOUR_PI_SQ * sum |f_hat|^2
+FOUR_PI_SQ = (2.0 * np.pi) ** 2
 
 
 @dataclass
@@ -94,7 +96,7 @@ _MAX_TABLES = 16
 
 
 @functools.lru_cache(maxsize=_MAX_TABLES)
-def _cos_sin_table(n: tuple, ny: int) -> np.ndarray:
+def _cos_sin_table(n: range, ny: int) -> np.ndarray:
     """Rows w cos(n_i y) and -w sin(n_i y), interleaved, so that (re, im) of
     a coefficient times them is w Re(c e^{i n_i y}): w = 2 counts column -n_i,
     and columns 0 and ny/2, their own conjugates, take w = 1 and drop their
@@ -112,28 +114,25 @@ def _cos_sin_table(n: tuple, ny: int) -> np.ndarray:
 
 class _ColumnValues:
     """_real_values on an (nx, ny) grid of half spectra that are zero off the
-    columns cols (an index array or a slice): values(data), data the (nx,
-    ncols) columns, returns its own plane, which the next call overwrites.
-    Up to _PRODUCT_COLUMNS columns the values are within about 1e-15 of
+    column range cols, a slice: values(data), data the (nx, ncols) columns,
+    returns its own plane, which the next call overwrites.  Up to
+    _PRODUCT_COLUMNS columns the values are within about 1e-15 of
     max|values| of irfft2; past that they have its bits."""
 
-    def __init__(self, nx: int, ny: int, cols):
-        n = np.arange(ny // 2 + 1)[cols]
+    def __init__(self, nx: int, ny: int, cols: slice):
+        n = range(ny // 2 + 1)[cols]
         self.cols = cols
         self.out = np.empty((nx, ny))
         self.table = None
-        if n.size <= _PRODUCT_COLUMNS:
-            self.buf = np.empty((nx, n.size), dtype=np.complex128)
-            self.table = _cos_sin_table(tuple(n.tolist()), ny)
+        if len(n) <= _PRODUCT_COLUMNS:
+            self.buf = np.empty((nx, len(n)), dtype=np.complex128)
+            self.table = _cos_sin_table(n, ny)
         else:
             self.buf = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         if self.table is None:
-            if isinstance(self.cols, slice):
-                np.fft.ifft(data, axis=0, norm="forward", out=self.buf[:, self.cols])
-            else:
-                self.buf[:, self.cols] = np.fft.ifft(data, axis=0, norm="forward")
+            np.fft.ifft(data, axis=0, norm="forward", out=self.buf[:, self.cols])
             return np.fft.irfft(self.buf, n=self.out.shape[1], axis=1, norm="forward",
                                 out=self.out)
         np.fft.ifft(data, axis=0, norm="forward", out=self.buf)
@@ -183,17 +182,20 @@ def _full_from_block(block: np.ndarray, grid: Grid) -> np.ndarray:
     return _full_spectrum(half, grid.ny)
 
 
-def _nonzero_columns(half: np.ndarray) -> np.ndarray:
-    """Indices of the columns of a half spectrum that hold a nonzero entry."""
-    return np.flatnonzero(np.any(half != 0, axis=0))
+def _nonzero_columns(half: np.ndarray) -> slice:
+    """The columns of a half spectrum from its first to its last nonzero
+    one, as a slice; column 0 alone for a zero spectrum."""
+    nonzero = np.flatnonzero(np.any(half != 0, axis=0))
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else slice(0, 1)
 
 
-def _block_sq(block: np.ndarray) -> np.ndarray:
-    """|coefficient|^2 of a Galerkin block as terms of the full field's sums
-    of weights even in (m, n): columns n >= 1 count twice, once more for
-    their conjugates at -n."""
-    sq = np.abs(block) ** 2
-    sq[:, 1:] *= 2.0
+def _half_sq(half: np.ndarray, ny: int) -> np.ndarray:
+    """|coefficient|^2 of a half spectrum (see _half) or a Galerkin block of
+    an ny-column grid as terms of the full field's sums of weights even in
+    (m, n): columns 0 < n < ny/2 count twice, once more for their
+    conjugates at -n."""
+    sq = np.abs(half) ** 2
+    sq[:, 1:ny // 2] *= 2.0
     return sq
 
 
@@ -280,17 +282,14 @@ def hermitian_defect(field: SpectralField) -> float:
     return _relative_gap(_hermitian_gap(field.coeffs), field.coeffs)
 
 
-def _block_hermitian_defect(block: np.ndarray) -> float:
-    """hermitian_defect of the full field of a Galerkin block: only column 0
-    can break the symmetry, and it holds rows m and -m at i and -i mod 2K + 1."""
-    return _relative_gap(_hermitian_gap(block[:, :1]), block)
-
-
 def _require_real(state, error=SymmetryViolationError) -> None:
     """Raise error unless state, a SpectralField or a Galerkin block, holds
-    the coefficients of a real function."""
-    defect = (hermitian_defect(state) if isinstance(state, SpectralField)
-              else _block_hermitian_defect(state))
+    the coefficients of a real function: unless the hermitian_defect of its
+    field is at most HERMITIAN_TOL.  Only column 0 of a block can break the
+    symmetry, and it holds rows m and -m at i and -i mod 2K + 1."""
+    block = not isinstance(state, SpectralField)
+    c = state if block else state.coeffs
+    defect = _relative_gap(_hermitian_gap(c[:, :1] if block else c), c)
     if defect > HERMITIAN_TOL:
         raise error(
             f"conjugate-symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}; "
@@ -319,8 +318,6 @@ def fractional_derivative(field: SpectralField, axis: str, a: float) -> Spectral
     """|wavenumber|^a multiplier along one axis; a = 0 is the identity."""
     if a < 0:
         raise ValueError(f"fractional order must be >= 0, got {a}")
-    if a == 0:
-        return field.copy()
     mult = np.abs(_axis_wavenumbers(field.grid, axis)) ** a
     return SpectralField(field.grid, field.coeffs * mult)
 
@@ -402,8 +399,10 @@ def mean_zero_x_defect(field: SpectralField) -> float:
 
 
 def _dealias_mask(grid: Grid) -> np.ndarray:
-    """True where |m| <= nx/3 and |n| <= ny/3: the modes the two-thirds rule keeps."""
-    return (np.abs(grid.kx2d) <= grid.nx / 3.0) & (np.abs(grid.ky2d) <= grid.ny / 3.0)
+    """True where |m| <= nx/3 and |n| <= ny/3: the modes the two-thirds rule
+    keeps, those of the Galerkin block (see _block_dims)."""
+    K, kc = _block_dims(grid)
+    return (np.abs(grid.kx2d) <= K) & (np.abs(grid.ky2d) < kc)
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -507,8 +506,7 @@ class _RefinedPlanes:
         _require_real(state)
         if isinstance(state, SpectralField):
             half = state.coeffs[:, :self.cols.shape[1]]
-            nonzero = _nonzero_columns(half)
-            data = half[:, :int(nonzero[-1]) + 1 if nonzero.size else 1]
+            data = half[:, :_nonzero_columns(half).stop]
         else:
             data = self.rows(state)
         width = data.shape[1]

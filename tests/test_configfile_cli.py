@@ -371,6 +371,20 @@ def test_successful_rerun_removes_a_stale_error_json(tmp_path):
     assert _names(out) == ["diagnostics.csv", "resolved-config.txt", "summary.json"]
 
 
+def test_failed_rerun_keeps_the_earlier_artifacts_and_marks_itself_failed(tmp_path):
+    """A failed run removes no artifact of an earlier run in its directory:
+    error.json and the new resolved-config.txt mark the last run as failed."""
+    out = tmp_path / "run"
+    assert main(_simulate_args(out)) == 0
+    kept = {n: (out / n).read_bytes() for n in ("diagnostics.csv", "summary.json")}
+    assert main(_simulate_args(out, "solver.dt=-1")) == 2
+    assert _names(out) == ["diagnostics.csv", "error.json", "resolved-config.txt",
+                           "summary.json"]
+    assert {n: (out / n).read_bytes() for n in kept} == kept
+    assert "solver.dt = -1" in (out / "resolved-config.txt").read_text()
+    assert json.loads((out / "error.json").read_text())["error"]["exit_code"] == 2
+
+
 @pytest.mark.parametrize("leak", [
     {"rows.csv": (["x"], [[1.0]]), "report.json": {"max_ratio": float("nan")}},
     {"report.json": {"max_ratio": 1.0}, "rows.csv": (["x"], [[1.0], [float("-inf")]])},

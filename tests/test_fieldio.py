@@ -78,10 +78,6 @@ def test_suffix_picks_format(tmp_path, grid16, rng):
     save_field(f, pb)
     assert pj.read_text().lstrip().startswith("{")
     assert pb.read_bytes()[:8] == b"DGZK-FLD"
-    # explicit fmt overrides the suffix
-    px = tmp_path / "b.json"
-    save_field(f, px, fmt="binary")
-    assert np.array_equal(load_field(px, fmt="binary").coeffs, f.coeffs)
 
 
 def test_json_rejects_foreign_records(tmp_path, grid16, rng):
@@ -133,11 +129,3 @@ def test_binary_rejects_corruption(tmp_path, grid16, rng):
     with pytest.raises(ValueError, match="scalars"):
         load_field(p)
 
-
-def test_unknown_format_name(tmp_path, grid16, rng):
-    f = _complex_field(grid16, rng)
-    with pytest.raises(ValueError, match="fmt"):
-        save_field(f, tmp_path / "x.dat", fmt="hdf5")
-    save_field(f, tmp_path / "x.dat")
-    with pytest.raises(ValueError, match="fmt"):
-        load_field(tmp_path / "x.dat", fmt="hdf5")

@@ -161,6 +161,23 @@ def test_unitarity_survives_huge_phases(rng):
     assert abs(l2_norm(out) - l2_norm(f)) <= 1e-12 * l2_norm(f)
 
 
+def test_huge_phases_match_the_exact_exponential():
+    """On 32^2 with alpha 3 and beta 1 omega is an integer, and omega * t
+    at t = 1e9 stays below 2^53, so the float phase is exact: each
+    multiplier is e^{i omega t}, taken in 40-digit arithmetic, to 1e-15.
+    Reducing the phase by the float 2 pi first would be off by up to 3e-2."""
+    import mpmath
+    g = Grid(32, 32)
+    sym = DispersionSymbol(3, 1.0)
+    t = 1e9
+    omega = _symbol_tables(g, sym)[0]
+    assert np.all(omega == np.round(omega)) and np.max(np.abs(omega)) * t < 2.0 ** 53
+    got = propagate(SpectralField(g, np.ones(g.shape)), t, sym).coeffs
+    with mpmath.workdps(40):
+        want = [complex(mpmath.expj(mpmath.mpf(w) * mpmath.mpf(t))) for w in omega.ravel()]
+    assert np.max(np.abs(got - np.reshape(want, g.shape))) <= 1e-15
+
+
 def test_real_fields_stay_real_under_group_and_steppers():
     # real_field data carries weight on the x-Nyquist row, where omega is
     # even in n; the symbol tables must not rotate that row (propagate reads

@@ -36,9 +36,11 @@ from dgzk import (
     zero_field,
 )
 from dgzk.errors import SymmetryViolationError
+from dgzk import spectral
 from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockCoeffs, _BlockRows, _ColumnValues, _block,
-                           _block_dims, _block_hermitian_defect, _full_from_block,
-                           _full_spectrum, _half, _hermitian_gap, _real_coeffs, _real_values)
+                           _block_dims, _full_from_block, _full_spectrum, _half, _half_sq,
+                           _hermitian_gap, _nonzero_columns, _real_coeffs, _real_values,
+                           _require_real)
 
 from fieldgen import (_record_fft_calls, _record_products, assert_irfft2_values, band_field,
                       cos_x, real_field)
@@ -133,7 +135,17 @@ def test_hermitian_defect_equals_the_roll_flip_formula(nx, ny, seed, perturb):
        seed=st.integers(0, 2**32 - 1))
 def test_block_defect_is_the_defect_of_its_full_field(nx, ny, seed):
     """Only column 0 of a Galerkin block can break the symmetry of its full
-    field, and the defect read on the block is == the full field's."""
+    field, and the defect _require_real reads on the block is == the full
+    field's: it passes at a tolerance of that defect and fails at the float
+    below it."""
+    def assert_defect(state, defect):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "HERMITIAN_TOL", defect)
+            _require_real(state)
+            mp.setattr(spectral, "HERMITIAN_TOL", np.nextafter(defect, -np.inf))
+            with pytest.raises(SymmetryViolationError):
+                _require_real(state)
+
     rng = np.random.default_rng(seed)
     g = Grid(nx, ny)
     K, kc = _block_dims(g)
@@ -141,10 +153,12 @@ def test_block_defect_is_the_defect_of_its_full_field(nx, ny, seed):
     block[0, 0] = block[0, 0].real
     block[K + 1:, 0] = np.conj(block[K:0:-1, 0])    # column 0 Hermitian: m and -m
     full = SpectralField(g, _full_from_block(block, g))
-    assert _block_hermitian_defect(block) == hermitian_defect(full) == 0.0
+    assert hermitian_defect(full) == 0.0
+    assert_defect(block, 0.0)
     block[rng.integers(2 * K + 1), 0] += 1e-7 * rng.standard_normal()
     full = SpectralField(g, _full_from_block(block, g))
-    assert _block_hermitian_defect(block) == hermitian_defect(full)
+    assert_defect(block, hermitian_defect(full))
+    assert_defect(full, hermitian_defect(full))
 
 
 def test_hermitian_defect_and_symmetry_gate(rng):
@@ -184,6 +198,14 @@ def test_fractional_derivative_zero_order_is_identity(rng):
     for axis in ("x", "y"):
         out = fractional_derivative(f, axis, 0.0)
         assert np.array_equal(out.coeffs, f.coeffs)
+        assert out.coeffs is not f.coeffs
+
+
+def test_fractional_derivative_checks_the_axis_at_order_zero():
+    """Order 0 takes the general path, |k|^0 = 1, so it checks the axis too."""
+    f = real_field(Grid(16, 16), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="axis"):
+        fractional_derivative(f, "z", 0.0)
 
 
 def test_fractional_derivative_semigroup(rng):
@@ -367,7 +389,8 @@ even_sizes = st.integers(4, 32).map(lambda k: 2 * k)
 @given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1))
 def test_half_spectrum_helpers_agree_with_the_full_transforms(nx, ny, seed):
     """The real transforms and the half/full layout maps reproduce the
-    complex transforms of real samples."""
+    complex transforms of real samples, and _half_sq weighs the half
+    spectrum to the full sum of |c|^2 (column ny/2 counted once)."""
     v = np.random.default_rng(seed).standard_normal((nx, ny))
     c = np.fft.fft2(v, norm="forward")
     h = _real_coeffs(v)
@@ -375,6 +398,7 @@ def test_half_spectrum_helpers_agree_with_the_full_transforms(nx, ny, seed):
     vals = _real_values(_half(c), ny)
     assert np.max(np.abs(vals - np.fft.ifft2(c, norm="forward").real)) <= 1e-14 * np.max(np.abs(v))
     assert np.array_equal(_half(_full_spectrum(h, ny)), h)
+    assert np.isclose(np.sum(_half_sq(h, ny)), np.sum(np.abs(c) ** 2), rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -394,22 +418,27 @@ def test_public_transforms_on_rectangular_grids(nx, ny, seed):
 @settings(max_examples=60, deadline=None)
 @given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_column_pruned_real_values_equal_the_full_real_transform(nx, ny, seed, data):
-    """The x pass over the nonzero columns alone gives the values of irfft2
-    (see assert_irfft2_values), also when the evaluator is called again for
-    a second spectrum on the same columns (as strichartz_norm calls it over
-    its time samples)."""
+    """The x pass over the column range from the first to the last nonzero
+    column (see _nonzero_columns) gives the values of irfft2 (see
+    assert_irfft2_values), also with zero columns inside the range, and
+    when the evaluator is called again for a second spectrum on the same
+    columns (as strichartz_norm calls it over its time samples)."""
     h = ny // 2 + 1
-    cols = np.array(sorted(data.draw(st.sets(st.integers(0, h - 1)), label="cols")),
-                    dtype=np.intp)
+    start = data.draw(st.integers(0, h - 1), label="start")
+    stop = data.draw(st.integers(start + 1, h), label="stop")
+    inner = [c for c in sorted(data.draw(st.sets(st.integers(start, stop - 1)),
+                                         label="zero columns")) if start < c < stop - 1]
     rng = np.random.default_rng(seed)
     # half spectra of real samples fill column 0 and the x-Nyquist row
-    values = _ColumnValues(nx, ny, cols)
+    values = _ColumnValues(nx, ny, slice(start, stop))
     for _ in range(2):
         half = _real_coeffs(rng.standard_normal((nx, ny)))
-        half[:, np.setdiff1d(np.arange(h), cols)] = 0.0
+        half[:, :start] = half[:, stop:] = half[:, inner] = 0.0
+        cols = _nonzero_columns(half)
+        assert (cols.start, cols.stop) == (start, stop)
         got = values(half[:, cols])
         assert got is values.out
-        assert_irfft2_values(got, _real_values(half, ny), cols.size)
+        assert_irfft2_values(got, _real_values(half, ny), stop - start)
 
 
 @pytest.mark.parametrize("y_pass", ["product", "irfft"])
@@ -419,28 +448,25 @@ def test_column_pruned_real_values_equal_the_full_real_transform(nx, ny, seed, d
 def test_the_y_pass_is_chosen_by_the_number_of_data_columns(y_pass, nx, ny, seed, data):
     """Up to _PRODUCT_COLUMNS data columns the y pass is one cos/sin product
     and no irfft, past them one irfft and no product; either way the values
-    are those of irfft2, on index sets with or without column 0 and the
-    Nyquist column ny/2, on contiguous slices, on rectangular grids, and
-    with the evaluator called again for a second spectrum."""
+    are those of irfft2, on column ranges with or without column 0 and the
+    Nyquist column ny/2, with or without zero columns inside, on
+    rectangular grids, and with the evaluator called again for a second
+    spectrum."""
     h = ny // 2 + 1
     lo, hi = (1, _PRODUCT_COLUMNS) if y_pass == "product" else (_PRODUCT_COLUMNS + 1, h)
     ncols = data.draw(st.integers(lo, hi), label="ncols")
     rng = np.random.default_rng(seed)
-    if data.draw(st.booleans(), label="slice"):
-        start = data.draw(st.integers(0, h - ncols), label="start")
-        cols = slice(start, start + ncols)
-    else:
-        ends = [0, h - 1][:ncols] if data.draw(st.booleans(), label="ends") else []
-        rest = rng.permutation(np.setdiff1d(np.arange(h), ends))[:ncols - len(ends)]
-        cols = np.sort(np.concatenate([ends, rest])).astype(np.intp)
-    kept = np.arange(h)[cols]
+    start = data.draw(st.sampled_from([0, h - ncols]) | st.integers(0, h - ncols), label="start")
+    cols = slice(start, start + ncols)
+    inner = rng.permutation(np.arange(start + 1, start + ncols - 1))
+    inner = inner[:data.draw(st.integers(0, inner.size), label="zero columns")]
     values = _ColumnValues(nx, ny, cols)
     with pytest.MonkeyPatch.context() as mp:
         calls = _record_fft_calls(mp)
         products = _record_products(mp)
         for _ in range(2):
             half = _real_coeffs(rng.standard_normal((nx, ny)))
-            half[:, np.setdiff1d(np.arange(h), kept)] = 0.0
+            half[:, :cols.start] = half[:, cols.stop:] = half[:, inner] = 0.0
             out = values(half[:, cols])
             assert out is values.out
             assert_irfft2_values(out, np.fft.irfft2(half, s=(nx, ny), norm="forward"), ncols)
