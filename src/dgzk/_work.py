@@ -3,7 +3,8 @@
 A run whose predicted work, in the units of _UNITS, is above its ceiling
 raises ValueError (exit 2 from the CLI) at once, where it would otherwise
 run for hours or exhaust memory.  At a ceiling a run takes minutes, or
-about 1 GB for "grid_bytes"; the default runs stay well below each.
+about 1 GB for "grid_bytes", which every Grid checks when it is built;
+the default runs stay well below each.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ _UNITS = {"weyl": "terms ((degree + 1) * trials * sum(N), plus 10000 per coeffic
           "commutator": "grid points (pairs * len(s_values) * 2nx * 2ny)",
           "kernel": "lattice terms ((samples_per_cell + 2) * sum of the cells' lattice terms "
                     "+ a fixed charge per kernel_sum call)",
-          "grid_bytes": "bytes of the largest array, the 2x diagnostics plane (32 * nx * ny)"}
+          "grid_bytes": "bytes of the largest array on a grid, its 2x plane (32 * nx * ny)"}
 
 
 def check_work(kind: str, work: int) -> None:

@@ -40,7 +40,6 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from ._work import check_work
 from .configfile import COMMANDS, parse_config_text, resolve_config
 from .diagnostics import commutator_scan, diagnostics_csv
 from .errors import (
@@ -111,9 +110,7 @@ def _symbol_from(cfg: dict, mu: float = 0.0) -> DispersionSymbol:
 
 
 def _grid_from(cfg: dict) -> Grid:
-    grid = Grid(nx=cfg["grid.nx"], ny=cfg["grid.ny"])
-    check_work("grid_bytes", 32 * grid.nx * grid.ny)
-    return grid
+    return Grid(nx=cfg["grid.nx"], ny=cfg["grid.ny"])
 
 
 def _initial_from(cfg: dict, grid: Grid):

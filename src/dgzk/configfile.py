@@ -105,8 +105,8 @@ _SCAN_PRESETS: Dict[str, Dict[str, Dict[str, object]]] = {
                          "scan.k_min": 1, "scan.k_max": 3, "scan.trials": 5},
         **{f"alpha{alpha}-full": {"symbol.alpha": alpha, "symbol.beta": 1.0,
                                   "scan.j_min": 3, "scan.j_max": 7,
-                                  "scan.k_min": 3, "scan.k_max": 7, "scan.trials": 20}
-           for alpha in (1, 2, 3)},
+                                  "scan.k_min": 3, "scan.k_max": k_max, "scan.trials": 20}
+           for alpha, k_max in ((1, 7), (2, 4), (3, 4))},
     },
     "kernel-scan": {
         "alpha1-small": {"symbol.alpha": 1, "symbol.beta": 1.0,

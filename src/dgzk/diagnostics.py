@@ -229,7 +229,8 @@ def commutator_scan(grid: Grid, pairs: int, s_values: Sequence[float], seed: int
     Work above the ceiling (see dgzk._work) raises ValueError before a draw."""
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
-    check_work("commutator", pairs * len(s_values) * 4 * grid.nx * grid.ny)
+    big = Grid(2 * grid.nx, 2 * grid.ny)  # commutator_check's grid: refused before a draw
+    check_work("commutator", pairs * len(s_values) * big.nx * big.ny)
     if band is None:
         band = max(1, grid.nx // 4)
 

@@ -11,6 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ._work import check_work
+
 __all__ = ["Grid"]
 
 
@@ -21,7 +23,8 @@ def _wavenumbers(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform nx-by-ny grid on the bi-periodic square of side 2*pi."""
+    """Uniform nx-by-ny grid on the bi-periodic square of side 2*pi; refused
+    (ValueError) if its 2x plane is above the "grid_bytes" ceiling of _work."""
 
     nx: int
     ny: int
@@ -30,6 +33,7 @@ class Grid:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if not isinstance(n, (int, np.integer)) or n < 8 or n % 2 != 0:
                 raise ValueError(f"{name} must be an even integer >= 8, got {n!r}")
+        check_work("grid_bytes", 32 * int(self.nx) * int(self.ny))  # Python ints do not wrap
 
     @cached_property
     def kx(self) -> np.ndarray:

@@ -41,6 +41,7 @@ from .spectral import (
     _half_sq,
     _real_values,
     _require_real,
+    _sup,
     dealias,
     l2_norm,
     mean_zero_x_defect,
@@ -190,16 +191,21 @@ def _etdrk4_phi(z: np.ndarray):
 
 class _BlockStepper:
     """Set-up both schemes share: the Galerkin block's eigenvalues
-    lam = i omega - gamma of L, max|Im lam| * dt (the phase per step), the
-    quadratic term and six workspace blocks that every step reuses.  Each
-    scheme makes its tables from lam in _tables."""
+    lam = i omega - gamma of L, the quadratic term and six workspace blocks
+    that every step reuses.  Each scheme makes its tables from lam in
+    _tables.  A phase per step max|omega| * dt over the block, the modes
+    the steppers turn, above PHASE_PER_STEP_LIMIT warns (RuntimeWarning)."""
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
         self.dims = _block_dims(grid)
         omega, gamma = (t if t is None else _block(t, *self.dims)
                         for t in _symbol_tables(grid, symbol))
         lam = 1j * omega if gamma is None else 1j * omega - gamma
-        self.max_phase = float(np.max(np.abs(omega))) * dt
+        phase = float(np.max(np.abs(omega))) * dt
+        if phase > PHASE_PER_STEP_LIMIT:
+            warnings.warn(f"linear phase per step is {phase:.3g} radians; "
+                          "accuracy of the exponential factor degrades at this magnitude",
+                          RuntimeWarning)
         self.nonlinear = _QuadraticTerm(grid)
         self.work = np.empty((6, *lam.shape), dtype=np.complex128)
         self._tables(lam, dt)
@@ -270,20 +276,15 @@ class Ifrk4Stepper(_BlockStepper):
 _STEPPERS = {"etdrk4": Etdrk4Stepper, "ifrk4": Ifrk4Stepper}
 
 
-def _check_guards(grid: Grid, dt: float, c: np.ndarray, values, warned: dict):
-    """Warn once when the CFL number of the Galerkin block c, whose point
-    values `values` gives, passes CFL_LIMIT; return max|u|, or None if warned."""
-    if warned.get("cfl"):
-        return None
-    umax = float(np.max(np.abs(values(c))))
-    if dt * umax * (grid.nx / 2.0) > CFL_LIMIT:
-        warnings.warn(
-            f"nonlinear CFL guard: dt * max|u| * max|m| = "
-            f"{dt * umax * (grid.nx / 2.0):.3g} exceeds {CFL_LIMIT}",
-            RuntimeWarning,
-        )
-        warned["cfl"] = True
-    return umax
+def _cfl_guard(grid: Grid, dt: float, values: np.ndarray) -> bool:
+    """Warn, and return True, when the CFL number of the point values u
+    passes CFL_LIMIT."""
+    cfl = dt * _sup(values) * (grid.nx / 2.0)
+    warned = cfl > CFL_LIMIT
+    if warned:
+        warnings.warn(f"nonlinear CFL guard: dt * max|u| * max|m| = {cfl:.3g} exceeds {CFL_LIMIT}",
+                      RuntimeWarning)
+    return warned
 
 
 def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
@@ -294,7 +295,9 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     (InvalidInitialDataError otherwise); a relative mean defect up to 1e-12
     is projected away silently.  A run above the "simulate" (grid-point
     steps) or "records" (bytes of recorded blocks) ceiling of
-    _work.MAX_WORK raises ValueError before its stepper is built.
+    _work.MAX_WORK raises ValueError before its stepper is built.  A step
+    whose squared norm is not finite raises DivergenceError; the first
+    recorded state past the CFL guard warns, as the stepper does for its phase.
     """
     grid = config.grid
     if phi.grid != grid:
@@ -315,13 +318,6 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     n_blocks = -(-n_steps // config.record_every)
     check_work("records", n_blocks * (2 * dims[0] + 1) * dims[1] * 16)
     stepper = _STEPPERS[config.integrator](grid, config.symbol, dt)
-    # the steppers turn the Galerkin block only, so its phases are the ones carried
-    if stepper.max_phase > PHASE_PER_STEP_LIMIT:
-        warnings.warn(
-            f"linear phase per step is {stepper.max_phase:.3g} radians; "
-            "accuracy of the exponential factor degrades at this magnitude",
-            RuntimeWarning,
-        )
 
     mu = config.symbol.mu
     if mu > 0:
@@ -332,8 +328,7 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
 
     # the state is the Galerkin block: every other mode stays exactly zero
     c = _block(phi.coeffs, *dims)
-    warned: dict = {}
-    _check_guards(grid, dt, c, stepper.nonlinear.values, warned)
+    warned = _cfl_guard(grid, dt, stepper.nonlinear.values(c))
 
     rec_times = [0.0]
     rec_blocks = []
@@ -343,7 +338,7 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
 
     for i in range(1, n_steps + 1):
         c = stepper.step(c)
-        if not np.all(np.isfinite(c)):
+        if not math.isfinite(np.vdot(c, c).real):  # a NaN, an infinity or an overflowing norm
             raise DivergenceError(step=i, t=i * dt)
         if mu > 0:
             cur = lap_sq_norm(c)
@@ -353,7 +348,7 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             rec_times.append(config.t_end if i == n_steps else i * dt)
             rec_blocks.append(c)
             rec_diss.append(diss_accum)
-            _check_guards(grid, dt, c, stepper.nonlinear.values, warned)
+            warned = warned or _cfl_guard(grid, dt, stepper.nonlinear.values(c))
     # the records' 2x planes set the peak memory: free the workspaces first
     del stepper
 
@@ -473,7 +468,7 @@ def spatial_convergence_study(symbol: DispersionSymbol, profile, n_values: Seque
     is a `simulate` run of a SimulationConfig built before the first run
     starts.  At least two distinct resolutions are required.
     A study above the "study" ceiling of _work.MAX_WORK, or whose reference
-    grid is above "grid_bytes", raises ValueError before any profile is built.
+    Grid is refused, raises ValueError before any profile is built.
     """
     n_values = sorted(int(n) for n in n_values)
     if len(set(n_values)) < 2:
@@ -483,7 +478,6 @@ def spatial_convergence_study(symbol: DispersionSymbol, profile, n_values: Seque
     ref, *runs = (SimulationConfig(grid=Grid(n, n), symbol=symbol, dt=dt, t_end=t_end,
                                    record_every=10**9) for n in [2 * n_values[-1], *n_values])
     check_work("study", ref._n_steps * sum(run.grid.nx * run.grid.ny for run in [ref, *runs]))
-    check_work("grid_bytes", 32 * ref.grid.nx * ref.grid.ny)
     final = lambda run: simulate(run, profile(run.grid)).final_state
     ref_final = final(ref)
     errors = []

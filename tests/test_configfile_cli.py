@@ -5,13 +5,15 @@ import signal
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgzk import cli, configfile
+import test_acceptance
+from dgzk import cli, configfile, diagnostics
 from dgzk.cli import _RUNNERS, main
 from dgzk.configfile import COMMANDS, SCHEMAS, parse_config_text, resolve_config
 from dgzk.errors import ConfigError
@@ -607,6 +609,8 @@ _CASES = st.sampled_from(COMMANDS).flatmap(lambda command: st.tuples(
 @example(("regularized-family", {"initial.preset": "zero"}, []))
 @example(("convergence", {"initial.preset": "zero"}, []))
 @example(("regularized-family", {"initial.amplitude": "1e-300"}, []))
+# every entry of the mu = 0 run stays finite, but its squared norm overflows at step 7 (exit 4)
+@example(("regularized-family", {"initial.amplitude": "266", "solver.t_end": "0.033203125"}, []))
 def test_fuzzed_values_of_every_command_map_to_documented_exit_codes(case):
     command, values, bad = case
     values = {key: raw for key, raw in values.items() if raw is not None}
@@ -682,9 +686,12 @@ def test_weyl_degree_below_one_exits_2(tmp_path):
     # but each call costs about 155 us: 8.0e11 terms with the per-call charge
     ("kernel-scan", ["scan.j_min=1", "scan.j_max=2", "scan.k_min=1", "scan.k_max=2",
                      "scan.samples_per_cell=10000000"], "per kernel_sum call"),
-    # 100 steps at 4096^2, 8192^2 and the 16384^2 reference are 3.5e10 grid-point steps
-    ("convergence", ["conv.mode=spatial", "conv.n_values=4096,8192"],
+    # 100 steps at 1024^2, 2048^2 and the 4096^2 reference are 2.2e9 grid-point steps
+    ("convergence", ["conv.mode=spatial", "conv.n_values=1024,2048"],
      "grid-point steps (sum of steps * nx * ny over the runs)"),
+    # the 2x plane of the 16384^2 reference grid takes 8.6e9 bytes
+    ("convergence", ["conv.mode=spatial", "conv.n_values=4096,8192"],
+     "bytes of the largest array"),
     # one trial of N = 64 at degree 1e8 is 6.4e9 terms and 1e8 coefficient columns
     ("weyl-scan", ["weyl.degree=100000000", "weyl.trials=1", "weyl.n_values=64"],
      "(degree + 1) * trials * sum(N)"),
@@ -695,7 +702,7 @@ def test_weyl_degree_below_one_exits_2(tmp_path):
     # 2e8 rows of one term each, at about 40 us a row: 8e11 terms with the per-row charge
     ("weyl-scan", ["weyl.degree=1", "weyl.trials=200000000", "weyl.n_values=1"], "per row"),
 ], ids=["weyl", "strichartz", "vdc", "commutator", "kernel", "kernel-calls", "spatial",
-        "weyl-degree", "weyl-columns", "weyl-rows"])
+        "spatial-grid", "weyl-degree", "weyl-columns", "weyl-rows"])
 def test_scan_above_the_work_ceiling_exits_2_at_once(tmp_path, command, settings, units):
     out = tmp_path / "run"
     args = [command, "--out", str(out)]
@@ -729,6 +736,45 @@ def test_simulate_above_the_work_ceiling_exits_2_at_once(tmp_path, settings, uni
     record = json.loads((out / "error.json").read_text())
     assert record["error"]["type"] == "ValueError"
     assert units in record["error"]["message"]
+
+
+def test_commutator_scan_refuses_its_2x_grid_before_a_draw(tmp_path, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the 2x grid")
+
+    monkeypatch.setattr(diagnostics, "random_band_field", no_draws)
+    out = tmp_path / "run"
+    # 4096^2 passes, but the 2x plane of its 8192^2 doubled grid takes 2.1e9 bytes
+    args = ["commutator-scan", "--out", str(out), "--set", "grid.nx=4096", "--set", "grid.ny=4096",
+            "--set", "comm.pairs=1", "--set", "comm.s_values=1"]
+    assert main(args) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert "bytes of the largest array" in record["error"]["message"]
+
+
+def test_full_scan_presets_pin_the_acceptance_scans(monkeypatch):
+    """README: the *-full scan.preset values pin the ranges of criteria 06 and 07."""
+    calls = {"strichartz-scan": {}, "kernel-scan": {}}
+
+    def recorder(command, count):
+        def scan(symbol, j_range, k_range, **kwargs):
+            calls[command][f"alpha{symbol.alpha}-full"] = {
+                "symbol.alpha": symbol.alpha, "symbol.beta": symbol.beta,
+                "scan.j_min": j_range[0], "scan.j_max": j_range[-1],
+                "scan.k_min": k_range[0], "scan.k_max": k_range[-1],
+                count: kwargs[count.removeprefix("scan.")]}
+            return SimpleNamespace(slope_j=-1.0, slope_k=-1.0, max_ratio=1.0)
+        return scan
+
+    monkeypatch.setattr(test_acceptance, "strichartz_scan",
+                        recorder("strichartz-scan", "scan.trials"))
+    monkeypatch.setattr(test_acceptance, "kernel_decay_scan",
+                        recorder("kernel-scan", "scan.samples_per_cell"))
+    test_acceptance.test_criterion_06_group_decay_exponents()
+    test_acceptance.test_criterion_07_kernel_decay_exponents()
+    for command, presets in configfile._SCAN_PRESETS.items():
+        full = {name: settings for name, settings in presets.items() if name.endswith("-full")}
+        assert full == calls[command]
 
 
 def test_cli_imports_no_numpy():

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dgzk
 from dgzk import Grid
 
 
@@ -53,3 +57,22 @@ def test_axis_name_validation():
     g = Grid(8, 8)
     with pytest.raises(ValueError):
         g.size_along("z")
+
+
+def test_grid_refuses_a_2x_plane_above_the_ceiling():
+    # 32 * 5590^2 = 9.9995e8 bytes passes, 32 * 5592 * 5590 = 1.0003e9 does not
+    assert Grid(5590, 5590).shape == (5590, 5590)
+    with pytest.raises(ValueError, match="bytes of the largest array"):
+        Grid(5592, 5590)
+
+
+def test_only_grid_checks_the_grid_bytes_ceiling():
+    """Every array lives on some Grid, so the check in Grid covers them all."""
+    checkers = set()
+    for path in Path(dgzk.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_work"
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == "grid_bytes"):
+                checkers.add(path.name)
+    assert checkers == {"grid.py"}

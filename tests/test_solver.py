@@ -31,8 +31,8 @@ from dgzk import (
     zero_field,
 )
 from dgzk.propagator import _symbol_tables
-from dgzk.solver import (SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper,
-                         _check_guards, _etdrk4_phi, l2_identity_residual)
+from dgzk.solver import (CFL_LIMIT, SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Stepper,
+                         _cfl_guard, _etdrk4_phi, l2_identity_residual)
 from dgzk.errors import (DivergenceError, InsufficientDataError, InvalidInitialDataError,
                          SymmetryViolationError)
 from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockRows, _ColumnValues, _block, _block_dims,
@@ -302,17 +302,22 @@ def test_a_steady_state_step_allocates_less_than_three_blocks():
 
 
 def test_cfl_guard_reads_the_sup_of_the_recorded_state():
-    """The guard's max|u| is that of the state's irfft2 values, to 1e-14
-    relative: kc = 9 columns take the cos/sin product."""
+    """The guard reads max|u| of the state's irfft2 values (kc = 9 columns
+    take the cos/sin product): with dt set so that the CFL number of either
+    irfft2 max|u| is the limit, it stays silent at dt * (1 - 1e-13) and
+    warns at dt * (1 + 1e-13)."""
     g = Grid(32, 24)
     state = dealias(project_mean_zero_x(band_field(g, 8, np.random.default_rng(3))))
     c = _block(state.coeffs, *_block_dims(g))
-    values = Etdrk4Stepper(g, SYM, 1e-9).nonlinear.values
-    umax = _check_guards(g, 1e-9, c, values, {})
+    values = Etdrk4Stepper(g, SYM, 1e-9).nonlinear.values(c)
     for full in (state, SpectralField(g, _full_from_block(c, g))):
         want = np.max(np.abs(inverse_transform(full)))
-        assert abs(umax - want) <= 1e-14 * want
-    assert _check_guards(g, 1e-9, c, values, {"cfl": True}) is None
+        dt = CFL_LIMIT / (want * g.nx / 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _cfl_guard(g, dt * (1 - 1e-13), values)
+        with pytest.warns(RuntimeWarning, match="nonlinear CFL guard"):
+            assert _cfl_guard(g, dt * (1 + 1e-13), values)
 
 
 def test_simulate_zero_data_stays_zero():
@@ -402,6 +407,18 @@ def test_divergence_error_carries_location():
     assert info.value.t > 0.0
 
 
+def test_an_overflowing_norm_is_divergence():
+    """Every entry of the state after step 7 is finite (max|c| about 2e178),
+    but its squared norm overflows: the run diverged there."""
+    g = Grid(16, 16)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=5e-3, t_end=0.033203125)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DivergenceError) as info:
+            simulate(cfg, initial_data(g, "cos-x", amplitude=266.0))
+    assert info.value.step == 7
+
+
 def test_cfl_warning():
     g = Grid(32, 32)
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=1e-2, t_end=0.02)
@@ -420,6 +437,13 @@ def test_phase_magnitude_warning():
     cfg = SimulationConfig(grid=g, symbol=sym, dt=0.3, t_end=0.3)
     with pytest.warns(RuntimeWarning, match="phase per step"):
         simulate(cfg, zero_field(g))
+
+
+@pytest.mark.parametrize("stepper", [Etdrk4Stepper, Ifrk4Stepper])
+def test_building_a_stepper_warns_above_the_phase_limit(stepper):
+    # the largest phase in the Galerkin block is 1.23e6 rad per step
+    with pytest.warns(RuntimeWarning, match="phase per step is 1.23e"):
+        stepper(Grid(64, 64), DispersionSymbol(3, 1.0), 0.3)
 
 
 def test_phase_guard_reads_the_galerkin_block_only():

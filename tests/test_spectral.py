@@ -362,6 +362,16 @@ def test_resample_values_interpolates_band_limited():
     assert np.array_equal(vals, inverse_transform(embed_in_grid(c, fine)))
 
 
+def test_resample_values_refuses_a_grid_above_the_ceiling(monkeypatch):
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("padded onto a grid above the ceiling")
+
+    monkeypatch.setattr(spectral, "embed_in_grid", no_embedding)
+    # the 160000^2 grid's 2x plane takes 8.2e11 bytes
+    with pytest.raises(ValueError, match="bytes of the largest array"):
+        resample_values(cos_x(Grid(16, 16)), 10**4)
+
+
 def test_spectral_is_the_only_module_calling_numpy_fft():
     """The normalization and layout live in one transform layer; a second
     caller of numpy.fft would have to repeat them."""

@@ -238,6 +238,10 @@ def test_scan_refuses_work_above_the_ceiling_before_drawing(monkeypatch):
     # 1e8 trials of 64 samples on the cells' 64 x 64 .. 128 x 128 grids
     with pytest.raises(ValueError, match=r"trials \* sum of nx \* ny \* n_times"):
         strichartz_scan(SYM, [3, 4], [3, 4], trials=10**8)
+    # 6.1e9 samples pass that ceiling, but the 16000 x 4000 grid of cell (2, 0)
+    # has a 2x plane of 2.0e9 bytes
+    with pytest.raises(ValueError, match="bytes of the largest array"):
+        strichartz_scan(SYM, [1, 2], [0], trials=1, refine=2000)
     # the acceptance preset alpha1-full (criterion 06) stays under the ceiling
     work = 20 * 64 * sum(_shell_grid(j, k, 4).nx * _shell_grid(j, k, 4).ny
                          for j in range(3, 8) for k in range(3, 8))
