@@ -18,7 +18,7 @@ class InvalidInitialDataError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Time stepping produced non-finite state."""
+    """Time stepping produced a non-finite state, or a state with a non-finite record."""
 
     def __init__(self, step: int, t: float):
         self.step = step

@@ -17,7 +17,7 @@ from ..grid import Grid
 from ..presets import _random_real
 from ..propagator import DispersionSymbol, _phase_speeds
 from ..spectral import (SpectralField, _ColumnValues, _half, _nonzero_columns, _require_real,
-                        _sup, l2_norm, shell_indices)
+                        l2_norm, shell_indices)
 from ._shellscan import ShellScanReport, shell_lists, shell_scan
 
 __all__ = ["shell_field", "strichartz_norm", "strichartz_scan"]
@@ -28,13 +28,9 @@ def _shell_grid(j: int, k: int, refine: int) -> Grid:
     return Grid(nx=max(8, refine * 2 ** (j + 1)), ny=max(8, refine * 2 ** (k + 1)))
 
 
-def shell_field(grid: Grid, j: int, k: int, rng) -> SpectralField:
-    """Random real-valued field supported on x-shell j and y-shell k, unit L2.
-
-    The x-shell index must be >= 1: shell 0 is the m = 0 band, where the
-    group acts trivially and the decay statement is empty.  k = 0 (the
-    n = 0 band) is allowed.
-    """
+def _shell_block(grid: Grid, j: int, k: int):
+    """The rows and the columns of shell (j, k) on grid, both signs of each;
+    ValueError unless j >= 1, k >= 0 and the grid holds the shell."""
     if j < 1:
         raise ValueError(f"x-shell index must be >= 1, got {j}")
     if k < 0:
@@ -43,12 +39,51 @@ def shell_field(grid: Grid, j: int, k: int, rng) -> SpectralField:
     cols = np.flatnonzero(shell_indices(grid.ky) == k)
     if not (rows.size and cols.size):
         raise ValueError(f"grid {grid.nx}x{grid.ny} does not contain shell ({j}, {k})")
+    return rows, cols
+
+
+def shell_field(grid: Grid, j: int, k: int, rng) -> SpectralField:
+    """Random real-valued field supported on x-shell j and y-shell k, unit L2.
+
+    The x-shell index must be >= 1: shell 0 is the m = 0 band, where the
+    group acts trivially and the decay statement is empty.  k = 0 (the
+    n = 0 band) is allowed.
+    """
+    rows, cols = _shell_block(grid, j, k)
     field = _random_real(grid, rows, cols, rng)
     norm = l2_norm(field)
     if norm == 0.0:
         raise ValueError("degenerate draw: all shell coefficients vanished")
-    field.coeffs /= norm
+    field.coeffs[np.ix_(rows, cols)] /= norm  # 0 / norm is +0.0: the rest keeps its bits
     return field
+
+
+def _norm_evaluator(grid: Grid, symbol: DispersionSymbol, cols: slice, t_max: float,
+                    n_times: int):
+    """norm(half): the strichartz_norm of a real field on grid from its half
+    spectrum, which must be zero off the column range cols, a slice.  The
+    phase step and the column evaluator are built here once, for every
+    half spectrum that norm is called on; ValueError for fewer than 64
+    samples, t_max <= 0 or a damped symbol."""
+    if n_times < 64:
+        raise ValueError(f"need at least 64 time samples, got {n_times}")
+    if t_max <= 0:
+        raise ValueError(f"t_max must be positive, got {t_max}")
+    if symbol.mu > 0:
+        raise ValueError("decay scan uses the undamped group (mu = 0)")
+    times = np.linspace(0.0, t_max, n_times)
+    omega = _phase_speeds(grid, symbol, grid.ky2d[:, cols])
+    step = np.exp(1j * omega * (times[1] - times[0]))
+    values = _ColumnValues(*grid.shape, cols)
+    sups = np.empty(n_times)
+
+    def norm(half: np.ndarray) -> float:
+        cur = half[:, cols].copy()
+        for i in range(n_times):
+            sups[i] = values.sup(cur)
+            np.multiply(cur, step, out=cur)
+        return float(np.sqrt(np.trapezoid(sups ** 2, times)))
+    return norm
 
 
 def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
@@ -63,34 +98,23 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     nonzero column (a shell field fills all of them); the group keeps every
     column outside it zero.
     """
-    if n_times < 64:
-        raise ValueError(f"need at least 64 time samples, got {n_times}")
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    if symbol.mu > 0:
-        raise ValueError("decay scan uses the undamped group (mu = 0)")
-    _require_real(phi)
-    times = np.linspace(0.0, t_max, n_times)
     half = _half(phi.coeffs)
-    cols = _nonzero_columns(half)
-    cur = half[:, cols]
-    omega = _phase_speeds(phi.grid, symbol, phi.grid.ky2d[:, cols])
-    step = np.exp(1j * omega * (times[1] - times[0]))
-    values = _ColumnValues(*phi.grid.shape, cols)
-    sups = np.empty(n_times)
-    for i in range(n_times):
-        sups[i] = _sup(values(cur))
-        cur = cur * step
-    return float(np.sqrt(np.trapezoid(sups ** 2, times)))
+    norm = _norm_evaluator(phi.grid, symbol, _nonzero_columns(half), t_max, n_times)
+    _require_real(phi)
+    return norm(half)
 
 
 def _cell_measurement(symbol, j, k, trials, seed, n_times, refine):
+    """The largest strichartz_norm over the cell's trials, each through one
+    evaluator on the shell's column range, which every draw fills."""
     grid = _shell_grid(j, k, refine)
-    t_max = 2.0 ** (-(j + k))
+    _, cols = _shell_block(grid, j, k)
+    n = cols[cols <= grid.ny // 2]  # the half spectrum's columns |n| ~ 2^k, a range
+    norm = _norm_evaluator(grid, symbol, slice(int(n[0]), int(n[-1]) + 1), 2.0 ** (-(j + k)),
+                           n_times)
     # each trial's field is freed before the next one is drawn
     rngs = (np.random.default_rng([seed, j, k, trial]) for trial in range(trials))
-    return max(strichartz_norm(shell_field(grid, j, k, rng), symbol, t_max, n_times)
-               for rng in rngs)
+    return max(norm(_half(shell_field(grid, j, k, rng).coeffs)) for rng in rngs)
 
 
 def strichartz_scan(symbol: DispersionSymbol, j_range: Sequence[int],

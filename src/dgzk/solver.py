@@ -296,8 +296,10 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     is projected away silently.  A run above the "simulate" (grid-point
     steps) or "records" (bytes of recorded blocks) ceiling of
     _work.MAX_WORK raises ValueError before its stepper is built.  A step
-    whose squared norm is not finite raises DivergenceError; the first
-    recorded state past the CFL guard warns, as the stepper does for its phase.
+    whose squared norm is not finite raises DivergenceError, and so does
+    the first recorded state whose record holds a non-finite number, at its
+    step; the first recorded state past the CFL guard warns, as the stepper
+    does for its phase.
     """
     grid = config.grid
     if phi.grid != grid:
@@ -355,6 +357,10 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     times = np.array(rec_times)
     states = RecordedStates(phi, rec_blocks)
     records = _diag.build_records(times, states, config.symbol, config.h_s)
+    for r, rec in enumerate(records):  # a finite state's energy can still be inf - inf
+        if not all(map(math.isfinite, (rec.mass, rec.energy, *rec.h_s_norms.values(), rec.sup_u,
+                                       rec.sup_ux, rec.sup_uy, rec.g_accum))):
+            raise DivergenceError(step=min(r * config.record_every, n_steps), t=rec.t)
     dissipation = 2.0 * mu * np.array(rec_diss) if mu > 0 else None
     return Trajectory(times=times, states=states, diagnostics=records,
                       config=config, dissipation=dissipation)

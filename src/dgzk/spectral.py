@@ -115,14 +115,17 @@ def _cos_sin_table(n: range, ny: int) -> np.ndarray:
 class _ColumnValues:
     """_real_values on an (nx, ny) grid of half spectra that are zero off the
     column range cols, a slice: values(data), data the (nx, ncols) columns,
-    returns its own plane, which the next call overwrites.  Up to
-    _PRODUCT_COLUMNS columns the values are within about 1e-15 of
-    max|values| of irfft2; past that they have its bits."""
+    returns its own plane, which the next call overwrites, and
+    values.sup(data) their max |values|.  Up to _PRODUCT_COLUMNS columns the
+    values are within about 1e-15 of max|values| of irfft2; past that they
+    have its bits."""
 
     def __init__(self, nx: int, ny: int, cols: slice):
         n = range(ny // 2 + 1)[cols]
         self.cols = cols
-        self.out = np.empty((nx, ny))
+        self.shape = (nx, ny)
+        self.out = None  # made by the first values(data); sup needs none
+        self.halves = None  # sup's x-pass parts and y products, made by its first call
         self.table = None
         if len(n) <= _PRODUCT_COLUMNS:
             self.buf = np.empty((nx, len(n)), dtype=np.complex128)
@@ -131,12 +134,37 @@ class _ColumnValues:
             self.buf = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
+        if self.out is None:
+            self.out = np.empty(self.shape)
         if self.table is None:
             np.fft.ifft(data, axis=0, norm="forward", out=self.buf[:, self.cols])
-            return np.fft.irfft(self.buf, n=self.out.shape[1], axis=1, norm="forward",
+            return np.fft.irfft(self.buf, n=self.shape[1], axis=1, norm="forward",
                                 out=self.out)
         np.fft.ifft(data, axis=0, norm="forward", out=self.buf)
         return np.matmul(self.buf.view(np.float64), self.table, out=self.out)
+
+    def sup(self, data: np.ndarray) -> float:
+        """_sup(self(data)), which it is past _PRODUCT_COLUMNS.  Up to them
+        it takes half the y products: with A the x-pass output, P = Re A
+        times the rows w cos(n y_l) and Q = Im A times the rows -w sin(n y_l)
+        of the table, for l = 0 .. ny/2, give the values P + Q at y_l and
+        P - Q at -y_l, so max |values| = max(|P| + |Q|), within about 1e-15
+        of max|values| of _sup(self(data))."""
+        if self.table is None:
+            return _sup(self(data))
+        if self.halves is None:
+            (nx, ncols), h = self.buf.shape, self.shape[1] // 2 + 1
+            # (re, im) parts of the x-pass output and the (cos, sin) halves of the table
+            self.halves = (self.buf.view(np.float64).reshape(nx, ncols, 2).transpose(2, 0, 1),
+                           np.empty((2, nx, ncols)),
+                           self.table[:, :h].reshape(ncols, 2, h).transpose(1, 0, 2).copy(),
+                           np.empty((2, nx, h)))
+        interleaved, parts, tables, pq = self.halves
+        np.fft.ifft(data, axis=0, norm="forward", out=self.buf)
+        np.copyto(parts, interleaved)
+        np.matmul(parts, tables, out=pq)
+        np.abs(pq, out=pq)
+        return float(np.add(pq[0], pq[1], out=pq[0]).max())
 
 
 def _sup(values: np.ndarray) -> float:

@@ -44,7 +44,7 @@ def _record_products(monkeypatch):
 
     def counted(self, data, _call=spectral._ColumnValues.__call__):
         if self.table is not None:
-            products.append((data.shape[1], self.out.shape[1]))
+            products.append((data.shape[1], self.shape[1]))
         return _call(self, data)
     monkeypatch.setattr(spectral._ColumnValues, "__call__", counted)
     return products

@@ -611,6 +611,11 @@ _CASES = st.sampled_from(COMMANDS).flatmap(lambda command: st.tuples(
 @example(("regularized-family", {"initial.amplitude": "1e-300"}, []))
 # every entry of the mu = 0 run stays finite, but its squared norm overflows at step 7 (exit 4)
 @example(("regularized-family", {"initial.amplitude": "266", "solver.t_end": "0.033203125"}, []))
+# the last state and its squared norm stay finite, but its record's energy is inf - inf (exit 4)
+@example(("simulate", {"initial.amplitude": "333.839", "solver.t_end": "0.02"}, []))
+@example(("simulate", {"initial.amplitude": "414.024", "solver.t_end": "0.015"}, []))
+# the scan checks its time samples, though it builds its evaluators without strichartz_norm
+@example(("strichartz-scan", {"scan.n_times": "1"}, []))
 def test_fuzzed_values_of_every_command_map_to_documented_exit_codes(case):
     command, values, bad = case
     values = {key: raw for key, raw in values.items() if raw is not None}

@@ -419,6 +419,21 @@ def test_an_overflowing_norm_is_divergence():
     assert info.value.step == 7
 
 
+@pytest.mark.parametrize("record_every", [1, 10])
+@pytest.mark.parametrize("amplitude, t_end, steps", [(333.839, 0.02, 4), (414.024, 0.015, 3)])
+def test_a_record_that_overflows_is_divergence(amplitude, t_end, steps, record_every):
+    """The last state and its squared norm are finite (max|c| about 9e141
+    and vdot 4.4e284 at amplitude 333.839), but its record's energy is
+    inf - inf: the run diverged at that record's step."""
+    g = Grid(16, 16)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=5e-3, t_end=t_end, record_every=record_every)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DivergenceError) as info:
+            simulate(cfg, initial_data(g, "cos-x", amplitude=amplitude))
+    assert (info.value.step, info.value.t) == (steps, t_end)
+
+
 def test_cfl_warning():
     g = Grid(32, 32)
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=1e-2, t_end=0.02)

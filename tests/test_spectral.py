@@ -487,6 +487,37 @@ def test_the_y_pass_is_chosen_by_the_number_of_data_columns(y_pass, nx, ny, seed
         assert passes == [("ifft", (nx, ncols)), ("irfft", (nx, ny))] * 2 and products == []
 
 
+@settings(max_examples=80, deadline=None)
+@given(nx=even_sizes, ny=st.integers(4, 80).map(lambda k: 2 * k),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+@example(nx=12, ny=40, seed=0, data=None)   # columns 3 .. 20 = ny/2 on a rectangular grid
+def test_the_sup_from_half_the_y_products_is_the_sup_of_the_values(nx, ny, seed, data):
+    """Up to _PRODUCT_COLUMNS data columns sup takes max(|P| + |Q|) over
+    y_0 .. y_ny/2 and is within 1e-14 of max|values| of _sup(values(data)),
+    also on ranges that hold column ny/2, whose y products carry
+    sin(n pi) ~ 1e-16 at y = pi; past them it is that _sup, bit for bit;
+    either way also when called again for a second spectrum, on ranges
+    that start at column 0 or after it, on square and rectangular grids."""
+    h = ny // 2 + 1
+    if data is None:
+        ncols, start = 18, h - 18
+    else:
+        ncols = data.draw(st.integers(1, h), label="ncols")
+        start = data.draw(st.sampled_from([0, h - ncols]) | st.integers(0, h - ncols),
+                          label="start")
+    cols = slice(start, start + ncols)
+    rng = np.random.default_rng(seed)
+    values = _ColumnValues(nx, ny, cols)
+    for _ in range(2):
+        half = _real_coeffs(rng.standard_normal((nx, ny)))
+        want = spectral._sup(values(half[:, cols]))
+        got = values.sup(half[:, cols])
+        if ncols > _PRODUCT_COLUMNS:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-14 * want
+
+
 @settings(max_examples=60, deadline=None)
 @given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1))
 @example(nx=16, ny=96, seed=0)  # kc = 33: the irfft y pass

@@ -196,6 +196,26 @@ def test_scan_is_deterministic_and_trial_monotone():
     assert all(vc[p] >= va[p] for p in va)
 
 
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_scan_cells_are_the_largest_public_norm_over_their_trials(alpha):
+    """A cell runs all of its trials through one evaluator on the shell's
+    column range; it is the max over trials of strichartz_norm of the same
+    draws, within 1e-14 where the y pass is a cos/sin product (k <= 6, at
+    most 32 columns) and bit for bit past _PRODUCT_COLUMNS (k = 7, 64)."""
+    sym = DispersionSymbol(alpha=alpha, beta=0.5, sign=-1, mu=0.0)
+    trials, seed = 3, 11
+    rep = strichartz_scan(sym, [1, 2], [0, 2, 6, 7], trials=trials, seed=seed)
+    assert [(j, k) for j, k, *_ in rep.cells] == [(j, k) for j in (1, 2) for k in (0, 2, 6, 7)]
+    for j, k, value, _, _ in rep.cells:
+        fields = [shell_field(_shell_grid(j, k, 4), j, k, np.random.default_rng([seed, j, k, t]))
+                  for t in range(trials)]
+        want = max(strichartz_norm(phi, sym, 2.0 ** (-(j + k))) for phi in fields)
+        if _support_columns(fields[0]) > _PRODUCT_COLUMNS:
+            assert value == want
+        else:
+            assert abs(value - want) <= 1e-14 * want
+
+
 def test_scan_cells_do_not_depend_on_the_blas_thread_count():
     """The cos/sin products of the y pass run through BLAS: a scan whose
     cells take them (4 to 16 support columns, products of up to 256 x 32

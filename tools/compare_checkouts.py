@@ -14,11 +14,14 @@ covers:
   copy's path and output directory masked;
 * the `[criterion NN]` lines that tests/test_acceptance.py prints;
 * `bench/worker.py --mode plain`: input and output digests and failures of
-  every workload at the seeds in BENCH_SEEDS.
+  every workload at the seeds in BENCH_SEEDS, and each run's peak_rss_mb,
+  setup_s and wall_s.
 
-Line counts are reported, not compared.  Any other difference is printed
-and the exit code is 1; 0 means everything compared is identical.  Uses
-the standard library only.
+Line counts and the bench runs' peak_rss_mb, setup_s and wall_s are
+reported, not compared: each is one run per side, and the memory peak moves
+with the heap layout that import and earlier work leave.  Any other
+difference is printed and the exit code is 1; 0 means everything compared
+is identical.  Uses the standard library only.
 """
 from __future__ import annotations
 
@@ -46,6 +49,8 @@ RUNS = [
 ]
 BENCH_WORKLOADS = ("sim-diag", "sim-march", "estimates-lab")
 BENCH_SEEDS = (0, 3)
+BENCH_COMPARED = ("input_digest", "output_digest", "failures")
+BENCH_REPORTED = ("peak_rss_mb", "setup_s", "wall_s")
 KINDS = ("code", "docstring", "comment", "blank")
 PINNED_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                   "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -132,20 +137,28 @@ class Checkout:
         lines = re.findall(r"\[criterion \d+\][^\n]*", proc.stdout.decode())
         return lines + [f"(pytest exit code {proc.returncode})"]
 
-    def bench(self, workload: str, seed: int) -> dict:
+    def bench(self, workload: str, seed: int) -> tuple:
+        """(compared, reported) of one plain bench run: its BENCH_COMPARED
+        values, or its exit code and stderr if it printed no record, and its
+        BENCH_REPORTED values."""
         proc = self.run([str(self.root / "bench" / "worker.py"), "--workload", workload,
                          "--seed", str(seed), "--mode", "plain"])
         try:
             record = json.loads(proc.stdout.decode().strip().splitlines()[-1])
         except (IndexError, ValueError):
-            return {"exit code": proc.returncode, "stderr": self.mask(proc.stderr).decode()}
-        return {key: record.get(key) for key in ("input_digest", "output_digest", "failures")}
+            return {"exit code": proc.returncode, "stderr": self.mask(proc.stderr).decode()}, {}
+        return ({key: record.get(key) for key in BENCH_COMPARED},
+                {key: record.get(key) for key in BENCH_REPORTED})
 
 
 def _first_difference(a: bytes, b: bytes) -> str:
     at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
     line = a[:at].count(b"\n") + 1
     return f"{len(a)} vs {len(b)} bytes, first difference on line {line}"
+
+
+def _number(value) -> str:
+    return "-" if value is None else f"{value:.3f}"
 
 
 def compare(title: str, parent: dict, change: dict) -> int:
@@ -195,11 +208,16 @@ def main(argv=None) -> int:
         differences += compare(f"{len(lines[0]) - 1} [criterion NN] lines",
                                dict(enumerate(lines[0])), dict(enumerate(lines[1])))
 
-        print("== bench/worker.py --mode plain: digests and failures ==")
+        print("== bench/worker.py --mode plain: digests and failures compared; "
+              f"{', '.join(BENCH_REPORTED)} reported (parent -> change) ==")
         for workload in BENCH_WORKLOADS:
             for seed in BENCH_SEEDS:
-                differences += compare(f"{workload} seed {seed}", parent.bench(workload, seed),
-                                       change.bench(workload, seed))
+                (a, a_reported), (b, b_reported) = (checkout.bench(workload, seed)
+                                                    for checkout in (parent, change))
+                differences += compare(f"{workload} seed {seed}", a, b)
+                print("      " + ", ".join(f"{key} {_number(a_reported.get(key))} -> "
+                                          f"{_number(b_reported.get(key))}"
+                                          for key in BENCH_REPORTED))
 
     print("== everything compared is identical ==" if not differences
           else f"== {differences} differences ==")
