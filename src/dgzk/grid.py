@@ -21,10 +21,16 @@ def _wavenumbers(n: int) -> np.ndarray:
     return np.where(idx <= n // 2, idx, idx - n)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform nx-by-ny grid on the bi-periodic square of side 2*pi; refused
-    (ValueError) if its 2x plane is above the "grid_bytes" ceiling of _work."""
+    (ValueError) if its 2x plane is above the "grid_bytes" ceiling of _work.
+    Its arrays are read-only: every field on the grid shares them."""
 
     nx: int
     ny: int
@@ -38,28 +44,28 @@ class Grid:
     @cached_property
     def kx(self) -> np.ndarray:
         """x wavenumber for each index along axis 0."""
-        return _wavenumbers(self.nx)
+        return _read_only(_wavenumbers(self.nx))
 
     @cached_property
     def ky(self) -> np.ndarray:
         """y wavenumber for each index along axis 1."""
-        return _wavenumbers(self.ny)
+        return _read_only(_wavenumbers(self.ny))
 
     @cached_property
     def kx2d(self) -> np.ndarray:
-        return self.kx[:, None].astype(float)
+        return _read_only(self.kx[:, None].astype(float))
 
     @cached_property
     def ky2d(self) -> np.ndarray:
-        return self.ky[None, :].astype(float)
+        return _read_only(self.ky[None, :].astype(float))
 
     @cached_property
     def x(self) -> np.ndarray:
-        return np.arange(self.nx) * (2.0 * np.pi / self.nx)
+        return _read_only(np.arange(self.nx) * (2.0 * np.pi / self.nx))
 
     @cached_property
     def y(self) -> np.ndarray:
-        return np.arange(self.ny) * (2.0 * np.pi / self.ny)
+        return _read_only(np.arange(self.ny) * (2.0 * np.pi / self.ny))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -178,11 +178,34 @@ def _block_dims(grid: Grid) -> tuple[int, int]:
     return grid.nx // 3, grid.ny // 3 + 1
 
 
+def _pad_rows(out: np.ndarray, c: np.ndarray) -> None:
+    """Write the rows of c, in FFT layout, into the rows of out (as many or
+    more) that hold the same wavenumbers; the other rows of out are left as
+    they are.  For an even row count n < len(out), row n/2 goes to both
+    labels +n/2 and -n/2, halved in each, so padded real fields stay real."""
+    n, h, big = len(c), len(c) // 2, len(out)
+    out[:h + 1] = c[:h + 1]
+    out[big - h:] = c[n - h:]
+    if n % 2 == 0 and big > n:
+        out[h] *= 0.5
+        out[big - h] *= 0.5
+
+
+def _fold_rows(c: np.ndarray, n: int) -> np.ndarray:
+    """The rows of c, in FFT layout, that n rows hold, with the labels +n/2
+    and -n/2 of an even n folded onto row n/2: a left inverse of _pad_rows."""
+    h, big = n // 2, len(c)
+    out = np.concatenate((c[:h + 1], c[big - (n - h - 1):]))
+    if n % 2 == 0 and big > n:
+        out[h] += c[big - h]
+    return out
+
+
 def _block(c: np.ndarray, K: int, kc: int) -> np.ndarray:
     """The Galerkin block of an array in FFT layout, shape (2K + 1, kc): rows
-    m = 0 .. K, then m = -K .. -1, of the columns n = 0 .. kc - 1.  The slices
-    give the same block from a full, a half or a block array."""
-    return np.concatenate((c[:K + 1, :kc], c[-K:, :kc]))
+    m = 0 .. K, then m = -K .. -1, of the columns n = 0 .. kc - 1.  _fold_rows
+    gives the same block from a full, a half or a block array."""
+    return _fold_rows(c[:, :kc], 2 * K + 1)
 
 
 class _BlockRows:
@@ -194,11 +217,9 @@ class _BlockRows:
         self.buf = np.zeros((nx, 0), dtype=np.complex128)
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
-        K, kc = block.shape[0] // 2, block.shape[1]
-        if self.buf.shape[1] != kc:
-            self.buf = np.zeros((self.buf.shape[0], kc), dtype=np.complex128)
-        self.buf[:K + 1] = block[:K + 1]
-        self.buf[-K:] = block[K + 1:]
+        if self.buf.shape[1] != block.shape[1]:
+            self.buf = np.zeros((self.buf.shape[0], block.shape[1]), dtype=np.complex128)
+        _pad_rows(self.buf, block)
         return self.buf
 
 
@@ -206,7 +227,7 @@ def _full_from_block(block: np.ndarray, grid: Grid) -> np.ndarray:
     """Full FFT-layout coefficients of the real field whose half spectrum is
     the block and zero elsewhere."""
     half = np.zeros((grid.nx, grid.ny // 2 + 1), dtype=np.complex128)
-    half[:, :block.shape[1]] = _BlockRows(grid.nx)(block)
+    _pad_rows(half[:, :block.shape[1]], block)
     return _full_spectrum(half, grid.ny)
 
 
@@ -244,7 +265,7 @@ class RecordedStates(Sequence):
             return [self[j] for j in range(*i.indices(len(self)))]
         entry = self.entries[i]
         if isinstance(entry, SpectralField):
-            return entry
+            return entry.copy()
         return SpectralField(self.grid, _full_from_block(entry, self.grid))
 
 
@@ -438,66 +459,27 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.coeffs * _dealias_mask(field.grid))
 
 
-def _embed_plan(n_small: int, n_big: int):
-    """(source slice, destination slice, weight) triples for zero-padding one axis.
-
-    The Nyquist coefficient +n/2 is split evenly between the labels +n/2 and
-    -n/2 of the larger grid so refined samples of a real field remain real.
-    The destinations are disjoint; read backwards (destination to source)
-    the two Nyquist parts fold onto one label, which is truncation.
-    """
-    if n_big == n_small:
-        return [(slice(0, n_small), slice(0, n_small), 1.0)]
-    h = n_small // 2
-    return [(slice(0, h), slice(0, h), 1.0),
-            (slice(h + 1, n_small), slice(n_big - h + 1, n_big), 1.0),
-            (slice(h, h + 1), slice(h, h + 1), 0.5),
-            (slice(h, h + 1), slice(n_big - h, n_big - h + 1), 0.5)]
-
-
-def _clip_plan(plan, stop: int):
-    """The parts of a plan whose destinations lie below index stop, cut there."""
-    parts = []
-    for src, dst, w in plan:
-        end = min(dst.stop, stop)
-        if dst.start < end:
-            parts.append((slice(src.start, src.start + end - dst.start),
-                          slice(dst.start, end), w))
-    return parts
-
-
-def _pad_into(out: np.ndarray, c: np.ndarray, plan_x, plan_y) -> None:
-    """Write the zero-padding of c into out along the two plans; entries of
-    out outside the plans' destinations are left as they are."""
-    for sx, dx, wx in plan_x:
-        for sy, dy, wy in plan_y:
-            out[dx, dy] = (wx * wy) * c[sx, sy]
-
-
 def embed_in_grid(field: SpectralField, big: Grid) -> SpectralField:
-    """Zero-pad onto a finer grid (same function, more resolvable modes)."""
+    """Zero-pad onto a finer grid (same function, more resolvable modes):
+    _pad_rows along x, then along y."""
     g = field.grid
     if big.nx < g.nx or big.ny < g.ny:
         raise ValueError("target grid must be at least as fine on both axes")
+    rows = np.zeros((big.nx, g.ny), dtype=np.complex128)
+    _pad_rows(rows, field.coeffs)
     out = np.zeros(big.shape, dtype=np.complex128)
-    _pad_into(out, field.coeffs, _embed_plan(g.nx, big.nx), _embed_plan(g.ny, big.ny))
+    _pad_rows(out.T, rows.T)
     return SpectralField(big, out)
 
 
 def truncate_to_grid(field: SpectralField, small: Grid) -> SpectralField:
-    """Restrict to the wavenumbers of a coarser grid.
-
-    The +n/2 and -n/2 labels of the fine grid fold onto the single Nyquist
-    label of the coarse grid, so this is a left inverse of embed_in_grid.
-    """
+    """Restrict to the wavenumbers of a coarser grid: _fold_rows along x,
+    then along y, so this is a left inverse of embed_in_grid."""
     g = field.grid
     if small.nx > g.nx or small.ny > g.ny:
         raise ValueError("target grid must be at least as coarse on both axes")
-    out = np.zeros(small.shape, dtype=np.complex128)
-    for dx, sx, _ in _embed_plan(small.nx, g.nx):
-        for dy, sy, _ in _embed_plan(small.ny, g.ny):
-            out[dx, dy] += field.coeffs[sx, sy]
-    return SpectralField(small, out)
+    rows = _fold_rows(field.coeffs, small.nx)
+    return SpectralField(small, _fold_rows(rows.T, small.ny).T)
 
 
 def resample_values(field: SpectralField, factor: int) -> np.ndarray:
@@ -515,7 +497,9 @@ class _RefinedPlanes:
     or Galerkin blocks: planes(state) raises SymmetryViolationError for a
     non-real state and iterates over the three planes, each of which
     overwrites the last.  A plane is the irfft2 (see _ColumnValues) of the
-    state's data columns times its multiplier, padded as embed_in_grid pads.
+    state's data columns times its multiplier, padded as embed_in_grid pads:
+    _pad_rows along x, and column ny/2, if the data reach it, halved, as its
+    label -ny/2 lies past the 2x grid's half spectrum.
     """
 
     def __init__(self, grid: Grid):
@@ -523,26 +507,25 @@ class _RefinedPlanes:
         self.grid = grid
         self.dx = _derivative_multiplier(grid, "x")
         self.dy = _derivative_multiplier(grid, "y")[:, :h]
-        self.plan_x = _embed_plan(grid.nx, 2 * grid.nx)
-        self.plan_y = _embed_plan(grid.ny, 2 * grid.ny)
-        # the rows between the destinations of plan_x stay zero
+        # the rows that _pad_rows does not write stay zero
         self.cols = np.zeros((2 * grid.nx, h), dtype=np.complex128)
         self.rows = _BlockRows(grid.nx)
-        self.values, self.width = None, 0
+        self.values = None
 
     def __call__(self, state):
         _require_real(state)
+        h = self.cols.shape[1]
         if isinstance(state, SpectralField):
-            half = state.coeffs[:, :self.cols.shape[1]]
+            half = state.coeffs[:, :h]
             data = half[:, :_nonzero_columns(half).stop]
         else:
             data = self.rows(state)
         width = data.shape[1]
-        if width != self.width:
+        if self.values is None or self.values.cols.stop != width:
             self.values = _ColumnValues(2 * self.grid.nx, 2 * self.grid.ny, slice(0, width))
-            self.width = width
         cols = self.cols[:, :width]
-        plan_y = _clip_plan(self.plan_y, width)
         for mult in (1.0, self.dx, self.dy[:, :width]):
-            _pad_into(cols, data * mult, self.plan_x, plan_y)
+            _pad_rows(cols, data * mult)
+            if width == h:
+                cols[:, -1] *= 0.5
             yield self.values(cols)

@@ -265,6 +265,15 @@ def test_a_block_record_keeps_the_realness_check():
         build_records(np.array([0.0, 0.1]), states, SYM)
 
 
+def test_recorded_states_build_the_first_state_on_every_read():
+    g = Grid(16, 16)
+    states = RecordedStates(cos_x(g), [_block(dealias(cos_x(g)).coeffs, *_block_dims(g))])
+    first = states[0]
+    first.coeffs[1, 0] = 99.0
+    assert states[0] is not first
+    assert np.array_equal(states[0].coeffs, cos_x(g).coeffs)
+
+
 def test_commutator_two_mode_closed_form():
     g = Grid(16, 16)
     f = field_from_modes(g, {(1, 0): 0.5, (-1, 0): 0.5})  # cos x

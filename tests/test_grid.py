@@ -20,6 +20,14 @@ def test_wavenumber_band_is_symmetric_with_positive_nyquist():
     assert g.ky.min() == -5 and g.ky.max() == 6
 
 
+def test_grid_arrays_are_read_only():
+    """Every field on a grid shares these arrays."""
+    g = Grid(8, 12)
+    for name in ("kx", "ky", "kx2d", "ky2d", "x", "y"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 5.0
+
+
 def test_index_of_round_trips_every_wavenumber():
     g = Grid(16, 10)
     for axis, ks in (("x", g.kx), ("y", g.ky)):

@@ -14,11 +14,6 @@ import dgzk
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Reached only by tests, and kept: the paper's L^1_T L^infty smoothing
-# estimate, whose thresholds s1 > 1/2 - 1/2^(alpha+2) and s2 > 1/2 - beta/4
-# give the regularity index of the abstract (ROADMAP, public surface).
-KEPT_WITHOUT_CALLER = {"l1t_linf_estimate_check", "L1tLinfReport"}
-
 _BLOCK_START = re.compile(r"^\s*(__all__\s*=\s*\[|from\s+\S+\s+import\s+\()")
 _ONE_LINE_IMPORT = re.compile(r"^\s*(from\s+\S+\s+)?import\s")
 
@@ -48,11 +43,9 @@ def _use_lines():
 
 
 def test_public_names_have_a_caller_outside_unit_tests():
-    names = _public_names()
-    assert KEPT_WITHOUT_CALLER <= names
     lines = _use_lines()
     unreached = []
-    for name in sorted(names - KEPT_WITHOUT_CALLER):
+    for name in sorted(_public_names()):
         word = re.compile(rf"\b{re.escape(name)}\b")
         definition = re.compile(rf"^(def|class)\s+{re.escape(name)}\b|^{re.escape(name)}\s*[:=]")
         if not any(word.search(line) and not definition.match(line) for line in lines):

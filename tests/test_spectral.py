@@ -342,6 +342,44 @@ def test_embed_truncate_round_trip(rng):
     assert np.isclose(l2_norm(embed_in_grid(smooth, big)), l2_norm(smooth), rtol=1e-13)
 
 
+def _labels(k, n, big):
+    """(label, weight) pairs of the big-point axis that hold wavenumber k of
+    an n-point axis: a Nyquist label splits 1/2, 1/2 onto +-n/2 of a longer axis."""
+    return [(k, 0.5), (-k, 0.5)] if 2 * k == n and big > n else [(k, 1.0)]
+
+
+def _embed_oracle(field, big):
+    """embed_in_grid written one wavenumber at a time."""
+    g = field.grid
+    out = np.zeros(big.shape, dtype=np.complex128)
+    for i, m in enumerate(g.kx):
+        for j, n in enumerate(g.ky):
+            for a, wa in _labels(int(m), g.nx, big.nx):
+                for b, wb in _labels(int(n), g.ny, big.ny):
+                    out[big.index_of(a, "x"), big.index_of(b, "y")] = wa * wb * field.coeffs[i, j]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(4, 12).map(lambda k: 2 * k), ny=st.integers(4, 12).map(lambda k: 2 * k),
+       px=st.integers(0, 8), py=st.integers(0, 8), kc=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+@example(nx=8, ny=12, px=4, py=0, kc=1, seed=0)   # y unchanged
+@example(nx=10, ny=8, px=0, py=8, kc=9, seed=1)   # x unchanged
+@example(nx=16, ny=16, px=0, py=0, kc=5, seed=2)  # both unchanged
+def test_one_row_rule_pads_folds_and_places_blocks(nx, ny, px, py, kc, seed):
+    g, big = Grid(nx, ny), Grid(nx + 2 * px, ny + 2 * py)
+    rng = np.random.default_rng(seed)
+    f = SpectralField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    embedded = embed_in_grid(f, big)
+    assert np.array_equal(embedded.coeffs, _embed_oracle(f, big))
+    assert np.array_equal(truncate_to_grid(embedded, g).coeffs, f.coeffs)
+
+    K = nx // 3
+    block = rng.standard_normal((2 * K + 1, kc)) + 1j * rng.standard_normal((2 * K + 1, kc))
+    assert np.array_equal(_block(_BlockRows(nx)(block), K, kc), block)
+
+
 def test_embed_preserves_samples(rng):
     g = Grid(16, 16)
     big = Grid(32, 32)

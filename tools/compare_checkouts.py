@@ -46,6 +46,9 @@ RUNS = [
     ("simulate-bell-ifrk4", ["simulate", "--set", "initial.preset=gaussian-bell",
                              "--set", "solver.integrator=ifrk4"]),
     ("kernel-scan-2-workers", ["kernel-scan", "--workers", "2"]),
+    # fields that fill the Nyquist row and column: the halvings of the 2x padding
+    ("commutator-scan-nyquist", ["commutator-scan", "--set", "comm.band=32",
+                                 "--set", "comm.pairs=20"]),
 ]
 BENCH_WORKLOADS = ("sim-diag", "sim-march", "estimates-lab")
 BENCH_SEEDS = (0, 3)
