@@ -10,8 +10,8 @@ from __future__ import annotations
 
 MAX_WORK = {"weyl": 1e9, "strichartz": 1e11, "study": 1e9, "simulate": 1e11, "records": 2e9,
             "vdc": 1e9, "commutator": 1e9, "kernel": 1e10, "grid_bytes": 1e9}
-_UNITS = {"weyl": "terms ((degree + 1) * trials * sum(N), plus 10000 per coefficient column "
-                  "and N and 4000 per row)",
+_UNITS = {"weyl": "terms ((degree + 1) * trials * sum(N), plus 20000 per coefficient column "
+                  "and N and 2000 per row)",
           "strichartz": "grid-point samples (trials * sum of nx * ny * n_times over the cells)",
           "study": "grid-point steps (sum of steps * nx * ny over the runs)",
           "simulate": "grid-point steps (steps * nx * ny)",

@@ -6,17 +6,11 @@ coefficient has a reduced rational approximation |omega_d - a/q| <= 1/q^2,
 is
 
     |S| <= C * N^{1+delta} * (1/q + 1/N + q/N^d)^{1 / 2^{d-1}}.
-
-dirichlet_approx produces such approximations with denominator q <= Lambda
-and error at most 1/(Lambda q); weyl_scan draws random instances, pairs each
-with its approximation, and records the ratio |S| / bound.  It sums a
-chunk of trials of one N in one array pass, with the bits of one weyl_sum
-per instance, and draws a batch of trials with the bits of
-default_rng([seed, N, trial]) in one pass of _keyed_uniforms.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,16 +22,20 @@ from .._work import check_work
 __all__ = ["WeylInstance", "RationalApprox", "WeylScanReport", "weyl_sum", "dirichlet_approx",
            "weyl_bound", "weyl_scan"]
 
-_CHUNK_POINTS = 2 ** 14  # trials x N per array pass of weyl_scan
+_CHUNK_POINTS = 2 ** 13  # terms per block of _weyl_sums: trials x N, or part of one row
 _DRAW_BATCH = 2 ** 11    # trials per pass of _keyed_uniforms
-# the "weyl" work charges, in terms of a sum (about 2-20 ns each): a coefficient
-# column's draw and sum passes of one N take about 80 us, and a row about 40 us
-_COLUMN_TERMS, _ROW_TERMS = 10000, 4000
+# the "weyl" work charges, in terms of a sum (about 2-7 ns each): a coefficient
+# column's draw and sum passes of one N take about 80 us, and a row about 8 us
+_COLUMN_TERMS, _ROW_TERMS = 20000, 2000
 
 # numpy's SeedSequence hash constants and PCG64 multiplier (high, low words)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 _PCG_MULT = (2549297995355413924, 4865540595714422341)
+# e^{2 pi i j / 4096} as rows cos, sin (64 KB, read-only), and theta per unit of a word
+_TABLE = np.array([f(np.arange(4096) * (2 * np.pi / 4096)) for f in (np.cos, np.sin)])
+_TABLE.flags.writeable = False
+_TURN = 2 * math.pi / 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -58,19 +56,33 @@ class WeylInstance:
         return len(self.coeffs) - 1
 
 
-def _weyl_sums(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
-    """S of each row of coeffs (B, d + 1), lowest coefficient first: Horner
-    in place in np.polyval's order, and h - floor(h), which is np.mod(h, 1.0)
-    for finite h."""
-    m = np.arange(1, n_terms + 1, dtype=float)
-    h = np.empty((coeffs.shape[0], n_terms))
-    h[:] = coeffs[:, -1:]
-    for c in coeffs[:, -2::-1].T:
-        h *= m
-        h += c[:, None]
-    h -= np.floor(h)
-    phases = 2j * np.pi * h
-    return np.sum(np.exp(phases, out=phases), axis=1)
+def _weyl_sums(words: np.ndarray, n_terms: int) -> np.ndarray:
+    """S of each row of words (B, d + 1), the uint64 frac(c_i) 2^64, lowest first, over m
+    in blocks of _CHUNK_POINTS: Horner modulo 2^64 gives K = frac(h(m)) 2^64 exactly, and
+    e^{2 pi i K / 2^64} is _TABLE[:, K >> 52] times cos (to theta^4) and sin (to theta^5)
+    of theta = 2 pi (K mod 2^52) / 2^64 < 2 pi / 2^12."""
+    total = np.zeros((2, len(words)))
+    for start in range(0, n_terms, _CHUNK_POINTS):
+        m = np.arange(start + 1, min(start + _CHUNK_POINTS, n_terms) + 1, dtype=np.uint64)
+        k = words[:, -1:]
+        for word in words[:, -2::-1].T:
+            k = k * m + word[:, None]
+        cos, sin = np.take(_TABLE, (k >> 52).view(np.int64), axis=1)
+        k &= 2 ** 52 - 1
+        v = k.astype(float)  # theta / _TURN
+        w = v * v
+        s = w * (_TURN ** 4 / 120)  # sin(theta) / _TURN
+        s -= _TURN ** 2 / 6
+        s *= w
+        s += 1.0
+        s *= v
+        np.multiply(w, _TURN ** 4 / 24, out=v)  # cos(theta)
+        v -= _TURN ** 2 / 2
+        v *= w
+        v += 1.0
+        total += [np.einsum("ij,ij->i", cos, v) - _TURN * np.einsum("ij,ij->i", sin, s),
+                  _TURN * np.einsum("ij,ij->i", cos, s) + np.einsum("ij,ij->i", sin, v)]
+    return total[0] + 1j * total[1]
 
 
 def _hasher(const: int, mult: int):
@@ -86,8 +98,7 @@ def _hasher(const: int, mult: int):
 
 def _keyed_uniforms(seed: int, n: int, first: int, stop: int, size: int) -> np.ndarray:
     """Row t - first is default_rng([seed, n, t]).uniform(0.0, 1.0, size) bit for bit, for t
-    in first..stop-1 (seed, n >= 0; stop <= 2^32): SeedSequence's pool mixing and
-    generate_state, PCG64's seeding and XSL-RR outputs, over arrays of all the trials."""
+    in first..stop-1 (seed, n >= 0; stop <= 2^32), computed over arrays of all the trials."""
     # an int's little-endian 32-bit words, 0 being one word; the pool holds four
     entropy = [np.full(stop - first, int(w) >> s & _M32, np.uint32)
                for w in (seed, n) for s in range(0, max(int(w).bit_length(), 1), 32)]
@@ -120,8 +131,14 @@ def _keyed_uniforms(seed: int, n: int, first: int, stop: int, size: int) -> np.n
 
 
 def weyl_sum(instance: WeylInstance) -> complex:
-    """S = sum_{m=1}^{N} e^{2 pi i h(m)}."""
-    return complex(_weyl_sums(np.array([instance.coeffs], dtype=float), instance.n_terms)[0])
+    """S = sum_{m=1}^{N} e^{2 pi i h(m)}; ValueError unless every coefficient is a
+    finite multiple of 2^-64 (as every float of magnitude at least 2^-12 is)."""
+    ratios = [(int(c.numerator), int(c.denominator)) if isinstance(c, numbers.Rational)
+              else c.as_integer_ratio() if math.isfinite(c) else (0, 0) for c in instance.coeffs]
+    if any(not den or 2 ** 64 % den for _, den in ratios):
+        raise ValueError(f"coefficients must be finite multiples of 2^-64, got {instance.coeffs}")
+    words = [[num * (2 ** 64 // den) % 2 ** 64 for num, den in ratios]]
+    return complex(_weyl_sums(np.array(words, dtype=np.uint64), instance.n_terms)[0])
 
 
 @dataclass(frozen=True)
@@ -135,13 +152,8 @@ class RationalApprox:
 
 
 def dirichlet_approx(r: float, lam: int) -> RationalApprox:
-    """Reduced a/q with 1 <= q <= lam and |r - a/q| <= 1/(lam*q).
-
-    A float is an exact binary fraction, so its continued fraction is run
-    in integer arithmetic; the answer is the last convergent a/q with
-    q <= lam.  Convergents are reduced, and when the next one has
-    q' > lam, |r - a/q| < 1/(q*q') < 1/(lam*q).
-    """
+    """Reduced a/q with 1 <= q <= lam and |r - a/q| <= 1/(lam*q): the last
+    convergent with q <= lam of r's continued fraction, in integer arithmetic."""
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r}")
     if lam < 1 or int(lam) != lam:
@@ -181,14 +193,11 @@ class WeylScanReport:
 
 def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 0.01,
               seed: int = 0) -> WeylScanReport:
-    """Random instances per N; records |S| against the bound.
-
-    The leading coefficient is approximated by a/q with denominator cap
-    Lambda = N, which keeps |omega_d - a/q| <= 1/(Nq) <= 1/q^2 as the bound
-    requires.  Above the work ceiling (see dgzk._work), or at a degree
-    whose phases h(m) <= 2 N^degree may reach 2^53, where h - floor(h)
-    is 0, it raises ValueError before it draws.
-    """
+    """Random instances per N; records |S| against the bound, whose a/q for
+    the leading coefficient has q <= Lambda = N (so |omega_d - a/q| <= 1/q^2).
+    Instance (N, trial) takes the coefficients of default_rng([seed, N, trial])
+    and has the bits of one weyl_sum.  Above the work ceiling (see dgzk._work)
+    it raises ValueError before it draws."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if operator.index(seed) < 0:
@@ -199,9 +208,6 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
     check_work("weyl", (degree + 1) * sum(trials * n + _COLUMN_TERMS for n in sizes)
                + _ROW_TERMS * trials * len(sizes))
     weyl_bound(1, 1, degree, delta)  # the bound's own checks of degree and delta
-    if sizes and degree * math.log2(max(sizes)) >= 52:
-        raise ValueError(f"degree {degree} at N = {max(sizes)}: the phases, up to "
-                         f"2 N^{degree}, reach 2^53, where float64 keeps no fraction")
     rows = []
     max_ratio = 0.0
     dirichlet_ok = True
@@ -210,11 +216,11 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
         for first in range(0, trials, _DRAW_BATCH):
             # keyed per (N, trial) so results do not depend on loop order
             drawn = _keyed_uniforms(seed, n, first, min(first + _DRAW_BATCH, trials), degree + 1)
+            words = np.ldexp(drawn, 53).astype(np.uint64) << 11  # k 2^-53 -> k 2^11
             for start in range(0, len(drawn), chunk):
-                coeffs = drawn[start:start + chunk]
-                sums = _weyl_sums(coeffs, n).tolist()
+                sums = _weyl_sums(words[start:start + chunk], n).tolist()
                 for trial, lead, total in zip(range(first + start, trials),
-                                              coeffs[:, -1].tolist(), sums):
+                                              drawn[start:start + chunk, -1].tolist(), sums):
                     approx = dirichlet_approx(lead, n)
                     # |r - a/q| <= 1/(N q) in exact arithmetic; floats misjudge it from N ~ 2^25
                     num, den = lead.as_integer_ratio()

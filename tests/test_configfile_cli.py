@@ -700,11 +700,11 @@ def test_weyl_degree_below_one_exits_2(tmp_path):
     # one trial of N = 64 at degree 1e8 is 6.4e9 terms and 1e8 coefficient columns
     ("weyl-scan", ["weyl.degree=100000000", "weyl.trials=1", "weyl.n_values=64"],
      "(degree + 1) * trials * sum(N)"),
-    # N = 1 keeps every phase finite, but each of 1e6 coefficient columns takes
-    # two array passes of about 40 us: 1e10 terms with the per-column charge
+    # one trial of N = 1 is only 1e6 terms, but each of its 1e6 coefficient
+    # columns takes draw and sum passes of about 80 us: 2e10 terms with the per-column charge
     ("weyl-scan", ["weyl.degree=1000000", "weyl.trials=1", "weyl.n_values=1"],
      "per coefficient column"),
-    # 2e8 rows of one term each, at about 40 us a row: 8e11 terms with the per-row charge
+    # 2e8 rows of one term each, at about 8 us a row: 4e11 terms with the per-row charge
     ("weyl-scan", ["weyl.degree=1", "weyl.trials=200000000", "weyl.n_values=1"], "per row"),
 ], ids=["weyl", "strichartz", "vdc", "commutator", "kernel", "kernel-calls", "spatial",
         "spatial-grid", "weyl-degree", "weyl-columns", "weyl-rows"])

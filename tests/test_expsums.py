@@ -2,6 +2,7 @@
 rational approximation step, and the bound scan."""
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -116,6 +117,45 @@ def test_instance_validation():
     assert WeylInstance((0.0, 0.1, 0.2, 0.3), 5).degree == 3
 
 
+def test_weyl_sum_takes_finite_multiples_of_2_to_the_minus_64_only():
+    # inf and nan gave NaN sums; 2^-70 and 1/3 are finite but off the 2^-64 lattice
+    for bad in (math.inf, -math.inf, math.nan, 2.0**-70, Fraction(1, 3)):
+        with pytest.raises(ValueError, match="finite multiples of 2\\^-64"):
+            weyl_sum(WeylInstance((0.0, bad), 8))
+    # -2^-60 - floor(-2^-60) rounds to 1.0 in float, whose word 2^64 overflows uint64
+    for coeffs in ((0.0, -(2.0**-60)), (2.0**-64, 3, Fraction(5, 2**64)), (-7.25, 2.0**40),
+                   (np.int64(-3), np.float64(0.375), 10**400)):
+        s = weyl_sum(WeylInstance(coeffs, 100))
+        assert abs(s - _oracle_sum(coeffs, 100)) <= 1e-12 * 100
+
+
+def test_quintic_sums_match_a_30_digit_oracle():
+    # at d = 5, N = 1024 the float phases h - floor(h) put |S| off by up to
+    # 7.2 times its value; exact phases leave only the exponential's rounding
+    import mpmath
+
+    n = 1024
+    for seed in range(4):
+        coeffs = tuple(np.random.default_rng([seed, n]).uniform(0.0, 1.0, size=6))
+        with mpmath.workdps(30):
+            exact = mpmath.fsum(mpmath.expjpi(mpmath.mpf(k) / 2**63) for k in _exact_phases(coeffs, n))
+        assert abs(weyl_sum(WeylInstance(coeffs, n)) - complex(exact)) <= 1e-12 * n
+
+
+def test_a_long_sum_runs_in_bounded_memory():
+    # a row is summed in blocks of _CHUNK_POINTS terms; whole, 2^22 terms took
+    # three arrays of 32 to 64 MB
+    instance = WeylInstance((0.0, 0.25, 2.0**-20), 2**22)
+    tracemalloc.start()
+    try:
+        total = weyl_sum(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert abs(total) <= 2**22
+
+
 # ------------------------------------------------------- rational approximation
 
 def test_dirichlet_examples():
@@ -213,8 +253,7 @@ def test_scan_decides_the_dirichlet_bound_exactly(monkeypatch):
     # meets |r - a/q| <= 1/(N q) in exact arithmetic while the float
     # comparison says it fails; the sums are stubbed, since 2^28 terms play
     # no part in the approximation, and the work ceiling those terms exceed
-    # is lifted (degree 1 keeps the phases, up to 2^29, inside the scan's
-    # precision limit)
+    # is lifted
     n, trial = 2**28, 11
     r = np.random.default_rng([0, n, trial]).uniform(0.0, 1.0, size=2)[-1]
     approx = dirichlet_approx(r, n)
@@ -240,15 +279,17 @@ def test_scan_refuses_a_delta_past_its_domain():
             weyl_scan(3, [64], trials=1, delta=delta)
 
 
-def test_scan_refuses_a_degree_whose_phases_lose_their_fraction():
-    # h(m) <= 2 N^degree: at N = 16, degree 12 keeps every phase under 2^49,
-    # and degree 13 reaches 2^53, where h - floor(h) is 0 and each such term
-    # adds 1 to |S|; past 2^1024 h overflowed (degree 1000 at N = 64 gave NaN rows)
-    rows = weyl_scan(12, [16], trials=3).rows
-    assert all(math.isfinite(value) for row in rows for value in row[3:])
-    for degree, n in ((13, 16), (9, 64), (170, 64), (1000, 64)):
-        with pytest.raises(ValueError, match="float64 keeps no fraction"):
-            weyl_scan(degree, [8, n], trials=1)
+def test_scan_rows_stay_exact_past_the_float_phase_limit():
+    # h(m) <= 2 N^degree reaches 2^53 at (13, 16) and (9, 64), where float
+    # phases kept no fraction and these scans were refused; past 2^1024 (degree
+    # 1000 at N = 64) float rows were NaN.  Integer phases modulo 2^64 are exact
+    # at any degree.
+    for degree, n in ((13, 16), (9, 64), (1000, 64)):
+        report = weyl_scan(degree, [8, n], trials=2, seed=1)
+        assert all(math.isfinite(value) for row in report.rows for value in row[3:])
+        for size, trial, _, s, _, _ in report.rows:
+            coeffs = tuple(np.random.default_rng([1, size, trial]).uniform(0.0, 1.0, degree + 1))
+            assert abs(s - abs(_oracle_sum(coeffs, size))) <= 1e-12 * size
 
 
 def test_scan_refuses_work_above_the_ceiling_before_drawing(monkeypatch):
@@ -289,11 +330,24 @@ def test_scan_rows_do_not_depend_on_the_draw_batch(monkeypatch):
 
 # ------------------------------------------------------------- batched sums
 
+def _exact_phases(coeffs, n):
+    """frac(h(m)) 2^64 for m = 1..n as Python ints: Horner on the exact words
+    Fraction(c) 2^64 (each coefficient a multiple of 2^-64), modulo 2^64."""
+    words = [Fraction(c.item() if isinstance(c, np.generic) else c) * 2**64 for c in coeffs]
+    assert all(w.denominator == 1 for w in words)
+    k = 0
+    m = np.arange(1, n + 1).astype(object)
+    for w in reversed(words):
+        k = (k * m + int(w)) % 2**64
+    return list(k)
+
+
 def _oracle_sum(coeffs, n):
-    """One instance the per-term way: np.polyval and np.mod, then a sum."""
-    m = np.arange(1, n + 1, dtype=float)
-    h = np.polyval(list(reversed(coeffs)), m)
-    return np.sum(np.exp(2j * np.pi * np.mod(h, 1.0)))
+    """S from exact phases; e^{2 pi i x} of each phase x rounded once to a
+    float, summed by fsum: within about 1e-15 per term of the exact S."""
+    x = np.array(_exact_phases(coeffs, n), dtype=float) * 2.0**-64
+    terms = np.exp(2j * np.pi * x)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,25 +355,29 @@ def _oracle_sum(coeffs, n):
        n=st.one_of(st.integers(1, 8), st.sampled_from([15, 16, 17, 127, 128, 129, 1024]),
                    st.integers(1, 3000)),
        rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-       scale=st.sampled_from([1.0, 1e3, 1e6]))
+       scale=st.sampled_from([0, 10, 20]))
 def test_batched_sums_equal_the_per_instance_formula(degree, n, rows, seed, scale):
-    """_weyl_sums gives, bit for bit, each row's sum by np.polyval and
-    np.mod(h, 1.0), for signed coefficients of several sizes."""
-    coeffs = np.random.default_rng(seed).uniform(-scale, scale, size=(rows, degree + 1))
-    got = _weyl_sums(coeffs, n)
-    want = np.array([_oracle_sum(tuple(c), n) for c in coeffs])
-    assert np.array_equal(got, want)
+    """_weyl_sums gives each row's sum within 1e-12 N of the exact-phase
+    oracle, for signed coefficients k 2^(scale - 53), |k| < 2^53."""
+    ks = np.random.default_rng(seed).integers(-2**53, 2**53, size=(rows, degree + 1))
+    coeffs = np.ldexp(ks.astype(float), scale - 53)
+    words = np.array([[int(Fraction(c) * 2**64) % 2**64 for c in row] for row in coeffs],
+                     dtype=np.uint64)
+    got = _weyl_sums(words, n)
+    for total, row in zip(got, coeffs):
+        assert abs(total - _oracle_sum(tuple(row), n)) <= 1e-12 * n
 
 
-def test_scan_rows_equal_per_instance_sums_across_chunk_edges():
-    """The scan takes its sums in chunks of trials (one trial per chunk
-    past 2^16 terms); every |S| is that of the per-instance formula."""
+def test_scan_rows_equal_per_instance_sums_across_chunk_edges(monkeypatch):
+    """The scan takes its sums in chunks of trials, one trial in blocks past
+    _CHUNK_POINTS terms, and draws in batches that here cross the chunks:
+    every |S| is that of one weyl_sum, bit for bit, and within 1e-12 N of
+    the exact-phase oracle."""
+    monkeypatch.setattr(expsums, "_DRAW_BATCH", 7)
     n_values, trials = [5, 4096, 70000], 20
     report = weyl_scan(2, n_values, trials=trials, seed=3)
-    want = []
-    for n in n_values:
-        for trial in range(trials):
-            coeffs = tuple(np.random.default_rng([3, n, trial]).uniform(0.0, 1.0, size=3))
-            want.append(abs(complex(_oracle_sum(coeffs, n))))
-    assert [row[3] for row in report.rows] == want
     assert [row[:2] for row in report.rows] == [(n, t) for n in n_values for t in range(trials)]
+    for n, trial, _, s, _, _ in report.rows:
+        coeffs = tuple(np.random.default_rng([3, n, trial]).uniform(0.0, 1.0, size=3))
+        assert s == abs(weyl_sum(WeylInstance(coeffs, n)))
+        assert abs(s - abs(_oracle_sum(coeffs, n))) <= 1e-12 * n
