@@ -107,24 +107,22 @@ def sup_norm_diagnostics(field: SpectralField) -> Tuple[float, float, float]:
 
 
 def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
-    """One record per state of a sequence of SpectralFields or of a run's
-    RecordedStates, whose blocks are read as blocks; g_accum is the
-    trapezoid integral of the summed sups."""
+    """One record per state of a run's RecordedStates, summed on its blocks,
+    or of a sequence of SpectralFields; g_accum is the trapezoid integral of
+    the summed sups."""
     if not states:
         return []
-    grid = states[0].grid
-    dims = _block_dims(grid)
+    on_blocks = isinstance(states, RecordedStates)
+    grid = states.grid if on_blocks else states[0].grid
+    # the weights of |u_hat|^2 and |u_hat|^2 itself on a block (see _half_sq) or a field
+    part = (lambda w: _block(w, *_block_dims(grid))) if on_blocks else (lambda w: w)
+    square = (lambda b: _half_sq(b, grid.ny)) if on_blocks else (lambda f: np.abs(f.coeffs) ** 2)
+    energy_w = part(_energy_weight(grid, symbol))
+    sobolev_w = {s: part(_sobolev_weight(grid, s)) for s in h_s}
     planes = _RefinedPlanes(grid)
-    energy_w = _energy_weight(grid, symbol)
-    sobolev_w = {s: _sobolev_weight(grid, s) for s in h_s}
-    # the weights of |u_hat|^2 for a field and for a block (see _half_sq)
-    weights = {True: (energy_w, sobolev_w),
-               False: (_block(energy_w, *dims),
-                       {s: _block(w, *dims) for s, w in sobolev_w.items()})}
-    entries = states.entries if isinstance(states, RecordedStates) else states
     records = []
     g = 0.0
-    for i, (t, state) in enumerate(zip(times, entries)):
+    for i, (t, state) in enumerate(zip(times, states.blocks if on_blocks else states)):
         state_planes = planes(state)
         u = next(state_planes)
         su, cubic = _sup(u), _cubic(u)
@@ -133,14 +131,12 @@ def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
             p = records[-1]
             g += 0.5 * (times[i] - times[i - 1]) * ((su + sx + sy)
                                                     + (p.sup_u + p.sup_ux + p.sup_uy))
-        field = isinstance(state, SpectralField)
-        sq = np.abs(state.coeffs) ** 2 if field else _half_sq(state, grid.ny)
-        ew, sw = weights[field]
+        sq = square(state)
         records.append(DiagnosticsRecord(
             t=float(t),
             mass=_mass(sq),
-            energy=_quadratic_energy(ew, sq) - cubic / 6.0,
-            h_s_norms={s: _weighted_norm(w, sq) for s, w in sw.items()},
+            energy=_quadratic_energy(energy_w, sq) - cubic / 6.0,
+            h_s_norms={s: _weighted_norm(w, sq) for s, w in sobolev_w.items()},
             sup_u=su, sup_ux=sx, sup_uy=sy,
             g_accum=g,
         ))

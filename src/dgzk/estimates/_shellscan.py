@@ -6,7 +6,7 @@ least squares on log2(measured).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,18 +19,30 @@ __all__ = ["ShellScanReport"]
 # the feasibility guard on a cell's lattice: j + k <= 20, so that the
 # kernel's double sum has at most 2^{j+k+6} = 2^26 terms
 MAX_SHELL_SUM = 20
+# the most threads a scan may run; a pool starts one per queued item up to its size
+MAX_WORKERS = 64
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int = 1,
                  costs: Sequence = None) -> list:
-    """[fn(x) for x in items], on a thread pool when workers > 1, which starts
-    the costliest items first when costs (one per item) are given."""
-    if workers > 1:
-        order = sorted(range(len(items)), key=lambda i: -costs[i]) if costs else range(len(items))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(fn, items[i]) for i in order}
-            return [futures[i].result() for i in range(len(items))]
-    return [fn(x) for x in items]
+    """[fn(x) for x in items], on `workers` threads when workers > 1, costliest
+    first when costs (one per item) are given; an item that raises cancels
+    the items not yet started.  workers outside 1 .. MAX_WORKERS raises
+    ValueError before any item runs."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    if workers == 1:
+        return [fn(x) for x in items]
+    order = sorted(range(len(items)), key=lambda i: -costs[i]) if costs else range(len(items))
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = {i: pool.submit(fn, items[i]) for i in order}
+        done, _ = wait(futures.values(), return_when=FIRST_EXCEPTION)
+        for future in done:
+            future.result()  # raises the error of a failed item
+        return [futures[i].result() for i in range(len(items))]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def shell_lists(symbol, j_range, k_range, counts: dict, fewest_k: int, least_k: int,

@@ -10,7 +10,6 @@ the number of turns.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +68,10 @@ def _phase_speeds(grid: Grid, symbol: DispersionSymbol, ky: np.ndarray) -> np.nd
     return omega
 
 
-@functools.lru_cache(maxsize=32)
 def _symbol_tables(grid: Grid, symbol: DispersionSymbol):
-    """Read-only omega and gamma (None when mu = 0) on grid, shared by every caller."""
-    omega = _phase_speeds(grid, symbol, grid.ky2d)
+    """omega and gamma (None when mu = 0) on grid."""
     gamma = damping_rate(grid.kx2d, grid.ky2d, symbol) if symbol.mu > 0 else None
-    for table in (omega, gamma):
-        if table is not None:
-            table.setflags(write=False)
-    return omega, gamma
+    return _phase_speeds(grid, symbol, grid.ky2d), gamma
 
 
 def propagate(field: SpectralField, t: float, symbol: DispersionSymbol) -> SpectralField:

@@ -42,10 +42,8 @@ from .spectral import (
     _real_values,
     _require_real,
     _sup,
-    dealias,
     l2_norm,
     mean_zero_x_defect,
-    project_mean_zero_x,
     truncate_to_grid,
 )
 from . import diagnostics as _diag
@@ -311,13 +309,12 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             f"initial data carries relative weight {defect:.3e} on the m = 0 modes; "
             f"the model requires zero mean in x (tolerance {MEAN_ZERO_TOL:.0e})"
         )
-    phi = dealias(project_mean_zero_x(phi))
     n_steps = config._n_steps
     dt = config.t_end / n_steps
 
     dims = _block_dims(grid)
     check_work("simulate", n_steps * grid.nx * grid.ny)
-    n_blocks = -(-n_steps // config.record_every)
+    n_blocks = 1 + -(-n_steps // config.record_every)  # the initial block, then one per record
     check_work("records", n_blocks * (2 * dims[0] + 1) * dims[1] * 16)
     stepper = _STEPPERS[config.integrator](grid, config.symbol, dt)
 
@@ -328,12 +325,13 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     def lap_sq_norm(cc):
         return FOUR_PI_SQ * float(np.sum(lap_w * _half_sq(cc, grid.ny)))
 
-    # the state is the Galerkin block: every other mode stays exactly zero
+    # the state is the Galerkin block, every other mode exactly zero; row 0 is m = 0
     c = _block(phi.coeffs, *dims)
+    c[0] = 0.0
     warned = _cfl_guard(grid, dt, stepper.nonlinear.values(c))
 
     rec_times = [0.0]
-    rec_blocks = []
+    rec_blocks = [c]
     rec_diss = [0.0]
     diss_accum = 0.0
     prev_lap = lap_sq_norm(c) if mu > 0 else 0.0
@@ -355,7 +353,7 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     del stepper
 
     times = np.array(rec_times)
-    states = RecordedStates(phi, rec_blocks)
+    states = RecordedStates(grid, rec_blocks)
     records = _diag.build_records(times, states, config.symbol, config.h_s)
     for r, rec in enumerate(records):  # a finite state's energy can still be inf - inf
         if not all(map(math.isfinite, (rec.mass, rec.energy, *rec.h_s_norms.values(), rec.sup_u,

@@ -249,24 +249,19 @@ def _half_sq(half: np.ndarray, ny: int) -> np.ndarray:
 
 
 class RecordedStates(Sequence):
-    """Read-only sequence of a run's states, as SpectralFields built on every
-    read from `entries`: the first state as a field, the later ones as
-    Galerkin blocks."""
+    """Read-only sequence of a run's states, kept as the Galerkin blocks
+    `blocks` of grid and read as SpectralFields built on every read."""
 
-    def __init__(self, first: SpectralField, blocks: list):
-        self.grid = first.grid
-        self.entries = [first, *blocks]
+    def __init__(self, grid: Grid, blocks: list):
+        self.grid, self.blocks = grid, blocks
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.blocks)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        entry = self.entries[i]
-        if isinstance(entry, SpectralField):
-            return entry.copy()
-        return SpectralField(self.grid, _full_from_block(entry, self.grid))
+        return SpectralField(self.grid, _full_from_block(self.blocks[i], self.grid))
 
 
 def _real_coeffs(v: np.ndarray) -> np.ndarray:
@@ -497,9 +492,8 @@ class _RefinedPlanes:
     or Galerkin blocks: planes(state) raises SymmetryViolationError for a
     non-real state and iterates over the three planes, each of which
     overwrites the last.  A plane is the irfft2 (see _ColumnValues) of the
-    state's data columns times its multiplier, padded as embed_in_grid pads:
-    _pad_rows along x, and column ny/2, if the data reach it, halved, as its
-    label -ny/2 lies past the 2x grid's half spectrum.
+    state's half-spectrum columns up to its last nonzero one, times its
+    multiplier, padded as embed_in_grid pads.
     """
 
     def __init__(self, grid: Grid):
@@ -515,11 +509,8 @@ class _RefinedPlanes:
     def __call__(self, state):
         _require_real(state)
         h = self.cols.shape[1]
-        if isinstance(state, SpectralField):
-            half = state.coeffs[:, :h]
-            data = half[:, :_nonzero_columns(half).stop]
-        else:
-            data = self.rows(state)
+        half = state.coeffs[:, :h] if isinstance(state, SpectralField) else self.rows(state)
+        data = half[:, :_nonzero_columns(half).stop]
         width = data.shape[1]
         if self.values is None or self.values.cols.stop != width:
             self.values = _ColumnValues(2 * self.grid.nx, 2 * self.grid.ny, slice(0, width))

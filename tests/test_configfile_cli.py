@@ -17,6 +17,7 @@ from dgzk import cli, configfile, diagnostics
 from dgzk.cli import _RUNNERS, main
 from dgzk.configfile import COMMANDS, SCHEMAS, parse_config_text, resolve_config
 from dgzk.errors import ConfigError
+from dgzk.estimates import _shellscan
 from dgzk.fieldio import load_field
 from dgzk.presets import PRESET_NAMES
 
@@ -326,6 +327,21 @@ def test_two_workers_write_the_artifacts_of_one(tmp_path, command, settings):
         assert files[0][name] == files[1][name]
     assert (files[0]["resolved-config.txt"].replace(b"workers = 1", b"workers = 2")
             == files[1]["resolved-config.txt"])
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", str(10**6)])
+@pytest.mark.parametrize("command", ["strichartz-scan", "kernel-scan", "commutator-scan"])
+def test_workers_outside_their_range_exit_2_before_any_pool(tmp_path, monkeypatch, command,
+                                                              workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("built a thread pool")
+
+    monkeypatch.setattr(_shellscan, "ThreadPoolExecutor", no_pool)
+    out = tmp_path / "run"
+    assert main([command, "--out", str(out), "--workers", workers]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"]["type"] == "ValueError"
+    assert "workers must lie in [1, 64]" in record["error"]["message"]
 
 
 @pytest.mark.parametrize("command, settings", [

@@ -202,12 +202,10 @@ def test_real_fields_take_only_real_transforms(monkeypatch, rng):
 
 
 def _data_width(state, grid):
-    """The data columns _RefinedPlanes reads: kc for a Galerkin block, a
-    field's half-spectrum columns up to its last nonzero one."""
-    if not hasattr(state, "coeffs"):
-        return state.shape[1]
-    nonzero = np.flatnonzero(np.any(state.coeffs[:, : grid.ny // 2 + 1] != 0, axis=0))
-    return int(nonzero[-1]) + 1
+    """The data columns _RefinedPlanes reads: the half-spectrum columns of a
+    field or a Galerkin block up to its last nonzero one."""
+    half = state.coeffs[:, : grid.ny // 2 + 1] if hasattr(state, "coeffs") else state
+    return int(np.flatnonzero(np.any(half != 0, axis=0))[-1]) + 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -218,8 +216,8 @@ def test_refined_planes_have_the_values_of_irfft2_in_either_layout(nx, ny, seed)
     """One evaluator, fed blocks and fields of several widths in turn (each
     switch leaves stale data in its buffers), gives every plane with the
     values of irfft2 of the padded half spectrum (see assert_irfft2_values).
-    A field is read on its columns up to the last nonzero one: `narrow`
-    fills the block's kc columns, and rows the block does not hold."""
+    Fields and blocks are read on their columns up to the last nonzero one:
+    `narrow` fills the block's kc columns, and rows the block does not hold."""
     rng = np.random.default_rng(seed)
     g = Grid(nx, ny)
     big = Grid(2 * nx, 2 * ny)
@@ -260,18 +258,19 @@ def test_a_block_record_keeps_the_realness_check():
     g = Grid(16, 16)
     block = _block(dealias(cos_x(g)).coeffs, *_block_dims(g))
     block[1, 0] += 1e-6  # m = 1 no longer conjugate to m = -1 in column 0
-    states = RecordedStates(cos_x(g), [block])
+    states = RecordedStates(g, [block])
     with pytest.raises(SymmetryViolationError):
-        build_records(np.array([0.0, 0.1]), states, SYM)
+        build_records(np.array([0.0]), states, SYM)
 
 
 def test_recorded_states_build_the_first_state_on_every_read():
     g = Grid(16, 16)
-    states = RecordedStates(cos_x(g), [_block(dealias(cos_x(g)).coeffs, *_block_dims(g))])
+    phi = dealias(cos_x(g))
+    states = RecordedStates(g, [_block(phi.coeffs, *_block_dims(g))])
     first = states[0]
     first.coeffs[1, 0] = 99.0
     assert states[0] is not first
-    assert np.array_equal(states[0].coeffs, cos_x(g).coeffs)
+    assert np.array_equal(states[0].coeffs, phi.coeffs)
 
 
 def test_commutator_two_mode_closed_form():

@@ -277,7 +277,7 @@ def test_workspace_steppers_keep_the_bits_of_the_fresh_array_steps(n, integrator
         assert np.array_equal(c, want)
         wants.append(want)
     cfg = SimulationConfig(grid=g, symbol=sym, dt=1e-3, t_end=0.02, integrator=integrator)
-    blocks = simulate(cfg, phi).states.entries[1:]
+    blocks = simulate(cfg, phi).states.blocks[1:]
     assert len(blocks) == 20
     assert not any(np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[:i])
     assert all(np.array_equal(got, w) for got, w in zip(blocks, wants))
@@ -299,6 +299,27 @@ def test_a_steady_state_step_allocates_less_than_three_blocks():
     finally:
         tracemalloc.stop()
     assert peak - base < 3 * c.nbytes
+
+
+def test_a_run_keeps_its_blocks_and_no_full_grid_array():
+    """Every state of a run is its Galerkin block from t = 0 on: a 256^2 run
+    keeps its blocks and at most 0.1 MB more once it returns, and its peak
+    stays 9.5 MB above the base, where a full coefficient array is 1 MB
+    (tracemalloc)."""
+    g = Grid(256, 256)
+    phi = initial_data(g, "random-band", seed=0)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=1e-3, t_end=0.03, record_every=10)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = simulate(cfg, phi)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    blocks = traj.states.blocks
+    assert len(blocks) == 4
+    assert kept - base <= sum(b.nbytes for b in blocks) + 0.1e6
+    assert peak - base <= 9.5e6
 
 
 def test_cfl_guard_reads_the_sup_of_the_recorded_state():
@@ -479,21 +500,21 @@ def test_recorded_states_read_as_full_fields():
     states = traj.states
     n = len(traj.times)
     assert len(states) == n == 6
-    # the first entry is the dealiased input, every later one a Galerkin block
+    # every entry is a Galerkin block, the first that of the dealiased input
     assert np.array_equal(states[0].coeffs, dealias(project_mean_zero_x(phi)).coeffs)
-    blocks = states.entries[1:]
+    blocks = states.blocks
     assert all(b.shape == (2 * (g.nx // 3) + 1, g.ny // 3 + 1) for b in blocks)
     fulls = [_full_from_block(b, g) for b in blocks]
     listed = list(states)
     assert len(listed) == n and all(s.grid == g for s in listed)
-    assert all(np.array_equal(s.coeffs, f) for s, f in zip(listed[1:], fulls))
+    assert all(np.array_equal(s.coeffs, f) for s, f in zip(listed, fulls))
     for i in (-1, n - 1):
         assert np.array_equal(states[i].coeffs, fulls[-1])
     assert np.array_equal(traj.final_state.coeffs, fulls[-1])
     assert np.array_equal(states[-n].coeffs, states[0].coeffs)
     picked = states[1:5:2]
     assert len(picked) == 2
-    assert all(np.array_equal(s.coeffs, f) for s, f in zip(picked, fulls[0:4:2]))
+    assert all(np.array_equal(s.coeffs, f) for s, f in zip(picked, fulls[1:5:2]))
     assert len(states[::-1]) == n
     for bad in (n, -n - 1):
         with pytest.raises(IndexError):

@@ -12,6 +12,7 @@ import pytest
 import dgzk
 from dgzk import _work
 from dgzk.estimates import strichartz
+from dgzk.estimates import _shellscan
 from dgzk.estimates._shellscan import parallel_map
 from dgzk.errors import InsufficientDataError, SymmetryViolationError
 from dgzk.grid import Grid
@@ -248,6 +249,49 @@ def test_parallel_map_starts_the_costliest_items_first_and_keeps_their_order():
     items = [1, 2, 3, 4, 5]
     assert parallel_map(fn, items, workers=2, costs=[5, 1, 9, 1, 7]) == [10, 20, 30, 40, 50]
     assert set(started[:2]) == {3, 5} and sorted(started) == items
+
+
+def test_a_failing_item_cancels_the_items_not_yet_started(monkeypatch):
+    """Item 0 raises while item 1 runs; every item past them that had not
+    started when the error came out is cancelled.  Started items wait for
+    `release`, which the pool sets once its queue is cancelled, so at most
+    one item past item 1 can start."""
+    one_started, release = threading.Event(), threading.Event()
+    ran = []
+
+    class Pool(_shellscan.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
+
+    def fn(x):
+        if x == 0:
+            one_started.wait(timeout=10)
+            raise RuntimeError("item 0")
+        ran.append(x)
+        one_started.set()
+        release.wait(timeout=10)
+        return x
+
+    monkeypatch.setattr(_shellscan, "ThreadPoolExecutor", Pool)
+    with pytest.raises(RuntimeError, match="item 0"):
+        parallel_map(fn, list(range(100)), workers=2)
+    assert ran[0] == 1 and set(ran) <= {1, 2}
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("built a thread pool")
+
+
+@pytest.mark.parametrize("workers", [0, -1, 10**6])
+def test_workers_outside_1_to_max_workers_are_refused_before_any_pool(monkeypatch, workers):
+    monkeypatch.setattr(_shellscan, "ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr(strichartz.np.random, "default_rng", _no_pool)
+    with pytest.raises(ValueError, match="workers must lie in"):
+        parallel_map(abs, [1, 2], workers)
+    with pytest.raises(ValueError, match="workers must lie in"):
+        strichartz_scan(SYM, [3, 4], [3], trials=1, workers=workers)
 
 
 def test_scan_refuses_work_above_the_ceiling_before_drawing(monkeypatch):

@@ -3,9 +3,10 @@
     python tools/compare_checkouts.py PARENT CHANGE
 
 Both checkouts are copied into one temporary directory (without .git,
-caches and bench outputs), and everything runs on the copies, so nothing
-is written outside that directory; it is removed at the end.  The report
-covers:
+caches and bench outputs) and byte-compiled there, so a bench run's
+setup_s does not include compiling dgzk.  Everything runs on the copies,
+so nothing is written outside that directory; it is removed at the end.
+The report covers:
 
 * src/ line counts per file, split into code, docstring, comment and blank
   lines by `ast` (a docstring's blank lines count as docstring);
@@ -46,6 +47,8 @@ RUNS = [
     ("simulate-bell-ifrk4", ["simulate", "--set", "initial.preset=gaussian-bell",
                              "--set", "solver.integrator=ifrk4"]),
     ("kernel-scan-2-workers", ["kernel-scan", "--workers", "2"]),
+    ("strichartz-scan-2-workers", ["strichartz-scan", "--workers", "2"]),
+    ("commutator-scan-2-workers", ["commutator-scan", "--workers", "2"]),
     # fields that fill the Nyquist row and column: the halvings of the 2x padding
     ("commutator-scan-nyquist", ["commutator-scan", "--set", "comm.band=32",
                                  "--set", "comm.pairs=20"]),
@@ -109,6 +112,9 @@ class Checkout:
         self.env.update({name: "1" for name in PINNED_THREADS})
         self.env.update(PYTHONPATH=str(self.root / "src"), PYTHONDONTWRITEBYTECODE="1",
                         PYTHONHASHSEED="0")
+        proc = self.run(["-m", "compileall", "-q", "src", "bench"])
+        if proc.returncode != 0:
+            sys.exit(f"cannot byte-compile {self.root}:\n{self.mask(proc.stdout).decode()}")
 
     def run(self, argv, cwd=None):
         return subprocess.run([sys.executable, *argv], cwd=cwd or self.root, env=self.env,
