@@ -70,9 +70,8 @@ def mass(field: SpectralField) -> float:
 
 
 def _cubic(values: np.ndarray) -> float:
-    """integral of u^3 from point values on the 2x grid."""
-    u = values.real
-    return FOUR_PI_SQ * float(np.mean(u * u * u))
+    """integral of u^3 from real point values on the 2x grid."""
+    return FOUR_PI_SQ * float(np.mean(values * values * values))
 
 
 def cubic_integral(field: SpectralField) -> float:

@@ -66,10 +66,10 @@ def load_field(path) -> SpectralField:
     path = Path(path)
     if _is_json(path):
         record = json.loads(path.read_text())
-        if record.get("format") != "dgzk-field":
+        if not isinstance(record, dict) or record.get("format") != "dgzk-field":
             raise ValueError(f"{path}: not a field record")
         version, tag = record.get("version"), record.get("normalization")
-        body = lambda: (record["nx"], record["ny"], np.asarray(record["data"], dtype=float))
+        body = lambda: (record.get("nx"), record.get("ny"), np.asarray(record.get("data")))
     else:
         blob = path.read_bytes()
         head = len(MAGIC) + 12 + _TAG_BYTES
@@ -83,8 +83,13 @@ def load_field(path) -> SpectralField:
         raise ValueError(f"{path}: unsupported version {version!r}")
     if tag != NORMALIZATION:
         raise ValueError(f"{path}: unexpected normalization {tag!r}")
-    nx, ny, data = body()
-    grid = Grid(nx=int(nx), ny=int(ny))
+    try:
+        nx, ny, data = body()
+    except ValueError:  # numpy refuses a ragged data list
+        nx = ny = data = None
+    if not (type(nx) is type(ny) is int and data.ndim == 1 and data.dtype.kind in "fi"):
+        raise ValueError(f"{path}: nx and ny must be integers and data a flat list of numbers")
+    grid = Grid(nx=nx, ny=ny)
     if data.size != 2 * grid.nx * grid.ny:
         raise ValueError(
             f"expected {2 * grid.nx * grid.ny} scalars for a {grid.nx}x{grid.ny} field, "

@@ -31,7 +31,6 @@ from .spectral import (
     RecordedStates,
     SpectralField,
     _BlockCoeffs,
-    _BlockRows,
     _ColumnValues,
     _block,
     _block_dims,
@@ -39,6 +38,7 @@ from .spectral import (
     _full_from_block,
     _half,
     _half_sq,
+    _pad_rows,
     _real_values,
     _require_real,
     _sup,
@@ -126,7 +126,7 @@ class _QuadraticTerm:
     def __init__(self, grid: Grid):
         K, kc = _block_dims(grid)
         self.grid, self.column_values = grid, None
-        self.rows = _BlockRows(grid.nx)
+        self.rows = np.zeros((grid.nx, kc), dtype=np.complex128)  # zero off the block's rows
         self.deriv_x = -0.5j * _block(grid.kx2d, K, 1)
         self.block_coeffs = _BlockCoeffs(grid.nx, grid.ny, kc)
 
@@ -135,7 +135,8 @@ class _QuadraticTerm:
         first call makes the evaluator, which nonlinear_term never needs."""
         if self.column_values is None:
             self.column_values = _ColumnValues(self.grid.nx, self.grid.ny, slice(0, c.shape[1]))
-        return self.column_values(self.rows(c))
+        _pad_rows(self.rows, c)
+        return self.column_values(self.rows)
 
     def of_values(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(u, u, out=u)
@@ -375,10 +376,11 @@ class RegularizedFamily:
 
 def l2_identity_residual(traj: Trajectory) -> float:
     """Largest relative defect of ||phi||^2 = ||u(t)||^2 + D(t), D the dissipation
-    2 mu int ||laplacian u||^2 so far; 0 for phi = 0, where 0 = 0 + 0 holds exactly."""
+    2 mu int ||laplacian u||^2 so far and ||u(t)||^2 the mass of its record; 0
+    for phi = 0, where 0 = 0 + 0 holds exactly."""
     if traj.dissipation is None:
         raise ValueError("trajectory was not produced by a damped (mu > 0) run")
-    norms_sq = np.array([l2_norm(s) ** 2 for s in traj.states])
+    norms_sq = np.array([r.mass for r in traj.diagnostics])
     phi_sq = norms_sq[0]
     residual = np.abs(phi_sq - norms_sq - traj.dissipation)
     return float(np.max(residual) / phi_sq) if phi_sq > 0 else 0.0

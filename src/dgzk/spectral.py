@@ -208,21 +208,6 @@ def _block(c: np.ndarray, K: int, kc: int) -> np.ndarray:
     return _fold_rows(c[:, :kc], 2 * K + 1)
 
 
-class _BlockRows:
-    """Galerkin blocks in a grid's nx rows: rows(block) returns its own
-    buffer, the block's columns, zero off its rows m = 0 .. K and -K .. -1,
-    which the next call overwrites."""
-
-    def __init__(self, nx: int):
-        self.buf = np.zeros((nx, 0), dtype=np.complex128)
-
-    def __call__(self, block: np.ndarray) -> np.ndarray:
-        if self.buf.shape[1] != block.shape[1]:
-            self.buf = np.zeros((self.buf.shape[0], block.shape[1]), dtype=np.complex128)
-        _pad_rows(self.buf, block)
-        return self.buf
-
-
 def _full_from_block(block: np.ndarray, grid: Grid) -> np.ndarray:
     """Full FFT-layout coefficients of the real field whose half spectrum is
     the block and zero elsewhere."""
@@ -493,29 +478,32 @@ class _RefinedPlanes:
     non-real state and iterates over the three planes, each of which
     overwrites the last.  A plane is the irfft2 (see _ColumnValues) of the
     state's half-spectrum columns up to its last nonzero one, times its
-    multiplier, padded as embed_in_grid pads.
+    multiplier, padded as embed_in_grid pads: a block's own rows go
+    straight to the 2x rows.
     """
 
     def __init__(self, grid: Grid):
-        h = grid.ny // 2 + 1
+        h, dx = grid.ny // 2 + 1, _derivative_multiplier(grid, "x")
         self.grid = grid
-        self.dx = _derivative_multiplier(grid, "x")
+        # i k_x on the rows of a field and on those of a block, by row count
+        self.dx = {grid.nx: dx, 2 * (grid.nx // 3) + 1: _block(dx, grid.nx // 3, 1)}
         self.dy = _derivative_multiplier(grid, "y")[:, :h]
-        # the rows that _pad_rows does not write stay zero
-        self.cols = np.zeros((2 * grid.nx, h), dtype=np.complex128)
-        self.rows = _BlockRows(grid.nx)
-        self.values = None
+        self.cols = self.values = None
+        self.data_rows = 0  # the row count of the data in cols, whose other rows are zero
 
     def __call__(self, state):
         _require_real(state)
-        h = self.cols.shape[1]
-        half = state.coeffs[:, :h] if isinstance(state, SpectralField) else self.rows(state)
+        h = self.dy.shape[1]
+        half = state.coeffs[:, :h] if isinstance(state, SpectralField) else state
         data = half[:, :_nonzero_columns(half).stop]
-        width = data.shape[1]
+        rows, width = data.shape
+        if self.data_rows != rows:  # _pad_rows writes only the rows that hold data
+            self.cols = np.zeros((2 * self.grid.nx, h), dtype=np.complex128)
+            self.data_rows = rows
         if self.values is None or self.values.cols.stop != width:
             self.values = _ColumnValues(2 * self.grid.nx, 2 * self.grid.ny, slice(0, width))
         cols = self.cols[:, :width]
-        for mult in (1.0, self.dx, self.dy[:, :width]):
+        for mult in (1.0, self.dx[rows], self.dy[:, :width]):
             _pad_rows(cols, data * mult)
             if width == h:
                 cols[:, -1] *= 0.5

@@ -1,5 +1,6 @@
 """Field snapshots: round trips, canonical layout, format rejection."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,28 @@ def test_json_rejects_foreign_records(tmp_path, grid16, rng):
     bad = dict(record, data=record["data"][:-2])
     p.write_text(json.dumps(bad))
     with pytest.raises(ValueError, match="scalars"):
+        load_field(p)
+
+
+@pytest.mark.parametrize("malformed", [
+    lambda r: [r],                                       # not an object
+    lambda r: {k: v for k, v in r.items() if k != "data"},
+    lambda r: dict(r, nx=r["nx"] + 0.7),
+    lambda r: dict(r, nx=str(r["nx"])),
+    lambda r: dict(r, ny=True),
+    lambda r: dict(r, data=[None] + r["data"][1:]),
+    lambda r: dict(r, data=[r["data"][:2]] * (len(r["data"]) // 2)),   # nested
+    lambda r: dict(r, data=[r["data"][:2], r["data"][:3]]),             # ragged
+], ids=["array", "no-data", "float-nx", "string-nx", "bool-ny", "null-entry", "nested",
+        "ragged"])
+def test_json_refuses_malformed_records(tmp_path, malformed):
+    """A JSON record must be an object with int nx and ny (not bool) and a
+    flat list of numbers as data; anything else is a ValueError that names
+    the file."""
+    p = tmp_path / "snap.json"
+    save_field(field_from_modes(Grid(8, 8), {(1, 0): 0.5, (-1, 0): 0.5}), p)
+    p.write_text(json.dumps(malformed(json.loads(p.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(str(p))):
         load_field(p)
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dgzk
-from dgzk import _work
+from dgzk import _work, solver, spectral
 from dgzk import (
     DispersionSymbol,
     Grid,
@@ -35,8 +35,8 @@ from dgzk.solver import (CFL_LIMIT, SPATIAL_ERROR_FLOOR, Etdrk4Stepper, Ifrk4Ste
                          _cfl_guard, _etdrk4_phi, l2_identity_residual)
 from dgzk.errors import (DivergenceError, InsufficientDataError, InvalidInitialDataError,
                          SymmetryViolationError)
-from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockRows, _ColumnValues, _block, _block_dims,
-                           _dealias_mask, _full_from_block, _half,
+from dgzk.spectral import (_PRODUCT_COLUMNS, _ColumnValues, _block, _block_dims,
+                           _dealias_mask, _full_from_block, _half, _pad_rows,
                            inverse_transform)
 
 from fieldgen import _record_fft_calls, _record_products, band_field, real_field
@@ -222,12 +222,13 @@ def _fresh_array_stepper(grid, symbol, dt, integrator):
     u)), u from one _ColumnValues on the block columns.  The operand order of
     every product is the one the steppers keep."""
     K, kc = _block_dims(grid)
-    rows = _BlockRows(grid.nx)
     values = _ColumnValues(grid.nx, grid.ny, slice(0, kc))
     deriv_x = -0.5j * _block(grid.kx2d, K, 1)
 
     def N(c):
-        u = values(rows(c))
+        rows = np.zeros((grid.nx, kc), dtype=np.complex128)
+        _pad_rows(rows, c)
+        u = values(rows)
         cols = np.fft.rfft(u * u, axis=1, norm="forward")[:, :kc]
         return deriv_x * _block(np.fft.fft(cols, axis=0, norm="forward"), K, kc)
 
@@ -320,6 +321,26 @@ def test_a_run_keeps_its_blocks_and_no_full_grid_array():
     assert len(blocks) == 4
     assert kept - base <= sum(b.nbytes for b in blocks) + 0.1e6
     assert peak - base <= 9.5e6
+
+
+def test_every_row_padding_of_a_run_takes_the_block_rows(monkeypatch):
+    """A 48 x 40 run pads the Galerkin block's own 2K + 1 = 33 rows, never
+    an nx-row copy of it: in its 10 steps (4 quadratic terms each), the CFL
+    guard of its 5 entries, their records (3 planes each) and the rebuild
+    of entry 0 as a field."""
+    seen = []
+
+    def spy(out, c):
+        seen.append(len(c))
+        _pad_rows(out, c)
+
+    monkeypatch.setattr(spectral, "_pad_rows", spy)
+    monkeypatch.setattr(solver, "_pad_rows", spy)
+    g = Grid(48, 40)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=2e-3, t_end=0.02, record_every=3)
+    traj = simulate(cfg, initial_data(g, "random-band", amplitude=0.5, seed=4))
+    assert len(traj.states[0].coeffs) == 48
+    assert seen == [33] * (10 * 4 + 5 + 5 * 3 + 1)
 
 
 def test_cfl_guard_reads_the_sup_of_the_recorded_state():

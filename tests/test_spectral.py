@@ -37,10 +37,11 @@ from dgzk import (
 )
 from dgzk.errors import SymmetryViolationError
 from dgzk import spectral
-from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockCoeffs, _BlockRows, _ColumnValues, _block,
+from dgzk.solver import _QuadraticTerm
+from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockCoeffs, _ColumnValues, _block,
                            _block_dims, _full_from_block, _full_spectrum, _half, _half_sq,
-                           _hermitian_gap, _nonzero_columns, _real_coeffs, _real_values,
-                           _require_real)
+                           _hermitian_gap, _nonzero_columns, _pad_rows, _real_coeffs,
+                           _real_values, _require_real)
 
 from fieldgen import (_record_fft_calls, _record_products, assert_irfft2_values, band_field,
                       cos_x, real_field)
@@ -377,7 +378,9 @@ def test_one_row_rule_pads_folds_and_places_blocks(nx, ny, px, py, kc, seed):
 
     K = nx // 3
     block = rng.standard_normal((2 * K + 1, kc)) + 1j * rng.standard_normal((2 * K + 1, kc))
-    assert np.array_equal(_block(_BlockRows(nx)(block), K, kc), block)
+    rows = np.zeros((nx, kc), dtype=np.complex128)
+    _pad_rows(rows, block)
+    assert np.array_equal(_block(rows, K, kc), block)
 
 
 def test_embed_preserves_samples(rng):
@@ -568,8 +571,7 @@ def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
     g = Grid(nx, ny)
     K, kc = _block_dims(g)
     rng = np.random.default_rng(seed)
-    rows = _BlockRows(nx)
-    values = _ColumnValues(nx, ny, slice(0, kc))
+    quadratic = _QuadraticTerm(g)
     coeffs = _BlockCoeffs(nx, ny, kc)
     out = np.empty((2 * K + 1, kc), dtype=np.complex128)
     for _ in range(2):
@@ -579,8 +581,8 @@ def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
         half[:, kc:] = 0.0
         block = _block(half, K, kc)
         assert block.shape == (2 * K + 1, kc)
-        got = values(rows(block))
-        assert got is values.out
+        got = quadratic.values(block)
+        assert got is quadratic.column_values.out
         assert_irfft2_values(got, np.fft.irfft2(half, s=(nx, ny), norm="forward"), kc)
         v = rng.standard_normal((nx, ny))
         mult = rng.standard_normal((2 * K + 1, 1)) + 1j * rng.standard_normal((2 * K + 1, 1))

@@ -14,15 +14,17 @@ The report covers:
   exit code, stdout, stderr and every artifact, byte for byte, with each
   copy's path and output directory masked;
 * the `[criterion NN]` lines that tests/test_acceptance.py prints;
-* `bench/worker.py --mode plain`: input and output digests and failures of
-  every workload at the seeds in BENCH_SEEDS, and each run's peak_rss_mb,
-  setup_s and wall_s.
+* `bench/worker.py --mode plain`, BENCH_REPEATS runs per side of every
+  workload at the seeds in BENCH_SEEDS, the side that runs first
+  alternating: the input and output digests and failures of every run,
+  each against the parent's first run, and the median peak_rss_mb, setup_s,
+  wall_s and wall_norm (wall_s / calibration_s) of each side.
 
-Line counts and the bench runs' peak_rss_mb, setup_s and wall_s are
-reported, not compared: each is one run per side, and the memory peak moves
-with the heap layout that import and earlier work leave.  Any other
-difference is printed and the exit code is 1; 0 means everything compared
-is identical.  Uses the standard library only.
+Line counts and the bench medians are reported, not compared: a few runs
+cannot tell a real move from VM noise, and the memory peak moves with the
+heap layout that import and earlier work leave.  Any other difference is
+printed and the exit code is 1; 0 means everything compared is identical.
+Uses the standard library only.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ import json
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -55,8 +58,9 @@ RUNS = [
 ]
 BENCH_WORKLOADS = ("sim-diag", "sim-march", "estimates-lab")
 BENCH_SEEDS = (0, 3)
+BENCH_REPEATS = 3
 BENCH_COMPARED = ("input_digest", "output_digest", "failures")
-BENCH_REPORTED = ("peak_rss_mb", "setup_s", "wall_s")
+BENCH_REPORTED = ("peak_rss_mb", "setup_s", "wall_s", "wall_norm")
 KINDS = ("code", "docstring", "comment", "blank")
 PINNED_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                   "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -156,6 +160,8 @@ class Checkout:
             record = json.loads(proc.stdout.decode().strip().splitlines()[-1])
         except (IndexError, ValueError):
             return {"exit code": proc.returncode, "stderr": self.mask(proc.stderr).decode()}, {}
+        if "calibration_s" in record:  # absent when the entry call raised
+            record["wall_norm"] = record["wall_s"] / record["calibration_s"]
         return ({key: record.get(key) for key in BENCH_COMPARED},
                 {key: record.get(key) for key in BENCH_REPORTED})
 
@@ -166,8 +172,10 @@ def _first_difference(a: bytes, b: bytes) -> str:
     return f"{len(a)} vs {len(b)} bytes, first difference on line {line}"
 
 
-def _number(value) -> str:
-    return "-" if value is None else f"{value:.3f}"
+def _median(runs: list, key: str) -> str:
+    """The median of one BENCH_REPORTED value over (compared, reported) runs."""
+    values = [reported[key] for _, reported in runs if reported.get(key) is not None]
+    return f"{statistics.median(values):.3f}" if values else "-"
 
 
 def compare(title: str, parent: dict, change: dict) -> int:
@@ -217,15 +225,21 @@ def main(argv=None) -> int:
         differences += compare(f"{len(lines[0]) - 1} [criterion NN] lines",
                                dict(enumerate(lines[0])), dict(enumerate(lines[1])))
 
-        print("== bench/worker.py --mode plain: digests and failures compared; "
+        print(f"== bench/worker.py --mode plain, {BENCH_REPEATS} runs per side: digests and "
+              "failures of each run compared with the parent's first run; median "
               f"{', '.join(BENCH_REPORTED)} reported (parent -> change) ==")
         for workload in BENCH_WORKLOADS:
             for seed in BENCH_SEEDS:
-                (a, a_reported), (b, b_reported) = (checkout.bench(workload, seed)
-                                                    for checkout in (parent, change))
-                differences += compare(f"{workload} seed {seed}", a, b)
-                print("      " + ", ".join(f"{key} {_number(a_reported.get(key))} -> "
-                                          f"{_number(b_reported.get(key))}"
+                runs = {parent: [], change: []}
+                for repeat in range(BENCH_REPEATS):  # the side that runs first alternates
+                    for checkout in (parent, change)[::-1 if repeat % 2 else 1]:
+                        runs[checkout].append(checkout.bench(workload, seed))
+                compared = {f"{checkout.root.name} run {i + 1}": run
+                            for checkout, side in runs.items() for i, (run, _) in enumerate(side)}
+                differences += compare(f"{workload} seed {seed}",
+                                       dict.fromkeys(compared, runs[parent][0][0]), compared)
+                print("      " + ", ".join(f"{key} {_median(runs[parent], key)} -> "
+                                          f"{_median(runs[change], key)}"
                                           for key in BENCH_REPORTED))
 
     print("== everything compared is identical ==" if not differences
