@@ -13,6 +13,7 @@ agree with a complex evaluation to about 4e-16 relative.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
@@ -47,6 +48,7 @@ from .spectral import (
 __all__ = ["DiagnosticsRecord", "mass", "energy", "cubic_integral", "sup_norm_diagnostics",
            "build_records", "diagnostics_csv", "commutator_check", "commutator_scan",
            "CommutatorScanReport", "l1t_linf_estimate_check", "L1tLinfReport"]
+_LAST_GRID = threading.local()  # per thread: the last commutator_check's grid, planes, 2x grid
 
 @dataclass
 class DiagnosticsRecord:
@@ -170,27 +172,31 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     rhs = ||J^s f|| * ||g||_inf + (||f||_inf + ||grad f||_inf) * ||J^{s-1} g||
 
     Products are formed on a doubled grid, exact for band-limited inputs,
-    and the difference on its half spectrum (see spectral._half_sq).  Fields
-    must be real (SymmetryViolationError otherwise), and s must keep
-    (1 + |k|^2)^s finite on the 2x grid (see spectral._check_sobolev_index).
-    """
+    and the difference on its half spectrum (see spectral._half_sq).  f and
+    g must be real (SymmetryViolationError otherwise); J^s g, which is real
+    with g, is not checked again and takes g's columns.  s must keep
+    (1 + |k|^2)^s finite on the 2x grid (see spectral._check_sobolev_index)."""
     if not (math.isfinite(s) and s >= 1):
         raise ValueError(f"s must be finite and >= 1, got {s}")
     if f.grid != g.grid:
         raise ValueError("fields must share a grid")
     grid = f.grid
-    _check_sobolev_index(Grid(2 * grid.nx, 2 * grid.ny), s)  # J^s squared on the 2x grid
+    last = _LAST_GRID.__dict__
+    if last.get("grid") != grid:
+        last.update(grid=grid, planes=_RefinedPlanes(grid), big=Grid(2 * grid.nx, 2 * grid.ny))
+    planes = last["planes"]
+    _check_sobolev_index(last["big"], s)  # J^s squared on the 2x grid
 
     constant_f = not np.any(f.coeffs.ravel()[1:])  # f_hat vanishes off (0, 0)
 
-    planes = _RefinedPlanes(grid)
     # each plane overwrites the last, so f is copied for the products
     f_planes = planes(f)
     f_vals = next(f_planes).copy()
     grad_sq = np.square(next(f_planes))
     grad_sq += np.square(next(f_planes))
     grad_inf = math.sqrt(float(grad_sq.max()))  # max |grad f|, no hypot per point
-    g_vals = next(planes(g))
+    g_data = planes.data(g)
+    g_vals = next(planes.of_data(g_data))
     sup_g = _sup(g_vals)
     js, js_big, js_less = _bessel_multipliers(grid, s)
 
@@ -200,7 +206,7 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     else:
         diff = _real_coeffs(f_vals * g_vals)
         diff *= js_big
-        diff -= _real_coeffs(f_vals * next(planes(SpectralField(grid, g.coeffs * js))))
+        diff -= _real_coeffs(f_vals * next(planes.of_data(g_data * js[:, :g_data.shape[1]])))
         lhs = 2.0 * np.pi * math.sqrt(float(np.sum(_half_sq(diff, 2 * grid.ny))))
 
     rhs = (l2_norm(SpectralField(grid, f.coeffs * js)) * sup_g

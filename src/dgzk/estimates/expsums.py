@@ -168,6 +168,24 @@ def dirichlet_approx(r: float, lam: int) -> RationalApprox:
     return RationalApprox(a=p, q=q)
 
 
+def _dirichlet_rows(num: np.ndarray, lam: int) -> np.ndarray:
+    """(a, q) of dirichlet_approx(k 2^-53, lam), as two arrays, for each int64 k in
+    [0, 2^53) of num: its continued fraction, run on every row at once in int64."""
+    den = np.full_like(num, 2 ** 53)
+    prev, cur = np.zeros((2, 2, len(num)), dtype=np.int64)  # (p, q) of the last two convergents
+    prev[1] = cur[0] = 1
+    live = np.ones(len(num), dtype=bool)
+    while live.any():
+        a = np.floor_divide(num, den, out=np.zeros_like(num), where=live)
+        # a q + q_prev <= lam, without forming a q (q = 0 only at the first term, where a = 0)
+        live &= a <= (lam - prev[1]) // np.maximum(cur[1], 1)
+        a *= live
+        num, den = np.where(live, den, num), np.where(live, num % np.maximum(den, 1), den)
+        prev, cur = np.where(live, cur, prev), np.where(live, a * cur + prev, cur)
+        live &= den > 0
+    return cur
+
+
 def weyl_bound(n_terms: int, q: int, degree: int, delta: float) -> float:
     """N^{1+delta} * (1/q + 1/N + q * N^{-degree})^{1/2^{degree-1}}."""
     if n_terms < 1 or q < 1:
@@ -196,8 +214,10 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
     """Random instances per N; records |S| against the bound, whose a/q for
     the leading coefficient has q <= Lambda = N (so |omega_d - a/q| <= 1/q^2).
     Instance (N, trial) takes the coefficients of default_rng([seed, N, trial])
-    and has the bits of one weyl_sum.  Above the work ceiling (see dgzk._work)
-    it raises ValueError before it draws."""
+    and has the bits of one weyl_sum; each N's rows, computed as arrays, have
+    the bits of rows built from dirichlet_approx, weyl_bound and Python's abs.
+    Above the work ceiling (see dgzk._work) it raises ValueError before it
+    draws."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if operator.index(seed) < 0:
@@ -217,19 +237,19 @@ def weyl_scan(degree: int, n_values: Sequence[int], trials: int, delta: float = 
             # keyed per (N, trial) so results do not depend on loop order
             drawn = _keyed_uniforms(seed, n, first, min(first + _DRAW_BATCH, trials), degree + 1)
             words = np.ldexp(drawn, 53).astype(np.uint64) << 11  # k 2^-53 -> k 2^11
-            for start in range(0, len(drawn), chunk):
-                sums = _weyl_sums(words[start:start + chunk], n).tolist()
-                for trial, lead, total in zip(range(first + start, trials),
-                                              drawn[start:start + chunk, -1].tolist(), sums):
-                    approx = dirichlet_approx(lead, n)
-                    # |r - a/q| <= 1/(N q) in exact arithmetic; floats misjudge it from N ~ 2^25
-                    num, den = lead.as_integer_ratio()
-                    if abs(num * approx.q - approx.a * den) * n > den:
-                        dirichlet_ok = False
-                    s = abs(total)  # Python's abs: np.abs can differ in the last bit
-                    bound = weyl_bound(n, approx.q, degree, delta)
-                    ratio = s / bound
-                    max_ratio = max(max_ratio, ratio)
-                    rows.append((n, trial, approx.q, s, bound, ratio))
+            sums = np.concatenate([_weyl_sums(words[start:start + chunk], n)
+                                   for start in range(0, len(drawn), chunk)])
+            lead = (words[:, -1] >> 11).astype(np.int64)  # the leading coefficient times 2^53
+            a, q = _dirichlet_rows(lead, n)
+            # |r - a/q| <= 1/(N q) in exact arithmetic; floats misjudge it from N ~ 2^25
+            dirichlet_ok &= all(abs(k * qq - aa * 2 ** 53) * n <= 2 ** 53
+                                for k, aa, qq in zip(lead.tolist(), a.tolist(), q.tolist()))
+            s = np.hypot(sums.real, sums.imag)  # libm's hypot, as Python's abs; np.abs can differ
+            distinct, at = np.unique(q, return_inverse=True)
+            bound = np.array([weyl_bound(n, qq, degree, delta) for qq in distinct.tolist()])[at]
+            ratio = s / bound
+            max_ratio = max(max_ratio, float(ratio.max()))
+            rows += zip([n] * len(drawn), range(first, trials), q.tolist(), s.tolist(),
+                        bound.tolist(), ratio.tolist())
     return WeylScanReport(degree=degree, delta=delta, seed=seed, rows=rows,
                           max_ratio=max_ratio, dirichlet_ok=dirichlet_ok)

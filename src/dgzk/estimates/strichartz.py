@@ -21,6 +21,9 @@ from ..spectral import (SpectralField, _ColumnValues, _half, _nonzero_columns, _
 from ._shellscan import ShellScanReport, shell_lists, shell_scan
 
 __all__ = ["shell_field", "strichartz_norm", "strichartz_scan"]
+# bytes of the (B, 2, nx, ny/2 + 1) y products of one stack of time samples
+# (see _ColumnValues.sup): B = 31 on 64^2, 7 on 128^2 and 1 from 256^2 up
+_STACK_BYTES = 2 ** 20
 
 
 def _shell_grid(j: int, k: int, refine: int) -> Grid:
@@ -61,10 +64,10 @@ def shell_field(grid: Grid, j: int, k: int, rng) -> SpectralField:
 def _norm_evaluator(grid: Grid, symbol: DispersionSymbol, cols: slice, t_max: float,
                     n_times: int):
     """norm(half): the strichartz_norm of a real field on grid from its half
-    spectrum, which must be zero off the column range cols, a slice.  The
-    phase step and the column evaluator are built here once, for every
-    half spectrum that norm is called on; ValueError for fewer than 64
-    samples, t_max <= 0 or a damped symbol."""
+    spectrum, which must be zero off the column range cols, a slice, through
+    one phase step and column evaluator, whose sup takes the time samples in
+    stacks of B, the most (at least 1) whose y products fit _STACK_BYTES;
+    ValueError for fewer than 64 samples, t_max <= 0 or a damped symbol."""
     if n_times < 64:
         raise ValueError(f"need at least 64 time samples, got {n_times}")
     if t_max <= 0:
@@ -75,13 +78,18 @@ def _norm_evaluator(grid: Grid, symbol: DispersionSymbol, cols: slice, t_max: fl
     omega = _phase_speeds(grid, symbol, grid.ky2d[:, cols])
     step = np.exp(1j * omega * (times[1] - times[0]))
     values = _ColumnValues(*grid.shape, cols)
+    batch = max(1, _STACK_BYTES // (16 * grid.nx * (grid.ny // 2 + 1)))
+    stack = np.empty((min(batch, n_times), *step.shape), dtype=np.complex128)
     sups = np.empty(n_times)
 
     def norm(half: np.ndarray) -> float:
-        cur = half[:, cols].copy()
-        for i in range(n_times):
-            sups[i] = values.sup(cur)
-            np.multiply(cur, step, out=cur)
+        stack[0] = half[:, cols]
+        for start in range(0, n_times, batch):
+            samples = stack[:n_times - start]
+            for i in range(1, len(samples)):  # the phase advance, one product per sample
+                np.multiply(samples[i - 1], step, out=samples[i])
+            sups[start:start + batch] = values.sup(samples)
+            np.multiply(samples[-1], step, out=stack[0])
         return float(np.sqrt(np.trapezoid(sups ** 2, times)))
     return norm
 
@@ -93,11 +101,7 @@ def strichartz_norm(phi: SpectralField, symbol: DispersionSymbol, t_max: float,
     Time samples are equispaced, so the group multiplier advances by a
     single per-step factor; the accumulated phase roundoff over <= a few
     hundred steps is ~1e-14, irrelevant next to the fitted slopes.  phi must
-    be a real field (SymmetryViolationError otherwise).  The time loop runs
-    on one column range of its half spectrum, from its first to its last
-    nonzero column (a shell field fills all of them); the group keeps every
-    column outside it zero.
-    """
+    be a real field (SymmetryViolationError otherwise)."""
     half = _half(phi.coeffs)
     norm = _norm_evaluator(phi.grid, symbol, _nonzero_columns(half), t_max, n_times)
     _require_real(phi)

@@ -121,7 +121,8 @@ class _QuadraticTerm:
     """N(c, out) writes the Galerkin block of -0.5 d/dx(u^2) into out, u the
     point values of the block c of a real field, through buffers made once.
     The block holds the modes the two-thirds rule keeps, so taking it is the
-    dealiasing."""
+    dealiasing.  N(c, out) takes the values of the last values(c) if no
+    call came between and c is that same array, unchanged."""
 
     def __init__(self, grid: Grid):
         K, kc = _block_dims(grid)
@@ -129,6 +130,7 @@ class _QuadraticTerm:
         self.rows = np.zeros((grid.nx, kc), dtype=np.complex128)  # zero off the block's rows
         self.deriv_x = -0.5j * _block(grid.kx2d, K, 1)
         self.block_coeffs = _BlockCoeffs(grid.nx, grid.ny, kc)
+        self.valued = self.u = None  # the block of the last values call, and its values
 
     def values(self, c: np.ndarray) -> np.ndarray:
         """Real point values of the block c, valid until the next call; the
@@ -136,14 +138,16 @@ class _QuadraticTerm:
         if self.column_values is None:
             self.column_values = _ColumnValues(self.grid.nx, self.grid.ny, slice(0, c.shape[1]))
         _pad_rows(self.rows, c)
-        return self.column_values(self.rows)
+        self.valued, self.u = c, self.column_values(self.rows)
+        return self.u
 
     def of_values(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.valued = None  # u is squared in place
         np.multiply(u, u, out=u)
         return self.block_coeffs(u, self.deriv_x, out)
 
     def __call__(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return self.of_values(self.values(c), out)
+        return self.of_values(self.u if c is self.valued else self.values(c), out)
 
 
 def nonlinear_term(field: SpectralField) -> SpectralField:

@@ -114,57 +114,58 @@ def _cos_sin_table(n: range, ny: int) -> np.ndarray:
 
 class _ColumnValues:
     """_real_values on an (nx, ny) grid of half spectra that are zero off the
-    column range cols, a slice: values(data), data the (nx, ncols) columns,
-    returns its own plane, which the next call overwrites, and
-    values.sup(data) their max |values|.  Up to _PRODUCT_COLUMNS columns the
-    values are within about 1e-15 of max|values| of irfft2; past that they
-    have its bits."""
+    column range cols, a slice.  values(data), data the (..., nx, ncols)
+    columns of one half spectrum or of a stack of them, returns their values
+    in an array of its own per data shape, which the next call on that shape
+    overwrites, and values.sup(stack) the max |values| of each sample.  A
+    stacked sample has the bits it has alone.  Up to _PRODUCT_COLUMNS
+    columns the values are within about 1e-15 of max|values| of irfft2;
+    past that they have its bits."""
 
     def __init__(self, nx: int, ny: int, cols: slice):
         n = range(ny // 2 + 1)[cols]
-        self.cols = cols
-        self.shape = (nx, ny)
-        self.out = None  # made by the first values(data); sup needs none
-        self.halves = None  # sup's x-pass parts and y products, made by its first call
-        self.table = None
-        if len(n) <= _PRODUCT_COLUMNS:
-            self.buf = np.empty((nx, len(n)), dtype=np.complex128)
-            self.table = _cos_sin_table(n, ny)
-        else:
-            self.buf = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
+        self.cols, self.shape = cols, (nx, ny)
+        self.table = _cos_sin_table(n, ny) if len(n) <= _PRODUCT_COLUMNS else None
+        self.arrays = {}  # the buffers of each use and data shape, made on the first call
+
+    def _arrays(self, key, make):
+        return self.arrays[key] if key in self.arrays else self.arrays.setdefault(key, make())
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
-        if self.out is None:
-            self.out = np.empty(self.shape)
+        (*lead, nx, ncols), ny = data.shape, self.shape[1]
+        # the x-pass output: the data columns, or for irfft every column of the half spectrum
+        buf, out = self._arrays(data.shape, lambda: (
+            np.zeros((*lead, nx, ncols if self.table is not None else ny // 2 + 1),
+                     dtype=np.complex128), np.empty((*lead, nx, ny))))
         if self.table is None:
-            np.fft.ifft(data, axis=0, norm="forward", out=self.buf[:, self.cols])
-            return np.fft.irfft(self.buf, n=self.shape[1], axis=1, norm="forward",
-                                out=self.out)
-        np.fft.ifft(data, axis=0, norm="forward", out=self.buf)
-        return np.matmul(self.buf.view(np.float64), self.table, out=self.out)
+            np.fft.ifft(data, axis=-2, norm="forward", out=buf[..., self.cols])
+            return np.fft.irfft(buf, n=ny, axis=-1, norm="forward", out=out)
+        np.fft.ifft(data, axis=-2, norm="forward", out=buf)
+        return np.matmul(buf.view(np.float64), self.table, out=out)
 
-    def sup(self, data: np.ndarray) -> float:
-        """_sup(self(data)), which it is past _PRODUCT_COLUMNS.  Up to them
-        it takes half the y products: with A the x-pass output, P = Re A
-        times the rows w cos(n y_l) and Q = Im A times the rows -w sin(n y_l)
-        of the table, for l = 0 .. ny/2, give the values P + Q at y_l and
-        P - Q at -y_l, so max |values| = max(|P| + |Q|), within about 1e-15
-        of max|values| of _sup(self(data))."""
+    def sup(self, data: np.ndarray) -> np.ndarray:
+        """_sup of each plane of self(data), data (B, nx, ncols), as an array,
+        from one x pass, one y product and one reduction.  Up to
+        _PRODUCT_COLUMNS it takes half the y products: with A the x-pass
+        output, P = Re A times the table rows w cos(n y_l) and Q = Im A times
+        its rows -w sin(n y_l), l = 0 .. ny/2, are the values P + Q at y_l and
+        P - Q at -y_l, so max |values| = max(|P| + |Q|) (to about 1e-15)."""
         if self.table is None:
-            return _sup(self(data))
-        if self.halves is None:
-            (nx, ncols), h = self.buf.shape, self.shape[1] // 2 + 1
-            # (re, im) parts of the x-pass output and the (cos, sin) halves of the table
-            self.halves = (self.buf.view(np.float64).reshape(nx, ncols, 2).transpose(2, 0, 1),
-                           np.empty((2, nx, ncols)),
-                           self.table[:, :h].reshape(ncols, 2, h).transpose(1, 0, 2).copy(),
-                           np.empty((2, nx, h)))
-        interleaved, parts, tables, pq = self.halves
-        np.fft.ifft(data, axis=0, norm="forward", out=self.buf)
-        np.copyto(parts, interleaved)
+            values = self(data)
+            return np.maximum(values.max(axis=(1, 2)), -values.min(axis=(1, 2)))
+        (b, nx, ncols), h = data.shape, self.shape[1] // 2 + 1
+        # the (cos, sin) halves of the table, and the stack's buffers
+        tables = self._arrays("tables", lambda: self.table[:, :h].reshape(ncols, 2, h)
+                              .transpose(1, 0, 2).copy())
+        buf, parts, pq = self._arrays(("sup", b), lambda: (
+            np.empty(data.shape, dtype=np.complex128), np.empty((b, 2, nx, ncols)),
+            np.empty((b, 2, nx, h))))
+        np.fft.ifft(data, axis=1, norm="forward", out=buf)
+        # the (re, im) parts of the x-pass output, each contiguous
+        np.copyto(parts, buf.view(np.float64).reshape(b, nx, ncols, 2).transpose(0, 3, 1, 2))
         np.matmul(parts, tables, out=pq)
         np.abs(pq, out=pq)
-        return float(np.add(pq[0], pq[1], out=pq[0]).max())
+        return np.add(pq[:, 0], pq[:, 1], out=pq[:, 0]).max(axis=(1, 2))
 
 
 def _sup(values: np.ndarray) -> float:
@@ -477,10 +478,10 @@ class _RefinedPlanes:
     or Galerkin blocks: planes(state) raises SymmetryViolationError for a
     non-real state and iterates over the three planes, each of which
     overwrites the last.  A plane is the irfft2 (see _ColumnValues) of the
-    state's half-spectrum columns up to its last nonzero one, times its
-    multiplier, padded as embed_in_grid pads: a block's own rows go
-    straight to the 2x rows.
-    """
+    state's half-spectrum columns up to its last nonzero one (planes.data),
+    times its multiplier, padded as embed_in_grid pads: a block's own rows
+    go straight to the 2x rows.  planes.of_data(data) iterates over the
+    planes of such columns, or of a multiple of them, unchecked."""
 
     def __init__(self, grid: Grid):
         h, dx = grid.ny // 2 + 1, _derivative_multiplier(grid, "x")
@@ -491,11 +492,16 @@ class _RefinedPlanes:
         self.cols = self.values = None
         self.data_rows = 0  # the row count of the data in cols, whose other rows are zero
 
-    def __call__(self, state):
+    def data(self, state) -> np.ndarray:
         _require_real(state)
+        half = state.coeffs[:, :self.dy.shape[1]] if isinstance(state, SpectralField) else state
+        return half[:, :_nonzero_columns(half).stop]
+
+    def __call__(self, state):
+        return self.of_data(self.data(state))
+
+    def of_data(self, data: np.ndarray):
         h = self.dy.shape[1]
-        half = state.coeffs[:, :h] if isinstance(state, SpectralField) else state
-        data = half[:, :_nonzero_columns(half).stop]
         rows, width = data.shape
         if self.data_rows != rows:  # _pad_rows writes only the rows that hold data
             self.cols = np.zeros((2 * self.grid.nx, h), dtype=np.complex128)

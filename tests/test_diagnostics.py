@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dgzk import (
     DispersionSymbol,
     Grid,
+    SpectralField,
     SymmetryViolationError,
     SimulationConfig,
     Trajectory,
@@ -19,6 +20,7 @@ from dgzk import (
     energy,
     field_from_modes,
     forward_transform,
+    hermitian_defect,
     initial_data,
     inverse_transform,
     l1t_linf_estimate_check,
@@ -301,6 +303,34 @@ def test_commutator_multipliers_are_shared_read_only_and_keep_the_outputs(rng):
         tables[1][0, 0] = 0.0
     assert _bessel_multipliers(Grid(16, 24), 1.5) is tables
     assert commutator_check(f, h, 1.5) == first
+
+
+def test_commutator_checks_f_and_g_only_for_realness():
+    """A g whose hermitian_defect is 9e-13, at most HERMITIAN_TOL, passes
+    although J^2 g, which is not checked, reads 6.1e-12 (a bump at mode
+    (20, 20) without its conjugate); 1.1e-12 in g or in f is refused.  The
+    outputs on one grid do not depend on checks made on another first."""
+    grid = Grid(64, 64)
+    rng = np.random.default_rng(0)
+    f = band_field(grid, 8, rng, mean_zero_x=False)
+    g = band_field(grid, 8, rng, mean_zero_x=False)
+    scale = np.max(np.abs(g.coeffs))
+    bumped = g.copy()
+    bumped.coeffs[20, 20] += 9e-13 * scale
+    j2 = SpectralField(grid, bumped.coeffs * (1.0 + grid.kx2d**2 + grid.ky2d**2))
+    assert hermitian_defect(bumped) <= 1e-12 < 6e-12 < hermitian_defect(j2)
+    first = commutator_check(f, bumped, 2.0)
+    assert all(map(math.isfinite, first))
+    commutator_check(band_field(Grid(16, 24), 4, rng), band_field(Grid(16, 24), 4, rng), 2.0)
+    assert commutator_check(f, bumped, 2.0) == first
+    def refused(field):
+        field = field.copy()
+        field.coeffs[20, 20] += 1.1e-12 * np.max(np.abs(field.coeffs))
+        return field
+
+    for pair in ((refused(f), g), (f, refused(g))):
+        with pytest.raises(SymmetryViolationError, match="real function"):
+            commutator_check(*pair, 2.0)
 
 
 def test_commutator_validation(rng):

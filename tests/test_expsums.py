@@ -17,6 +17,7 @@ from dgzk.estimates.expsums import (
     WeylInstance,
     dirichlet_approx,
     weyl_bound,
+    _dirichlet_rows,
     _keyed_uniforms,
     _weyl_sums,
     weyl_scan,
@@ -263,6 +264,45 @@ def test_scan_decides_the_dirichlet_bound_exactly(monkeypatch):
                         lambda coeffs, n_terms: np.zeros(len(coeffs), dtype=complex))
     monkeypatch.setitem(_work.MAX_WORK, "weyl", math.inf)
     assert weyl_scan(1, [n], trials=trial + 1, seed=0).dirichlet_ok
+
+
+def _reference_scan(degree, n_values, trials, delta, seed):
+    """(rows, dirichlet_ok) of weyl_scan built row by row from the public
+    weyl_sum, dirichlet_approx and weyl_bound, with Python's abs."""
+    rows, ok = [], True
+    for n in n_values:
+        for trial in range(trials):
+            coeffs = np.random.default_rng([seed, n, trial]).uniform(0.0, 1.0, degree + 1).tolist()
+            approx = dirichlet_approx(coeffs[-1], n)
+            num, den = coeffs[-1].as_integer_ratio()
+            ok = ok and abs(num * approx.q - approx.a * den) * n <= den
+            s = abs(weyl_sum(WeylInstance(tuple(coeffs), n)))
+            bound = weyl_bound(n, approx.q, degree, delta)
+            rows.append((n, trial, approx.q, s, bound, s / bound))
+    return rows, ok
+
+
+def test_scan_rows_equal_the_per_row_public_reference():
+    """Rows, types included, max_ratio and dirichlet_ok are those of the
+    per-row reference, from N = 1 (a single term) to N = 2^20."""
+    n_values, trials = [1, 2, 7, 64, 1000, 2**20], 3
+    report = weyl_scan(3, n_values, trials=trials, delta=0.05, seed=8)
+    rows, ok = _reference_scan(3, n_values, trials, 0.05, 8)
+    assert report.rows == rows
+    assert [tuple(map(type, row)) for row in report.rows] == [(int, int, int) + (float,) * 3] * 18
+    assert report.dirichlet_ok is ok is True
+    assert report.max_ratio == max(row[5] for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ks=st.lists(st.one_of(st.integers(0, 2**53 - 1), st.sampled_from([0, 1, 2**52, 2**53 - 1])),
+                   min_size=1, max_size=20),
+       lam=st.one_of(st.integers(1, 64), st.integers(1, 2**62)))
+def test_continued_fraction_rows_match_dirichlet_approx(ks, lam):
+    """_dirichlet_rows gives, row by row, the a and q of dirichlet_approx(k 2^-53, lam)."""
+    a, q = _dirichlet_rows(np.array(ks, dtype=np.int64), lam)
+    want = [dirichlet_approx(k * 2.0**-53, lam) for k in ks]
+    assert a.tolist() == [r.a for r in want] and q.tolist() == [r.q for r in want]
 
 
 def test_scan_validation():

@@ -327,7 +327,8 @@ def test_every_row_padding_of_a_run_takes_the_block_rows(monkeypatch):
     """A 48 x 40 run pads the Galerkin block's own 2K + 1 = 33 rows, never
     an nx-row copy of it: in its 10 steps (4 quadratic terms each), the CFL
     guard of its 5 entries, their records (3 planes each) and the rebuild
-    of entry 0 as a field."""
+    of entry 0 as a field.  The first quadratic term of the step after each
+    of the 4 entries before the last takes the guard's values, unpadded."""
     seen = []
 
     def spy(out, c):
@@ -340,7 +341,7 @@ def test_every_row_padding_of_a_run_takes_the_block_rows(monkeypatch):
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=2e-3, t_end=0.02, record_every=3)
     traj = simulate(cfg, initial_data(g, "random-band", amplitude=0.5, seed=4))
     assert len(traj.states[0].coeffs) == 48
-    assert seen == [33] * (10 * 4 + 5 + 5 * 3 + 1)
+    assert seen == [33] * (10 * 4 - 4 + 5 + 5 * 3 + 1)
 
 
 def test_cfl_guard_reads_the_sup_of_the_recorded_state():

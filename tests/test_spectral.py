@@ -482,14 +482,15 @@ def test_column_pruned_real_values_equal_the_full_real_transform(nx, ny, seed, d
     rng = np.random.default_rng(seed)
     # half spectra of real samples fill column 0 and the x-Nyquist row
     values = _ColumnValues(nx, ny, slice(start, stop))
+    planes = []
     for _ in range(2):
         half = _real_coeffs(rng.standard_normal((nx, ny)))
         half[:, :start] = half[:, stop:] = half[:, inner] = 0.0
         cols = _nonzero_columns(half)
         assert (cols.start, cols.stop) == (start, stop)
-        got = values(half[:, cols])
-        assert got is values.out
-        assert_irfft2_values(got, _real_values(half, ny), stop - start)
+        planes.append(values(half[:, cols]))
+        assert_irfft2_values(planes[-1], _real_values(half, ny), stop - start)
+    assert planes[0] is planes[1]  # its own plane, which the next call overwrites
 
 
 @pytest.mark.parametrize("y_pass", ["product", "irfft"])
@@ -512,15 +513,17 @@ def test_the_y_pass_is_chosen_by_the_number_of_data_columns(y_pass, nx, ny, seed
     inner = rng.permutation(np.arange(start + 1, start + ncols - 1))
     inner = inner[:data.draw(st.integers(0, inner.size), label="zero columns")]
     values = _ColumnValues(nx, ny, cols)
+    planes = []
     with pytest.MonkeyPatch.context() as mp:
         calls = _record_fft_calls(mp)
         products = _record_products(mp)
         for _ in range(2):
             half = _real_coeffs(rng.standard_normal((nx, ny)))
             half[:, :cols.start] = half[:, cols.stop:] = half[:, inner] = 0.0
-            out = values(half[:, cols])
-            assert out is values.out
-            assert_irfft2_values(out, np.fft.irfft2(half, s=(nx, ny), norm="forward"), ncols)
+            planes.append(values(half[:, cols]))
+            assert_irfft2_values(planes[-1], np.fft.irfft2(half, s=(nx, ny), norm="forward"),
+                                 ncols)
+    assert planes[0] is planes[1]
     passes = [c for c in calls if c[0] in ("ifft", "irfft")]  # the oracle takes rfft2, irfft2
     if y_pass == "product":
         assert passes == [("ifft", (nx, ncols))] * 2 and products == [(ncols, ny)] * 2
@@ -533,12 +536,13 @@ def test_the_y_pass_is_chosen_by_the_number_of_data_columns(y_pass, nx, ny, seed
        seed=st.integers(0, 2**32 - 1), data=st.data())
 @example(nx=12, ny=40, seed=0, data=None)   # columns 3 .. 20 = ny/2 on a rectangular grid
 def test_the_sup_from_half_the_y_products_is_the_sup_of_the_values(nx, ny, seed, data):
-    """Up to _PRODUCT_COLUMNS data columns sup takes max(|P| + |Q|) over
-    y_0 .. y_ny/2 and is within 1e-14 of max|values| of _sup(values(data)),
-    also on ranges that hold column ny/2, whose y products carry
-    sin(n pi) ~ 1e-16 at y = pi; past them it is that _sup, bit for bit;
-    either way also when called again for a second spectrum, on ranges
-    that start at column 0 or after it, on square and rectangular grids."""
+    """Up to _PRODUCT_COLUMNS data columns sup of a one-sample stack takes
+    max(|P| + |Q|) over y_0 .. y_ny/2 and is within 1e-14 of max|values|
+    of _sup(values(data)), also on ranges that hold column ny/2, whose y
+    products carry sin(n pi) ~ 1e-16 at y = pi; past them it is that _sup,
+    bit for bit; either way also when called again for a second spectrum,
+    on ranges that start at column 0 or after it, on square and
+    rectangular grids."""
     h = ny // 2 + 1
     if data is None:
         ncols, start = 18, h - 18
@@ -552,11 +556,34 @@ def test_the_sup_from_half_the_y_products_is_the_sup_of_the_values(nx, ny, seed,
     for _ in range(2):
         half = _real_coeffs(rng.standard_normal((nx, ny)))
         want = spectral._sup(values(half[:, cols]))
-        got = values.sup(half[:, cols])
+        (got,) = values.sup(half[None, :, cols])
         if ncols > _PRODUCT_COLUMNS:
             assert got == want
         else:
             assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("nx, ny, cols", [(64, 64, slice(4, 8)), (48, 80, slice(3, 21)),
+                                           (32, 96, slice(0, 40)), (40, 24, slice(5, 13))])
+def test_a_stack_of_samples_has_the_sups_of_each_sample_alone(nx, ny, cols):
+    """sup of a stack of B samples equals, bit for bit, the sups of the
+    samples one at a time, for B in 1, 3 and 16 over 70 samples (a partial
+    last stack for B = 3 and 16), on square and rectangular grids, through
+    the cos/sin product (4, 18 and 8 columns, the last up to ny/2) and
+    through irfft (40 columns); the stacks' values have the bits of each
+    plane alone."""
+    rng = np.random.default_rng(nx + ny)
+    h = ny // 2 + 1
+    halves = rng.standard_normal((70, nx, h)) + 1j * rng.standard_normal((70, nx, h))
+    data = halves[:, :, cols]
+    alone = _ColumnValues(nx, ny, cols)
+    want = np.array([alone.sup(sample[None])[0] for sample in data])
+    planes = np.array([alone(sample).copy() for sample in data[:5]])
+    for b in (1, 3, 16):
+        values = _ColumnValues(nx, ny, cols)
+        got = np.concatenate([values.sup(data[i:i + b]) for i in range(0, 70, b)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(values(data[:5]), planes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,7 +609,7 @@ def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
         block = _block(half, K, kc)
         assert block.shape == (2 * K + 1, kc)
         got = quadratic.values(block)
-        assert got is quadratic.column_values.out
+        assert got is quadratic.column_values(quadratic.rows)  # its own plane
         assert_irfft2_values(got, np.fft.irfft2(half, s=(nx, ny), norm="forward"), kc)
         v = rng.standard_normal((nx, ny))
         mult = rng.standard_normal((2 * K + 1, 1)) + 1j * rng.standard_normal((2 * K + 1, 1))

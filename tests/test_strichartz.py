@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dgzk
-from dgzk import _work
+from dgzk import _work, spectral
 from dgzk.estimates import strichartz
 from dgzk.estimates import _shellscan
 from dgzk.estimates._shellscan import parallel_map
@@ -75,6 +75,26 @@ def test_pruned_norm_equals_the_unpruned_loop(alpha, j, k):
             assert got == want
         else:
             assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("j, k", [(2, 3), (3, 2), (1, 7)])
+def test_the_norm_has_the_same_bits_for_every_stack_size(monkeypatch, j, k):
+    """Over 70 time samples, stacks of 1, 3 and 16 samples (partial last
+    stacks for 3 and 16) give the same norm bit for bit, on rectangular
+    shell grids, through the cos/sin product and (k = 7, 64 columns)
+    through irfft."""
+    grid = _shell_grid(j, k, 4)
+    phi = shell_field(grid, j, k, np.random.default_rng([j, k]))
+    sample_bytes = 16 * grid.nx * (grid.ny // 2 + 1)
+    stacks, norms = [], []
+    sup = spectral._ColumnValues.sup
+    monkeypatch.setattr(spectral._ColumnValues, "sup",
+                        lambda self, data: stacks.append(len(data)) or sup(self, data))
+    for b in (1, 3, 16):
+        monkeypatch.setattr(strichartz, "_STACK_BYTES", b * sample_bytes)
+        norms.append(strichartz_norm(phi, SYM, 2.0 ** (-(j + k)), 70))
+    assert norms[0] == norms[1] == norms[2]
+    assert stacks == [1] * 70 + [3] * 23 + [1] + [16] * 4 + [6]
 
 
 # entry points whose transform runs along x over every column of its input:

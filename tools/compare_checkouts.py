@@ -18,9 +18,14 @@ The report covers:
   workload at the seeds in BENCH_SEEDS, the side that runs first
   alternating: the input and output digests and failures of every run,
   each against the parent's first run, and the median peak_rss_mb, setup_s,
-  wall_s and wall_norm (wall_s / calibration_s) of each side.
+  wall_s and wall_norm (wall_s / calibration_s) of each side;
+* per workload, over the pairs of runs (one per seed and repeat, both
+  sides back to back), the median of the per-pair ratios change / parent
+  of wall_norm, setup_s and peak_rss_mb, with a percentile bootstrap 95%
+  interval of that median and the number of pairs in which the change
+  read lower.
 
-Line counts and the bench medians are reported, not compared: a few runs
+Line counts and the bench numbers are reported, not compared: a few runs
 cannot tell a real move from VM noise, and the memory peak moves with the
 heap layout that import and earlier work leave.  Any other difference is
 printed and the exit code is 1; 0 means everything compared is identical.
@@ -32,6 +37,7 @@ import argparse
 import ast
 import json
 import os
+import random
 import re
 import shutil
 import statistics
@@ -58,9 +64,11 @@ RUNS = [
 ]
 BENCH_WORKLOADS = ("sim-diag", "sim-march", "estimates-lab")
 BENCH_SEEDS = (0, 3)
-BENCH_REPEATS = 3
+BENCH_REPEATS = 5
 BENCH_COMPARED = ("input_digest", "output_digest", "failures")
 BENCH_REPORTED = ("peak_rss_mb", "setup_s", "wall_s", "wall_norm")
+BENCH_PAIRED = ("wall_norm", "setup_s", "peak_rss_mb")
+BOOTSTRAP_RESAMPLES = 4000
 KINDS = ("code", "docstring", "comment", "blank")
 PINNED_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                   "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -178,6 +186,24 @@ def _median(runs: list, key: str) -> str:
     return f"{statistics.median(values):.3f}" if values else "-"
 
 
+def paired_ratios(pairs: list, key: str) -> str:
+    """The median change / parent ratio of one BENCH_REPORTED value over
+    (parent run, change run) pairs, with a percentile bootstrap 95% interval
+    of the median (pairs resampled, a fixed seed) and the count of pairs
+    below 1."""
+    ratios = [b[key] / a[key] for (_, a), (_, b) in pairs
+              if a.get(key) and b.get(key) is not None]
+    if not ratios:
+        return f"{key} -"
+    rng = random.Random(0)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP_RESAMPLES))
+    low, high = medians[int(0.025 * len(medians))], medians[int(0.975 * len(medians)) - 1]
+    lower = sum(r < 1.0 for r in ratios)
+    return (f"{key} {statistics.median(ratios):.3f} [{low:.3f}, {high:.3f}] "
+            f"(lower in {lower} of {len(ratios)})")
+
+
 def compare(title: str, parent: dict, change: dict) -> int:
     """Print whether two dicts of outputs are identical; the number of differences."""
     diffs = []
@@ -229,11 +255,13 @@ def main(argv=None) -> int:
               "failures of each run compared with the parent's first run; median "
               f"{', '.join(BENCH_REPORTED)} reported (parent -> change) ==")
         for workload in BENCH_WORKLOADS:
+            pairs = []
             for seed in BENCH_SEEDS:
                 runs = {parent: [], change: []}
                 for repeat in range(BENCH_REPEATS):  # the side that runs first alternates
                     for checkout in (parent, change)[::-1 if repeat % 2 else 1]:
                         runs[checkout].append(checkout.bench(workload, seed))
+                    pairs.append((runs[parent][-1], runs[change][-1]))
                 compared = {f"{checkout.root.name} run {i + 1}": run
                             for checkout, side in runs.items() for i, (run, _) in enumerate(side)}
                 differences += compare(f"{workload} seed {seed}",
@@ -241,6 +269,10 @@ def main(argv=None) -> int:
                 print("      " + ", ".join(f"{key} {_median(runs[parent], key)} -> "
                                           f"{_median(runs[change], key)}"
                                           for key in BENCH_REPORTED))
+            print(f"  {workload}: change / parent over {len(pairs)} pairs, median "
+                  "[bootstrap 95% interval]:")
+            for key in BENCH_PAIRED:
+                print(f"      {paired_ratios(pairs, key)}")
 
     print("== everything compared is identical ==" if not differences
           else f"== {differences} differences ==")
