@@ -56,7 +56,7 @@ from .propagator import DispersionSymbol
 from .reporting import error_record, write_csv, write_json, write_resolved_config
 from .solver import (
     SimulationConfig,
-    simulate,
+    _simulate_ends,
     solve_regularized_family,
     spatial_convergence_study,
     temporal_order_study,
@@ -138,23 +138,22 @@ def _report_artifacts(report, table: str, header: list, **extra) -> dict:
 def _run_simulate(cfg: dict) -> dict:
     grid = _grid_from(cfg)
     sim = _sim_config_from(cfg, grid, _symbol_from(cfg, mu=cfg["symbol.mu"]))
-    traj = simulate(sim, _initial_from(cfg, grid))
-    last = traj.diagnostics[-1]
-    summary = {"t_end": traj.times[-1], "records": len(traj.times),
+    times, records, dissipation, states = _simulate_ends(sim, _initial_from(cfg, grid))
+    last = records[-1]
+    summary = {"t_end": times[-1], "records": len(times),
                "sup_u_final": last.sup_u, "g_accum_final": last.g_accum}
     for name in ("mass", "energy"):
-        series = [getattr(d, name) for d in traj.diagnostics]
+        series = [getattr(d, name) for d in records]
         drift = max(abs(v - series[0]) for v in series) / max(abs(series[0]), 1e-300)
         summary.update({f"{name}_initial": series[0], f"{name}_final": series[-1],
                         f"{name}_drift_rel": drift})
-    if traj.dissipation is not None:
-        summary["dissipation_final"] = traj.dissipation[-1]
-    artifacts = {"diagnostics.csv": diagnostics_csv(traj), "summary.json": summary}
+    if dissipation is not None:
+        summary["dissipation_final"] = dissipation[-1]
+    artifacts = {"diagnostics.csv": diagnostics_csv(records, sim.h_s), "summary.json": summary}
     snap = cfg["output.snapshots"]
     if snap != "none":
         suffix = ".json" if snap == "json" else ".fld"
-        artifacts[f"initial{suffix}"] = traj.states[0]
-        artifacts[f"final{suffix}"] = traj.final_state
+        artifacts[f"initial{suffix}"], artifacts[f"final{suffix}"] = states[0], states[-1]
     return artifacts
 
 

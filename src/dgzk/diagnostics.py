@@ -1,14 +1,10 @@
 """Conserved quantities, sup norms, and inequality checks along trajectories.
 
-Quadrature conventions: integrals of powers of u are evaluated on a
-2x zero-padded grid, which is exact for the band-limited states the solver
-produces (u^3 of a field with |m| <= nx/3 has modes up to nx, resolvable on
-the doubled grid).  Sup norms are grid maxima on a spectrally interpolated
-refinement of the sample grid.
-
-Fields are real (any other raises SymmetryViolationError) and are
-evaluated on the refined grid by spectral._RefinedPlanes.  Record values
-agree with a complex evaluation to about 4e-16 relative.
+Integrals of powers of u are taken on the 2x zero-padded grid, exact for the
+solver's band-limited states (u^3 of a field with |m| <= nx/3 has modes up
+to nx), and sup norms are its grid maxima.  Fields are real (any other
+raises SymmetryViolationError) and are evaluated there by
+spectral._RefinedPlanes, to about 4e-16 relative of a complex evaluation.
 """
 from __future__ import annotations
 
@@ -92,11 +88,8 @@ def _quadratic_energy(weight: np.ndarray, sq: np.ndarray) -> float:
 
 
 def energy(field: SpectralField, symbol: DispersionSymbol) -> float:
-    """Hamiltonian: half the symbol-weighted quadratic form minus the cubic term.
-
-    E = 0.5 * (2*pi)^2 * sum (|m|^{1+alpha} + sign * |n|^{1+beta}) |u_hat|^2
-        - (1/6) * integral of u^3.
-    """
+    """Hamiltonian E = 0.5 * (2*pi)^2 * sum (|m|^{1+alpha} + sign * |n|^{1+beta})
+    |u_hat|^2 - (1/6) * integral of u^3."""
     quad = _quadratic_energy(_energy_weight(field.grid, symbol), np.abs(field.coeffs) ** 2)
     return quad - cubic_integral(field) / 6.0
 
@@ -107,6 +100,38 @@ def sup_norm_diagnostics(field: SpectralField) -> Tuple[float, float, float]:
     return tuple(map(_sup, _RefinedPlanes(field.grid)(field)))
 
 
+class _Records:
+    """records(t, state): the record of a run's next state, a Galerkin block of
+    grid (on_blocks) or a SpectralField, g_accum summed from the first one."""
+
+    def __init__(self, grid: Grid, symbol: DispersionSymbol, h_s, on_blocks: bool = True):
+        # the weights of |u_hat|^2 and |u_hat|^2 itself on a block (see _half_sq) or a field
+        part = (lambda w: _block(w, *_block_dims(grid))) if on_blocks else (lambda w: w)
+        self.square = ((lambda b: _half_sq(b, grid.ny)) if on_blocks
+                       else (lambda f: np.abs(f.coeffs) ** 2))
+        self.energy_w = part(_energy_weight(grid, symbol))
+        self.sobolev_w = {s: part(_sobolev_weight(grid, s)) for s in h_s}
+        self.planes = _RefinedPlanes(grid)
+        self.last = None  # the last state's t, summed sups and g_accum
+
+    def __call__(self, t, state) -> DiagnosticsRecord:
+        state_planes = self.planes(state)
+        u = next(state_planes)
+        su, cubic = _sup(u), _cubic(u)
+        sx, sy = map(_sup, state_planes)
+        g = 0.0
+        if self.last is not None:
+            t0, sups0, g0 = self.last
+            g = g0 + 0.5 * (t - t0) * ((su + sx + sy) + sups0)
+        sq = self.square(state)
+        record = DiagnosticsRecord(
+            t=float(t), mass=_mass(sq), energy=_quadratic_energy(self.energy_w, sq) - cubic / 6.0,
+            h_s_norms={s: _weighted_norm(w, sq) for s, w in self.sobolev_w.items()},
+            sup_u=su, sup_ux=sx, sup_uy=sy, g_accum=g)
+        self.last = t, su + sx + sy, g
+        return record
+
+
 def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
     """One record per state of a run's RecordedStates, summed on its blocks,
     or of a sequence of SpectralFields; g_accum is the trapezoid integral of
@@ -114,43 +139,16 @@ def build_records(times, states, symbol: DispersionSymbol, h_s=(1.0,)) -> list:
     if not states:
         return []
     on_blocks = isinstance(states, RecordedStates)
-    grid = states.grid if on_blocks else states[0].grid
-    # the weights of |u_hat|^2 and |u_hat|^2 itself on a block (see _half_sq) or a field
-    part = (lambda w: _block(w, *_block_dims(grid))) if on_blocks else (lambda w: w)
-    square = (lambda b: _half_sq(b, grid.ny)) if on_blocks else (lambda f: np.abs(f.coeffs) ** 2)
-    energy_w = part(_energy_weight(grid, symbol))
-    sobolev_w = {s: part(_sobolev_weight(grid, s)) for s in h_s}
-    planes = _RefinedPlanes(grid)
-    records = []
-    g = 0.0
-    for i, (t, state) in enumerate(zip(times, states.blocks if on_blocks else states)):
-        state_planes = planes(state)
-        u = next(state_planes)
-        su, cubic = _sup(u), _cubic(u)
-        sx, sy = map(_sup, state_planes)
-        if i > 0:
-            p = records[-1]
-            g += 0.5 * (times[i] - times[i - 1]) * ((su + sx + sy)
-                                                    + (p.sup_u + p.sup_ux + p.sup_uy))
-        sq = square(state)
-        records.append(DiagnosticsRecord(
-            t=float(t),
-            mass=_mass(sq),
-            energy=_quadratic_energy(energy_w, sq) - cubic / 6.0,
-            h_s_norms={s: _weighted_norm(w, sq) for s, w in sobolev_w.items()},
-            sup_u=su, sup_ux=sx, sup_uy=sy,
-            g_accum=g,
-        ))
-    return records
+    records = _Records(states.grid if on_blocks else states[0].grid, symbol, h_s, on_blocks)
+    return [records(t, state) for t, state in zip(times, states.blocks if on_blocks else states)]
 
 
-def diagnostics_csv(trajectory) -> Tuple[list, list]:
-    """(header, rows) for the per-record diagnostics table."""
-    h_s = trajectory.config.h_s
+def diagnostics_csv(records: list, h_s) -> Tuple[list, list]:
+    """(header, rows) for the table of a run's records, with its h_s norms."""
     header = ["t", "mass", "energy", *(f"h{s:g}" for s in h_s),
               "sup_u", "sup_ux", "sup_uy", "g_accum"]
     return header, [[r.t, r.mass, r.energy, *(r.h_s_norms[s] for s in h_s),
-                     r.sup_u, r.sup_ux, r.sup_uy, r.g_accum] for r in trajectory.diagnostics]
+                     r.sup_u, r.sup_ux, r.sup_uy, r.g_accum] for r in records]
 
 
 @lru_cache(maxsize=8)
@@ -244,7 +242,10 @@ def commutator_scan(grid: Grid, pairs: int, s_values: Sequence[float], seed: int
         return (s_values[si], trial, lhs, rhs, lhs / rhs if rhs else 0.0)
 
     tasks = [(si, trial) for si in range(len(s_values)) for trial in range(pairs)]
-    rows = parallel_map(one, tasks, workers)
+    try:
+        rows = parallel_map(one, tasks, workers)
+    finally:
+        _LAST_GRID.__dict__.clear()  # this thread's 2x buffers, 80 nx ny bytes
     return CommutatorScanReport(band=band, rows=rows, max_ratio=max(r[4] for r in rows))
 
 

@@ -10,10 +10,8 @@ Gauss-Legendre quadrature, and pairs it with the reference decay value
 2^{(1-beta)k/2} / sqrt(|m t|).
 
 vandercorput_check compares |integral of amplitude * e^{i phase}| against
-lambda^{-1/p} * (sup|amplitude| + L1 norm of amplitude').  Two sign
-conventions for the lambda exponent circulate in statements of this lemma;
-the decaying one (-1/p) is the classical bound and is what the check uses,
-but the growing candidate (+1/p) is reported alongside for comparison.
+lambda^{-1/p} * (sup|amplitude| + L1 norm of amplitude'), the classical
+bound; the growing exponent +1/p, also found in statements, is reported too.
 """
 from __future__ import annotations
 

@@ -1,17 +1,12 @@
 """Time integration of u_t = L u - u u_x with exact linear factor.
 
 L is diagonal in Fourier space with eigenvalues i*omega(m, n) - gamma(m, n)
-(see propagator).  The quadratic term is evaluated pseudo-spectrally as
--0.5 * d/dx (u^2) with the two-thirds dealiasing rule, which makes the
-spatial discretization a true Galerkin truncation: mass and energy are
-conserved exactly by the semi-discrete flow, so observed drift measures the
-time integrator alone.
-
-Two steppers are provided: exponential time differencing (ETDRK4, the
-default) and a classical Runge-Kutta scheme in integrating-factor variables
-(IFRK4) used as an independent cross-check.  Every mode outside the
-Galerkin block (spectral._block) stays exactly zero, so both march, and
-`simulate` records, the block.
+(see propagator).  The quadratic term -0.5 * d/dx (u^2) is evaluated
+pseudo-spectrally with the two-thirds rule, a Galerkin truncation that
+conserves mass and energy, so their drift measures the time integrator
+alone: ETDRK4 (the default) or IFRK4, classical RK4 in integrating-factor
+variables, as a cross-check.  Both march, and `simulate` records, the
+Galerkin block (spectral._block); every other mode stays exactly zero.
 """
 from __future__ import annotations
 
@@ -100,10 +95,8 @@ class Trajectory:
     states: Sequence
     diagnostics: list
     config: SimulationConfig
-    # L2 deficit 2 * mu * integral of ||laplacian u||_{L2}^2, accumulated
-    # every step by the trapezoid rule; None when mu = 0.  The coefficient 2
-    # is forced: multiplying the equation by u gives
-    # d/dt ||u||^2 = -2 mu ||laplacian u||^2.
+    # the L2 deficit 2 mu * integral of ||laplacian u||^2 (d/dt ||u||^2 = -2 mu
+    # ||laplacian u||^2), trapezoid rule over every step; None when mu = 0
     dissipation: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -118,11 +111,10 @@ class Trajectory:
 
 
 class _QuadraticTerm:
-    """N(c, out) writes the Galerkin block of -0.5 d/dx(u^2) into out, u the
-    point values of the block c of a real field, through buffers made once.
-    The block holds the modes the two-thirds rule keeps, so taking it is the
-    dealiasing.  N(c, out) takes the values of the last values(c) if no
-    call came between and c is that same array, unchanged."""
+    """N(c, out) writes the Galerkin block of -0.5 d/dx(u^2), which is the
+    dealiasing, into out, u the point values of the block c of a real field,
+    through buffers made once.  It takes the values of the last values(c)
+    if no call came between and c is that same array, unchanged."""
 
     def __init__(self, grid: Grid):
         K, kc = _block_dims(grid)
@@ -163,13 +155,9 @@ def nonlinear_term(field: SpectralField) -> SpectralField:
 
 def _etdrk4_phi(z: np.ndarray):
     """E, E2 and the four quadrature weights of the scheme, per eigenvalue.
-
-    Direct formulas suffer cancellation near z = 0, so for 0 < |z| < 1/2
-    each value is replaced by the average over a unit circle of 32 points
-    centered at z (the integrand is analytic, so the contour mean equals
-    the value at the center).  At z = 0 the weights take their exact
-    limits q = 1/2, f1 = f2 = f3 = 1/6.
-    """
+    For 0 < |z| < CONTOUR_SWITCH, where the direct formulas cancel, each is
+    the mean over CONTOUR_POINTS points of the unit circle about z; at z = 0
+    the exact limits q = 1/2, f1 = f2 = f3 = 1/6."""
     def direct(w):
         Ew, E2w = np.exp(w), np.exp(w / 2.0)
         w2, w3 = w * w, w * w * w
@@ -193,11 +181,10 @@ def _etdrk4_phi(z: np.ndarray):
 
 
 class _BlockStepper:
-    """Set-up both schemes share: the Galerkin block's eigenvalues
-    lam = i omega - gamma of L, the quadratic term and six workspace blocks
-    that every step reuses.  Each scheme makes its tables from lam in
-    _tables.  A phase per step max|omega| * dt over the block, the modes
-    the steppers turn, above PHASE_PER_STEP_LIMIT warns (RuntimeWarning)."""
+    """Set-up both schemes share: the block's eigenvalues lam = i omega -
+    gamma of L, from which each scheme's _tables makes its tables, the
+    quadratic term and six workspace blocks.  A phase per step max|omega| *
+    dt over the block above PHASE_PER_STEP_LIMIT warns (RuntimeWarning)."""
 
     def __init__(self, grid: Grid, symbol: DispersionSymbol, dt: float):
         self.dims = _block_dims(grid)
@@ -214,9 +201,16 @@ class _BlockStepper:
         self._tables(lam, dt)
 
     def _block_of(self, c: np.ndarray) -> np.ndarray:
-        """The Galerkin block (see spectral._block) of a full, half or block
-        array in FFT layout."""
+        """The Galerkin block of a full, half or block array in FFT layout."""
         return c if c.shape == self.work.shape[1:] else _block(c, *self.dims)
+
+    def nbytes(self) -> int:
+        """Bytes of the tables, workspaces and buffers the stepper holds, its
+        quadratic term's evaluator made (see _QuadraticTerm.values)."""
+        q = self.nonlinear
+        buffers = [*vars(self).values(), q.rows, q.deriv_x, *vars(q.block_coeffs).values(),
+                   q.column_values.table, *sum(q.column_values.arrays.values(), ())]
+        return sum(a.nbytes for a in buffers if isinstance(a, np.ndarray))
 
 
 class Etdrk4Stepper(_BlockStepper):
@@ -293,17 +287,26 @@ def _cfl_guard(grid: Grid, dt: float, values: np.ndarray) -> bool:
 def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     """March the initial state to t_end, recording strided snapshots.
 
-    The run takes n = max(1, round(t_end / dt)) steps of t_end / n, so it
-    ends at t_end exactly.  Initial data must be real and mean-zero in x
-    (InvalidInitialDataError otherwise); a relative mean defect up to 1e-12
-    is projected away silently.  A run above the "simulate" (grid-point
-    steps) or "records" (bytes of recorded blocks) ceiling of
-    _work.MAX_WORK raises ValueError before its stepper is built.  A step
-    whose squared norm is not finite raises DivergenceError, and so does
-    the first recorded state whose record holds a non-finite number, at its
-    step; the first recorded state past the CFL guard warns, as the stepper
-    does for its phase.
+    The run takes n = max(1, round(t_end / dt)) steps of t_end / n.  Initial
+    data must be real and mean-zero in x (InvalidInitialDataError otherwise);
+    a relative mean defect up to 1e-12 is projected away.  A run above the
+    "simulate" (grid-point steps) or "records" (bytes of recorded blocks)
+    ceiling of _work.MAX_WORK raises ValueError before its stepper is built.
+    A step whose squared norm is not finite raises DivergenceError, and so
+    does the first record that holds a non-finite number, at its step; the
+    first recorded state past the CFL guard warns, as the stepper does for
+    its phase.
     """
+    run = _march(config, phi)
+    next(run)
+    return _trajectory(config, *zip(*run))  # the stepper is freed before the records' 2x planes
+
+
+def _march(config: SimulationConfig, phi: SpectralField):
+    """simulate's checks and marching loop: yields whether the run's
+    recorded blocks would take more bytes than its stepper holds, then
+    (step, t, block, dissipation so far) at t = 0 and at each recorded step.
+    The stepper is freed when the loop ends."""
     grid = config.grid
     if phi.grid != grid:
         raise ValueError("initial data grid does not match configuration grid")
@@ -316,31 +319,26 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
         )
     n_steps = config._n_steps
     dt = config.t_end / n_steps
-
     dims = _block_dims(grid)
     check_work("simulate", n_steps * grid.nx * grid.ny)
     n_blocks = 1 + -(-n_steps // config.record_every)  # the initial block, then one per record
-    check_work("records", n_blocks * (2 * dims[0] + 1) * dims[1] * 16)
+    recorded_bytes = n_blocks * (2 * dims[0] + 1) * dims[1] * 16
+    check_work("records", recorded_bytes)
     stepper = _STEPPERS[config.integrator](grid, config.symbol, dt)
 
     mu = config.symbol.mu
     if mu > 0:
         lap_w = _block((grid.kx2d**2 + grid.ky2d**2) ** 2, *dims)  # |k|^4 weighs ||laplacian u||^2
-
-    def lap_sq_norm(cc):
-        return FOUR_PI_SQ * float(np.sum(lap_w * _half_sq(cc, grid.ny)))
+        lap_sq_norm = lambda cc: FOUR_PI_SQ * float(np.sum(lap_w * _half_sq(cc, grid.ny)))
 
     # the state is the Galerkin block, every other mode exactly zero; row 0 is m = 0
     c = _block(phi.coeffs, *dims)
     c[0] = 0.0
     warned = _cfl_guard(grid, dt, stepper.nonlinear.values(c))
-
-    rec_times = [0.0]
-    rec_blocks = [c]
-    rec_diss = [0.0]
+    yield recorded_bytes > stepper.nbytes()
+    yield 0, 0.0, c, 0.0
     diss_accum = 0.0
     prev_lap = lap_sq_norm(c) if mu > 0 else 0.0
-
     for i in range(1, n_steps + 1):
         c = stepper.step(c)
         if not math.isfinite(np.vdot(c, c).real):  # a NaN, an infinity or an overflowing norm
@@ -350,23 +348,56 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
             diss_accum += 0.5 * dt * (prev_lap + cur)
             prev_lap = cur
         if i % config.record_every == 0 or i == n_steps:
-            rec_times.append(config.t_end if i == n_steps else i * dt)
-            rec_blocks.append(c)
-            rec_diss.append(diss_accum)
             warned = warned or _cfl_guard(grid, dt, stepper.nonlinear.values(c))
-    # the records' 2x planes set the peak memory: free the workspaces first
-    del stepper
+            yield i, config.t_end if i == n_steps else i * dt, c, 2.0 * mu * diss_accum
 
-    times = np.array(rec_times)
-    states = RecordedStates(grid, rec_blocks)
-    records = _diag.build_records(times, states, config.symbol, config.h_s)
-    for r, rec in enumerate(records):  # a finite state's energy can still be inf - inf
+
+def _check_records(steps, records) -> None:
+    """DivergenceError at the first record with a non-finite number (energy can be inf - inf)."""
+    for step, rec in zip(steps, records):
         if not all(map(math.isfinite, (rec.mass, rec.energy, *rec.h_s_norms.values(), rec.sup_u,
                                        rec.sup_ux, rec.sup_uy, rec.g_accum))):
-            raise DivergenceError(step=min(r * config.record_every, n_steps), t=rec.t)
-    dissipation = 2.0 * mu * np.array(rec_diss) if mu > 0 else None
-    return Trajectory(times=times, states=states, diagnostics=records,
-                      config=config, dissipation=dissipation)
+            raise DivergenceError(step=step, t=rec.t)
+
+
+def _trajectory(config: SimulationConfig, steps, times, blocks, dissipation) -> Trajectory:
+    """The Trajectory of _march's recorded states, with their records."""
+    times, states = np.array(times), RecordedStates(config.grid, list(blocks))
+    records = _diag.build_records(times, states, config.symbol, config.h_s)
+    _check_records(steps, records)
+    return Trajectory(times=times, states=states, diagnostics=records, config=config,
+                      dissipation=np.array(dissipation) if config.symbol.mu > 0 else None)
+
+
+def _simulate_ends(config: SimulationConfig, phi: SpectralField):
+    """simulate's times, records, dissipation and states, with its bits,
+    warnings and errors.  A run whose recorded blocks outweigh its stepper
+    streams: it builds each record as its block is recorded, and its states
+    are the first and the last.  A bad record raises after the loop, so a
+    later step's divergence wins; records from the first that would warn on
+    are built there too."""
+    run = _march(config, phi)
+    if not next(run):
+        traj = _trajectory(config, *zip(*run))
+        return traj.times, traj.diagnostics, traj.dissipation, traj.states
+    build = _diag._Records(config.grid, config.symbol, config.h_s)
+    marched, kept, records, late = [], [], [], []
+    for step, t, block, dissipation in run:
+        marched.append((step, t, dissipation))
+        kept[1:] = [block]  # the first block and the latest
+        if not late:
+            try:
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    records.append(build(t, block))
+                continue
+            except FloatingPointError:
+                pass
+        late.append((t, block))
+    records += [build(t, block) for t, block in late]
+    steps, times, dissipation = zip(*marched)
+    _check_records(steps, records)
+    return (np.array(times), records, np.array(dissipation) if config.symbol.mu > 0 else None,
+            RecordedStates(config.grid, kept))
 
 
 @dataclass
@@ -401,19 +432,15 @@ def solve_regularized_family(config: SimulationConfig, phi: SpectralField,
     ref_config = replace(config, symbol=replace(config.symbol, mu=0.0))
     ref_final = simulate(ref_config, phi).final_state.coeffs
 
-    gaps = []
-    residuals = []
+    gaps, residuals = [], []
     for mu in mus:
         cfg = replace(config, symbol=replace(config.symbol, mu=mu))
         traj = simulate(cfg, phi)
         diff = SpectralField(config.grid, traj.final_state.coeffs - ref_final)
         gaps.append(l2_norm(diff))
         residuals.append(l2_identity_residual(traj))
-    return RegularizedFamily(
-        mus=mus,
-        l2_gaps=np.array(gaps),
-        identity_residuals=np.array(residuals),
-    )
+    return RegularizedFamily(mus=mus, l2_gaps=np.array(gaps),
+                             identity_residuals=np.array(residuals))
 
 
 @dataclass
@@ -429,12 +456,10 @@ def temporal_order_study(grid: Grid, symbol: DispersionSymbol, phi: SpectralFiel
                          integrator: str = "etdrk4") -> TemporalOrderReport:
     """Error against a reference run at min(dts) / 8; pairwise and fitted orders.
 
-    Every run, the reference included, is a `simulate` run of a
-    SimulationConfig built, and so checked, before the first run starts.
-    There must be at least two dts with distinct step counts (two dts with one
-    step count would fit one run as two step sizes) and no zero error, which has
-    no logarithm.  A study above the "study" ceiling of _work.MAX_WORK raises
-    ValueError before any run starts.
+    Every run is a `simulate` run of a SimulationConfig checked before the
+    first run starts.  There must be at least two dts with distinct step
+    counts and no zero error (InsufficientDataError otherwise).  A study
+    above the "study" ceiling of _work.MAX_WORK raises ValueError first.
     """
     dts = np.asarray(sorted(dts, reverse=True), dtype=float)
     # runs that record only their first and last step
@@ -471,14 +496,12 @@ def spatial_convergence_study(symbol: DispersionSymbol, profile, n_values: Seque
                               t_end: float, dt: float) -> SpatialConvergenceReport:
     """Error of each resolution against a doubled reference resolution.
 
-    profile(grid) must return the same analytic initial field sampled on the
-    given grid.  All runs share dt so the comparison isolates the spatial
-    truncation; errors are measured on the common coefficient band, and
-    rates are taken from errors clipped to SPATIAL_ERROR_FLOOR.  Every run
-    is a `simulate` run of a SimulationConfig built before the first run
-    starts.  At least two distinct resolutions are required.
-    A study above the "study" ceiling of _work.MAX_WORK, or whose reference
-    Grid is refused, raises ValueError before any profile is built.
+    profile(grid) samples one analytic initial field on grid.  All runs
+    share dt; errors are taken on the common coefficient band, and rates
+    from errors clipped to SPATIAL_ERROR_FLOOR.  At least two distinct
+    resolutions are required.  A study above the "study" ceiling of
+    _work.MAX_WORK, or whose reference Grid is refused, raises ValueError
+    before any profile is built.
     """
     n_values = sorted(int(n) for n in n_values)
     if len(set(n_values)) < 2:

@@ -1,20 +1,13 @@
 """Spectral representation of fields on the bi-periodic square.
 
-Transform convention ("angular-2pi-inverse"): the coefficient of the mode
-e^{i(mx + ny)} is
-
-    f_hat(m, n) = (2*pi)^{-2} * integral of f(x, y) e^{-i(mx + ny)} dx dy,
-
-so the transform of a constant c has f_hat(0, 0) = c, and the L2 norm on the
-square satisfies ||f||^2 = (2*pi)^2 * sum |f_hat|^2.  Discretely this is
-numpy's fft2(samples, norm="forward"), and its inverse is
-ifft2(f_hat, norm="forward").  Real fields, which are all the program
-makes, go through the real transforms on the half spectrum (see _half),
-and every function that returns point values rejects a non-real field.
-This module is the only one in the package that calls numpy.fft.
-
-Sobolev norms below follow the sequence-space convention without the surface
-factor: sobolev_norm(f, s) = (sum (1 + m^2 + n^2)^s |f_hat|^2)^{1/2}.
+The coefficient of the mode e^{i(mx + ny)} is f_hat(m, n) = (2*pi)^{-2} *
+integral of f(x, y) e^{-i(mx + ny)} dx dy, so a constant c has
+f_hat(0, 0) = c and ||f||^2 = (2*pi)^2 * sum |f_hat|^2: numpy's
+fft2(samples, norm="forward").  Real fields, all the program makes, go
+through the real transforms on the half spectrum (see _half), and every
+function that returns point values rejects a non-real field.  This module
+is the only one in the package that calls numpy.fft.  Sobolev norms drop
+the surface factor: sobolev_norm(f, s) = (sum (1 + m^2 + n^2)^s |f_hat|^2)^{1/2}.
 """
 from __future__ import annotations
 
@@ -61,11 +54,8 @@ def zero_field(grid: Grid) -> SpectralField:
 
 
 def field_from_modes(grid: Grid, modes: dict) -> SpectralField:
-    """Build a field from {(m, n): coefficient}.
-
-    Only the listed modes are written: a real field lists both members of
-    each pair, (m, n) and (-m, -n), with conjugate coefficients.
-    """
+    """A field from {(m, n): coefficient}, only the listed modes written: a
+    real field lists (m, n) and (-m, -n), with conjugate coefficients."""
     f = zero_field(grid)
     for (m, n), c in modes.items():
         f.coeffs[grid.index_of(m, "x"), grid.index_of(n, "y")] = c
@@ -83,24 +73,19 @@ def _real_values(half: np.ndarray, ny: int) -> np.ndarray:
     return np.fft.irfft2(half, s=(half.shape[0], ny), norm="forward")
 
 
-# Up to this many data columns, _ColumnValues takes its y pass as
-# one real product with a cos/sin table; past it, as irfft.  Measured with
-# one BLAS thread on a 2-CPU x86-64 VM, in multiples of the irfft pass's
-# time: 0.2-0.75x at 4-32 columns on 64^2 to 1024^2 grids, rectangular ones
-# included; at 43 columns 0.9x on 128^2 and 1.2x on 256^2, at 86 columns
-# 1.8x on 512^2.
+# Up to this many data columns, _ColumnValues takes its y pass as one real
+# product with a cos/sin table, past it as irfft: the product took 0.2-0.75x
+# the irfft's time at 4-32 columns (64^2 to 1024^2), 0.9-1.8x at 43-86.
 _PRODUCT_COLUMNS = 32
-# the least recently used cos/sin table is dropped past this many; one
-# table holds 2 * ncols * ny <= 64 * ny doubles
+# cos/sin tables kept, least recently used dropped; one holds 2 ncols ny <= 64 ny doubles
 _MAX_TABLES = 16
 
 
 @functools.lru_cache(maxsize=_MAX_TABLES)
 def _cos_sin_table(n: range, ny: int) -> np.ndarray:
-    """Rows w cos(n_i y) and -w sin(n_i y), interleaved, so that (re, im) of
-    a coefficient times them is w Re(c e^{i n_i y}): w = 2 counts column -n_i,
-    and columns 0 and ny/2, their own conjugates, take w = 1 and drop their
-    imaginary parts, as in irfft."""
+    """Rows w cos(n_i y) and -w sin(n_i y), interleaved, so that (re, im) of c
+    times them is w Re(c e^{i n_i y}): w = 2 counts column -n_i; columns 0 and
+    ny/2 take w = 1 and drop their imaginary parts, as in irfft."""
     n = np.array(n, dtype=np.int64)
     angle = 2.0 * np.pi * ((n[:, None] * np.arange(ny)) % ny) / ny
     single = ((n == 0) | (2 * n == ny))[:, None]
@@ -115,12 +100,11 @@ def _cos_sin_table(n: range, ny: int) -> np.ndarray:
 class _ColumnValues:
     """_real_values on an (nx, ny) grid of half spectra that are zero off the
     column range cols, a slice.  values(data), data the (..., nx, ncols)
-    columns of one half spectrum or of a stack of them, returns their values
-    in an array of its own per data shape, which the next call on that shape
-    overwrites, and values.sup(stack) the max |values| of each sample.  A
-    stacked sample has the bits it has alone.  Up to _PRODUCT_COLUMNS
-    columns the values are within about 1e-15 of max|values| of irfft2;
-    past that they have its bits."""
+    columns of one half spectrum or of a stack of them (each sample with the
+    bits it has alone), returns their values in an array of its own per data
+    shape, which the next call on that shape overwrites.  Up to
+    _PRODUCT_COLUMNS columns they are within about 1e-15 of max|values| of
+    irfft2; past that they have its bits."""
 
     def __init__(self, nx: int, ny: int, cols: slice):
         n = range(ny // 2 + 1)[cols]
@@ -144,12 +128,10 @@ class _ColumnValues:
         return np.matmul(buf.view(np.float64), self.table, out=out)
 
     def sup(self, data: np.ndarray) -> np.ndarray:
-        """_sup of each plane of self(data), data (B, nx, ncols), as an array,
-        from one x pass, one y product and one reduction.  Up to
-        _PRODUCT_COLUMNS it takes half the y products: with A the x-pass
-        output, P = Re A times the table rows w cos(n y_l) and Q = Im A times
-        its rows -w sin(n y_l), l = 0 .. ny/2, are the values P + Q at y_l and
-        P - Q at -y_l, so max |values| = max(|P| + |Q|) (to about 1e-15)."""
+        """_sup of each plane of self(data), data (B, nx, ncols), as an array.
+        Up to _PRODUCT_COLUMNS it takes half the y products: the values at
+        y_l and -y_l are P + Q and P - Q, P and Q the table's cos and sin
+        products, so max |values| = max(|P| + |Q|) (to about 1e-15)."""
         if self.table is None:
             values = self(data)
             return np.maximum(values.max(axis=(1, 2)), -values.min(axis=(1, 2)))
@@ -225,10 +207,9 @@ def _nonzero_columns(half: np.ndarray) -> slice:
 
 
 def _half_sq(half: np.ndarray, ny: int) -> np.ndarray:
-    """|coefficient|^2 of a half spectrum (see _half) or a Galerkin block of
-    an ny-column grid as terms of the full field's sums of weights even in
-    (m, n): columns 0 < n < ny/2 count twice, once more for their
-    conjugates at -n."""
+    """|coefficient|^2 of a half spectrum (see _half) or a Galerkin block of an
+    ny-column grid as terms of the full field's sums of weights even in
+    (m, n): columns 0 < n < ny/2 count twice, for their conjugates too."""
     sq = np.abs(half) ** 2
     sq[:, 1:ny // 2] *= 2.0
     return sq
@@ -313,10 +294,9 @@ def hermitian_defect(field: SpectralField) -> float:
 
 
 def _require_real(state, error=SymmetryViolationError) -> None:
-    """Raise error unless state, a SpectralField or a Galerkin block, holds
-    the coefficients of a real function: unless the hermitian_defect of its
-    field is at most HERMITIAN_TOL.  Only column 0 of a block can break the
-    symmetry, and it holds rows m and -m at i and -i mod 2K + 1."""
+    """Raise error unless the hermitian_defect of state, a SpectralField or a
+    Galerkin block, is at most HERMITIAN_TOL: only a block's column 0 can
+    break the symmetry, with rows m and -m at i and -i mod 2K + 1."""
     block = not isinstance(state, SpectralField)
     c = state if block else state.coeffs
     defect = _relative_gap(_hermitian_gap(c[:, :1] if block else c), c)
@@ -353,11 +333,8 @@ def fractional_derivative(field: SpectralField, axis: str, a: float) -> Spectral
 
 
 def derivative(field: SpectralField, axis: str) -> SpectralField:
-    """Partial derivative along an axis.
-
-    The unpaired Nyquist label +n/2 would break conjugate symmetry under the
-    odd multiplier i*k, so that single mode is zeroed.
-    """
+    """Partial derivative along an axis; the unpaired Nyquist label +n/2,
+    which the odd multiplier i*k would make non-real, is zeroed."""
     return SpectralField(field.grid, field.coeffs * _derivative_multiplier(field.grid, axis))
 
 
@@ -474,14 +451,12 @@ def resample_values(field: SpectralField, factor: int) -> np.ndarray:
 
 class _RefinedPlanes:
     """Real point values of u, then u_x, then u_y on the 2x grid (derivatives
-    as `derivative` takes them) of real states of one grid, SpectralFields
-    or Galerkin blocks: planes(state) raises SymmetryViolationError for a
-    non-real state and iterates over the three planes, each of which
-    overwrites the last.  A plane is the irfft2 (see _ColumnValues) of the
-    state's half-spectrum columns up to its last nonzero one (planes.data),
-    times its multiplier, padded as embed_in_grid pads: a block's own rows
-    go straight to the 2x rows.  planes.of_data(data) iterates over the
-    planes of such columns, or of a multiple of them, unchecked."""
+    as `derivative` takes them) of real SpectralFields or Galerkin blocks of
+    one grid: planes(state) raises SymmetryViolationError for a non-real
+    state and iterates over the three planes, each overwriting the last,
+    the irfft2 (see _ColumnValues) of the padded (see embed_in_grid)
+    columns planes.data(state) times each multiplier.  planes.of_data(data)
+    iterates over the planes of such columns, unchecked."""
 
     def __init__(self, grid: Grid):
         h, dx = grid.ny // 2 + 1, _derivative_multiplier(grid, "x")

@@ -4,6 +4,8 @@ import re
 import signal
 import tempfile
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_acceptance
-from dgzk import cli, configfile, diagnostics
+from dgzk import cli, configfile, diagnostics, simulate, solver
 from dgzk.cli import _RUNNERS, main
 from dgzk.configfile import COMMANDS, SCHEMAS, parse_config_text, resolve_config
-from dgzk.errors import ConfigError
+from dgzk.errors import ConfigError, DivergenceError
 from dgzk.estimates import _shellscan
 from dgzk.fieldio import load_field
 from dgzk.presets import PRESET_NAMES
@@ -211,6 +213,136 @@ def test_divergence_exits_4(tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["error"]["type"] == "DivergenceError"
     assert "diverged" in record["error"]["message"]
+
+
+def _simulate_settings(settings):
+    """The resolved simulate config of settings and its argv after --out."""
+    argv = [part for kv in settings for part in ("--set", kv)]
+    return resolve_config("simulate", [], settings), argv
+
+
+def _from_simulate(cfg: dict):
+    """simulate's run of a resolved simulate config."""
+    grid = cli._grid_from(cfg)
+    sim = cli._sim_config_from(cfg, grid, cli._symbol_from(cfg, mu=cfg["symbol.mu"]))
+    return simulate(sim, cli._initial_from(cfg, grid))
+
+
+def _artifacts_of(traj, snapshots: str) -> dict:
+    """The simulate artifacts of a Trajectory, built from all its records and states."""
+    last = traj.diagnostics[-1]
+    summary = {"t_end": traj.times[-1], "records": len(traj.times),
+               "sup_u_final": last.sup_u, "g_accum_final": last.g_accum}
+    for name in ("mass", "energy"):
+        series = [getattr(d, name) for d in traj.diagnostics]
+        summary.update({f"{name}_initial": series[0], f"{name}_final": series[-1],
+                        f"{name}_drift_rel": max(abs(v - series[0]) for v in series)
+                        / max(abs(series[0]), 1e-300)})
+    if traj.dissipation is not None:
+        summary["dissipation_final"] = traj.dissipation[-1]
+    artifacts = {"diagnostics.csv": diagnostics.diagnostics_csv(traj.diagnostics, traj.config.h_s),
+                 "summary.json": summary}
+    if snapshots != "none":
+        suffix = ".json" if snapshots == "json" else ".fld"
+        artifacts.update({f"initial{suffix}": traj.states[0], f"final{suffix}": traj.final_state})
+    return artifacts
+
+
+def _force_order(monkeypatch, order):
+    """Make every run stream (its blocks outweigh a stepper of 0 bytes) or
+    keep simulate's order (a stepper of 2^62 bytes); None leaves the rule."""
+    if order is not None:
+        nbytes = 0 if order == "stream" else 2**62
+        monkeypatch.setattr(solver._BlockStepper, "nbytes", lambda self: nbytes)
+
+
+@pytest.mark.parametrize("settings, natural", [
+    # 61 recorded blocks of 1.7 KB against a stepper of about 22 blocks: streams
+    (["grid.nx=32", "grid.ny=32", "initial.preset=random-band", "solver.t_end=0.06",
+      "solver.record_every=1", "output.snapshots=binary"], "stream"),
+    # 6 blocks: simulate's order
+    (["grid.nx=48", "grid.ny=40", "initial.preset=gaussian-bell", "symbol.mu=0.001",
+      "solver.integrator=ifrk4", "solver.dt=2e-3", "solver.t_end=0.05",
+      "solver.record_every=5", "solver.h_s=1,2", "output.snapshots=json"], "kept"),
+])
+@pytest.mark.parametrize("order", [None, "stream", "kept"])
+def test_streamed_and_kept_order_runs_write_the_artifacts_of_simulate(
+        tmp_path, monkeypatch, settings, natural, order):
+    cfg, argv = _simulate_settings(settings)
+    want = tmp_path / "want"
+    want.mkdir()
+    cli._write_artifacts(want, _artifacts_of(_from_simulate(cfg), cfg["output.snapshots"]))
+    _force_order(monkeypatch, order)
+    kept_order = []
+    trajectory = solver._trajectory
+    monkeypatch.setattr(solver, "_trajectory", lambda *a: kept_order.append(1) or trajectory(*a))
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), *argv]) == 0
+    assert kept_order == ([1] if (order or natural) == "kept" else [])
+    names = sorted(p.name for p in want.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["resolved-config.txt"])
+    for name in names:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("order", [None, "stream"])
+@pytest.mark.parametrize("record_every", [1, 10])
+@pytest.mark.parametrize("amplitude, t_end", [
+    (333.839, 0.02), (414.024, 0.015),
+    # step 4's record is inf - inf, and step 5 overflows its norm: the step wins
+    (333.839, 0.025)])
+def test_a_run_whose_record_overflows_exits_4_at_simulate_s_step(
+        tmp_path, monkeypatch, amplitude, t_end, record_every, order):
+    """Through the CLI, in either order, the run fails where simulate does,
+    with the warnings simulate gives in the same order."""
+    cfg, argv = _simulate_settings(["grid.nx=16", "grid.ny=16", "initial.preset=cos-x",
+                                    f"initial.amplitude={amplitude}", "solver.dt=5e-3",
+                                    f"solver.t_end={t_end}", f"solver.record_every={record_every}"])
+    seen = {}
+    for side in ("simulate", "cli"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if side == "simulate":
+                with pytest.raises(DivergenceError) as info:
+                    _from_simulate(cfg)
+            else:
+                _force_order(monkeypatch, order)
+                assert main(["simulate", "--out", str(tmp_path), *argv]) == 4
+        seen[side] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    assert seen["cli"] == seen["simulate"]
+    error = json.loads((tmp_path / "error.json").read_text())["error"]
+    assert error["type"] == "DivergenceError" and error["message"] == str(info.value)
+
+
+def _traced_peak(argv) -> float:
+    """tracemalloc peak of a CLI run above the memory it started from, after
+    a first run of the same argv has made the caches and imports."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_run_that_records_every_step_keeps_two_blocks(tmp_path):
+    """A 128^2 run that records each of 200 steps streams: it peaks below
+    half the 14.16 MB that holding its 201 blocks (11.8 MB) took."""
+    peak = _traced_peak(_simulate_args(
+        tmp_path, "grid.nx=128", "grid.ny=128", "initial.preset=random-band",
+        "solver.t_end=0.2", "solver.record_every=1", "output.snapshots=binary"))
+    assert peak < 14.16e6 / 2
+
+
+def test_a_run_with_few_records_peaks_no_higher_than_in_simulate_s_order(tmp_path):
+    """A 256^2 run with 4 records keeps simulate's order and its 9.78 MB
+    peak: streaming would keep the stepper's 22 blocks next to the 2x planes."""
+    peak = _traced_peak(_simulate_args(
+        tmp_path, "grid.nx=256", "grid.ny=256", "initial.preset=random-band",
+        "solver.t_end=0.03", "solver.record_every=10"))
+    assert peak <= 9.78e6
 
 
 def test_underresolved_scan_exits_5(tmp_path):

@@ -1,5 +1,6 @@
 """Conserved functionals, sup norms, commutator and smoothing-estimate checks."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from dgzk import (
     sup_norm_diagnostics,
     zero_field,
 )
-from dgzk.diagnostics import FOUR_PI_SQ, _bessel_multipliers, build_records, L1tLinfReport
+from dgzk.diagnostics import (FOUR_PI_SQ, _LAST_GRID, _bessel_multipliers, build_records,
+                              L1tLinfReport)
 from dgzk.errors import InsufficientDataError
 from dgzk.spectral import (_PRODUCT_COLUMNS, RecordedStates, _RefinedPlanes, _block,
                            _block_dims, _half, _real_values, dealias, derivative,
@@ -364,6 +366,27 @@ def test_commutator_scan_rows_do_not_depend_on_the_worker_count():
     assert commutator_scan(Grid(16, 16), 3, (1.0, 2.0), seed=5, workers=2).rows == serial.rows
 
 
+def test_a_commutator_scan_leaves_no_2x_buffers_behind():
+    """commutator_check keeps its thread's last grid with the 2x buffers
+    (80 nx ny bytes, 5.2 MB at 256^2); a scan drops that entry when it
+    returns, so it keeps less than 0.5 MB once the J^s tables are cached
+    and the lazy imports are done."""
+    g = Grid(256, 256)
+    commutator_scan(Grid(16, 16), 1, (1.5,), seed=0)
+    _bessel_multipliers(g, 1.5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        commutator_scan(g, 1, (1.5,), seed=0, workers=1)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.5e6
+    f = real_field(Grid(16, 16), np.random.default_rng(0))
+    commutator_check(f, f, 1.5)
+    assert _LAST_GRID.grid == Grid(16, 16)  # a direct check keeps its entry
+
+
 def test_g_accum_is_trapezoid_of_sups():
     g = Grid(32, 32)
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=5e-3, t_end=0.1, record_every=4)
@@ -379,7 +402,7 @@ def test_diagnostics_csv_shape():
     g = Grid(16, 16)
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=0.01, t_end=0.03, h_s=(1.0, 2.0))
     traj = simulate(cfg, initial_data(g, "cos-x", amplitude=0.1))
-    header, rows = diagnostics_csv(traj)
+    header, rows = diagnostics_csv(traj.diagnostics, cfg.h_s)
     assert header == ["t", "mass", "energy", "h1", "h2",
                       "sup_u", "sup_ux", "sup_uy", "g_accum"]
     assert len(rows) == len(traj.times)

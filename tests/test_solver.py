@@ -703,8 +703,9 @@ def test_spatial_spectral_convergence():
 
 
 def test_simulate_is_the_only_caller_of_a_stepper_step():
-    """simulate owns the marching loop with its step rule, divergence check
-    and guards; a second loop over .step( would have to repeat them."""
+    """simulate's marching loop, the generator _march that the CLI's run
+    consumes too, owns the step rule, divergence check and guards; a second
+    loop over .step( would have to repeat them."""
     package = Path(dgzk.__file__).parent
     callers = []
     for path in sorted(package.rglob("*.py")):
@@ -713,4 +714,4 @@ def test_simulate_is_the_only_caller_of_a_stepper_step():
                         for node in ast.walk(top)
                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "step"]
-    assert callers == [("solver.py", "simulate")]
+    assert callers == [("solver.py", "_march")]

@@ -61,6 +61,15 @@ RUNS = [
     # fields that fill the Nyquist row and column: the halvings of the 2x padding
     ("commutator-scan-nyquist", ["commutator-scan", "--set", "comm.band=32",
                                  "--set", "comm.pairs=20"]),
+    # a run that records every step builds its records as it marches
+    ("simulate-every-step", ["simulate", "--set", "grid.nx=128", "--set", "grid.ny=128",
+                             "--set", "solver.record_every=1", "--set", "solver.t_end=0.2",
+                             "--set", "output.snapshots=binary"]),
+    # a run with few records keeps simulate's order
+    ("simulate-256-few-records", ["simulate", "--set", "grid.nx=256", "--set", "grid.ny=256",
+                                  "--set", "solver.record_every=100",
+                                  "--set", "solver.t_end=0.3",
+                                  "--set", "output.snapshots=binary"]),
 ]
 BENCH_WORKLOADS = ("sim-diag", "sim-march", "estimates-lab")
 BENCH_SEEDS = (0, 3)
