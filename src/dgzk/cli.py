@@ -56,7 +56,7 @@ from .propagator import DispersionSymbol
 from .reporting import error_record, write_csv, write_json, write_resolved_config
 from .solver import (
     SimulationConfig,
-    _simulate_ends,
+    _simulation,
     solve_regularized_family,
     spatial_convergence_study,
     temporal_order_study,
@@ -138,7 +138,8 @@ def _report_artifacts(report, table: str, header: list, **extra) -> dict:
 def _run_simulate(cfg: dict) -> dict:
     grid = _grid_from(cfg)
     sim = _sim_config_from(cfg, grid, _symbol_from(cfg, mu=cfg["symbol.mu"]))
-    times, records, dissipation, states = _simulate_ends(sim, _initial_from(cfg, grid))
+    times, records, dissipation, states = _simulation(sim, _initial_from(cfg, grid),
+                                                      every_state=False)
     last = records[-1]
     summary = {"t_end": times[-1], "records": len(times),
                "sup_u_final": last.sup_u, "g_accum_final": last.g_accum}

@@ -67,14 +67,9 @@ def mass(field: SpectralField) -> float:
     return _mass(np.abs(field.coeffs) ** 2)
 
 
-def _cubic(values: np.ndarray) -> float:
-    """integral of u^3 from real point values on the 2x grid."""
-    return FOUR_PI_SQ * float(np.mean(values * values * values))
-
-
 def cubic_integral(field: SpectralField) -> float:
     """integral of u^3, via 2x zero-padded quadrature (exact when band-limited)."""
-    return _cubic(next(_RefinedPlanes(field.grid)(field)))
+    return next(_RefinedPlanes(field.grid).reduced(field))[1]
 
 
 def _energy_weight(grid: Grid, symbol: DispersionSymbol) -> np.ndarray:
@@ -97,7 +92,7 @@ def energy(field: SpectralField, symbol: DispersionSymbol) -> float:
 def sup_norm_diagnostics(field: SpectralField) -> Tuple[float, float, float]:
     """(max|u|, max|u_x|, max|u_y|) on the 2x interpolated grid, the
     refinement every diagnostics record uses."""
-    return tuple(map(_sup, _RefinedPlanes(field.grid)(field)))
+    return tuple(sup for sup, _ in _RefinedPlanes(field.grid).reduced(field))
 
 
 class _Records:
@@ -115,17 +110,15 @@ class _Records:
         self.last = None  # the last state's t, summed sups and g_accum
 
     def __call__(self, t, state) -> DiagnosticsRecord:
-        state_planes = self.planes(state)
-        u = next(state_planes)
-        su, cubic = _sup(u), _cubic(u)
-        sx, sy = map(_sup, state_planes)
+        t = float(t)  # a numpy time would make g_accum a numpy float
+        (su, cubic), (sx, _), (sy, _) = self.planes.reduced(state)
         g = 0.0
         if self.last is not None:
             t0, sups0, g0 = self.last
             g = g0 + 0.5 * (t - t0) * ((su + sx + sy) + sups0)
         sq = self.square(state)
         record = DiagnosticsRecord(
-            t=float(t), mass=_mass(sq), energy=_quadratic_energy(self.energy_w, sq) - cubic / 6.0,
+            t=t, mass=_mass(sq), energy=_quadratic_energy(self.energy_w, sq) - cubic / 6.0,
             h_s_norms={s: _weighted_norm(w, sq) for s, w in self.sobolev_w.items()},
             sup_u=su, sup_ux=sx, sup_uy=sy, g_accum=g)
         self.last = t, su + sx + sy, g

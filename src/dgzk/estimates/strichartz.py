@@ -16,14 +16,11 @@ from .._work import check_work
 from ..grid import Grid
 from ..presets import _random_real
 from ..propagator import DispersionSymbol, _phase_speeds
-from ..spectral import (SpectralField, _ColumnValues, _half, _nonzero_columns, _require_real,
-                        l2_norm, shell_indices)
+from ..spectral import (_STACK_BYTES, SpectralField, _ColumnValues, _half, _nonzero_columns,
+                        _require_real, l2_norm, shell_indices)
 from ._shellscan import ShellScanReport, shell_lists, shell_scan
 
 __all__ = ["shell_field", "strichartz_norm", "strichartz_scan"]
-# bytes of the (B, 2, nx, ny/2 + 1) y products of one stack of time samples
-# (see _ColumnValues.sup): B = 31 on 64^2, 7 on 128^2 and 1 from 256^2 up
-_STACK_BYTES = 2 ** 20
 
 
 def _shell_grid(j: int, k: int, refine: int) -> Grid:

@@ -204,14 +204,6 @@ class _BlockStepper:
         """The Galerkin block of a full, half or block array in FFT layout."""
         return c if c.shape == self.work.shape[1:] else _block(c, *self.dims)
 
-    def nbytes(self) -> int:
-        """Bytes of the tables, workspaces and buffers the stepper holds, its
-        quadratic term's evaluator made (see _QuadraticTerm.values)."""
-        q = self.nonlinear
-        buffers = [*vars(self).values(), q.rows, q.deriv_x, *vars(q.block_coeffs).values(),
-                   q.column_values.table, *sum(q.column_values.arrays.values(), ())]
-        return sum(a.nbytes for a in buffers if isinstance(a, np.ndarray))
-
 
 class Etdrk4Stepper(_BlockStepper):
     """Fourth-order exponential time differencing with fixed step."""
@@ -295,18 +287,16 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     A step whose squared norm is not finite raises DivergenceError, and so
     does the first record that holds a non-finite number, at its step; the
     first recorded state past the CFL guard warns, as the stepper does for
-    its phase.
+    its phase.  Each record is built, and warns, when its state is reached.
     """
-    run = _march(config, phi)
-    next(run)
-    return _trajectory(config, *zip(*run))  # the stepper is freed before the records' 2x planes
+    times, records, dissipation, states = _simulation(config, phi, every_state=True)
+    return Trajectory(times=times, states=states, diagnostics=records, config=config,
+                      dissipation=dissipation)
 
 
 def _march(config: SimulationConfig, phi: SpectralField):
-    """simulate's checks and marching loop: yields whether the run's
-    recorded blocks would take more bytes than its stepper holds, then
-    (step, t, block, dissipation so far) at t = 0 and at each recorded step.
-    The stepper is freed when the loop ends."""
+    """simulate's checks and marching loop: yields (step, t, block,
+    dissipation so far) at t = 0 and at each recorded step."""
     grid = config.grid
     if phi.grid != grid:
         raise ValueError("initial data grid does not match configuration grid")
@@ -322,8 +312,7 @@ def _march(config: SimulationConfig, phi: SpectralField):
     dims = _block_dims(grid)
     check_work("simulate", n_steps * grid.nx * grid.ny)
     n_blocks = 1 + -(-n_steps // config.record_every)  # the initial block, then one per record
-    recorded_bytes = n_blocks * (2 * dims[0] + 1) * dims[1] * 16
-    check_work("records", recorded_bytes)
+    check_work("records", n_blocks * (2 * dims[0] + 1) * dims[1] * 16)
     stepper = _STEPPERS[config.integrator](grid, config.symbol, dt)
 
     mu = config.symbol.mu
@@ -335,7 +324,6 @@ def _march(config: SimulationConfig, phi: SpectralField):
     c = _block(phi.coeffs, *dims)
     c[0] = 0.0
     warned = _cfl_guard(grid, dt, stepper.nonlinear.values(c))
-    yield recorded_bytes > stepper.nbytes()
     yield 0, 0.0, c, 0.0
     diss_accum = 0.0
     prev_lap = lap_sq_norm(c) if mu > 0 else 0.0
@@ -352,50 +340,22 @@ def _march(config: SimulationConfig, phi: SpectralField):
             yield i, config.t_end if i == n_steps else i * dt, c, 2.0 * mu * diss_accum
 
 
-def _check_records(steps, records) -> None:
-    """DivergenceError at the first record with a non-finite number (energy can be inf - inf)."""
-    for step, rec in zip(steps, records):
+def _simulation(config: SimulationConfig, phi: SpectralField, every_state: bool):
+    """simulate's times, records, dissipation and states (every recorded one,
+    or the first and the last), each record built as _march yields its
+    block.  Records are checked after the loop, so a later step's
+    divergence wins over a non-finite record (energy can be inf - inf)."""
+    build, marched, kept, records = None, [], [], []
+    for step, t, block, dissipation in _march(config, phi):
+        build = build or _diag._Records(config.grid, config.symbol, config.h_s)  # after the checks
+        marched.append((step, t, dissipation))
+        records.append(build(t, block))
+        kept[len(kept) if every_state else 1:] = [block]  # appended, or the latest after the first
+    for (step, _, _), rec in zip(marched, records):
         if not all(map(math.isfinite, (rec.mass, rec.energy, *rec.h_s_norms.values(), rec.sup_u,
                                        rec.sup_ux, rec.sup_uy, rec.g_accum))):
             raise DivergenceError(step=step, t=rec.t)
-
-
-def _trajectory(config: SimulationConfig, steps, times, blocks, dissipation) -> Trajectory:
-    """The Trajectory of _march's recorded states, with their records."""
-    times, states = np.array(times), RecordedStates(config.grid, list(blocks))
-    records = _diag.build_records(times, states, config.symbol, config.h_s)
-    _check_records(steps, records)
-    return Trajectory(times=times, states=states, diagnostics=records, config=config,
-                      dissipation=np.array(dissipation) if config.symbol.mu > 0 else None)
-
-
-def _simulate_ends(config: SimulationConfig, phi: SpectralField):
-    """simulate's times, records, dissipation and states, with its bits,
-    warnings and errors.  A run whose recorded blocks outweigh its stepper
-    streams: it builds each record as its block is recorded, and its states
-    are the first and the last.  A bad record raises after the loop, so a
-    later step's divergence wins; records from the first that would warn on
-    are built there too."""
-    run = _march(config, phi)
-    if not next(run):
-        traj = _trajectory(config, *zip(*run))
-        return traj.times, traj.diagnostics, traj.dissipation, traj.states
-    build = _diag._Records(config.grid, config.symbol, config.h_s)
-    marched, kept, records, late = [], [], [], []
-    for step, t, block, dissipation in run:
-        marched.append((step, t, dissipation))
-        kept[1:] = [block]  # the first block and the latest
-        if not late:
-            try:
-                with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    records.append(build(t, block))
-                continue
-            except FloatingPointError:
-                pass
-        late.append((t, block))
-    records += [build(t, block) for t, block in late]
-    steps, times, dissipation = zip(*marched)
-    _check_records(steps, records)
+    _, times, dissipation = zip(*marched)
     return (np.array(times), records, np.array(dissipation) if config.symbol.mu > 0 else None,
             RecordedStates(config.grid, kept))
 

@@ -79,6 +79,12 @@ def _real_values(half: np.ndarray, ny: int) -> np.ndarray:
 _PRODUCT_COLUMNS = 32
 # cos/sin tables kept, least recently used dropped; one holds 2 ncols ny <= 64 ny doubles
 _MAX_TABLES = 16
+# bytes of the (B, 2, nx, ny/2 + 1) y products of one stack of time samples
+# (see _ColumnValues.sup): B = 31 on 64^2, 7 on 128^2 and 1 from 256^2 up
+_STACK_BYTES = 2 ** 20
+# bytes of the values of one strip of rows of a 2x plane that
+# _RefinedPlanes.reduced takes at a time: 128 rows at 128^2, 32 at 512^2
+_STRIP_BYTES = 2 ** 18
 
 
 @functools.lru_cache(maxsize=_MAX_TABLES)
@@ -117,15 +123,32 @@ class _ColumnValues:
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         (*lead, nx, ncols), ny = data.shape, self.shape[1]
-        # the x-pass output: the data columns, or for irfft every column of the half spectrum
         buf, out = self._arrays(data.shape, lambda: (
             np.zeros((*lead, nx, ncols if self.table is not None else ny // 2 + 1),
                      dtype=np.complex128), np.empty((*lead, nx, ny))))
+        np.fft.ifft(data, axis=-2, norm="forward",
+                    out=buf if self.table is not None else buf[..., self.cols])
+        return self._y_pass(buf, out)
+
+    def _y_pass(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Values of x-pass output rows x (data columns, for irfft all) into out."""
         if self.table is None:
-            np.fft.ifft(data, axis=-2, norm="forward", out=buf[..., self.cols])
-            return np.fft.irfft(buf, n=ny, axis=-1, norm="forward", out=out)
-        np.fft.ifft(data, axis=-2, norm="forward", out=buf)
-        return np.matmul(buf.view(np.float64), self.table, out=out)
+            return np.fft.irfft(x, n=self.shape[1], axis=-1, norm="forward", out=out)
+        return np.matmul(x.view(np.float64), self.table, out=out)
+
+    def strips(self, x: np.ndarray, rows: int):
+        """Iterates over the values of x, the (nx, ncols) x-pass output of data
+        columns, `rows` rows at a time, each in a buffer that the next
+        overwrites: for an even `rows` with the bits of a y pass of all rows."""
+        out, pad = self._arrays(("strips", rows), lambda: (
+            np.empty((rows, self.shape[1])), None if self.table is not None
+            else np.zeros((rows, self.shape[1] // 2 + 1), dtype=np.complex128)))
+        for start in range(0, len(x), rows):
+            part = x[start:start + rows]
+            if pad is not None:
+                pad[:len(part), self.cols] = part
+                part = pad[:len(part)]
+            yield self._y_pass(part, out[:len(part)])
 
     def sup(self, data: np.ndarray) -> np.ndarray:
         """_sup of each plane of self(data), data (B, nx, ncols), as an array.
@@ -452,11 +475,11 @@ def resample_values(field: SpectralField, factor: int) -> np.ndarray:
 class _RefinedPlanes:
     """Real point values of u, then u_x, then u_y on the 2x grid (derivatives
     as `derivative` takes them) of real SpectralFields or Galerkin blocks of
-    one grid: planes(state) raises SymmetryViolationError for a non-real
-    state and iterates over the three planes, each overwriting the last,
-    the irfft2 (see _ColumnValues) of the padded (see embed_in_grid)
-    columns planes.data(state) times each multiplier.  planes.of_data(data)
-    iterates over the planes of such columns, unchecked."""
+    one grid: the irfft2 (see _ColumnValues) of the padded (see
+    embed_in_grid) columns planes.data(state) times each multiplier, which
+    raises SymmetryViolationError for a non-real state.  planes(state), and
+    planes.of_data(data) unchecked, iterate over the planes, each
+    overwriting the last; planes.reduced(state) over their reductions."""
 
     def __init__(self, grid: Grid):
         h, dx = grid.ny // 2 + 1, _derivative_multiplier(grid, "x")
@@ -465,7 +488,6 @@ class _RefinedPlanes:
         self.dx = {grid.nx: dx, 2 * (grid.nx // 3) + 1: _block(dx, grid.nx // 3, 1)}
         self.dy = _derivative_multiplier(grid, "y")[:, :h]
         self.cols = self.values = None
-        self.data_rows = 0  # the row count of the data in cols, whose other rows are zero
 
     def data(self, state) -> np.ndarray:
         _require_real(state)
@@ -475,17 +497,42 @@ class _RefinedPlanes:
     def __call__(self, state):
         return self.of_data(self.data(state))
 
-    def of_data(self, data: np.ndarray):
-        h = self.dy.shape[1]
-        rows, width = data.shape
-        if self.data_rows != rows:  # _pad_rows writes only the rows that hold data
-            self.cols = np.zeros((2 * self.grid.nx, h), dtype=np.complex128)
-            self.data_rows = rows
-        if self.values is None or self.values.cols.stop != width:
-            self.values = _ColumnValues(2 * self.grid.nx, 2 * self.grid.ny, slice(0, width))
-        cols = self.cols[:, :width]
+    def _x_passes(self, data: np.ndarray):
+        """The x pass of each plane's padded columns, in place in one buffer."""
+        (rows, width), big = data.shape, 2 * self.grid.nx
+        if self.cols is None or self.cols.shape[1] != width:
+            self.cols = np.empty((big, width), dtype=np.complex128)
+            self.values = _ColumnValues(big, 2 * self.grid.ny, slice(0, width))
+        cols = self.cols
         for mult in (1.0, self.dx[rows], self.dy[:, :width]):
+            cols[rows // 2 + 1:big - rows // 2] = 0.0  # the rows _pad_rows leaves
             _pad_rows(cols, data * mult)
-            if width == h:
+            if width == self.dy.shape[1]:
                 cols[:, -1] *= 0.5
-            yield self.values(cols)
+            yield np.fft.ifft(cols, axis=0, norm="forward", out=cols)
+
+    def of_data(self, data: np.ndarray):
+        for x in self._x_passes(data):
+            yield next(self.values.strips(x, len(x)))  # one strip of every row
+
+    def reduced(self, state):
+        """Iterates over (sup |u|, integral of u^3), (sup |u_x|, None) and
+        (sup |u_y|, None), taken over strips of rows that fit _STRIP_BYTES:
+        the sups with the bits of _sup of whole planes, the integral with
+        those of their mean on power-of-two grids, where the strip sums,
+        added in pairs, follow numpy's pairwise order, and within about
+        1e-15 otherwise."""
+        ny = 2 * self.grid.ny
+        rows = max(2, _STRIP_BYTES // (16 * ny) * 2)  # even: a 1-row product is a gemv
+        cube = np.empty((rows, ny))
+        for plane, x in enumerate(self._x_passes(self.data(state))):
+            ends, sums = [], []
+            for v in self.values.strips(x, rows):
+                ends += v.max(), -v.min()
+                if plane == 0:
+                    u3 = np.multiply(v, v, out=cube[:len(v)])
+                    sums.append(np.sum(np.multiply(u3, v, out=u3)))
+            while len(sums) > 1:
+                sums = [a + b for a, b in zip(sums[::2], sums[1::2])] + sums[len(sums) & ~1:]
+            sup = float(np.array(ends).max()) + 0.0  # NaN if a value is; +0.0 for zeros
+            yield sup, FOUR_PI_SQ * float(sums[0] / (len(x) * ny)) if sums else None

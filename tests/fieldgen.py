@@ -39,14 +39,14 @@ def _record_fft_calls(monkeypatch):
 
 def _record_products(monkeypatch):
     """(data columns, ny) of every y pass that a spectral._ColumnValues takes
-    as a cos/sin product from here on."""
+    as a cos/sin product from here on, one per strip of rows."""
     products = []
 
-    def counted(self, data, _call=spectral._ColumnValues.__call__):
+    def counted(self, x, out, _y_pass=spectral._ColumnValues._y_pass):
         if self.table is not None:
-            products.append((data.shape[1], self.shape[1]))
-        return _call(self, data)
-    monkeypatch.setattr(spectral._ColumnValues, "__call__", counted)
+            products.append((x.shape[-1], self.shape[1]))
+        return _y_pass(self, x, out)
+    monkeypatch.setattr(spectral._ColumnValues, "_y_pass", counted)
     return products
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_acceptance
-from dgzk import cli, configfile, diagnostics, simulate, solver
+from dgzk import cli, configfile, diagnostics, simulate
 from dgzk.cli import _RUNNERS, main
 from dgzk.configfile import COMMANDS, SCHEMAS, parse_config_text, resolve_config
 from dgzk.errors import ConfigError, DivergenceError
@@ -248,53 +248,62 @@ def _artifacts_of(traj, snapshots: str) -> dict:
     return artifacts
 
 
-def _force_order(monkeypatch, order):
-    """Make every run stream (its blocks outweigh a stepper of 0 bytes) or
-    keep simulate's order (a stepper of 2^62 bytes); None leaves the rule."""
-    if order is not None:
-        nbytes = 0 if order == "stream" else 2**62
-        monkeypatch.setattr(solver._BlockStepper, "nbytes", lambda self: nbytes)
-
-
-@pytest.mark.parametrize("settings, natural", [
-    # 61 recorded blocks of 1.7 KB against a stepper of about 22 blocks: streams
-    (["grid.nx=32", "grid.ny=32", "initial.preset=random-band", "solver.t_end=0.06",
-      "solver.record_every=1", "output.snapshots=binary"], "stream"),
-    # 6 blocks: simulate's order
-    (["grid.nx=48", "grid.ny=40", "initial.preset=gaussian-bell", "symbol.mu=0.001",
-      "solver.integrator=ifrk4", "solver.dt=2e-3", "solver.t_end=0.05",
-      "solver.record_every=5", "solver.h_s=1,2", "output.snapshots=json"], "kept"),
-])
-@pytest.mark.parametrize("order", [None, "stream", "kept"])
-def test_streamed_and_kept_order_runs_write_the_artifacts_of_simulate(
-        tmp_path, monkeypatch, settings, natural, order):
+@pytest.mark.parametrize("settings", [
+    ["grid.nx=32", "grid.ny=32", "initial.preset=random-band", "solver.t_end=0.06",
+     "solver.record_every=1", "output.snapshots=binary"],
+    ["grid.nx=48", "grid.ny=40", "initial.preset=gaussian-bell", "symbol.mu=0.001",
+     "solver.integrator=ifrk4", "solver.dt=2e-3", "solver.t_end=0.05",
+     "solver.record_every=5", "solver.h_s=1,2", "output.snapshots=json"],
+], ids=["every-step", "damped-ifrk4"])
+def test_cli_runs_write_the_artifacts_of_simulate(tmp_path, settings):
+    """The CLI keeps only the first and the latest block, and writes the
+    artifacts built from simulate's every record and state, byte for byte."""
     cfg, argv = _simulate_settings(settings)
     want = tmp_path / "want"
     want.mkdir()
     cli._write_artifacts(want, _artifacts_of(_from_simulate(cfg), cfg["output.snapshots"]))
-    _force_order(monkeypatch, order)
-    kept_order = []
-    trajectory = solver._trajectory
-    monkeypatch.setattr(solver, "_trajectory", lambda *a: kept_order.append(1) or trajectory(*a))
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *argv]) == 0
-    assert kept_order == ([1] if (order or natural) == "kept" else [])
     names = sorted(p.name for p in want.iterdir())
     assert sorted(p.name for p in out.iterdir()) == sorted(names + ["resolved-config.txt"])
     for name in names:
         assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("order", [None, "stream"])
+def _record_values(record):
+    return [value for name, value in vars(record).items() if name != "h_s_norms"] + list(
+        record.h_s_norms.values())
+
+
+def test_every_record_field_is_a_python_float(tmp_path, monkeypatch):
+    """Records from simulate, from build_records with array and list times
+    and from the CLI run hold Python floats only, so their reprs agree."""
+    cfg, argv = _simulate_settings(["grid.nx=16", "grid.ny=16", "solver.t_end=0.03",
+                                    "solver.record_every=1", "solver.h_s=1,2"])
+    traj = _from_simulate(cfg)
+    runs = [traj.diagnostics]
+    for times in (traj.times, list(traj.times)):
+        runs.append(diagnostics.build_records(times, traj.states, traj.config.symbol,
+                                              traj.config.h_s))
+    csv = cli.diagnostics_csv
+    monkeypatch.setattr(cli, "diagnostics_csv",
+                        lambda records, h_s: runs.append(records) or csv(records, h_s))
+    assert main(["simulate", "--out", str(tmp_path / "run"), *argv]) == 0
+    assert len(runs) == 4
+    for records in runs:
+        assert len(records) == len(traj.times)
+        assert all(type(v) is float for r in records for v in _record_values(r))
+
+
 @pytest.mark.parametrize("record_every", [1, 10])
 @pytest.mark.parametrize("amplitude, t_end", [
     (333.839, 0.02), (414.024, 0.015),
     # step 4's record is inf - inf, and step 5 overflows its norm: the step wins
     (333.839, 0.025)])
 def test_a_run_whose_record_overflows_exits_4_at_simulate_s_step(
-        tmp_path, monkeypatch, amplitude, t_end, record_every, order):
-    """Through the CLI, in either order, the run fails where simulate does,
-    with the warnings simulate gives in the same order."""
+        tmp_path, amplitude, t_end, record_every):
+    """Through the CLI the run fails where simulate does, with the warnings
+    simulate gives in the same order."""
     cfg, argv = _simulate_settings(["grid.nx=16", "grid.ny=16", "initial.preset=cos-x",
                                     f"initial.amplitude={amplitude}", "solver.dt=5e-3",
                                     f"solver.t_end={t_end}", f"solver.record_every={record_every}"])
@@ -306,7 +315,6 @@ def test_a_run_whose_record_overflows_exits_4_at_simulate_s_step(
                 with pytest.raises(DivergenceError) as info:
                     _from_simulate(cfg)
             else:
-                _force_order(monkeypatch, order)
                 assert main(["simulate", "--out", str(tmp_path), *argv]) == 4
         seen[side] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
     assert seen["cli"] == seen["simulate"]
@@ -328,8 +336,8 @@ def _traced_peak(argv) -> float:
 
 
 def test_a_run_that_records_every_step_keeps_two_blocks(tmp_path):
-    """A 128^2 run that records each of 200 steps streams: it peaks below
-    half the 14.16 MB that holding its 201 blocks (11.8 MB) took."""
+    """A 128^2 run that records each of 200 steps peaks below half the
+    14.16 MB that holding its 201 blocks (11.8 MB) took."""
     peak = _traced_peak(_simulate_args(
         tmp_path, "grid.nx=128", "grid.ny=128", "initial.preset=random-band",
         "solver.t_end=0.2", "solver.record_every=1", "output.snapshots=binary"))
@@ -337,8 +345,9 @@ def test_a_run_that_records_every_step_keeps_two_blocks(tmp_path):
 
 
 def test_a_run_with_few_records_peaks_no_higher_than_in_simulate_s_order(tmp_path):
-    """A 256^2 run with 4 records keeps simulate's order and its 9.78 MB
-    peak: streaming would keep the stepper's 22 blocks next to the 2x planes."""
+    """A 256^2 run with 4 records peaks no higher than the 9.78 MB it took
+    when its records were built after the march: a record's 2x planes are
+    reduced in strips of rows, next to the live stepper's 22 blocks."""
     peak = _traced_peak(_simulate_args(
         tmp_path, "grid.nx=256", "grid.ny=256", "initial.preset=random-band",
         "solver.t_end=0.03", "solver.record_every=10"))

@@ -31,8 +31,9 @@ from dgzk import (
     sup_norm_diagnostics,
     zero_field,
 )
-from dgzk.diagnostics import (FOUR_PI_SQ, _LAST_GRID, _bessel_multipliers, build_records,
-                              L1tLinfReport)
+from dgzk import spectral
+from dgzk.diagnostics import (FOUR_PI_SQ, _LAST_GRID, _Records, _bessel_multipliers,
+                              build_records, L1tLinfReport)
 from dgzk.errors import InsufficientDataError
 from dgzk.spectral import (_PRODUCT_COLUMNS, RecordedStates, _RefinedPlanes, _block,
                            _block_dims, _half, _real_values, dealias, derivative,
@@ -118,9 +119,14 @@ def _oracle_sups(f, refine):
             for h in (f, derivative(f, "x"), derivative(f, "y"))]
 
 
-def _oracle_energy(f, symbol):
+def _oracle_values(f):
+    """Values on the 2x grid through the complex inverse transform."""
     big = Grid(2 * f.grid.nx, 2 * f.grid.ny)
-    vals = np.fft.ifft2(embed_in_grid(f, big).coeffs, norm="forward").real
+    return np.fft.ifft2(embed_in_grid(f, big).coeffs, norm="forward").real
+
+
+def _oracle_energy(f, symbol):
+    vals = _oracle_values(f)
     w = (np.abs(f.grid.kx2d) ** (1 + symbol.alpha)
          + symbol.sign * np.abs(f.grid.ky2d) ** (1.0 + symbol.beta))
     quad = 0.5 * FOUR_PI_SQ * float(np.sum(w * np.abs(f.coeffs) ** 2))
@@ -131,8 +137,13 @@ _EVEN = st.integers(4, 32).map(lambda k: 2 * k)
 
 
 @settings(max_examples=30, deadline=None)
-@given(nx=_EVEN, ny=_EVEN, seed=st.integers(0, 2**32 - 1))
-def test_records_of_real_fields_match_the_complex_padded_oracle(nx, ny, seed):
+@given(nx=_EVEN, ny=_EVEN, seed=st.integers(0, 2**32 - 1),
+       strip_bytes=st.sampled_from([None, 2**9, 3 * 2**9]))
+def test_records_of_real_fields_match_the_complex_padded_oracle(nx, ny, seed, strip_bytes):
+    """Records against a complex evaluation of the padded fields.  With
+    strip_bytes, the 2x planes (one strip at these grids) are reduced in
+    strips of 2 to 12 rows: the sups keep their bits, and the cubic
+    integral moves within 1e-15 of the integral of |u|^3."""
     # real_field fills the Nyquist row and column, so the even split of
     # those modes over the padded half spectrum is exercised too
     rng = np.random.default_rng(seed)
@@ -140,6 +151,17 @@ def test_records_of_real_fields_match_the_complex_padded_oracle(nx, ny, seed):
     times = np.array([0.0, 0.1, 0.25])
     states = [real_field(g, rng) for _ in times]
     records = build_records(times, states, SYM)
+    if strip_bytes is not None:
+        whole = [(r.sup_u, r.sup_ux, r.sup_uy) for r in records]
+        cubic = [cubic_integral(f) for f in states]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "_STRIP_BYTES", strip_bytes)
+            records = build_records(times, states, SYM)
+            striped = [cubic_integral(f) for f in states]
+        assert [(r.sup_u, r.sup_ux, r.sup_uy) for r in records] == whole
+        for f, got, want in zip(states, striped, cubic):
+            scale = FOUR_PI_SQ * np.mean(np.abs(_oracle_values(f)) ** 3)
+            assert abs(got - want) <= 1e-15 * scale
     close = lambda got, want: abs(got - want) <= 1e-13 * abs(want)
     g_accum, prev = 0.0, None
     for i, (f, r) in enumerate(zip(states, records)):
@@ -239,6 +261,71 @@ def test_refined_planes_have_the_values_of_irfft2_in_either_layout(nx, ny, seed)
         got = [p.copy() for p in planes(state)]
         for a, b in zip(got, want):
             assert_irfft2_values(a, b, _data_width(state, g))
+
+
+def test_a_512_record_reduces_its_2x_planes_in_strips():
+    """A record takes its sups and cubic integral over strips of rows, so
+    at 512^2, where one 2x plane of values is 8.4 MB, a record builder
+    made and called once on a run's block peaks under 8 MB and keeps
+    under 4 MB of buffers and weights (tracemalloc)."""
+    g = Grid(512, 512)
+    block = _block(initial_data(g, "random-band", seed=0).coeffs, *_block_dims(g))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        records = _Records(g, SYM, (1.0,))
+        records(0.0, block)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 8e6
+    assert kept - base < 4e6
+
+
+@pytest.mark.parametrize("strip_bytes", [2**9, 2**13, 2**15])
+def test_reductions_over_strips_keep_the_bits_of_whole_planes_on_power_of_two_grids(
+        monkeypatch, strip_bytes):
+    """On a 64^2 grid (2x planes of 128 x 128) strips of 2, 8 and 32 rows give
+    the sups of _sup over each whole plane and the cubic integral of the mean
+    of u^3 over the whole u plane, bit for bit."""
+    g = Grid(64, 64)
+    f = initial_data(g, "random-band", seed=1)
+    planes = [p.copy() for p in _RefinedPlanes(g)(f)]
+    u = planes[0]
+    monkeypatch.setattr(spectral, "_STRIP_BYTES", strip_bytes)
+    got = list(_RefinedPlanes(g).reduced(f))
+    assert [sup for sup, _ in got] == [spectral._sup(p) for p in planes]
+    assert got[0][1] == FOUR_PI_SQ * float(np.mean(u * u * u))
+    assert got[1][1] is None and got[2][1] is None
+
+
+def test_reductions_of_a_zero_field_are_positive_zero(monkeypatch):
+    """Over several strips the sups of a zero field are +0.0, as _sup gives
+    for a zero plane, and its cubic integral is 0."""
+    monkeypatch.setattr(spectral, "_STRIP_BYTES", 2**9)
+    f = zero_field(Grid(16, 24))
+    for sup in sup_norm_diagnostics(f):
+        assert sup == 0.0 and math.copysign(1.0, sup) == 1.0
+    assert cubic_integral(f) == 0.0
+
+
+def test_full_plane_checks_do_not_depend_on_the_strip_size(monkeypatch):
+    """commutator_check and l1t_linf_estimate_check take whole 2x planes, as
+    one strip of every row: their results keep their bits when records
+    are reduced in strips of 2 rows."""
+    g = Grid(32, 32)
+    rng = np.random.default_rng(2)
+    f, h = real_field(g, rng), real_field(g, rng)
+    traj = _manual_trajectory(g, SYM, 0.5, 5)
+
+    def results():
+        _LAST_GRID.__dict__.clear()  # build the 2x buffers afresh
+        rep = l1t_linf_estimate_check(traj, 1.0, 1.0)
+        return commutator_check(f, h, 1.5), (rep.lhs, rep.rhs, rep.ratio)
+
+    want = results()
+    monkeypatch.setattr(spectral, "_STRIP_BYTES", 2**9)
+    assert results() == want
 
 
 def test_block_records_match_records_of_their_full_fields():

@@ -543,21 +543,39 @@ def test_recorded_states_read_as_full_fields():
             states[bad]
 
 
-def test_simulate_builds_records_once_with_every_state(monkeypatch):
-    """The bench tracer times records by wrapping diagnostics.build_records,
-    which simulate must call, through the module attribute, once per run."""
-    calls = []
-    original = dgzk.diagnostics.build_records
-
-    def counting(times, states, *args, **kwargs):
-        calls.append((len(times), len(states)))
-        return original(times, states, *args, **kwargs)
-
-    monkeypatch.setattr(dgzk.diagnostics, "build_records", counting)
+def test_simulate_builds_each_record_when_its_state_is_reached(monkeypatch):
+    """One record order: a run builds the record of each recorded state
+    before its next step, so record warnings come between step warnings."""
+    events = []
+    step, record = Etdrk4Stepper.step, dgzk.diagnostics._Records.__call__
+    monkeypatch.setattr(Etdrk4Stepper, "step",
+                        lambda self, c: events.append("step") or step(self, c))
+    monkeypatch.setattr(dgzk.diagnostics._Records, "__call__",
+                        lambda self, t, state: events.append(t) or record(self, t, state))
     g = Grid(16, 16)
-    cfg = SimulationConfig(grid=g, symbol=SYM, dt=0.01, t_end=0.1, record_every=3)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=0.01, t_end=0.08, record_every=3)
     traj = simulate(cfg, initial_data(g, "cos-x", amplitude=0.1))
-    assert calls == [(len(traj.times), len(traj.times))]
+    assert events == [0.0, *["step"] * 3, traj.times[1], *["step"] * 3, traj.times[2],
+                      *["step"] * 2, 0.08]
+
+
+def test_march_yields_the_initial_block_first_and_no_step_before_it(monkeypatch):
+    """The march's first item is (0, 0.0, the mean-free Galerkin block of the
+    initial data, 0.0), yielded before any step is taken."""
+    steps = []
+    step = Etdrk4Stepper.step
+    monkeypatch.setattr(Etdrk4Stepper, "step",
+                        lambda self, c: steps.append(1) or step(self, c))
+    g = Grid(16, 16)
+    phi = initial_data(g, "random-band", amplitude=0.5, seed=3)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=0.01, t_end=0.05, record_every=2)
+    run = solver._march(cfg, phi)
+    i, t, block, diss = next(run)
+    want = _block(phi.coeffs, *_block_dims(g))
+    want[0] = 0.0
+    assert (i, t, diss) == (0, 0.0, 0.0) and steps == []
+    assert np.array_equal(block, want)
+    assert [item[0] for item in run] == [2, 4, 5] and len(steps) == 5
 
 
 def test_recorded_states_stay_block_sized():

@@ -586,6 +586,28 @@ def test_a_stack_of_samples_has_the_sups_of_each_sample_alone(nx, ny, cols):
         assert np.array_equal(values(data[:5]), planes)
 
 
+@pytest.mark.parametrize("nx, ny, cols, rows", [
+    (32, 64, slice(0, 8), 2),     # product, strips that divide the rows
+    (48, 40, slice(0, 12), 10),   # product, a short last strip
+    (32, 96, slice(3, 43), 6),    # irfft on columns after 0, a short last strip
+    (24, 80, slice(0, 41), 24),   # irfft, one strip of every row
+])
+def test_strips_of_an_even_row_count_have_the_bits_of_one_y_pass(nx, ny, cols, rows):
+    """strips(x, rows) over the x-pass output of the data columns gives, strip
+    after strip, the rows of values(data) bit for bit, through the cos/sin
+    product and through irfft, also when the strips are taken again."""
+    rng = np.random.default_rng(nx + ny + rows)
+    ncols = cols.stop - cols.start
+    values = _ColumnValues(nx, ny, cols)
+    for _ in range(2):
+        data = rng.standard_normal((nx, ncols)) + 1j * rng.standard_normal((nx, ncols))
+        want = values(data).copy()
+        x = np.fft.ifft(data, axis=0, norm="forward")
+        got = [strip.copy() for strip in values.strips(x, rows)]
+        assert [len(s) for s in got] == [min(rows, nx - i) for i in range(0, nx, rows)]
+        assert np.array_equal(np.concatenate(got), want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1))
 @example(nx=16, ny=96, seed=0)  # kc = 33: the irfft y pass

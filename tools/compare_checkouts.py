@@ -65,10 +65,14 @@ RUNS = [
     ("simulate-every-step", ["simulate", "--set", "grid.nx=128", "--set", "grid.ny=128",
                              "--set", "solver.record_every=1", "--set", "solver.t_end=0.2",
                              "--set", "output.snapshots=binary"]),
-    # a run with few records keeps simulate's order
+    # runs with few records, whose 2x planes are reduced in 8 and 32 strips of rows
     ("simulate-256-few-records", ["simulate", "--set", "grid.nx=256", "--set", "grid.ny=256",
                                   "--set", "solver.record_every=100",
                                   "--set", "solver.t_end=0.3",
+                                  "--set", "output.snapshots=binary"]),
+    ("simulate-512-few-records", ["simulate", "--set", "grid.nx=512", "--set", "grid.ny=512",
+                                  "--set", "solver.record_every=50",
+                                  "--set", "solver.t_end=0.1",
                                   "--set", "output.snapshots=binary"]),
 ]
 BENCH_WORKLOADS = ("sim-diag", "sim-march", "estimates-lab")
