@@ -25,8 +25,8 @@ from .spectral import (
     FOUR_PI_SQ,
     RecordedStates,
     SpectralField,
-    _BlockCoeffs,
     _ColumnValues,
+    _band_coeffs,
     _block,
     _block_dims,
     _check_sobolev_index,
@@ -113,30 +113,34 @@ class Trajectory:
 class _QuadraticTerm:
     """N(c, out) writes the Galerkin block of -0.5 d/dx(u^2), which is the
     dealiasing, into out, u the point values of the block c of a real field,
-    through buffers made once.  It takes the values of the last values(c)
-    if no call came between and c is that same array, unchanged."""
+    in two arrays made once: u and an (nx, ny/2 + 1) half plane for both
+    transforms.  It takes the values of the last values(c) if no call came
+    between and c is that same array, unchanged."""
 
     def __init__(self, grid: Grid):
         K, kc = _block_dims(grid)
-        self.grid, self.column_values = grid, None
-        self.rows = np.zeros((grid.nx, kc), dtype=np.complex128)  # zero off the block's rows
-        self.deriv_x = -0.5j * _block(grid.kx2d, K, 1)
-        self.block_coeffs = _BlockCoeffs(grid.nx, grid.ny, kc)
-        self.valued = self.u = None  # the block of the last values call, and its values
+        self.dims, self.deriv_x = (K, kc), -0.5j * _block(grid.kx2d, K, 1)
+        self.plane = np.empty((grid.nx, grid.ny // 2 + 1), dtype=np.complex128)
+        self.u = np.empty(grid.shape)
+        self.column_values = _ColumnValues(grid.nx, grid.ny, slice(0, kc))
+        self.valued = None  # the block of the last values call
 
     def values(self, c: np.ndarray) -> np.ndarray:
-        """Real point values of the block c, valid until the next call; the
-        first call makes the evaluator, which nonlinear_term never needs."""
-        if self.column_values is None:
-            self.column_values = _ColumnValues(self.grid.nx, self.grid.ny, slice(0, c.shape[1]))
-        _pad_rows(self.rows, c)
-        self.valued, self.u = c, self.column_values(self.rows)
-        return self.u
+        """Real point values of the block c, valid until the next call."""
+        (K, kc), plane = self.dims, self.plane
+        plane[:, kc:] = 0.0
+        plane[K + 1:len(plane) - K, :kc] = 0.0  # the rows _pad_rows leaves
+        _pad_rows(plane[:, :kc], c)
+        self.valued = c
+        return self.column_values.of_plane(plane, self.u)
 
     def of_values(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         self.valued = None  # u is squared in place
-        np.multiply(u, u, out=u)
-        return self.block_coeffs(u, self.deriv_x, out)
+        K, kc = self.dims
+        cols = _band_coeffs(np.multiply(u, u, out=u), kc, out=self.plane)
+        np.multiply(self.deriv_x[:K + 1], cols[:K + 1], out=out[:K + 1])
+        np.multiply(self.deriv_x[K + 1:], cols[-K:], out=out[K + 1:])
+        return out
 
     def __call__(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         return self.of_values(self.u if c is self.valued else self.values(c), out)
@@ -146,11 +150,10 @@ def nonlinear_term(field: SpectralField) -> SpectralField:
     """-0.5 * d/dx (u^2) of a real field, evaluated pseudo-spectrally and
     dealiased; u is read from the whole half spectrum."""
     _require_real(field)
-    g = field.grid
-    K, kc = _block_dims(g)
+    g, (K, kc) = field.grid, _block_dims(field.grid)
     u = _real_values(_half(field.coeffs), g.ny)
-    out = np.empty((2 * K + 1, kc), dtype=np.complex128)
-    return SpectralField(g, _full_from_block(_QuadraticTerm(g).of_values(u, out), g))
+    block = _QuadraticTerm(g).of_values(u, np.empty((2 * K + 1, kc), dtype=np.complex128))
+    return SpectralField(g, _full_from_block(block, g))
 
 
 def _etdrk4_phi(z: np.ndarray):
@@ -280,7 +283,7 @@ def simulate(config: SimulationConfig, phi: SpectralField) -> Trajectory:
     """March the initial state to t_end, recording strided snapshots.
 
     The run takes n = max(1, round(t_end / dt)) steps of t_end / n.  Initial
-    data must be real and mean-zero in x (InvalidInitialDataError otherwise);
+    data must be finite, real and mean-zero in x (InvalidInitialDataError otherwise);
     a relative mean defect up to 1e-12 is projected away.  A run above the
     "simulate" (grid-point steps) or "records" (bytes of recorded blocks)
     ceiling of _work.MAX_WORK raises ValueError before its stepper is built.
@@ -300,13 +303,14 @@ def _march(config: SimulationConfig, phi: SpectralField):
     grid = config.grid
     if phi.grid != grid:
         raise ValueError("initial data grid does not match configuration grid")
+    if not np.isfinite(phi.coeffs).all():  # a NaN defect would pass both checks below
+        raise InvalidInitialDataError("initial data holds a non-finite coefficient")
     _require_real(phi, InvalidInitialDataError)
     defect = mean_zero_x_defect(phi)
     if defect > MEAN_ZERO_TOL:
         raise InvalidInitialDataError(
             f"initial data carries relative weight {defect:.3e} on the m = 0 modes; "
-            f"the model requires zero mean in x (tolerance {MEAN_ZERO_TOL:.0e})"
-        )
+            f"the model requires zero mean in x (tolerance {MEAN_ZERO_TOL:.0e})")
     n_steps = config._n_steps
     dt = config.t_end / n_steps
     dims = _block_dims(grid)

@@ -130,6 +130,14 @@ class _ColumnValues:
                     out=buf if self.table is not None else buf[..., self.cols])
         return self._y_pass(buf, out)
 
+    def of_plane(self, plane: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Values, into out, of an (nx, ny/2 + 1) half spectrum that is zero
+        off the data columns, with the bits of self(plane[:, cols]): the x
+        pass runs in place on those columns, so plane is overwritten."""
+        x = plane[:, self.cols]
+        np.fft.ifft(x, axis=0, norm="forward", out=x)
+        return self._y_pass(plane if self.table is None else x, out)
+
     def _y_pass(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Values of x-pass output rows x (data columns, for irfft all) into out."""
         if self.table is None:
@@ -259,22 +267,13 @@ def _real_coeffs(v: np.ndarray) -> np.ndarray:
     return np.fft.rfft2(v, norm="forward")
 
 
-class _BlockCoeffs:
-    """coeffs(v, mult, out) writes mult times the Galerkin block of
-    _real_coeffs(v), v real values on an (nx, ny) grid, into out and returns
-    out; the block has the bits of rfft2's."""
-
-    def __init__(self, nx: int, ny: int, kc: int):
-        self.half = np.empty((nx, ny // 2 + 1), dtype=np.complex128)
-        self.cols = np.empty((nx, kc), dtype=np.complex128)
-
-    def __call__(self, v: np.ndarray, mult: np.ndarray, out: np.ndarray) -> np.ndarray:
-        K, cols = out.shape[0] // 2, self.cols
-        np.fft.rfft(v, axis=1, norm="forward", out=self.half)
-        np.fft.fft(self.half[:, :cols.shape[1]], axis=0, norm="forward", out=cols)
-        np.multiply(mult[:K + 1], cols[:K + 1], out=out[:K + 1])
-        np.multiply(mult[K + 1:], cols[-K:], out=out[K + 1:])
-        return out
+def _band_coeffs(v: np.ndarray, width: int, out: np.ndarray = None) -> np.ndarray:
+    """The first `width` columns of _real_coeffs(v), v real values on an
+    (nx, ny) grid, with the bits of rfft2's: rfft along y into out, an
+    (nx, ny/2 + 1) complex array (made if None), then fft along x in place
+    on those columns only, which are returned as a view of it."""
+    band = np.fft.rfft(v, axis=1, norm="forward", out=out)[:, :width]
+    return np.fft.fft(band, axis=0, norm="forward", out=band)
 
 
 def _full_spectrum(half: np.ndarray, ny: int) -> np.ndarray:
@@ -338,7 +337,8 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 
 def l2_norm(field: SpectralField) -> float:
     """L2 norm on the square, ||f|| = 2*pi * (sum |f_hat|^2)^{1/2}."""
-    return float(2.0 * np.pi * np.sqrt(np.sum(np.abs(field.coeffs) ** 2)))
+    sq = np.abs(field.coeffs)
+    return float(2.0 * np.pi * np.sqrt(np.sum(np.multiply(sq, sq, out=sq))))
 
 
 def _axis_wavenumbers(grid: Grid, axis: str) -> np.ndarray:

@@ -259,14 +259,16 @@ def _fresh_array_stepper(grid, symbol, dt, integrator):
     return step
 
 
-@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("shape", [(64, 64), (128, 128), (48, 40), (160, 96)],
+                         ids=["64", "128", "48x40", "160x96"])
 @pytest.mark.parametrize("integrator", ["etdrk4", "ifrk4"])
-def test_workspace_steppers_keep_the_bits_of_the_fresh_array_steps(n, integrator):
-    """20 steps through the steppers' workspaces equal the fresh-array
-    formulas bit for bit (64^2 takes the cos/sin product, 128^2 the irfft),
-    and a run recording every step keeps 20 distinct blocks that no later
-    step overwrites."""
-    g = Grid(n, n)
+def test_workspace_steppers_keep_the_bits_of_the_fresh_array_steps(shape, integrator):
+    """20 steps through the steppers' workspaces, the quadratic term in its
+    one half plane, equal the fresh-array formulas bit for bit (64^2 and
+    48 x 40 take the cos/sin product, 128^2 and 160 x 96 the irfft), and a
+    run recording every step keeps 20 distinct blocks that no later step
+    overwrites."""
+    g = Grid(*shape)
     sym = DispersionSymbol(1, 1.0, mu=1e-3)
     phi = dealias(project_mean_zero_x(initial_data(g, "random-band", amplitude=1.0, seed=4)))
     reference = _fresh_array_stepper(g, sym, 1e-3, integrator)
@@ -300,6 +302,25 @@ def test_a_steady_state_step_allocates_less_than_three_blocks():
     finally:
         tracemalloc.stop()
     assert peak - base < 3 * c.nbytes
+
+
+def test_a_256_stepper_keeps_at_most_4_mb_after_a_step():
+    """An ETDRK4 stepper at 256^2 keeps its twelve blocks (tables and
+    workspaces, 0.235 MB each) and the quadratic term's half plane and
+    values (1.05 MB together): at most 4.0 MB once a step has run and
+    its returned block is dropped (tracemalloc)."""
+    g = Grid(256, 256)
+    c = _block(initial_data(g, "random-band", seed=0).coeffs, *_block_dims(g))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stepper = Etdrk4Stepper(g, SYM, 1e-3)
+        out = stepper.step(c)
+        del out
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept - base <= 4.0e6
 
 
 def test_a_run_keeps_its_blocks_and_no_full_grid_array():
@@ -418,6 +439,18 @@ def test_simulate_rejects_non_real_initial_data():
     cfg = SimulationConfig(grid=g, symbol=SYM, dt=0.01, t_end=0.05)
     with pytest.raises(InvalidInitialDataError, match="conjugate-symmetry"):
         simulate(cfg, field_from_modes(g, {(1, 1): 0.5}))
+
+
+def test_simulate_refuses_initial_data_with_a_nan():
+    """A NaN coefficient makes the realness and mean defects NaN, which pass
+    both tolerance comparisons: the finiteness check refuses it first,
+    where the run used to diverge at step 1."""
+    g = Grid(16, 16)
+    cfg = SimulationConfig(grid=g, symbol=SYM, dt=0.01, t_end=0.05)
+    phi = initial_data(g, "cos-x", amplitude=0.1)
+    phi.coeffs[2, 3] = np.nan
+    with pytest.raises(InvalidInitialDataError, match="non-finite"):
+        simulate(cfg, phi)
 
 
 def test_simulate_grid_mismatch():

@@ -5,6 +5,7 @@ scratch so the fast path is checked against an independent definition,
 not against itself.
 """
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from dgzk import (
 from dgzk.errors import SymmetryViolationError
 from dgzk import spectral
 from dgzk.solver import _QuadraticTerm
-from dgzk.spectral import (_PRODUCT_COLUMNS, _BlockCoeffs, _ColumnValues, _block,
+from dgzk.spectral import (_PRODUCT_COLUMNS, _ColumnValues, _band_coeffs, _block,
                            _block_dims, _full_from_block, _full_spectrum, _half, _half_sq,
                            _hermitian_gap, _nonzero_columns, _pad_rows, _real_coeffs,
                            _real_values, _require_real)
@@ -102,6 +103,23 @@ def test_constant_and_single_mode_coefficients():
     assert abs(c.coeffs[g.index_of(1, "x"), 0] - 0.5) <= 1e-14
     assert abs(c.coeffs[g.index_of(-1, "x"), 0] - 0.5) <= 1e-14
     assert np.isclose(l2_norm(c), np.sqrt(2 * np.pi**2), rtol=1e-12)
+
+
+def test_l2_norm_squares_its_moduli_in_place():
+    """l2_norm has the bits of 2 pi sqrt(sum |c|^2) and holds one real array
+    of moduli, half its field, not a second one for their squares
+    (tracemalloc, 512 x 256)."""
+    f = real_field(Grid(512, 256), np.random.default_rng(6))
+    want = float(2.0 * np.pi * np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = l2_norm(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak - base <= 0.55 * f.coeffs.nbytes
 
 
 def _roll_flip_gap(c):
@@ -426,7 +444,7 @@ def test_spectral_is_the_only_module_calling_numpy_fft():
 def test_spectral_calls_complex_forward_transform_only_as_an_x_pass():
     """Real fields go forward through rfft2, or through rfft along y and the
     complex fft along x, the same two passes that rfft2 runs internally, with
-    the x pass pruned to the Galerkin block columns.  The one complex
+    the x pass pruned to the first columns.  The one complex
     inverse entry point is the x pass of the column-pruned real inverse."""
     source = (Path(dgzk.__file__).parent / "spectral.py").read_text(encoding="utf-8")
     called = set(re.findall(r"\bnp\.fft\.(\w+)", source))
@@ -586,6 +604,27 @@ def test_a_stack_of_samples_has_the_sups_of_each_sample_alone(nx, ny, cols):
         assert np.array_equal(values(data[:5]), planes)
 
 
+@pytest.mark.parametrize("nx, ny, cols", [(64, 64, slice(0, 22)), (48, 40, slice(3, 14)),
+                                           (128, 128, slice(0, 43)), (160, 96, slice(2, 40))])
+def test_a_plane_taken_in_place_has_the_bits_of_its_data_columns(nx, ny, cols):
+    """of_plane on a half plane zero off the data columns gives the bits of
+    a call on those columns, through the cos/sin product (22 and 11
+    columns) and through irfft (43 columns, and 38 past column 2), in the
+    out array it is given; it overwrites the data columns only, with their
+    x pass."""
+    rng = np.random.default_rng(nx + ny)
+    values = _ColumnValues(nx, ny, cols)
+    plane = np.zeros((nx, ny // 2 + 1), dtype=np.complex128)
+    ncols = cols.stop - cols.start
+    plane[:, cols] = rng.standard_normal((nx, ncols)) + 1j * rng.standard_normal((nx, ncols))
+    want, x = values(plane[:, cols]).copy(), np.fft.ifft(plane[:, cols], axis=0, norm="forward")
+    out = np.empty((nx, ny))
+    assert values.of_plane(plane, out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(plane[:, cols], x)
+    assert not np.any(np.delete(plane, np.arange(ny // 2 + 1)[cols], axis=1))
+
+
 @pytest.mark.parametrize("nx, ny, cols, rows", [
     (32, 64, slice(0, 8), 2),     # product, strips that divide the rows
     (48, 40, slice(0, 12), 10),   # product, a short last strip
@@ -612,17 +651,21 @@ def test_strips_of_an_even_row_count_have_the_bits_of_one_y_pass(nx, ny, cols, r
 @given(nx=even_sizes, ny=even_sizes, seed=st.integers(0, 2**32 - 1))
 @example(nx=16, ny=96, seed=0)  # kc = 33: the irfft y pass
 def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
-    """On data carried by the Galerkin block, the pruned inverse gives the
-    values of irfft2 (see assert_irfft2_values) and the pruned forward the
-    bits of a multiplier times the block of rfft2, also when each evaluator
-    is called again (as a stepper calls them); the block -> full map keeps
-    the block and zeros the rest."""
+    """On data carried by the Galerkin block, the quadratic term's values,
+    in its own values array, are those of irfft2 (see
+    assert_irfft2_values), and its output has the bits of -0.5 i k_x times
+    the block of rfft2(u^2), also when it is called again (as a stepper
+    calls it): both ways run in its one half plane, never in the column
+    evaluator's buffers.  _band_coeffs has the bits of rfft2's first
+    columns, in the plane it is given; the block -> full map keeps the
+    block and zeros the rest."""
     g = Grid(nx, ny)
     K, kc = _block_dims(g)
     rng = np.random.default_rng(seed)
     quadratic = _QuadraticTerm(g)
-    coeffs = _BlockCoeffs(nx, ny, kc)
+    deriv_x = -0.5j * _block(g.kx2d, K, 1)
     out = np.empty((2 * K + 1, kc), dtype=np.complex128)
+    plane = np.empty((nx, ny // 2 + 1), dtype=np.complex128)
     for _ in range(2):
         half = _real_coeffs(rng.standard_normal((nx, ny)))
         # the block rows of the first kc columns: x-Nyquist row and rows past K zeroed
@@ -631,12 +674,18 @@ def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
         block = _block(half, K, kc)
         assert block.shape == (2 * K + 1, kc)
         got = quadratic.values(block)
-        assert got is quadratic.column_values(quadratic.rows)  # its own plane
+        assert got is quadratic.u  # its own values array
         assert_irfft2_values(got, np.fft.irfft2(half, s=(nx, ny), norm="forward"), kc)
+        want = deriv_x * _block(np.fft.rfft2(got * got, norm="forward"), K, kc)
+        assert quadratic.of_values(got, out) is out
+        assert np.array_equal(out, want)
         v = rng.standard_normal((nx, ny))
-        mult = rng.standard_normal((2 * K + 1, 1)) + 1j * rng.standard_normal((2 * K + 1, 1))
-        assert coeffs(v, mult, out) is out
-        assert np.array_equal(out, mult * _block(np.fft.rfft2(v, norm="forward"), K, kc))
+        width = int(rng.integers(1, ny // 2 + 2))
+        band = _band_coeffs(v, width, out=plane)
+        assert band.shape == (nx, width) and np.shares_memory(band, plane)
+        assert np.array_equal(band, np.fft.rfft2(v, norm="forward")[:, :width])
+        assert np.array_equal(_band_coeffs(v, width), band)
         full = _full_from_block(block, g)
         assert np.array_equal(_half(full), half)
         assert np.array_equal(full, _full_spectrum(half, ny))
+    assert quadratic.column_values.arrays == {}

@@ -74,6 +74,11 @@ RUNS = [
                                   "--set", "solver.record_every=50",
                                   "--set", "solver.t_end=0.1",
                                   "--set", "output.snapshots=binary"]),
+    # the cross-check scheme on a grid whose quadratic term takes the irfft y pass
+    ("simulate-256-ifrk4", ["simulate", "--set", "grid.nx=256", "--set", "grid.ny=256",
+                            "--set", "solver.integrator=ifrk4",
+                            "--set", "solver.record_every=10", "--set", "solver.t_end=0.05",
+                            "--set", "output.snapshots=binary"]),
 ]
 BENCH_WORKLOADS = ("sim-diag", "sim-march", "estimates-lab")
 BENCH_SEEDS = (0, 3)
