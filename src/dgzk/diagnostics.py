@@ -27,12 +27,12 @@ from .spectral import (
     RecordedStates,
     SpectralField,
     _RefinedPlanes,
+    _band_coeffs,
     _block,
     _block_dims,
     _check_sobolev_index,
     _half,
     _half_sq,
-    _real_coeffs,
     _sobolev_weight,
     _sup,
     _weighted_norm,
@@ -163,7 +163,8 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     rhs = ||J^s f|| * ||g||_inf + (||f||_inf + ||grad f||_inf) * ||J^{s-1} g||
 
     Products are formed on a doubled grid, exact for band-limited inputs,
-    and the difference on its half spectrum (see spectral._half_sq).  f and
+    and the difference on the columns of its half spectrum that they fill
+    (see spectral._band_coeffs and spectral._half_sq).  f and
     g must be real (SymmetryViolationError otherwise); J^s g, which is real
     with g, is not checked again and takes g's columns.  s must keep
     (1 + |k|^2)^s finite on the 2x grid (see spectral._check_sobolev_index)."""
@@ -181,12 +182,12 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
     constant_f = not np.any(f.coeffs.ravel()[1:])  # f_hat vanishes off (0, 0)
 
     # each plane overwrites the last, so f is copied for the products
-    f_planes = planes(f)
+    f_data, g_data = planes.data(f), planes.data(g)
+    f_planes = planes.of_data(f_data)
     f_vals = next(f_planes).copy()
     grad_sq = np.square(next(f_planes))
     grad_sq += np.square(next(f_planes))
     grad_inf = math.sqrt(float(grad_sq.max()))  # max |grad f|, no hypot per point
-    g_data = planes.data(g)
     g_vals = next(planes.of_data(g_data))
     sup_g = _sup(g_vals)
     js, js_big, js_less = _bessel_multipliers(grid, s)
@@ -195,9 +196,10 @@ def commutator_check(f: SpectralField, g: SpectralField, s: float) -> Tuple[floa
         # multipliers commute with constants identically
         lhs = 0.0
     else:
-        diff = _real_coeffs(f_vals * g_vals)
-        diff *= js_big
-        diff -= _real_coeffs(f_vals * next(planes.of_data(g_data * js[:, :g_data.shape[1]])))
+        width = min(f_data.shape[1] + g_data.shape[1] - 1, grid.ny + 1)
+        diff = _band_coeffs(f_vals * g_vals, width) * js_big[:, :width]
+        diff -= _band_coeffs(f_vals * next(planes.of_data(g_data * js[:, :g_data.shape[1]])),
+                             width)
         lhs = 2.0 * np.pi * math.sqrt(float(np.sum(_half_sq(diff, 2 * grid.ny))))
 
     rhs = (l2_norm(SpectralField(grid, f.coeffs * js)) * sup_g

@@ -262,16 +262,10 @@ class RecordedStates(Sequence):
         return SpectralField(self.grid, _full_from_block(self.blocks[i], self.grid))
 
 
-def _real_coeffs(v: np.ndarray) -> np.ndarray:
-    """Half spectrum (see _half) of real point values."""
-    return np.fft.rfft2(v, norm="forward")
-
-
 def _band_coeffs(v: np.ndarray, width: int, out: np.ndarray = None) -> np.ndarray:
-    """The first `width` columns of _real_coeffs(v), v real values on an
-    (nx, ny) grid, with the bits of rfft2's: rfft along y into out, an
-    (nx, ny/2 + 1) complex array (made if None), then fft along x in place
-    on those columns only, which are returned as a view of it."""
+    """The first `width` columns of the half spectrum of real values v, with
+    the bits of rfft2's: rfft along y into out (made if None), then fft
+    along x in place on those columns, returned as a view of out."""
     band = np.fft.rfft(v, axis=1, norm="forward", out=out)[:, :width]
     return np.fft.fft(band, axis=0, norm="forward", out=band)
 
@@ -289,7 +283,7 @@ def forward_transform(grid: Grid, samples: np.ndarray) -> SpectralField:
         raise ValueError("forward_transform expects real samples")
     if np.shape(samples) != grid.shape:
         raise ValueError(f"sample shape {np.shape(samples)} does not match grid {grid.shape}")
-    return SpectralField(grid, _full_spectrum(_real_coeffs(samples), grid.ny))
+    return SpectralField(grid, _full_spectrum(np.fft.rfft2(samples, norm="forward"), grid.ny))
 
 
 def _hermitian_gap(c: np.ndarray) -> float:

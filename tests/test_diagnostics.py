@@ -36,7 +36,7 @@ from dgzk.diagnostics import (FOUR_PI_SQ, _LAST_GRID, _Records, _bessel_multipli
                               build_records, L1tLinfReport)
 from dgzk.errors import InsufficientDataError
 from dgzk.spectral import (_PRODUCT_COLUMNS, RecordedStates, _RefinedPlanes, _block,
-                           _block_dims, _half, _real_values, dealias, derivative,
+                           _block_dims, _half, _half_sq, _real_values, dealias, derivative,
                            embed_in_grid, project_mean_zero_x)
 
 from fieldgen import (_record_fft_calls, _record_products, assert_irfft2_values, band_field,
@@ -219,8 +219,10 @@ def test_real_fields_take_only_real_transforms(monkeypatch, rng):
     # u, u_x, u_y of f, then g and J^s g, each an x pass on the 9 columns
     # band 8 fills (n = 0 .. 8) of the 17 of the half spectrum, then a y
     # pass that is a cos/sin product (9 <= _PRODUCT_COLUMNS); the products
-    # fg and f J^s g
-    assert sorted(calls) == sorted([("ifft", (64, 9))] * 5 + [("rfft2", (64, 33))] * 2)
+    # fg and f J^s g, each an rfft along y and an x pass on the 9 + 9 - 1
+    # columns their spectra fill
+    assert sorted(calls) == sorted([("ifft", (64, 9))] * 5
+                                   + [("rfft", (64, 33)), ("fft", (64, 17))] * 2)
     assert products == [(9, 64)] * 5
     calls.clear()
     forward_transform(g, inverse_transform(f))
@@ -371,6 +373,42 @@ def test_commutator_two_mode_closed_form():
     # J^2(cos^2 x) - cos x J^2 cos x = -1/2 + (3/2) cos 2x
     assert abs(lhs - np.pi * np.sqrt(11 / 2)) <= 1e-10
     assert rhs > 0
+
+
+def _full_transform_commutator_lhs(f, h, s):
+    """The lhs of commutator_check(f, h, s) from the full rfft2 of both 2x
+    products, every column of their half spectra."""
+    grid = f.grid
+    planes = _RefinedPlanes(grid)
+    f_vals = next(planes(f)).copy()
+    h_data = planes.data(h)
+    h_vals = next(planes.of_data(h_data)).copy()
+    js, js_big, _ = _bessel_multipliers(grid, s)
+    js_h = next(planes.of_data(h_data * js[:, :h_data.shape[1]]))
+    diff = np.fft.rfft2(f_vals * h_vals, norm="forward") * js_big
+    diff -= np.fft.rfft2(f_vals * js_h, norm="forward")
+    return 2.0 * np.pi * math.sqrt(float(np.sum(_half_sq(diff, 2 * grid.ny))))
+
+
+@pytest.mark.parametrize("nx, ny, band", [
+    (64, 64, 8), (32, 32, 3),    # narrow bands: a few of the 33 and 17 columns
+    (64, 64, 32), (16, 16, 8),   # full bands, which fill the Nyquist row and column
+    (32, 48, 5), (48, 32, 24),   # rectangular, narrow and full
+])
+def test_commutator_lhs_from_the_product_band_matches_the_full_transforms(nx, ny, band):
+    """commutator_check transforms its two 2x products along x on the first
+    wf + wg - 1 columns only, wf and wg the data widths of f and g, where
+    their spectra live: its lhs stays within 1e-15 relative of the lhs
+    from the full rfft2 of both products (the dropped columns hold
+    roundoff), and a full band takes every column."""
+    grid = Grid(nx, ny)
+    for trial in range(12):
+        rng = np.random.default_rng([nx, ny, band, trial])
+        f, h = (band_field(grid, band, rng, mean_zero_x=False) for _ in range(2))
+        s = (1.0, 1.5, 2.0)[trial % 3]
+        lhs, _ = commutator_check(f, h, s)
+        want = _full_transform_commutator_lhs(f, h, s)
+        assert abs(lhs - want) <= 1e-15 * want
 
 
 def test_commutator_constant_f_is_exactly_zero(rng):

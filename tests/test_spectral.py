@@ -41,8 +41,8 @@ from dgzk import spectral
 from dgzk.solver import _QuadraticTerm
 from dgzk.spectral import (_PRODUCT_COLUMNS, _ColumnValues, _band_coeffs, _block,
                            _block_dims, _full_from_block, _full_spectrum, _half, _half_sq,
-                           _hermitian_gap, _nonzero_columns, _pad_rows, _real_coeffs,
-                           _real_values, _require_real)
+                           _hermitian_gap, _nonzero_columns, _pad_rows, _real_values,
+                           _require_real)
 
 from fieldgen import (_record_fft_calls, _record_products, assert_irfft2_values, band_field,
                       cos_x, real_field)
@@ -462,7 +462,7 @@ def test_half_spectrum_helpers_agree_with_the_full_transforms(nx, ny, seed):
     spectrum to the full sum of |c|^2 (column ny/2 counted once)."""
     v = np.random.default_rng(seed).standard_normal((nx, ny))
     c = np.fft.fft2(v, norm="forward")
-    h = _real_coeffs(v)
+    h = np.fft.rfft2(v, norm="forward")
     assert np.max(np.abs(_full_spectrum(h, ny) - c)) <= 1e-14 * np.max(np.abs(c))
     vals = _real_values(_half(c), ny)
     assert np.max(np.abs(vals - np.fft.ifft2(c, norm="forward").real)) <= 1e-14 * np.max(np.abs(v))
@@ -502,7 +502,7 @@ def test_column_pruned_real_values_equal_the_full_real_transform(nx, ny, seed, d
     values = _ColumnValues(nx, ny, slice(start, stop))
     planes = []
     for _ in range(2):
-        half = _real_coeffs(rng.standard_normal((nx, ny)))
+        half = np.fft.rfft2(rng.standard_normal((nx, ny)), norm="forward")
         half[:, :start] = half[:, stop:] = half[:, inner] = 0.0
         cols = _nonzero_columns(half)
         assert (cols.start, cols.stop) == (start, stop)
@@ -536,7 +536,7 @@ def test_the_y_pass_is_chosen_by_the_number_of_data_columns(y_pass, nx, ny, seed
         calls = _record_fft_calls(mp)
         products = _record_products(mp)
         for _ in range(2):
-            half = _real_coeffs(rng.standard_normal((nx, ny)))
+            half = np.fft.rfft2(rng.standard_normal((nx, ny)), norm="forward")
             half[:, :cols.start] = half[:, cols.stop:] = half[:, inner] = 0.0
             planes.append(values(half[:, cols]))
             assert_irfft2_values(planes[-1], np.fft.irfft2(half, s=(nx, ny), norm="forward"),
@@ -572,7 +572,7 @@ def test_the_sup_from_half_the_y_products_is_the_sup_of_the_values(nx, ny, seed,
     rng = np.random.default_rng(seed)
     values = _ColumnValues(nx, ny, cols)
     for _ in range(2):
-        half = _real_coeffs(rng.standard_normal((nx, ny)))
+        half = np.fft.rfft2(rng.standard_normal((nx, ny)), norm="forward")
         want = spectral._sup(values(half[:, cols]))
         (got,) = values.sup(half[None, :, cols])
         if ncols > _PRODUCT_COLUMNS:
@@ -667,7 +667,7 @@ def test_block_pruned_transforms_equal_the_full_real_transforms(nx, ny, seed):
     out = np.empty((2 * K + 1, kc), dtype=np.complex128)
     plane = np.empty((nx, ny // 2 + 1), dtype=np.complex128)
     for _ in range(2):
-        half = _real_coeffs(rng.standard_normal((nx, ny)))
+        half = np.fft.rfft2(rng.standard_normal((nx, ny)), norm="forward")
         # the block rows of the first kc columns: x-Nyquist row and rows past K zeroed
         half[K + 1:nx - K] = 0.0
         half[:, kc:] = 0.0
